@@ -82,6 +82,7 @@ from .strataformula import (
     VerifyReport,
     chi_rho_homogeneous,
     equivariant_euler_via_strata,
+    strata_geometry,
     verify_strata_vs_oracle,
 )
 
@@ -143,6 +144,7 @@ __all__ = [
     "regularize",
     "relative_euler",
     "restrict",
+    "strata_geometry",
     "stratum_component_system",
     "subconjugate",
     "trivial_character",

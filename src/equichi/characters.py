@@ -18,7 +18,7 @@ deterministic and recorded in serialized tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -74,10 +74,6 @@ class ClassFunction:
     def _same_group(self, other: "ClassFunction") -> None:
         if self.group is not other.group:
             raise ValidationError("class functions on different groups")
-
-    def value_key(self) -> tuple:
-        n = self.group.exponent
-        return tuple(v.key(n) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -465,6 +461,9 @@ def table_to_json(G: FiniteGroup) -> dict:
 
 def attach_character_table(G: FiniteGroup, data: dict) -> None:
     """Install an externally supplied table after full exact validation."""
+    for key in ("conductor", "rows"):
+        if key not in data:
+            raise ValidationError(f"character table is missing the required key {key!r}")
     conductor = int(data["conductor"])
     if G.exponent % conductor and conductor % G.exponent:
         raise ValidationError(

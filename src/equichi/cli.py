@@ -31,7 +31,7 @@ from .characters import character_table
 from .errors import CodimensionError, DefectError, ValidationError
 from .finedecomp import canonical_isotropy_bundle, fine_decomposition, is_adapted
 from .complexes import euler_characteristic, euler_of_complex
-from .gcomplex import orbit_space, orbit_type_stratification
+from .gcomplex import orbit_space, orbit_type_stratification, regularize
 from .jsonio import (
     bundle_from_json,
     canonical_json,
@@ -41,8 +41,7 @@ from .jsonio import (
     index_file_from_json,
     load_json_file,
 )
-from .gcomplex import regularize
-from .strataformula import equivariant_euler_via_strata, verify_strata_vs_oracle
+from .strataformula import strata_geometry, verify_strata_vs_oracle
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -62,9 +61,7 @@ def _load_action(args) -> tuple[Any, dict]:
     return X, inputs
 
 
-def _stratification_summary(X) -> dict:
-    strat = orbit_type_stratification(X)
-    Q = orbit_space(X)
+def _stratification_summary(X, strat, Q) -> dict:
     strata = []
     for s in strat.strata:
         strata.append(
@@ -108,20 +105,21 @@ def _cmd_strata(args) -> tuple[dict, int]:
     else:
         rows = list(table)
     code = EXIT_OK
-    breakdowns = []
     skipped = None
     try:
-        for rho in rows:
-            breakdowns.append(equivariant_euler_via_strata(X, rho).to_json_dict())
+        geometry = strata_geometry(X)
+        strat, Q = geometry.stratification, geometry.orbit_space
+        breakdowns = [geometry.breakdown(rho).to_json_dict() for rho in rows]
     except CodimensionError as exc:
         skipped = str(exc)
         code = EXIT_SKIPPED
         breakdowns = []
+        strat, Q = orbit_type_stratification(X), orbit_space(X)
     payload = {
         "command": "strata",
         "inputs": inputs,
         "subdivisions": X.subdivisions,
-        "stratification": _stratification_summary(X),
+        "stratification": _stratification_summary(X, strat, Q),
         "breakdowns": breakdowns,
         "skipped": skipped,
     }

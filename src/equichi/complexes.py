@@ -8,7 +8,7 @@ characteristics are alternating simplex counts; everything is exact.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -51,9 +51,6 @@ class SimplicialComplex:
     @staticmethod
     def from_maximal(maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
         return SimplicialComplex(tuple(sorted(set(m))) for m in maximal)
-
-    def simplices_of_dim(self, d: int) -> tuple[Simplex, ...]:
-        return self._by_dim.get(d, ())
 
     def sorted_simplices(self) -> list[Simplex]:
         """All simplices sorted by (dimension, vertex tuple); the canonical order."""
@@ -128,12 +125,6 @@ def barycentric_subdivision(
     for s in order:
         grow((vertex_of[s],), s)
     return SimplicialComplex(chains), vertex_of
-
-
-def star(K: SimplicialComplex, base: Simplex) -> frozenset[Simplex]:
-    """All simplices having `base` as a face."""
-    b = set(base)
-    return frozenset(s for s in K.simplices if b <= set(s))
 
 
 def connected_components(simplices: Iterable[Simplex]) -> tuple[frozenset[Simplex], ...]:

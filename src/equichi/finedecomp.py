@@ -17,7 +17,7 @@ set over alpha is the twist orbit of sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .characters import Character, character_table, inner_product, restrict
 from .errors import DefectError, ValidationError

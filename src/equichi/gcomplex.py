@@ -26,7 +26,6 @@ from .complexes import (
     connected_components,
     euler_characteristic,
     faces,
-    star,
 )
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, normalizer, subconjugate
@@ -221,8 +220,9 @@ def regularize(X: GComplex) -> GComplex:
         if is_regular(current):
             break
         current = _subdivide(current)
-    if not is_regular(current):
-        raise DefectError("two barycentric subdivisions did not regularize the action")
+    else:
+        if not is_regular(current):
+            raise DefectError("two barycentric subdivisions did not regularize the action")
     return GComplex(
         current.complex,
         current.group,
@@ -250,9 +250,6 @@ class FixedSubcomplex:
 
     def euler_characteristic(self) -> int:
         return euler_characteristic(self.simplices)
-
-    def is_empty(self) -> bool:
-        return not self.simplices
 
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
@@ -300,7 +297,6 @@ class Stratum:
     pieces: tuple[frozenset[Simplex], ...]  # components of the H-fixed part
     piece_action: dict[int, tuple[int, ...]]  # normalizer element -> piece permutation
     components: tuple[StratumComponent, ...]
-    closure_upward: frozenset[Simplex]  # union of all strata with larger isotropy
     codimension: int
     is_principal: bool
 
@@ -345,9 +341,8 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     ordered = sorted(by_class, key=lambda rep: (len(rep), rep))
     strata: list[Stratum] = []
     ambient_dim = X.complex.dim
-    subgroups = {rep: Subgroup(X.group, rep) for rep in ordered}
     for j, rep in enumerate(ordered):
-        H = subgroups[rep]
+        H = Subgroup(X.group, rep)
         simplices = frozenset(by_class[rep])
         exact = frozenset(s for s in simplices if iso[s] == rep)
         pieces = connected_components(exact)
@@ -389,12 +384,6 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 lower=frozenset(closure - saturation),
             )
             components.append(comp)
-        upward = frozenset(
-            s
-            for other_rep in ordered
-            for s in by_class[other_rep]
-            if subconjugate(H, subgroups[other_rep])
-        )
         stratum_dim = max(len(s) - 1 for s in simplices)
         strata.append(
             Stratum(
@@ -404,7 +393,6 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 pieces=pieces,
                 piece_action=piece_action,
                 components=tuple(components),
-                closure_upward=upward,
                 codimension=ambient_dim - stratum_dim,
                 is_principal=(j == 0),
             )
@@ -646,7 +634,3 @@ def orientation_character(
             if signs[X.group.mul(a, b)] != signs[a] * signs[b]:
                 raise DefectError("orientation character is not multiplicative")
     return OrientationCharacter(H, basepoint, signs)
-
-
-def codimension(stratum: Stratum) -> int:
-    return stratum.codimension

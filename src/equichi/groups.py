@@ -43,6 +43,10 @@ class FiniteGroup:
         if not generators:
             generators = tuple(e for e in range(self.order) if e != self.identity)
         self.generators = tuple(generators)
+        if any(not 0 <= g < self.order for g in self.generators):
+            raise ValidationError(
+                f"generators must be element ids in [0, {self.order - 1}]"
+            )
         self._char_table = None
         self._subgroup_groups: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._caches: dict[str, object] = {}
@@ -262,10 +266,6 @@ class Subgroup:
     def __contains__(self, a: int) -> bool:
         return a in set(self.elements)
 
-    def conjugated_by(self, g: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, tuple(sorted(G.conjugate(g, a) for a in self.elements)))
-
     def canonical_class_representative(self) -> "Subgroup":
         """Lexicographically least element tuple among all conjugates."""
         G = self.parent
@@ -293,12 +293,6 @@ class Subgroup:
         result = (H, to_parent)
         self.parent._subgroup_groups[self.elements] = result
         return result
-
-    def to_sub_id(self, parent_id: int) -> int:
-        try:
-            return self.elements.index(parent_id)
-        except ValueError:
-            raise ValidationError(f"element {parent_id} is not in the subgroup") from None
 
 
 def normalizer(H: Subgroup) -> Subgroup:

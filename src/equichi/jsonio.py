@@ -89,10 +89,6 @@ def rational_from_json(value: Any) -> Fraction:
     )
 
 
-def rational_to_json(value: Fraction) -> list[int]:
-    return [value.numerator, value.denominator]
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -129,7 +125,12 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
     if not isinstance(data, dict):
         raise ValidationError("complex data must be a JSON object")
     maximal = _require(data, "maximal_simplices", "complex data")
-    simplices = [tuple(sorted(int(v) for v in s)) for s in maximal]
+    try:
+        simplices = [tuple(sorted(int(v) for v in s)) for s in maximal]
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "maximal_simplices must be a list of lists of integer vertex ids"
+        ) from None
     if not simplices:
         raise ValidationError("complex data lists no simplices")
     complex = SimplicialComplex.from_maximal(simplices)
@@ -245,27 +246,3 @@ def index_file_from_json(data: dict) -> dict[int | None, IndexData]:
             out[rho] = index_data_from_json(block)
         return out
     return {None: index_data_from_json(data)}
-
-
-def index_data_to_json(data: IndexData) -> dict:
-    return {
-        "mode": data.mode,
-        "dim": data.dim,
-        "principal_integral": rational_to_json(data.principal_integral),
-        "strata": [
-            {
-                "id": rec.id,
-                "entries": [
-                    {
-                        "n_b": e.type_count,
-                        "rank": e.rank,
-                        "eta": rational_to_json(e.eta),
-                        "h": e.harmonic_dim,
-                        "integral": rational_to_json(e.integral),
-                    }
-                    for e in rec.entries
-                ],
-            }
-            for rec in data.strata
-        ],
-    }

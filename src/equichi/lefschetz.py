@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import Character, ClassFunction, character_table, trivial_index
+from .characters import ClassFunction, character_table
 from .complexes import euler_characteristic
 from .cyclotomic import Cyc
 from .errors import DefectError, ValidationError

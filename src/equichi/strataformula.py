@@ -31,11 +31,13 @@ from .characters import (
     trivial_character,
 )
 from .complexes import euler_characteristic, euler_of_complex
-from .cyclotomic import Cyc
 from .errors import CodimensionError, DefectError, ValidationError
 from .gcomplex import (
     GComplex,
+    OrbitSpace,
     Stratification,
+    Stratum,
+    StratumComponent,
     orbit_space,
     orbit_type_stratification,
     orientation_character,
@@ -152,26 +154,71 @@ def _second_vertex_recheck(X, stratum, component, eps) -> None:
         )
 
 
-def equivariant_euler_via_strata(X: GComplex, rho: Character) -> StrataEulerBreakdown:
-    """Evaluate the stratified sum for one irreducible, with every factor
-    exact and every geometric input derived from the complex itself."""
+@dataclass(frozen=True)
+class ComponentGeometry:
+    """The rho-independent data of one singular component: its place in the
+    stratification, its sign character and chi(Q_cl, Q_low)."""
+
+    stratum: Stratum
+    component: StratumComponent
+    sign_character: ClassFunction
+    sign_character_trivial: bool
+    relative: int
+
+
+@dataclass(frozen=True)
+class StrataGeometry:
+    """Everything in the stratified sum that does not depend on rho, built
+    once per complex by `strata_geometry`."""
+
+    group: FiniteGroup
+    stratification: Stratification
+    orbit_space: OrbitSpace
+    principal_relative: int
+    components: tuple[ComponentGeometry, ...]
+
+    def breakdown(self, rho: Character) -> StrataEulerBreakdown:
+        """Evaluate the stratified sum for one irreducible of the group."""
+        G = self.group
+        H_pr = self.stratification.principal.isotropy
+        principal_hom = chi_rho_homogeneous(G, H_pr, None, rho)
+        terms = tuple(
+            StrataTerm(
+                stratum_index=c.stratum.index,
+                component_index=c.component.index,
+                isotropy=c.stratum.isotropy.elements,
+                codimension=c.component.codim,
+                homogeneous=chi_rho_homogeneous(
+                    G, c.stratum.isotropy, c.sign_character, rho
+                ),
+                relative=c.relative,
+                sign_character_trivial=c.sign_character_trivial,
+            )
+            for c in self.components
+        )
+        return StrataEulerBreakdown(
+            rho_index=rho.index,
+            principal_isotropy=H_pr.elements,
+            principal_homogeneous=principal_hom,
+            principal_relative=self.principal_relative,
+            terms=terms,
+        )
+
+
+def strata_geometry(X: GComplex) -> StrataGeometry:
+    """Build the rho-independent part of the stratified sum, with every
+    geometric input derived from the complex itself."""
     if not X.regular:
         raise ValidationError("the stratified sum requires a regularized complex")
-    G = X.group
-    if rho.group is not G:
-        raise ValidationError("character lives on a different group")
     strat = orbit_type_stratification(X)
     Q = orbit_space(X)
-    principal = strat.principal
-    H_pr = principal.isotropy
-    principal_hom = chi_rho_homogeneous(G, H_pr, None, rho)
     singular_simplices = frozenset(
         s for stratum in strat.singular for s in stratum.simplices
     )
     q_all = Q.complex.simplices
     q_sing = Q.project(singular_simplices)
     principal_rel = euler_characteristic(q_all) - euler_characteristic(q_sing)
-    terms: list[StrataTerm] = []
+    components: list[ComponentGeometry] = []
     for stratum in strat.singular:
         for component in stratum.components:
             if component.codim < 2:
@@ -188,30 +235,30 @@ def equivariant_euler_via_strata(X: GComplex, rho: Character) -> StrataEulerBrea
                 raise DefectError(
                     "basepoint isotropy differs from the stratum isotropy"
                 )
-            hom = chi_rho_homogeneous(
-                G, stratum.isotropy, eps.class_function(), rho
-            )
             rel = euler_characteristic(Q.project(component.closure)) - (
                 euler_characteristic(Q.project(component.lower))
             )
-            terms.append(
-                StrataTerm(
-                    stratum_index=stratum.index,
-                    component_index=component.index,
-                    isotropy=stratum.isotropy.elements,
-                    codimension=component.codim,
-                    homogeneous=hom,
-                    relative=rel,
+            components.append(
+                ComponentGeometry(
+                    stratum=stratum,
+                    component=component,
+                    sign_character=eps.class_function(),
                     sign_character_trivial=eps.is_trivial(),
+                    relative=rel,
                 )
             )
-    return StrataEulerBreakdown(
-        rho_index=rho.index,
-        principal_isotropy=H_pr.elements,
-        principal_homogeneous=principal_hom,
-        principal_relative=principal_rel,
-        terms=tuple(terms),
-    )
+    return StrataGeometry(X.group, strat, Q, principal_rel, tuple(components))
+
+
+def equivariant_euler_via_strata(X: GComplex, rho: Character) -> StrataEulerBreakdown:
+    """Evaluate the stratified sum for one irreducible, with every factor
+    exact and every geometric input derived from the complex itself.
+
+    To evaluate several irreducibles of one complex, build
+    `strata_geometry(X)` once and call its `breakdown` for each."""
+    if rho.group is not X.group:
+        raise ValidationError("character lives on a different group")
+    return strata_geometry(X).breakdown(rho)
 
 
 @dataclass(frozen=True)
@@ -279,8 +326,9 @@ def verify_strata_vs_oracle(X: GComplex) -> VerifyReport:
     table = character_table(X.group)
     rows: list[VerifyRow] = []
     try:
+        geometry = strata_geometry(X)
         for rho in table:
-            breakdown = equivariant_euler_via_strata(X, rho)
+            breakdown = geometry.breakdown(rho)
             rows.append(
                 VerifyRow(
                     rho_index=rho.index,

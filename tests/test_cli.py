@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from equichi import corpus
+from equichi import cli, corpus, gcomplex, strataformula
 from equichi.cli import main
 
 BETA_DATA = {
@@ -145,6 +145,68 @@ def test_strata_codimension_guard(tmp_path, capsys):
     assert "codimension 1" in payload["skipped"]
     # the stratification is still reported for inspection
     assert payload["stratification"]["strata"][1]["codimension"] == 1
+
+
+def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
+    calls = {"stratify": 0, "orbit_space": 0}
+
+    def counted(name, fn):
+        def wrapper(X):
+            calls[name] += 1
+            return fn(X)
+
+        return wrapper
+
+    for module in (strataformula, cli):
+        monkeypatch.setattr(
+            module,
+            "orbit_type_stratification",
+            counted("stratify", gcomplex.orbit_type_stratification),
+        )
+        monkeypatch.setattr(
+            module, "orbit_space", counted("orbit_space", gcomplex.orbit_space)
+        )
+    report = strataformula.verify_strata_vs_oracle(
+        corpus.load_case("s2-klein-four").gcomplex
+    )
+    assert len(report.rows) == 4
+    assert report.all_match
+    assert calls == {"stratify": 1, "orbit_space": 1}
+
+    calls.update(stratify=0, orbit_space=0)
+    gpath, cpath = write_case_files(tmp_path, "s2-klein-four")
+    code, out, _ = run_cli(["strata", "--group", gpath, "--complex", cpath], capsys)
+    assert code == 0
+    assert len(json.loads(out)["breakdowns"]) == 4
+    assert calls == {"stratify": 1, "orbit_space": 1}
+
+
+C2_GROUP = {"permutation_generators": [[1, 0]]}
+C2_EDGE = {"maximal_simplices": [[0, 1]], "action": {"generator_images": [[1, 0]]}}
+
+
+@pytest.mark.parametrize(
+    "group, complex_data",
+    [
+        (C2_GROUP, dict(C2_EDGE, maximal_simplices=5)),
+        (C2_GROUP, dict(C2_EDGE, maximal_simplices=[["a", 1]])),
+        ({"table": [[0, 1], [1, 0]], "generators": [5]}, C2_EDGE),
+        (dict(C2_GROUP, character_table={"conductor": 2}), C2_EDGE),
+    ],
+    ids=["maximal-not-a-list", "vertex-not-an-integer", "generator-out-of-range",
+         "table-without-rows"],
+)
+def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data):
+    gpath = tmp_path / "group.json"
+    cpath = tmp_path / "complex.json"
+    gpath.write_text(json.dumps(group))
+    cpath.write_text(json.dumps(complex_data))
+    code, out, err = run_cli(
+        ["verify", "--group", str(gpath), "--complex", str(cpath)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_fine_decomp_report(tmp_path, capsys):

@@ -9,7 +9,6 @@ from equichi.complexes import (
     euler_of_complex,
     faces,
     relative_euler,
-    star,
 )
 
 OCT_TRIS = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
@@ -104,15 +103,6 @@ def test_barycentric_subdivision_counts():
     assert Sd.f_vector() == (26, 72, 48)
     assert set(vmap) == set(K.simplices)
     assert len(set(vmap.values())) == len(vmap)
-
-
-def test_star_of_a_vertex():
-    K = octahedron()
-    st = star(K, (0,))
-    assert (0, 1, 2) in st
-    assert (3, 4, 5) not in st
-    assert all((0,) <= s[:1] or 0 in s for s in st)
-    assert len(st) == 1 + 4 + 4  # vertex, four edges, four triangles
 
 
 def test_connected_components():

@@ -16,7 +16,6 @@ from equichi import (
     orientation_character,
     regularize,
 )
-from equichi.gcomplex import codimension
 
 OCT_TRIS = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
 PI_ROT = [3, 4, 2, 0, 1, 5]
@@ -203,7 +202,7 @@ def test_stratum_component_closure_and_lower(regular_cases):
     assert comp.dim == 0
     assert comp.closure == comp.simplices
     assert comp.lower == frozenset()
-    assert codimension(st.strata[1]) == 2
+    assert st.strata[1].codimension == 2
 
 
 def test_quotient_euler_frozen(regular_cases):
