@@ -6,9 +6,18 @@ are the central characters.  The splitting is performed modulo a
 deterministic prime p = 1 (mod exponent), p > 2*sqrt(|G|); character values
 are then reconstructed exactly as root-of-unity multiplicity vectors (the
 multiplicities are integers below p, so the modular computation determines
-them), and the finished table is re-verified with exact cyclotomic
-arithmetic.  Any failure of the splitting or of the exact verification is a
-defect, never a data error.
+them), and the finished table is certified exactly.  Any failure of the
+splitting or of the certification is a defect, never a data error.
+
+Certification is one matrix identity over Z[zeta_n], n the lcm of the
+conductors of the values: X diag(|C|) conj(X)^T = |G| I, next to the row
+count and sum deg^2 = |G|.  Each row is lifted to conductor n once, as sparse
+(exponent, integer coefficient) pairs with one common denominator D_i (1
+unless a coefficient is fractional).  Gram entry (i, j) is accumulated as a
+cyclic convolution in Z[x]/(x^n - 1), conjugation sending exponent e to -e,
+reduced mod Phi_n once and compared with |G| D_i D_j delta_ij.  Reduction
+mod Phi_n is a ring map and conjugation a Galois automorphism, so the check
+is exact.  `inner_product` runs the same kernel on two class functions.
 
 Enumeration order of the irreducibles: ascending degree, then lexicographic
 order of the value rows, each value keyed by its canonical coefficient tuple
@@ -20,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, reduce_mod_phi
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup
 
@@ -86,14 +95,59 @@ class Character(ClassFunction):
     index: int | None = None
 
 
+# ---------------------------------------------------------------------------
+# the integer pairing kernel over Z[zeta_n]
+
+_Lifted = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
+
+
+def _conductor(*value_rows: Sequence[Cyc]) -> int:
+    """The lcm of the conductors of all the values."""
+    return lcm(1, *(v.n for values in value_rows for v in values))
+
+
+def _lift_values(values: Sequence[Cyc], n: int) -> _Lifted:
+    """Values at conductor n as sparse (exponent, integer coefficient) pairs,
+    all scaled by one common denominator D (1 unless a coefficient is
+    fractional).  Returns (D, pairs per value)."""
+    D = lcm(1, *(c.denominator for v in values for c in v.coeffs if c))
+    return D, tuple(
+        tuple(
+            (k * (n // v.n), c.numerator * (D // c.denominator))
+            for k, c in enumerate(v.coeffs)
+            if c
+        )
+        for v in values
+    )
+
+
+def _pairing(a: _Lifted, b: _Lifted, sizes: Sequence[int], n: int) -> list[int]:
+    """sum_j |C_j| a_j conj(b_j), scaled by D_a D_b, as the canonical integer
+    vector at conductor n: a cyclic convolution in Z[x]/(x^n - 1) (conjugation
+    sends exponent e to -e), reduced mod Phi_n once."""
+    acc = [0] * n
+    for size, av, bv in zip(sizes, a[1], b[1]):
+        for e, x in av:
+            sx = size * x
+            for f, y in bv:
+                acc[(e - f) % n] += sx * y
+    return reduce_mod_phi(n, acc)
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyc:
-    """<a, b> = (1/|G|) sum_g a(g) conj(b(g)), exact."""
+    """<a, b> = (1/|G|) sum_g a(g) conj(b(g)), exact, at the lcm of the
+    conductors of all the values."""
     a._same_group(b)
     G = a.group
-    total = Cyc.zero(1)
-    for j, cls in enumerate(G.conjugacy_classes()):
-        total = total + len(cls) * (a.values[j] * b.values[j].conj())
-    return total / G.order
+    n = _conductor(a.values, b.values)
+    la, lb = _lift_values(a.values, n), _lift_values(b.values, n)
+    sizes = [len(c) for c in G.conjugacy_classes()]
+    den = G.order * la[0] * lb[0]
+    return Cyc(n, [Fraction(c, den) for c in _pairing(la, lb, sizes, n)])
+
+
+# ---------------------------------------------------------------------------
+# standard characters, restriction, induction, decomposition
 
 
 def trivial_character(G: FiniteGroup) -> Character:
@@ -347,14 +401,13 @@ def _lift_character(
     for j, rep in enumerate(reps):
         m = G.element_order(rep)
         zm = pow(zN, N // m, p)
+        zpows = [pow(zm, u, p) for u in range(m)]
+        chi_powers = [chi_mod[c] for c in class_of_power[j]]
         inv_m = pow(m % p, p - 2, p)
         coeffs = [Fraction(0)] * N
         total = 0
         for t in range(m):
-            acc = 0
-            for s in range(m):
-                zpow = pow(zm, (m - (s * t) % m) % m, p)
-                acc = (acc + chi_mod[class_of_power[j][s]] * zpow) % p
+            acc = sum(chi_powers[s] * zpows[(-s * t) % m] for s in range(m))
             mt = (acc * inv_m) % p
             if mt > d:
                 raise DefectError("root-of-unity multiplicity exceeds the degree")
@@ -368,17 +421,23 @@ def _lift_character(
 
 
 def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
-    """Exact certification: orthonormal rows, degree accounting."""
+    """Exact certification: row count, degree accounting, and the Gram
+    identity X diag(|C|) conj(X)^T = |G| I over Z[zeta_n], entry by entry in
+    row-major order."""
     k = len(G.conjugacy_classes())
     if len(rows) != k:
         raise DefectError("table row count differs from the class count")
     if sum(chi.degree**2 for chi in rows) != G.order:
         raise DefectError("squared degrees do not sum to the group order")
-    for i, a in enumerate(rows):
-        for j, b in enumerate(rows):
-            expected = 1 if i == j else 0
-            got = inner_product(a, b)
-            if not (got == Cyc.rational(expected)):
+    n = _conductor(*(chi.values for chi in rows))
+    lifted = [_lift_values(chi.values, n) for chi in rows]
+    sizes = [len(c) for c in G.conjugacy_classes()]
+    for i, a in enumerate(lifted):
+        for j, b in enumerate(lifted):
+            gram = _pairing(a, b, sizes, n)
+            expected = G.order * a[0] * b[0] if i == j else 0
+            if gram[0] != expected or any(gram[1:]):
+                got = inner_product(rows[i], rows[j])
                 raise DefectError(
                     f"character rows {i},{j} are not orthonormal (got {got!r})"
                 )
@@ -440,9 +499,15 @@ def cyc_to_json(value: Cyc, conductor: int) -> list[list[int]]:
 
 
 def cyc_from_json(data: Sequence[Sequence[int]], conductor: int) -> Cyc:
-    if len(data) != conductor:
-        raise ValidationError("coefficient vector length differs from the conductor")
-    return Cyc(conductor, [Fraction(int(n), int(d)) for n, d in data])
+    try:
+        if len(data) != conductor:
+            raise ValidationError("coefficient vector length differs from the conductor")
+        return Cyc(conductor, [Fraction(int(n), int(d)) for n, d in data])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValidationError(
+            "a class value must be a list of [numerator, denominator] integer pairs "
+            "with nonzero denominators"
+        ) from None
 
 
 def table_to_json(G: FiniteGroup) -> dict:
@@ -461,22 +526,41 @@ def table_to_json(G: FiniteGroup) -> dict:
 
 def attach_character_table(G: FiniteGroup, data: dict) -> None:
     """Install an externally supplied table after full exact validation."""
+    if not isinstance(data, dict):
+        raise ValidationError("character table must be a JSON object")
     for key in ("conductor", "rows"):
         if key not in data:
             raise ValidationError(f"character table is missing the required key {key!r}")
-    conductor = int(data["conductor"])
+    try:
+        conductor = int(data["conductor"])
+    except (TypeError, ValueError):
+        conductor = 0
+    if conductor < 1:
+        raise ValidationError("table conductor must be a positive integer")
     if G.exponent % conductor and conductor % G.exponent:
         raise ValidationError(
             f"table conductor {conductor} is incompatible with the group exponent {G.exponent}"
         )
+    if not isinstance(data["rows"], list):
+        raise ValidationError("character table rows must be a list")
+    k = len(G.conjugacy_classes())
     raw = []
     for row in data["rows"]:
+        if not isinstance(row, list) or len(row) != k:
+            raise ValidationError(f"each character table row must list {k} class values")
         values = tuple(cyc_from_json(v, conductor) for v in row)
+        if conductor != G.exponent and conductor % G.exponent == 0:
+            values = tuple(v.descend(G.exponent) for v in values)
+            if any(v is None for v in values):
+                raise ValidationError(
+                    f"character values must lie in Q(zeta_{G.exponent}), "
+                    f"the field of the group exponent"
+                )
         identity_value = values[G.class_of(G.identity)]
-        degree = identity_value.as_integer()
-        if degree < 1:
+        q = identity_value.as_rational()
+        if q is None or q.denominator != 1 or q < 1:
             raise ValidationError("character degree must be a positive integer")
-        raw.append((degree, values))
+        raw.append((q.numerator, values))
     rows = _sort_rows(G, raw)
     try:
         _verify_table(G, rows)

@@ -53,20 +53,60 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_n and the nonzero (power, coefficient) pairs below the
+    leading term."""
+    phi = cyclotomic_polynomial(n)
+    return len(phi) - 1, tuple((j, pj) for j, pj in enumerate(phi[:-1]) if pj)
+
+
+def reduce_mod_phi(n: int, folded: list) -> list:
+    """Reduce a length-n vector over {zeta_n^k} modulo Phi_n, in place.
+
+    The entries may be ints or Fractions; the result keeps only degrees below
+    phi(n) and is the canonical representative of the same element.
+    """
+    deg, tail = _phi_tail(n)
+    for i in range(n - 1, deg - 1, -1):
+        c = folded[i]
+        if c:
+            folded[i] = 0 * c
+            base = i - deg
+            for j, pj in tail:
+                folded[base + j] -= c * pj
+    return folded
+
+
 def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     """Canonical representative: fold powers mod n, then reduce mod Phi_n."""
     folded = [Fraction(0)] * n
     for k, c in enumerate(coeffs):
         if c:
             folded[k % n] += c
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    for i in range(n - 1, deg - 1, -1):
-        c = folded[i]
-        if c:
-            for j, pj in enumerate(phi):
-                folded[i - deg + j] -= c * pj
-    return tuple(folded)
+    return tuple(reduce_mod_phi(n, folded))
+
+
+@lru_cache(maxsize=None)
+def _subfield_basis(d: int, m: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """The power basis zeta_d^k (k < phi(d)) of Q(zeta_d), lifted into
+    Q(zeta_m) and brought to echelon form: one (pivot, row, combination)
+    triple per basis element, the row being 1 at its pivot and 0 at every
+    earlier pivot, the combination its coefficients over the basis."""
+    deg = len(cyclotomic_polynomial(d)) - 1
+    rows: list[tuple[int, tuple, tuple]] = []
+    for k in range(deg):
+        vec = list(Cyc.zeta(d, k).lift(m).coeffs)
+        comb = [Fraction(int(i == k)) for i in range(deg)]
+        for p, row, rcomb in rows:
+            c = vec[p]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, row)]
+                comb = [a - c * b for a, b in zip(comb, rcomb)]
+        p = next(i for i, c in enumerate(vec) if c)
+        inv = 1 / vec[p]
+        rows.append((p, tuple(a * inv for a in vec), tuple(a * inv for a in comb)))
+    return tuple(rows)
 
 
 class Cyc:
@@ -112,6 +152,8 @@ class Cyc:
         """Re-express at conductor m (requires n | m)."""
         if m % self.n != 0:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
+        if m == self.n:
+            return self
         step = m // self.n
         coeffs = [Fraction(0)] * m
         for k, c in enumerate(self.coeffs):
@@ -223,6 +265,19 @@ class Cyc:
         if q is None or q.denominator != 1:
             raise ValueError(f"not a rational integer: {self!r}")
         return q.numerator
+
+    def descend(self, d: int) -> "Cyc | None":
+        """The same value at conductor d if it lies in Q(zeta_d), else None."""
+        m = lcm(self.n, d)
+        basis = _subfield_basis(d, m)
+        residual = list(self.lift(m).coeffs)
+        coeffs = [Fraction(0)] * len(basis)
+        for p, row, comb in basis:
+            c = residual[p]
+            if c:
+                residual = [a - c * b for a, b in zip(residual, row)]
+                coeffs = [a + c * b for a, b in zip(coeffs, comb)]
+        return None if any(residual) else Cyc(d, coeffs)
 
     def key(self, conductor: int | None = None) -> tuple[Fraction, ...]:
         """Total-order key: the canonical coefficient tuple at `conductor`

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DefectError, ValidationError
 
 DEFAULT_SIZE_CAP = 256
-
-_FULL_ASSOC_LIMIT = 64  # full associativity check up to here, sampled above
 
 
 class FiniteGroup:
@@ -75,22 +74,46 @@ class FiniteGroup:
                 return
         raise ValidationError("table has no identity element")
 
+    def _magma_generators(self) -> list[int]:
+        """A generating set of the table as a magma, found greedily: each
+        element the right-multiplication closure of the identity has not
+        reached yet is added, so every element is a product of the set."""
+        t = self.table
+        identity = self._find_identity()
+        reached = {identity}
+        gens: list[int] = []
+        for g in range(self.order):
+            if g in reached:
+                continue
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                new = []
+                for x in frontier:
+                    for s in gens:
+                        y = t[x][s]
+                        if y not in reached:
+                            reached.add(y)
+                            new.append(y)
+                frontier = new
+        return gens
+
     def _check_associativity(self) -> None:
+        """Light's test, exact at every order: (x*g)*y = x*(g*y) for all x, y
+        and every g in a generating set.  The elements g passing it are closed
+        under products, so the whole table is associative."""
         n = self.order
         t = self.table
-        if n <= _FULL_ASSOC_LIMIT:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
-        else:
-            # deterministic sample; full check would be n^3
-            import random
-
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20000))
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ValidationError(f"non-associative table: ({a}*{b})*{c} != {a}*({b}*{c})")
+        if n == 1:
+            return
+        for g in self._magma_generators():
+            times_g = itemgetter(*t[g])  # row_x -> (x*(g*y) for y)
+            for x in range(n):
+                if t[t[x][g]] != times_g(t[x]):
+                    y = next(y for y in range(n) if t[t[x][g]][y] != t[x][t[g][y]])
+                    raise ValidationError(
+                        f"non-associative table: ({x}*{g})*{y} != {x}*({g}*{y})"
+                    )
 
     def _find_identity(self) -> int:
         for e in range(self.order):

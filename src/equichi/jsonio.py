@@ -43,7 +43,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     group_from_permutations,
-    group_from_table,
     normalizer,
 )
 
@@ -66,6 +65,8 @@ def load_json_file(path: str) -> Any:
 
 
 def _require(data: dict, key: str, where: str) -> Any:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object")
     if key not in data:
         raise ValidationError(f"{where} is missing the required key {key!r}")
     return data[key]
@@ -100,14 +101,23 @@ def group_from_json(data: dict) -> FiniteGroup:
         gens = data["permutation_generators"]
         if not isinstance(gens, list) or not gens:
             raise ValidationError("permutation_generators must be a nonempty list")
-        perms = [tuple(int(x) for x in p) for p in gens]
+        try:
+            perms = [tuple(int(x) for x in p) for p in gens]
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "permutation_generators must be lists of integer point ids"
+            ) from None
         G = group_from_permutations(perms)
     elif "table" in data:
-        table = [[int(x) for x in row] for row in data["table"]]
-        if "generators" in data:
-            G = FiniteGroup(table, generators=tuple(int(g) for g in data["generators"]))
-        else:
-            G = group_from_table(table)
+        try:
+            table = [[int(x) for x in row] for row in data["table"]]
+            generators = tuple(int(g) for g in data.get("generators", ()))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "table must be a list of rows of integer element ids, and "
+                "generators a list of integer element ids"
+            ) from None
+        G = FiniteGroup(table, generators=generators)
     else:
         raise ValidationError(
             "group data needs either 'permutation_generators' or 'table'"
@@ -136,12 +146,17 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
     complex = SimplicialComplex.from_maximal(simplices)
     action = _require(data, "action", "complex data")
     raw_images = _require(action, "generator_images", "complex action")
-    images = []
-    for img in raw_images:
-        if isinstance(img, dict):
-            images.append({int(k): int(v) for k, v in img.items()})
-        else:
-            images.append([int(v) for v in img])
+    try:
+        images = [
+            {int(k): int(v) for k, v in img.items()}
+            if isinstance(img, dict)
+            else [int(v) for v in img]
+            for img in raw_images
+        ]
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "generator_images must be a list of vertex maps or lists of integer vertex ids"
+        ) from None
     return build_gcomplex(complex, group, images)
 
 

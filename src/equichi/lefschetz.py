@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import ClassFunction, character_table
+from .characters import ClassFunction, character_table, inner_product
 from .complexes import euler_characteristic
 from .cyclotomic import Cyc
 from .errors import DefectError, ValidationError
 from .gcomplex import GComplex, fixed_subcomplex
-from .groups import Subgroup
+from .groups import FiniteGroup, Subgroup
 
 
 def lefschetz_number_trace(X: GComplex, g: int) -> int:
@@ -53,6 +53,12 @@ def lefschetz_number(X: GComplex, g: int) -> int:
     return via_trace
 
 
+def _lefschetz_class_function(G: FiniteGroup, numbers: tuple[int, ...]) -> ClassFunction:
+    return ClassFunction(
+        G, tuple(Cyc.rational(numbers[rep]) for rep in G.class_representatives())
+    )
+
+
 @dataclass(frozen=True)
 class MultiplicityReport:
     """Per-element Lefschetz numbers and per-irreducible multiplicities.
@@ -68,11 +74,7 @@ class MultiplicityReport:
     chi_rho: tuple[int, ...]
 
     def lefschetz_class_function(self) -> ClassFunction:
-        G = self.gcomplex.group
-        values = tuple(
-            Cyc.rational(self.lefschetz[rep]) for rep in G.class_representatives()
-        )
-        return ClassFunction(G, values)
+        return _lefschetz_class_function(self.gcomplex.group, self.lefschetz)
 
     def total_euler_characteristic(self) -> int:
         return self.lefschetz[self.gcomplex.group.identity]
@@ -92,13 +94,10 @@ def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
     G = X.group
     numbers = tuple(lefschetz_number(X, g) for g in range(G.order))
     table = character_table(G)
-    classes = G.conjugacy_classes()
+    lefschetz = _lefschetz_class_function(G, numbers)
     multiplicities = []
     for chi in table:
-        total = Cyc.zero(1)
-        for j, cls in enumerate(classes):
-            total = total + len(cls) * (Cyc.rational(numbers[cls[0]]) * chi.values[j].conj())
-        value = total / G.order
+        value = inner_product(lefschetz, chi)
         q = value.as_rational()
         if q is None or q.denominator != 1:
             raise DefectError(
@@ -120,8 +119,6 @@ def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
 def distributional_pairing(report: MultiplicityReport, phi: ClassFunction) -> Cyc:
     """Pairing of the index distribution with a class function:
     sum_rho ind(rho) <phi, chi_rho>."""
-    from .characters import inner_product
-
     G = report.gcomplex.group
     if phi.group is not G:
         raise ValidationError("class function lives on a different group")

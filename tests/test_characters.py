@@ -1,10 +1,13 @@
 """Character tables: orthogonality, enumeration order, induction, serialization."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from equichi import (
+    Character,
+    ClassFunction,
     Cyc,
     DefectError,
     Subgroup,
@@ -12,13 +15,20 @@ from equichi import (
     character_table,
     decompose,
     group_from_permutations,
+    group_from_table,
     induce,
     inner_product,
     restrict,
     trivial_character,
     trivial_index,
 )
-from equichi.characters import attach_character_table, regular_character, table_to_json
+from equichi.characters import (
+    _verify_table,
+    attach_character_table,
+    cyc_to_json,
+    regular_character,
+    table_to_json,
+)
 from equichi.jsonio import canonical_json
 
 C2_GENS = [[1, 0]]
@@ -255,3 +265,162 @@ def test_decompose_round_trips_sums_of_irreducibles():
 
     cf = ClassFunction(G, values)
     assert sorted((c.index, m) for c, m in decompose(cf)) == [(0, 2), (2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# the integer pairing kernel against a plain Cyc loop
+
+
+def reference_inner_product(a, b):
+    """<a, b> summed class by class in Cyc arithmetic."""
+    G = a.group
+    total = Cyc.zero(1)
+    for j, cls in enumerate(G.conjugacy_classes()):
+        total = total + len(cls) * (a.values[j] * b.values[j].conj())
+    return total / G.order
+
+
+def cycle(n):
+    return [(i + 1) % n for i in range(n)]
+
+
+def as_relabelled_table(gens):
+    """The group of the permutations as a bare table, ids reversed so the
+    identity is not element 0."""
+    G = group_from_permutations(gens)
+    n = G.order
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[n - 1 - a][n - 1 - b] = n - 1 - G.mul(a, b)
+    return group_from_table(table)
+
+
+def corpus_group(cid):
+    import json
+
+    from equichi import corpus
+    from equichi.jsonio import group_from_json
+
+    return group_from_json(json.loads(corpus.read_corpus_bytes(cid))["group"])
+
+
+def kernel_groups():
+    """Every corpus group and the groups of the char-tables benchmark."""
+    from equichi import corpus
+
+    groups = {cid: (corpus_group, cid) for cid in corpus.case_ids() + corpus.bundle_ids()}
+    groups.update(
+        C12=(group_from_permutations, [cycle(12)]),
+        C20=(group_from_permutations, [cycle(20)]),
+        S4=(group_from_permutations, [cycle(4), [1, 0, 2, 3]]),
+        D30=(group_from_permutations, [cycle(15), [(-i) % 15 for i in range(15)]]),
+        C2_4=(
+            as_relabelled_table,
+            [[j ^ 1 if j // 2 == i else j for j in range(8)] for i in range(4)],
+        ),
+        D12=(as_relabelled_table, [cycle(6), [(-i) % 6 for i in range(6)]]),
+        A5=(as_relabelled_table, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]),
+        S5=(as_relabelled_table, [cycle(5), [1, 0, 2, 3, 4]]),
+    )
+    return groups
+
+
+@pytest.mark.parametrize("name", sorted(kernel_groups()))
+def test_pairing_kernel_matches_cyc_loop_reference(name):
+    build, arg = kernel_groups()[name]
+    tab = character_table(build(arg))
+    for a in tab:
+        for b in tab:
+            got, want = inner_product(a, b), reference_inner_product(a, b)
+            assert (got.n, got.coeffs) == (want.n, want.coeffs)
+
+
+def test_pairing_kernel_handles_fractional_and_mixed_conductor_values():
+    G = group_from_permutations(C4_GENS)
+    half_reg = ClassFunction(G, tuple(v / 2 for v in regular_character(G).values))
+    mixed = ClassFunction(
+        G,
+        (Cyc.rational(Fraction(1, 3)), Cyc.zeta(4), Cyc.zeta(8, 3) / 5, Cyc.zeta(3)),
+    )
+    for a in (half_reg, mixed, *character_table(G)):
+        for b in (half_reg, mixed, *character_table(G)):
+            got, want = inner_product(a, b), reference_inner_product(a, b)
+            assert (got.n, got.coeffs) == (want.n, want.coeffs)
+
+
+def test_certifies_orthonormal_rows_with_fractional_coefficients():
+    # on C2, (1, x) and (1, -x) with x = 3/5 + 4/5 i have Gram matrix I:
+    # the kernel clears the denominator 5 of each row and still sees |G| I
+    G = group_from_permutations(C2_GENS)
+    x = Cyc(4, [Fraction(3, 5), Fraction(4, 5), 0, 0])
+    identity_class = G.class_of(G.identity)
+    rows = []
+    for i, v in enumerate((x, -x)):
+        values = [v, v]
+        values[identity_class] = Cyc.one()
+        rows.append(Character(G, tuple(values), degree=1, irreducible=True, index=i))
+    _verify_table(G, rows)
+    rows[1] = Character(G, (Cyc.one(), Cyc.one()), degree=1, irreducible=True, index=1)
+    with pytest.raises(DefectError, match=r"rows 0,1 are not orthonormal \(got "):
+        _verify_table(G, rows)
+
+
+def test_attach_accepts_table_at_twice_the_exponent():
+    # values written at conductor 2N are re-expressed at the exponent N, so
+    # the attached table equals the built one, enumeration order included
+    for gens in (S3_GENS, C3_GENS, C4_GENS):
+        G = group_from_permutations(gens)
+        n = 2 * G.exponent
+        data = dict(
+            table_to_json(G),
+            conductor=n,
+            rows=[[cyc_to_json(v, n) for v in chi.values] for chi in character_table(G)],
+        )
+        fresh = group_from_permutations(gens)
+        attach_character_table(fresh, data)
+        assert table_to_json(fresh) == table_to_json(G)
+    data["rows"][1][1] = cyc_to_json(Cyc.zeta(8), 8)
+    with pytest.raises(ValidationError, match=r"must lie in Q\(zeta_4\)"):
+        attach_character_table(group_from_permutations(C4_GENS), data)
+
+
+def test_certifies_table_lifted_to_twice_the_exponent():
+    for gens in (S3_GENS, C3_GENS, C4_GENS, V4_GENS):
+        G = group_from_permutations(gens)
+        n = 2 * G.exponent
+        rows = [
+            Character(G, tuple(v.lift(n) for v in chi.values), degree=chi.degree,
+                      irreducible=True, index=chi.index)
+            for chi in character_table(G)
+        ]
+        _verify_table(G, rows)
+        for a in rows:
+            for b in rows:
+                got, want = inner_product(a, b), reference_inner_product(a, b)
+                assert got.n == n
+                assert (got.n, got.coeffs) == (want.n, want.coeffs)
+
+
+@pytest.mark.parametrize(
+    "gens, row, cls, coeff, value, message",
+    [
+        (C2_GENS, 1, 1, 0, [-1, 2], "rows 0,1 are not orthonormal (got 3/4)"),
+        (S3_GENS, 2, 1, 0, [0, 1], "rows 0,2 are not orthonormal (got 1/3)"),
+        (S3_GENS, 0, 2, 0, [1, 1], "rows 0,1 are not orthonormal (got 1)"),
+        (C4_GENS, 1, 1, 1, [0, 1], "rows 0,1 are not orthonormal (got 1/4*z4)"),
+        (C4_GENS, 2, 3, 1, [1, 1], "rows 0,2 are not orthonormal (got 1/2*z4)"),
+        (S3_GENS, 2, 0, 0, [3, 1], "squared degrees do not sum to the group order"),
+    ],
+)
+def test_attach_error_text_is_frozen(gens, row, cls, coeff, value, message):
+    import json
+
+    doc = json.loads(json.dumps(table_to_json(group_from_permutations(gens))))
+    doc["rows"][row][cls][coeff] = value
+    with pytest.raises(ValidationError) as info:
+        attach_character_table(group_from_permutations(gens), doc)
+    prefix = "supplied character table is invalid: "
+    if message.startswith("rows"):
+        prefix += "character "
+    assert str(info.value) == prefix + message

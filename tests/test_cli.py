@@ -183,6 +183,17 @@ def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
 
 C2_GROUP = {"permutation_generators": [[1, 0]]}
 C2_EDGE = {"maximal_simplices": [[0, 1]], "action": {"generator_images": [[1, 0]]}}
+C2_TABLE = {
+    "conductor": 2,
+    "rows": [[[[1, 1], [0, 1]], [[-1, 1], [0, 1]]], [[[1, 1], [0, 1]], [[1, 1], [0, 1]]]],
+}
+
+
+def with_coefficient(pair, cls=1):
+    """The C2 table with one coefficient of its first row replaced."""
+    rows = json.loads(json.dumps(C2_TABLE["rows"]))
+    rows[0][cls][0] = pair
+    return dict(C2_TABLE, rows=rows)
 
 
 @pytest.mark.parametrize(
@@ -192,9 +203,23 @@ C2_EDGE = {"maximal_simplices": [[0, 1]], "action": {"generator_images": [[1, 0]
         (C2_GROUP, dict(C2_EDGE, maximal_simplices=[["a", 1]])),
         ({"table": [[0, 1], [1, 0]], "generators": [5]}, C2_EDGE),
         (dict(C2_GROUP, character_table={"conductor": 2}), C2_EDGE),
+        (dict(C2_GROUP, character_table=5), C2_EDGE),
+        (dict(C2_GROUP, character_table=dict(C2_TABLE, rows=5)), C2_EDGE),
+        (dict(C2_GROUP, character_table=dict(C2_TABLE, conductor=0)), C2_EDGE),
+        (dict(C2_GROUP, character_table=dict(C2_TABLE, conductor="two")), C2_EDGE),
+        (dict(C2_GROUP, character_table=with_coefficient([1, 0])), C2_EDGE),
+        (dict(C2_GROUP, character_table=with_coefficient([1, 2], cls=0)), C2_EDGE),
+        ({"table": [[0, 1], [1, 0]], "generators": ["a"]}, C2_EDGE),
+        ({"permutation_generators": [["a", 0]]}, C2_EDGE),
+        (C2_GROUP, dict(C2_EDGE, action={"generator_images": [["a", 0]]})),
+        (C2_GROUP, dict(C2_EDGE, action={"generator_images": 5})),
     ],
     ids=["maximal-not-a-list", "vertex-not-an-integer", "generator-out-of-range",
-         "table-without-rows"],
+         "table-without-rows", "table-not-an-object", "rows-not-a-list",
+         "conductor-zero", "conductor-not-an-integer", "zero-denominator",
+         "fractional-degree", "generator-not-an-integer",
+         "permutation-entry-not-an-integer", "image-entry-not-an-integer",
+         "images-not-a-list"],
 )
 def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data):
     gpath = tmp_path / "group.json"

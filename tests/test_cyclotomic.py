@@ -137,3 +137,16 @@ def test_key_agrees_at_a_common_conductor():
     assert a.key(6) == b.key(6)
     # keys sort rationals the usual way
     assert Cyc.rational(1).key() > Cyc.rational(0).key() > Cyc.rational(-2).key()
+
+
+def test_descend_inverts_lift_and_detects_the_subfield():
+    for d, m in [(1, 6), (3, 6), (6, 12), (4, 8), (5, 10), (15, 30), (12, 24), (7, 21)]:
+        for v in SAMPLES + [Cyc.zeta(d) * Fraction(2, 3) + 1]:
+            if d % v.n:
+                continue
+            down = v.lift(m).descend(d)
+            assert down is not None and (down.n, down.coeffs) == (d, v.lift(d).coeffs)
+    assert Cyc.zeta(6).descend(3) == Cyc.zeta(6)  # Q(zeta_6) = Q(zeta_3)
+    assert Cyc.zeta(8).descend(4) is None
+    assert Cyc.zeta(3).descend(1) is None
+    assert Cyc.rational(Fraction(3, 2), 12).descend(1) == Cyc.rational(Fraction(3, 2))

@@ -207,3 +207,18 @@ def test_conjugate_and_element_order():
         for h in range(6):
             c = G.conjugate(h, g)
             assert G.element_order(c) == G.element_order(g)
+
+
+@pytest.mark.parametrize("r, c", [(1, 1), (2, 5), (32, 7)])
+def test_non_associative_loop_above_order_64_rejected(r, c):
+    # Z/66 with one intercalate (a 2x2 subsquare a b / b a) switched: still a
+    # loop with the same identity row and column, but no longer associative
+    n, h = 66, 33
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a in (r, r + h):
+        for b in (c, c + h):
+            table[a][b] = (table[a][b] + h) % n
+    assert all(table[0][x] == x == table[x][0] for x in range(n))
+    with pytest.raises(ValidationError, match="non-associative table"):
+        group_from_table(table)
+
