@@ -18,6 +18,9 @@ cyclic convolution in Z[x]/(x^n - 1), conjugation sending exponent e to -e,
 reduced mod Phi_n once and compared with |G| D_i D_j delta_ij.  Reduction
 mod Phi_n is a ring map and conjugation a Galois automorphism, so the check
 is exact.  `inner_product` runs the same kernel on two class functions.
+Orthonormal rows need not be characters (scale a column by a unit complex
+number), so certification then requires every value to be an algebraic
+integer and one row to be the trivial character.
 
 Enumeration order of the irreducibles: ascending degree, then lexicographic
 order of the value rows, each value keyed by its canonical coefficient tuple
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm
 from typing import Sequence
 
@@ -420,10 +424,10 @@ def _lift_character(
     return d, tuple(values)
 
 
-def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
+def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> list[_Lifted]:
     """Exact certification: row count, degree accounting, and the Gram
     identity X diag(|C|) conj(X)^T = |G| I over Z[zeta_n], entry by entry in
-    row-major order."""
+    row-major order.  Returns the rows as lifted for the check."""
     k = len(G.conjugacy_classes())
     if len(rows) != k:
         raise DefectError("table row count differs from the class count")
@@ -441,6 +445,21 @@ def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
                 raise DefectError(
                     f"character rows {i},{j} are not orthonormal (got {got!r})"
                 )
+    return lifted
+
+
+def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
+    """`_verify_table`, then the two facts orthonormality does not imply:
+    every value is an algebraic integer, and one row is the trivial
+    character.  Values are kept in the power basis reduced mod Phi_n, an
+    integral basis of Z[zeta_n], so integrality is integral coefficients."""
+    lifted = _verify_table(G, rows)
+    for i, (D, _) in enumerate(lifted):
+        if D != 1:
+            raise DefectError(f"character row {i} has a value that is not an algebraic integer")
+    one = ((0, 1),)  # the lift of 1 at any conductor
+    if not any(all(v == one for v in values) for _, values in lifted):
+        raise DefectError("no row is the trivial character")
 
 
 def _sort_rows(G: FiniteGroup, raw: list[tuple[int, tuple[Cyc, ...]]]) -> list[Character]:
@@ -472,7 +491,7 @@ def character_table(G: FiniteGroup) -> tuple[Character, ...]:
     omegas = _split_central_characters(G, p)
     raw = [_lift_character(G, omega, p, zN) for omega in omegas]
     rows = _sort_rows(G, raw)
-    _verify_table(G, rows)
+    _certify_table(G, rows)
     G._char_table = tuple(rows)
     return G._char_table
 
@@ -502,7 +521,9 @@ def cyc_from_json(data: Sequence[Sequence[int]], conductor: int) -> Cyc:
     try:
         if len(data) != conductor:
             raise ValidationError("coefficient vector length differs from the conductor")
-        return Cyc(conductor, [Fraction(int(n), int(d)) for n, d in data])
+        if set(map(type, chain.from_iterable(data))) != {int}:
+            raise TypeError("coefficients must be JSON integers, not floats or bools")
+        return Cyc(conductor, [Fraction(n, d) for n, d in data])
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError(
             "a class value must be a list of [numerator, denominator] integer pairs "
@@ -531,11 +552,8 @@ def attach_character_table(G: FiniteGroup, data: dict) -> None:
     for key in ("conductor", "rows"):
         if key not in data:
             raise ValidationError(f"character table is missing the required key {key!r}")
-    try:
-        conductor = int(data["conductor"])
-    except (TypeError, ValueError):
-        conductor = 0
-    if conductor < 1:
+    conductor = data["conductor"]
+    if type(conductor) is not int or conductor < 1:
         raise ValidationError("table conductor must be a positive integer")
     if G.exponent % conductor and conductor % G.exponent:
         raise ValidationError(
@@ -563,7 +581,7 @@ def attach_character_table(G: FiniteGroup, data: dict) -> None:
         raw.append((q.numerator, values))
     rows = _sort_rows(G, raw)
     try:
-        _verify_table(G, rows)
+        _certify_table(G, rows)
     except DefectError as exc:
         raise ValidationError(f"supplied character table is invalid: {exc}") from exc
     G._char_table = tuple(rows)

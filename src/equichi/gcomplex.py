@@ -12,11 +12,21 @@ Regularity here means two things, both needed downstream:
       orbit, and distinct simplex orbits have distinct vertex-orbit images,
       so the orbit space is again a simplicial complex on vertex orbits.
 Two barycentric subdivisions always suffice; this is asserted, not assumed.
+
+Per-simplex group loops read one integer action table per complex (see
+`ActionTable`): simplex positions in canonical order and, per element, the
+permutation of those positions.  Vertex fixity is kept apart from it, as one
+bitmask of fixing elements per vertex read off the vertex maps, so the
+fixed-set route to a Lefschetz number never reads the table the trace route
+counts on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_, eq
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import (
@@ -33,12 +43,26 @@ from .groups import FiniteGroup, Subgroup, normalizer, subconjugate
 VertexMap = dict[int, int]
 
 
+@dataclass(frozen=True)
+class ActionTable:
+    """The action on simplices as integer data, built once per complex.
+
+    `order` lists the simplices in canonical (dimension, vertex tuple) order,
+    `index` maps a simplex to its position there, and `perm[g][i]` is the
+    position of the image of `order[i]` under element g.
+    """
+
+    order: tuple[Simplex, ...]
+    index: dict[Simplex, int]
+    perm: tuple[tuple[int, ...], ...]
+
+
 class GComplex:
     """A simplicial complex with a validated action of a finite group.
 
-    `action[g]` is the vertex map of element g; the assignment is checked to
-    be a homomorphism on the full composition table and each map is checked
-    to send simplices to simplices.
+    `action[g]` is the vertex map of element g.  `table` is the induced
+    action on simplices and `fixers[v]` the bitmask (bit g for element g) of
+    the elements fixing vertex v; both are built on first use and cached.
     """
 
     def __init__(
@@ -56,23 +80,61 @@ class GComplex:
         self.subdivisions = subdivisions
         self._caches: dict[str, object] = {}
 
+    # -- action data ----------------------------------------------------
+
+    @property
+    def table(self) -> ActionTable:
+        if "table" not in self._caches:
+            self._caches["table"] = _action_table(self.complex, self.group, self.action)
+        return self._caches["table"]  # type: ignore[return-value]
+
+    @property
+    def fixers(self) -> dict[int, int]:
+        if "fixers" not in self._caches:
+            masks = dict.fromkeys(self.complex.vertices, 0)
+            for g, m in self.action.items():
+                bit = 1 << g
+                for v, w in m.items():
+                    if v == w:
+                        masks[v] |= bit
+            self._caches["fixers"] = masks
+        return self._caches["fixers"]  # type: ignore[return-value]
+
+    def _fixer_mask(self, simplex: Simplex) -> int:
+        """Bitmask of the elements fixing every vertex of the simplex."""
+        everything = (1 << self.group.order) - 1
+        return reduce(and_, map(self.fixers.__getitem__, simplex), everything)
+
+    def _subgroup_of_mask(self, mask: int) -> Subgroup:
+        """The subgroup whose elements are the set bits of `mask`, one cached
+        instance per mask."""
+        cache = self._caches.setdefault("subgroups", {})
+        H = cache.get(mask)  # type: ignore[union-attr]
+        if H is None:
+            members = tuple(g for g in range(self.group.order) if mask >> g & 1)
+            H = cache[mask] = Subgroup(self.group, members)  # type: ignore[index]
+        return H
+
     # -- action application --------------------------------------------
 
     def apply(self, g: int, simplex: Simplex) -> Simplex:
-        m = self.action[g]
-        return tuple(sorted(m[v] for v in simplex))
+        t = self.table
+        i = t.index.get(simplex)
+        if i is None:  # not a simplex of the complex: map its vertices
+            m = self.action[g]
+            return tuple(sorted(m[v] for v in simplex))
+        return t.order[t.perm[g][i]]
 
     def orbit(self, simplex: Simplex) -> frozenset[Simplex]:
-        return frozenset(self.apply(g, simplex) for g in range(self.group.order))
+        t = self.table
+        i = t.index.get(simplex)
+        if i is None:
+            return frozenset(self.apply(g, simplex) for g in range(self.group.order))
+        return frozenset(t.order[p[i]] for p in t.perm)
 
     def isotropy(self, simplex: Simplex) -> Subgroup:
         """Pointwise stabilizer of the simplex."""
-        members = [
-            g
-            for g in range(self.group.order)
-            if all(self.action[g][v] == v for v in simplex)
-        ]
-        return Subgroup(self.group, tuple(members))
+        return self._subgroup_of_mask(self._fixer_mask(simplex))
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Vertex orbits sorted by least member."""
@@ -90,6 +152,63 @@ class GComplex:
         return self._caches["vertex_orbits"]  # type: ignore[return-value]
 
 
+def _action_table(
+    complex: SimplicialComplex, group: FiniteGroup, action: Mapping[int, VertexMap]
+) -> ActionTable:
+    """Build the simplex table, checking that the action is simplicial.
+
+    Only generator images are looked up; every other element's permutation
+    is composed along the group's multiplication, which is exact because the
+    vertex maps form a homomorphism.  If some generator sends a simplex
+    outside the complex, every element is rescanned in the order of
+    `complex.simplices` so that the reported witness is the first one.
+    """
+    order = tuple(complex.sorted_simplices())
+    index = {s: i for i, s in enumerate(order)}
+    gen_perm: dict[int, tuple[int, ...]] = {}
+    try:
+        for g in group.generators:
+            m = action[g]
+            gen_perm[g] = tuple(index[tuple(sorted(map(m.__getitem__, s)))] for s in order)
+    except KeyError:
+        _raise_non_simplicial(complex, group, action)
+        raise DefectError("a generator is not simplicial, yet no element fails") from None
+    # every row holds the int objects of `index`, none of its own
+    perm = {group.identity: tuple(index.values())}
+    frontier = [group.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            px = perm[x]
+            for g, pg in gen_perm.items():
+                y = group.mul(x, g)
+                if y not in perm:
+                    perm[y] = tuple(map(px.__getitem__, pg))
+                    new.append(y)
+        frontier = new
+    if len(perm) != group.order:
+        raise DefectError("generators do not reach every group element")
+    return ActionTable(order, index, tuple(perm[g] for g in range(group.order)))
+
+
+def _raise_non_simplicial(
+    complex: SimplicialComplex, group: FiniteGroup, action: Mapping[int, VertexMap]
+) -> None:
+    for g in range(group.order):
+        m = action[g]
+        for s in complex.simplices:
+            image = tuple(sorted(m[v] for v in s))
+            if len(set(image)) != len(s):
+                raise ValidationError(
+                    f"non-simplicial map: element {g} collapses simplex {s}"
+                )
+            if image not in complex.simplices:
+                raise ValidationError(
+                    f"non-simplicial map: element {g} sends simplex {s} to {image}, "
+                    "which is not a simplex of the complex"
+                )
+
+
 def build_gcomplex(
     complex: SimplicialComplex,
     group: FiniteGroup,
@@ -99,9 +218,11 @@ def build_gcomplex(
 
     `generator_images[i]` gives the vertex map of `group.generators[i]`,
     either as a dict or as a list aligned with the complex's vertex order.
-    The extension is by composition along the group's multiplication and the
-    result is verified to be a homomorphism on the full table; each map must
-    send simplices to simplices (reported with a witness simplex otherwise).
+    The extension is by composition along the group's multiplication.  It is
+    a homomorphism that realizes every given image exactly when
+    phi(x*g) = phi(x) o m_g for every element x and every given image m_g,
+    which costs |G| * |gens| * V; each map must send simplices to simplices
+    (reported with a witness simplex otherwise).
     """
     gens = group.generators
     if len(generator_images) != len(gens):
@@ -109,7 +230,8 @@ def build_gcomplex(
             f"expected {len(gens)} generator images, got {len(generator_images)}"
         )
     vertices = complex.vertices
-    maps: dict[int, VertexMap] = {}
+    position = {v: i for i, v in enumerate(vertices)}
+    given: list[tuple[int, tuple[int, ...]]] = []
     for gid, img in zip(gens, generator_images):
         if isinstance(img, Mapping):
             m = {int(k): int(v) for k, v in img.items()}
@@ -121,47 +243,52 @@ def build_gcomplex(
             m = {v: int(w) for v, w in zip(vertices, img)}
         if set(m) != set(vertices) or set(m.values()) != set(vertices):
             raise ValidationError("generator image is not a vertex bijection")
-        maps[gid] = m
-    identity_map = {v: v for v in vertices}
-    action: dict[int, VertexMap] = {group.identity: identity_map}
-    # breadth-first extension along the table; verified globally below
+        given.append((gid, tuple(position[m[v]] for v in vertices)))
+    # vertex maps as tuples of vertex positions; phi(x*g) = phi(x) o m_g
+    maps = dict(given)
+    phi = {group.identity: tuple(range(len(vertices)))}
     frontier = [group.identity]
     while frontier:
         new = []
         for x in frontier:
             for gid in gens:
                 y = group.mul(x, gid)
-                if y not in action:
-                    gx, gg = action[x], maps[gid]
-                    action[y] = {v: gx[gg[v]] for v in vertices}
+                if y not in phi:
+                    phi[y] = tuple(map(phi[x].__getitem__, maps[gid]))
                     new.append(y)
         frontier = new
-    if len(action) != group.order:
+    if len(phi) != group.order:
         raise DefectError("generators do not reach every group element")
+    for x in range(group.order):
+        px = phi[x]
+        for gid, mg in given:
+            if phi[group.mul(x, gid)] != tuple(map(px.__getitem__, mg)):
+                _raise_homomorphism_witness(group, phi)
+                raise ValidationError(
+                    "generator images do not define a group action "
+                    f"(the image given for element {gid} differs from the map "
+                    "the group table forces on it)"
+                )
+    action = {
+        g: dict(zip(vertices, map(vertices.__getitem__, phi[g])))
+        for g in range(group.order)
+    }
+    X = GComplex(complex, group, action)
+    X.table  # the simplicial check
+    return X
+
+
+def _raise_homomorphism_witness(group: FiniteGroup, phi: Mapping[int, tuple[int, ...]]) -> None:
+    """Scan the full composition table for the first pair (a, b) with
+    phi(a*b) != phi(a) o phi(b)."""
     for a in range(group.order):
-        ma = action[a]
+        pa = phi[a]
         for b in range(group.order):
-            mb = action[b]
-            mab = action[group.mul(a, b)]
-            if any(mab[v] != ma[mb[v]] for v in vertices):
+            if phi[group.mul(a, b)] != tuple(map(pa.__getitem__, phi[b])):
                 raise ValidationError(
                     "generator images do not define a group action "
                     f"(homomorphism fails at elements {a}, {b})"
                 )
-    X = GComplex(complex, group, action)
-    for g in range(group.order):
-        for s in complex.simplices:
-            image = X.apply(g, s)
-            if len(set(image)) != len(s):
-                raise ValidationError(
-                    f"non-simplicial map: element {g} collapses simplex {s}"
-                )
-            if image not in complex.simplices:
-                raise ValidationError(
-                    f"non-simplicial map: element {g} sends simplex {s} to {image}, "
-                    "which is not a simplex of the complex"
-                )
-    return X
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +296,17 @@ def build_gcomplex(
 
 
 def _setwise_invariant_violation(X: GComplex) -> bool:
-    for s in X.complex.simplices:
-        if len(s) == 1:
+    """Some simplex beyond a vertex is mapped to itself (read off the table)
+    without each of its vertices being fixed (read off the vertex masks)."""
+    t = X.table
+    positions = range(len(t.order))
+    first_edge = len(X.complex.vertices)
+    for g, p in enumerate(t.perm):
+        if g == X.group.identity:
             continue
-        for g in range(X.group.order):
-            if X.apply(g, s) == s and any(X.action[g][v] != v for v in s):
+        bit = 1 << g
+        for i in compress(positions, map(eq, p, positions)):
+            if i >= first_edge and not X._fixer_mask(t.order[i]) & bit:
                 return True
     return False
 
@@ -183,21 +316,20 @@ def _quotient_faithfulness_violation(X: GComplex) -> bool:
     for i, orb in enumerate(X.vertex_orbits()):
         for v in orb:
             orbit_of[v] = i
-    image_to_orbit_rep: dict[tuple[int, ...], Simplex] = {}
-    seen: set[Simplex] = set()
-    for s in X.complex.sorted_simplices():
-        if s in seen:
+    t = X.table
+    images: set[tuple[int, ...]] = set()
+    seen = bytearray(len(t.order))
+    for i, s in enumerate(t.order):
+        if seen[i]:
             continue
-        orbit = X.orbit(s)
-        seen |= orbit
-        rep = min(orbit)
+        for p in t.perm:
+            seen[p[i]] = 1
         img = tuple(sorted(orbit_of[v] for v in s))
         if len(set(img)) != len(s):
             return True  # two vertices of one simplex identified
-        prior = image_to_orbit_rep.get(img)
-        if prior is not None and prior != rep:
+        if img in images:
             return True  # two distinct simplex orbits share a quotient image
-        image_to_orbit_rep[img] = rep
+        images.add(img)
     return False
 
 
@@ -206,15 +338,18 @@ def is_regular(X: GComplex) -> bool:
 
 
 def _subdivide(X: GComplex) -> GComplex:
+    """The barycentric subdivision, whose vertex ids are positions in the
+    canonical simplex order, so each element acts on them by its row of
+    the simplex table."""
     sd, vertex_of = barycentric_subdivision(X.complex)
-    action: dict[int, VertexMap] = {}
-    for g in range(X.group.order):
-        action[g] = {vertex_of[s]: vertex_of[X.apply(g, s)] for s in vertex_of}
+    ids = tuple(vertex_of.values())  # 0, 1, ... as one set of int objects for every map
+    action = {g: dict(zip(ids, p)) for g, p in enumerate(X.table.perm)}
     return GComplex(sd, X.group, action, subdivisions=X.subdivisions + 1)
 
 
 def regularize(X: GComplex) -> GComplex:
-    """Barycentrically subdivide (at most twice) until the action is regular."""
+    """Barycentrically subdivide (at most twice) until the action is regular.
+    The regular copy keeps the cached table, masks and orbits."""
     current = X
     for _ in range(2):
         if is_regular(current):
@@ -223,13 +358,15 @@ def regularize(X: GComplex) -> GComplex:
     else:
         if not is_regular(current):
             raise DefectError("two barycentric subdivisions did not regularize the action")
-    return GComplex(
+    regular = GComplex(
         current.complex,
         current.group,
         current.action,
         regular=True,
         subdivisions=current.subdivisions,
     )
+    regular._caches = current._caches
+    return regular
 
 
 def _require_regular(X: GComplex) -> None:
@@ -243,30 +380,31 @@ def _require_regular(X: GComplex) -> None:
 
 @dataclass(frozen=True)
 class FixedSubcomplex:
-    """The full subcomplex of H-fixed vertices, with its components."""
+    """The full subcomplex of H-fixed vertices; its components are found on
+    first use."""
 
     simplices: frozenset[Simplex]
-    components: tuple[frozenset[Simplex], ...]
+
+    @cached_property
+    def components(self) -> tuple[frozenset[Simplex], ...]:
+        return connected_components(self.simplices)
 
     def euler_characteristic(self) -> int:
         return euler_characteristic(self.simplices)
 
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
-    """Simplices all of whose vertices are fixed by every element of H.
+    """Simplices all of whose vertices are fixed by every element of H, read
+    off the vertex masks alone.
 
     For a regularized complex this is the honest fixed-point set.
     Components are listed canonically (by least simplex).
     """
-    fixed_vertices = {
-        v
-        for v in X.complex.vertices
-        if all(X.action[h][v] == v for h in H.elements)
-    }
-    simplices = frozenset(
-        s for s in X.complex.simplices if set(s) <= fixed_vertices
+    hmask = sum(1 << h for h in H.elements)
+    fixed_vertices = {v for v, m in X.fixers.items() if m & hmask == hmask}
+    return FixedSubcomplex(
+        frozenset(s for s in X.complex.simplices if fixed_vertices.issuperset(s))
     )
-    return FixedSubcomplex(simplices, connected_components(simplices))
 
 
 # ---------------------------------------------------------------------------
@@ -322,43 +460,46 @@ def closure_of(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
     return frozenset(closed)
 
 
+def _compact(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
+    """The simplices as a frozenset copied from a set: one grown straight
+    from an iterator keeps a hash table up to twice as large."""
+    return frozenset(set(simplices))
+
+
 def orbit_type_stratification(X: GComplex) -> Stratification:
     """Group simplices by isotropy conjugacy class, in an order extending the
     subconjugacy partial order (ascending isotropy order, canonical class
     representative as tie-break; the principal class comes first)."""
     _require_regular(X)
-    iso: dict[Simplex, tuple[int, ...]] = {}
-    for s in X.complex.simplices:
-        iso[s] = X.isotropy(s).elements
-    class_rep: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for elems in set(iso.values()):
-        class_rep[elems] = (
-            Subgroup(X.group, elems).canonical_class_representative().elements
-        )
-    by_class: dict[tuple[int, ...], set[Simplex]] = {}
-    for s, elems in iso.items():
-        by_class.setdefault(class_rep[elems], set()).add(s)
+    t = X.table
+    order, index = t.order, t.index
+    masks = [X._fixer_mask(s) for s in order]
+    class_rep = {
+        m: X._subgroup_of_mask(m).canonical_class_representative().elements
+        for m in set(masks)
+    }
+    by_class: dict[tuple[int, ...], list[int]] = {}
+    for i, m in enumerate(masks):
+        by_class.setdefault(class_rep[m], []).append(i)
     ordered = sorted(by_class, key=lambda rep: (len(rep), rep))
     strata: list[Stratum] = []
     ambient_dim = X.complex.dim
     for j, rep in enumerate(ordered):
-        H = Subgroup(X.group, rep)
-        simplices = frozenset(by_class[rep])
-        exact = frozenset(s for s in simplices if iso[s] == rep)
-        pieces = connected_components(exact)
+        rep_mask = sum(1 << g for g in rep)
+        H = X._subgroup_of_mask(rep_mask)
+        members = by_class[rep]
+        simplices = _compact(map(order.__getitem__, members))
+        pieces = connected_components(order[i] for i in members if masks[i] == rep_mask)
+        piece_positions = [[index[s] for s in piece] for piece in pieces]
+        piece_index = {i: pid for pid, pos in enumerate(piece_positions) for i in pos}
+        # each piece is probed at its least simplex, the first in canonical order
+        probes = [min(pos) for pos in piece_positions]
         N = normalizer(H)
-        piece_index = {}
-        for i, piece in enumerate(pieces):
-            for s in piece:
-                piece_index[s] = i
-        piece_action: dict[int, tuple[int, ...]] = {}
-        for n in N.elements:
-            perm = []
-            for piece in pieces:
-                probe = min(piece, key=lambda s: (len(s), s))
-                perm.append(piece_index[X.apply(n, probe)])
-            piece_action[n] = tuple(perm)
+        piece_action = {
+            n: tuple(piece_index[t.perm[n][i]] for i in probes) for n in N.elements
+        }
         # components relative to the group: normalizer orbits of pieces
+        member_set = set(members)
         assigned: set[int] = set()
         components: list[StratumComponent] = []
         for i in range(len(pieces)):
@@ -366,25 +507,25 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 continue
             orbit_ids = sorted({piece_action[n][i] for n in N.elements})
             assigned.update(orbit_ids)
-            saturation: set[Simplex] = set()
+            swept: set[int] = set()
             for pid in orbit_ids:
-                for s in pieces[pid]:
-                    for g in range(X.group.order):
-                        saturation.add(X.apply(g, s))
-            saturation &= set(simplices)
-            dim = max(len(s) - 1 for s in saturation)
+                for p in t.perm:
+                    swept.update(map(p.__getitem__, piece_positions[pid]))
+            swept &= member_set
+            saturation = _compact(map(order.__getitem__, swept))
+            dim = len(order[max(swept)]) - 1
             closure = closure_of(saturation)
             comp = StratumComponent(
                 index=len(components),
                 piece_indices=tuple(orbit_ids),
-                simplices=frozenset(saturation),
+                simplices=saturation,
                 dim=dim,
                 codim=ambient_dim - dim,
                 closure=closure,
                 lower=frozenset(closure - saturation),
             )
             components.append(comp)
-        stratum_dim = max(len(s) - 1 for s in simplices)
+        stratum_dim = len(order[members[-1]]) - 1  # members ascend in canonical order
         strata.append(
             Stratum(
                 index=j,
@@ -439,13 +580,15 @@ def orbit_space(X: GComplex) -> OrbitSpace:
     for i, orb in enumerate(orbits):
         for v in orb:
             vertex_orbit[v] = i
+    t = X.table
     images: set[Simplex] = set()
     orbit_count = 0
-    seen: set[Simplex] = set()
-    for s in X.complex.simplices:
-        if s in seen:
+    seen = bytearray(len(t.order))
+    for i, s in enumerate(t.order):
+        if seen[i]:
             continue
-        seen |= X.orbit(s)
+        for p in t.perm:
+            seen[p[i]] = 1
         orbit_count += 1
         img = tuple(sorted(vertex_orbit[v] for v in s))
         if len(set(img)) != len(s):
@@ -534,33 +677,45 @@ def _permutation_sign(seq: Sequence[int]) -> int:
     return sign
 
 
-def _local_degree_sign(
-    X: GComplex, simplices: frozenset[Simplex], base: Simplex, g: int
-) -> int:
-    """Sign of the action of g on the top local homology at `base` within the
-    closed subcomplex `simplices` (g must fix `base` pointwise and preserve
-    the subcomplex)."""
-    top_dim = max(len(s) for s in simplices if set(base) <= set(s))
-    tops = sorted(s for s in simplices if set(base) <= set(s) and len(s) == top_dim)
-    for s in simplices:
-        if set(base) <= set(s) and not any(
-            set(s) <= set(t) for t in tops
-        ):
+def _oriented_star(
+    simplices: frozenset[Simplex], base: Simplex
+) -> dict[Simplex, int] | None:
+    """The top simplices of the star of `base` within the closed subcomplex
+    `simplices`, in ascending order, with coherent orientation signs; None
+    when the normal direction there is zero-dimensional.  Checks purity."""
+    bset = set(base)
+    star = [s for s in simplices if bset.issubset(s)]
+    top_dim = max(len(s) for s in star)
+    tops = sorted(s for s in star if len(s) == top_dim)
+    for s in star:
+        if not any(set(s) <= set(t) for t in tops):
             raise ValidationError(
                 f"star of {base} fails the pseudomanifold check: not pure at {s}"
             )
     if len(tops[0]) == len(base):
-        return 1  # zero-dimensional normal direction within this subcomplex
+        return None
     orient = _coherent_orientation(tops, base)
+    return {t: orient[t] for t in tops}
+
+
+def _local_degree_sign(
+    X: GComplex, star: dict[Simplex, int] | None, base: Simplex, g: int
+) -> int:
+    """Sign of the action of g on the top local homology at `base` within a
+    closed subcomplex, given its oriented star (g must fix `base` pointwise
+    and preserve the subcomplex)."""
+    if star is None:
+        return 1  # zero-dimensional normal direction within this subcomplex
+    m = X.action[g]
     signs = set()
-    for t in tops:
-        image_vertices = [X.action[g][v] for v in t]
+    for t, sign in star.items():
+        image_vertices = [m[v] for v in t]
         image = tuple(sorted(image_vertices))
-        if image not in orient:
+        if image not in star:
             raise ValidationError(
                 f"element {g} does not stabilize the star of {base}"
             )
-        signs.add(orient[t] * _permutation_sign(image_vertices) * orient[image])
+        signs.add(sign * _permutation_sign(image_vertices) * star[image])
     if len(signs) != 1:
         raise DefectError("local degree sign is not constant over the star")
     return signs.pop()
@@ -623,11 +778,12 @@ def orientation_character(
     elif basepoint not in piece:
         raise ValidationError(f"basepoint {basepoint} is not in the component piece")
     H = X.isotropy(basepoint)
-    ambient = X.complex.simplices
+    ambient = _oriented_star(X.complex.simplices, basepoint)
+    along = _oriented_star(component.closure, basepoint)
     signs: dict[int, int] = {}
     for h in H.elements:
         sign_ambient = _local_degree_sign(X, ambient, basepoint, h)
-        sign_stratum = _local_degree_sign(X, component.closure, basepoint, h)
+        sign_stratum = _local_degree_sign(X, along, basepoint, h)
         signs[h] = sign_ambient * sign_stratum
     for a in H.elements:
         for b in H.elements:

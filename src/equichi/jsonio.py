@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from .assembler import FineEntry, IndexData, StratumRecord
 from .characters import attach_character_table
@@ -45,6 +46,9 @@ from .groups import (
     group_from_permutations,
     normalizer,
 )
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def canonical_json(obj: Any) -> str:
@@ -70,6 +74,18 @@ def _require(data: dict, key: str, where: str) -> Any:
     if key not in data:
         raise ValidationError(f"{where} is missing the required key {key!r}")
     return data[key]
+
+
+def _ids(values: Iterable[Any], keys: bool = False) -> list[int]:
+    """Integer ids read from JSON: JSON integers, or, when the ids are object
+    keys (`keys=True`), the decimal strings of integers.  Anything else, a
+    float or a bool included, raises ValueError, never a truncated id."""
+    out = list(values)
+    if keys:
+        out = [int(v) if isinstance(v, str) and _DECIMAL.fullmatch(v) else v for v in out]
+    if not set(map(type, out)) <= {int}:
+        raise ValueError("ids must be JSON integers")
+    return out
 
 
 def rational_from_json(value: Any) -> Fraction:
@@ -102,7 +118,7 @@ def group_from_json(data: dict) -> FiniteGroup:
         if not isinstance(gens, list) or not gens:
             raise ValidationError("permutation_generators must be a nonempty list")
         try:
-            perms = [tuple(int(x) for x in p) for p in gens]
+            perms = [tuple(_ids(p)) for p in gens]
         except (TypeError, ValueError):
             raise ValidationError(
                 "permutation_generators must be lists of integer point ids"
@@ -110,8 +126,8 @@ def group_from_json(data: dict) -> FiniteGroup:
         G = group_from_permutations(perms)
     elif "table" in data:
         try:
-            table = [[int(x) for x in row] for row in data["table"]]
-            generators = tuple(int(g) for g in data.get("generators", ()))
+            table = [_ids(row) for row in data["table"]]
+            generators = tuple(_ids(data.get("generators", ())))
         except (TypeError, ValueError):
             raise ValidationError(
                 "table must be a list of rows of integer element ids, and "
@@ -136,7 +152,7 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
         raise ValidationError("complex data must be a JSON object")
     maximal = _require(data, "maximal_simplices", "complex data")
     try:
-        simplices = [tuple(sorted(int(v) for v in s)) for s in maximal]
+        simplices = [tuple(sorted(_ids(s))) for s in maximal]
     except (TypeError, ValueError):
         raise ValidationError(
             "maximal_simplices must be a list of lists of integer vertex ids"
@@ -148,9 +164,9 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
     raw_images = _require(action, "generator_images", "complex action")
     try:
         images = [
-            {int(k): int(v) for k, v in img.items()}
+            dict(zip(_ids(img, keys=True), _ids(img.values())))
             if isinstance(img, dict)
-            else [int(v) for v in img]
+            else _ids(img)
             for img in raw_images
         ]
     except (TypeError, ValueError):
@@ -165,12 +181,20 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
 
 
 def _subgroup_from_json(data: dict, group: FiniteGroup) -> Subgroup:
-    if "elements" in data:
-        elems = tuple(sorted(int(x) for x in data["elements"]))
-        return Subgroup(group, elems)
-    if "generators" in data:
-        return Subgroup.generated(group, [int(x) for x in data["generators"]])
-    raise ValidationError("subgroup data needs 'elements' or 'generators'")
+    key = "elements" if "elements" in data else "generators"
+    if key not in data:
+        raise ValidationError("subgroup data needs 'elements' or 'generators'")
+    try:
+        ids = _ids(data[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"subgroup {key} must be a list of integer element ids") from None
+    if any(not 0 <= x < group.order for x in ids):
+        raise ValidationError(
+            f"subgroup {key} must be element ids in [0, {group.order - 1}]"
+        )
+    if key == "elements":
+        return Subgroup(group, tuple(sorted(ids)))
+    return Subgroup.generated(group, ids)
 
 
 def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
@@ -185,7 +209,12 @@ def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
     for comp in raw_components:
         ids.append(str(_require(comp, "id", "bundle component")))
         raw = _require(comp, "multiplicities", "bundle component")
-        mults.append({int(k): int(v) for k, v in raw.items()})
+        try:
+            mults.append(dict(zip(_ids(raw, keys=True), map(int, raw.values()))))
+        except (AttributeError, TypeError, ValueError):
+            raise ValidationError(
+                "component multiplicities must map irreducible indices to integers"
+            ) from None
     N = normalizer(H)
     id_pos = {cid: i for i, cid in enumerate(ids)}
     raw_action = data.get("component_action", {})
@@ -253,7 +282,7 @@ def index_file_from_json(data: dict) -> dict[int | None, IndexData]:
         out: dict[int | None, IndexData] = {}
         for key, block in blocks.items():
             try:
-                rho = int(key)
+                (rho,) = _ids((key,), keys=True)
             except ValueError:
                 raise ValidationError(
                     f"per_rho keys must be irreducible indices, got {key!r}"

@@ -3,11 +3,13 @@
 For a regularized action every Lefschetz number is computed two independent
 ways and the two are required to agree exactly:
 
-  * trace route: alternating count of simplices mapped to themselves
-    (regularity makes every such simplex pointwise fixed, so each
-    contributes +1 to the trace on its chain group);
+  * trace route: alternating count of simplices mapped to themselves, read
+    off the element's row of the simplex table (regularity makes every such
+    simplex pointwise fixed, so each contributes +1 to the trace on its
+    chain group);
   * fixed-point route: the Euler characteristic of the fixed subcomplex of
-    the cyclic group generated by the element.
+    the cyclic group generated by the element, read off vertex fixity
+    alone.
 
 Averaging against irreducible characters then yields the multiplicity of
 each irreducible in the alternating sum of (co)homology; exact integrality
@@ -17,6 +19,7 @@ is asserted, never rounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
 from .characters import ClassFunction, character_table, inner_product
 from .complexes import euler_characteristic
@@ -29,10 +32,13 @@ from .groups import FiniteGroup, Subgroup
 def lefschetz_number_trace(X: GComplex, g: int) -> int:
     if not X.regular:
         raise ValidationError("Lefschetz traces require a regularized complex")
-    total = 0
-    for s in X.complex.simplices:
-        if X.apply(g, s) == s:
-            total += -1 if len(s) % 2 == 0 else 1
+    p = X.table.perm[g]
+    total = start = 0
+    for d, count in enumerate(X.complex.f_vector()):
+        positions = range(start, start + count)
+        fixed = sum(map(eq, p[start : start + count], positions))
+        total += -fixed if d % 2 else fixed
+        start += count
     return total
 
 

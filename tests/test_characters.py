@@ -424,3 +424,35 @@ def test_attach_error_text_is_frozen(gens, row, cls, coeff, value, message):
     if message.startswith("rows"):
         prefix += "character "
     assert str(info.value) == prefix + message
+
+
+def scaled_columns(gens, unit):
+    """The serialized table of the group with every non-identity class value
+    multiplied by `unit`: the rows stay orthonormal, as |unit| = 1."""
+    G = group_from_permutations(gens)
+    n = G.exponent
+    identity_class = G.class_of(G.identity)
+    rows = [
+        [cyc_to_json(v if c == identity_class else v * unit, n) for c, v in enumerate(chi.values)]
+        for chi in character_table(G)
+    ]
+    return dict(table_to_json(G), rows=rows)
+
+
+def test_attach_rejects_orthonormal_rows_that_are_not_characters():
+    # C4 with non-identity columns scaled by (3+4i)/5: orthonormal, with the
+    # right degrees, but no value other than 1 is an algebraic integer
+    doc = scaled_columns(C4_GENS, Cyc(4, [Fraction(3, 5), Fraction(4, 5), 0, 0]))
+    with pytest.raises(ValidationError) as info:
+        attach_character_table(group_from_permutations(C4_GENS), doc)
+    assert str(info.value) == (
+        "supplied character table is invalid: "
+        "character row 0 has a value that is not an algebraic integer"
+    )
+    # C3 scaled by zeta_3: integral and orthonormal, but no row is trivial
+    doc = scaled_columns(C3_GENS, Cyc.zeta(3))
+    with pytest.raises(ValidationError) as info:
+        attach_character_table(group_from_permutations(C3_GENS), doc)
+    assert str(info.value) == (
+        "supplied character table is invalid: no row is the trivial character"
+    )

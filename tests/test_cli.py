@@ -213,13 +213,27 @@ def with_coefficient(pair, cls=1):
         ({"permutation_generators": [["a", 0]]}, C2_EDGE),
         (C2_GROUP, dict(C2_EDGE, action={"generator_images": [["a", 0]]})),
         (C2_GROUP, dict(C2_EDGE, action={"generator_images": 5})),
+        ({"table": [[0, 1], [1, 0]], "generators": [1.7]}, C2_EDGE),
+        ({"table": [[0, 1], [1, 0]], "generators": [True]}, C2_EDGE),
+        ({"table": [[0, 1.0], [1, 0]]}, C2_EDGE),
+        ({"permutation_generators": [[1.9, 0.2]]}, C2_EDGE),
+        ({"permutation_generators": [[True, False]]}, C2_EDGE),
+        (C2_GROUP, dict(C2_EDGE, maximal_simplices=[[0.0, 1]])),
+        (C2_GROUP, dict(C2_EDGE, action={"generator_images": [[1.0, 0]]})),
+        (C2_GROUP, dict(C2_EDGE, action={"generator_images": [{"0": True, "1": False}]})),
+        (C2_GROUP, dict(C2_EDGE, action={"generator_images": [{"0.0": 1, "1": 0}]})),
+        (dict(C2_GROUP, character_table=dict(C2_TABLE, conductor=2.0)), C2_EDGE),
+        (dict(C2_GROUP, character_table=with_coefficient([-1.0, 1])), C2_EDGE),
     ],
     ids=["maximal-not-a-list", "vertex-not-an-integer", "generator-out-of-range",
          "table-without-rows", "table-not-an-object", "rows-not-a-list",
          "conductor-zero", "conductor-not-an-integer", "zero-denominator",
          "fractional-degree", "generator-not-an-integer",
          "permutation-entry-not-an-integer", "image-entry-not-an-integer",
-         "images-not-a-list"],
+         "images-not-a-list", "generator-float", "generator-bool",
+         "table-entry-float", "permutation-entry-float", "permutation-entry-bool",
+         "vertex-float", "image-entry-float", "image-value-bool", "image-key-float",
+         "conductor-float", "coefficient-float"],
 )
 def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data):
     gpath = tmp_path / "group.json"
