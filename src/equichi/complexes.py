@@ -23,22 +23,26 @@ def faces(simplex: Simplex) -> list[Simplex]:
     return out
 
 
+def closure_of(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
+    """The simplices together with all their faces."""
+    closed: set[Simplex] = set()
+    for s in simplices:
+        closed.update(faces(s))
+    return frozenset(closed)
+
+
 class SimplicialComplex:
     """An abstract simplicial complex over integer vertex ids."""
 
     def __init__(self, simplices: Iterable[Simplex]):
-        closed: set[Simplex] = set()
-        for s in simplices:
-            t = tuple(s)
+        given = [tuple(s) for s in simplices]
+        for t in given:
             if len(set(t)) != len(t) or tuple(sorted(t)) != t:
                 raise ValidationError(f"simplex must be strictly ascending: {t}")
-            closed.add(t)
-        for s in list(closed):
-            for f in faces(s):
-                closed.add(f)
+        closed = closure_of(given)
         if not closed:
             raise ValidationError("complex must be nonempty")
-        self.simplices: frozenset[Simplex] = frozenset(closed)
+        self.simplices: frozenset[Simplex] = closed
         self._by_dim: dict[int, tuple[Simplex, ...]] = {}
         by_dim: dict[int, list[Simplex]] = {}
         for s in closed:
@@ -69,12 +73,10 @@ class SimplicialComplex:
         return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        proper_faces: set[Simplex] = set()
-        for t in self.simplices:
-            for f in faces(t):
-                if f != t:
-                    proper_faces.add(f)
-        return tuple(s for s in self.sorted_simplices() if s not in proper_faces)
+        """The simplices that are no facet of another; in a closed complex a
+        proper face is a facet of some simplex."""
+        facets = {t[:i] + t[i + 1 :] for t in self.simplices for i in range(len(t))}
+        return tuple(s for s in self.sorted_simplices() if s not in facets)
 
 
 def euler_characteristic(simplices: Iterable[Simplex]) -> int:

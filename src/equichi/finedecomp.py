@@ -209,6 +209,13 @@ class FineComponent:
         return self.system.component_ids[self.component_position]
 
 
+def _twist_orbit(start: int, maps: Sequence[tuple[int, ...]]) -> set[int]:
+    """The orbit of one irreducible index under the twist maps of every
+    element of a subgroup of the normalizer; twisting is an action, so one
+    application of each map reaches the whole orbit."""
+    return {tw[start] for tw in maps}
+
+
 def fine_decomposition(bundle: BundleData, component_id: str) -> tuple[FineComponent, ...]:
     """Split the bundle data over one component into fine pieces: twist
     orbits under the component's stabilizer inside the normalizer.
@@ -229,17 +236,7 @@ def fine_decomposition(bundle: BundleData, component_id: str) -> tuple[FineCompo
     for idx in support:
         if idx in seen:
             continue
-        orbit = {idx}
-        frontier = [idx]
-        while frontier:
-            new = []
-            for i in frontier:
-                for tw in maps:
-                    j = tw[i]
-                    if j not in orbit:
-                        orbit.add(j)
-                        new.append(j)
-            frontier = new
+        orbit = _twist_orbit(idx, maps)
         seen |= orbit
         orbit_t = tuple(sorted(orbit))
         mults = {bundle.multiplicity(pos, i) for i in orbit_t}
@@ -349,18 +346,7 @@ def canonical_isotropy_bundle(
     res = restrict(rho, H)
     pos = system.position(component_id)
     stab = system.stabilizer(pos)
-    orbit = {sigma.index}
-    frontier = [sigma.index]
-    maps = [twist_index_map(H, n) for n in stab.elements]
-    while frontier:
-        new = []
-        for i in frontier:
-            for tw in maps:
-                j = tw[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    new.append(j)
-        frontier = new
+    orbit = _twist_orbit(sigma.index, [twist_index_map(H, n) for n in stab.elements])
     table = character_table(Hgroup)
     for idx in orbit:
         mi = inner_product(res, table[idx]).as_integer()

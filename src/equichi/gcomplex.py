@@ -18,24 +18,24 @@ Per-simplex group loops read one integer action table per complex (see
 permutation of those positions.  Vertex fixity is kept apart from it, as one
 bitmask of fixing elements per vertex read off the vertex maps, so the
 fixed-set route to a Lefschetz number never reads the table the trace route
-counts on.
+counts on.  One walk over the simplex orbits (see `OrbitWalk`) decides both
+regularity conditions and yields the orbit space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress
-from operator import and_, eq
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import (
     Simplex,
     SimplicialComplex,
     barycentric_subdivision,
+    closure_of,
     connected_components,
     euler_characteristic,
-    faces,
 )
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, normalizer, subconjugate
@@ -57,12 +57,25 @@ class ActionTable:
     perm: tuple[tuple[int, ...], ...]
 
 
+@dataclass(frozen=True)
+class OrbitWalk:
+    """One pass over the simplex orbits: `vertex_orbit` maps a vertex to its
+    position in `vertex_orbits()`, `images` holds the vertex-orbit image of
+    each simplex orbit walked, and `failure` is the first regularity failure,
+    where the walk stopped, or None when the action is regular."""
+
+    vertex_orbit: dict[int, int]
+    images: set[Simplex]
+    failure: str | None
+
+
 class GComplex:
     """A simplicial complex with a validated action of a finite group.
 
     `action[g]` is the vertex map of element g.  `table` is the induced
-    action on simplices and `fixers[v]` the bitmask (bit g for element g) of
-    the elements fixing vertex v; both are built on first use and cached.
+    action on simplices, `fixers[v]` the bitmask (bit g for element g) of
+    the elements fixing vertex v and `walk` the pass over simplex orbits;
+    each is built on first use and cached.
     """
 
     def __init__(
@@ -87,6 +100,12 @@ class GComplex:
         if "table" not in self._caches:
             self._caches["table"] = _action_table(self.complex, self.group, self.action)
         return self._caches["table"]  # type: ignore[return-value]
+
+    @property
+    def walk(self) -> OrbitWalk:
+        if "walk" not in self._caches:
+            self._caches["walk"] = _orbit_walk(self)
+        return self._caches["walk"]  # type: ignore[return-value]
 
     @property
     def fixers(self) -> dict[int, int]:
@@ -174,21 +193,29 @@ def _action_table(
         _raise_non_simplicial(complex, group, action)
         raise DefectError("a generator is not simplicial, yet no element fails") from None
     # every row holds the int objects of `index`, none of its own
-    perm = {group.identity: tuple(index.values())}
+    return ActionTable(order, index, _compose_rows(group, tuple(index.values()), gen_perm))
+
+
+def _compose_rows(
+    group: FiniteGroup, identity_row: tuple[int, ...], generator_rows: Mapping[int, tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Every element's row, composed breadth-first from the identity's along
+    row(x*g) = row(x) o row(g); indexed by element id."""
+    rows = {group.identity: identity_row}
     frontier = [group.identity]
     while frontier:
         new = []
         for x in frontier:
-            px = perm[x]
-            for g, pg in gen_perm.items():
+            rx = rows[x]
+            for g, rg in generator_rows.items():
                 y = group.mul(x, g)
-                if y not in perm:
-                    perm[y] = tuple(map(px.__getitem__, pg))
+                if y not in rows:
+                    rows[y] = tuple(map(rx.__getitem__, rg))
                     new.append(y)
         frontier = new
-    if len(perm) != group.order:
+    if len(rows) != group.order:
         raise DefectError("generators do not reach every group element")
-    return ActionTable(order, index, tuple(perm[g] for g in range(group.order)))
+    return tuple(rows[g] for g in range(group.order))
 
 
 def _raise_non_simplicial(
@@ -244,23 +271,9 @@ def build_gcomplex(
         if set(m) != set(vertices) or set(m.values()) != set(vertices):
             raise ValidationError("generator image is not a vertex bijection")
         given.append((gid, tuple(position[m[v]] for v in vertices)))
-    # vertex maps as tuples of vertex positions; phi(x*g) = phi(x) o m_g
-    maps = dict(given)
-    phi = {group.identity: tuple(range(len(vertices)))}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for gid in gens:
-                y = group.mul(x, gid)
-                if y not in phi:
-                    phi[y] = tuple(map(phi[x].__getitem__, maps[gid]))
-                    new.append(y)
-        frontier = new
-    if len(phi) != group.order:
-        raise DefectError("generators do not reach every group element")
-    for x in range(group.order):
-        px = phi[x]
+    # vertex maps as tuples of vertex positions
+    phi = _compose_rows(group, tuple(range(len(vertices))), dict(given))
+    for x, px in enumerate(phi):
         for gid, mg in given:
             if phi[group.mul(x, gid)] != tuple(map(px.__getitem__, mg)):
                 _raise_homomorphism_witness(group, phi)
@@ -278,7 +291,7 @@ def build_gcomplex(
     return X
 
 
-def _raise_homomorphism_witness(group: FiniteGroup, phi: Mapping[int, tuple[int, ...]]) -> None:
+def _raise_homomorphism_witness(group: FiniteGroup, phi: Sequence[tuple[int, ...]]) -> None:
     """Scan the full composition table for the first pair (a, b) with
     phi(a*b) != phi(a) o phi(b)."""
     for a in range(group.order):
@@ -295,46 +308,45 @@ def _raise_homomorphism_witness(group: FiniteGroup, phi: Mapping[int, tuple[int,
 # regularization
 
 
-def _setwise_invariant_violation(X: GComplex) -> bool:
-    """Some simplex beyond a vertex is mapped to itself (read off the table)
-    without each of its vertices being fixed (read off the vertex masks)."""
-    t = X.table
-    positions = range(len(t.order))
-    first_edge = len(X.complex.vertices)
-    for g, p in enumerate(t.perm):
-        if g == X.group.identity:
-            continue
-        bit = 1 << g
-        for i in compress(positions, map(eq, p, positions)):
-            if i >= first_edge and not X._fixer_mask(t.order[i]) & bit:
-                return True
-    return False
+def _orbit_walk(X: GComplex) -> OrbitWalk:
+    """Walk the simplex orbits, each probed at its first position i.
 
-
-def _quotient_faithfulness_violation(X: GComplex) -> bool:
-    orbit_of: dict[int, int] = {}
-    for i, orb in enumerate(X.vertex_orbits()):
-        for v in orb:
-            orbit_of[v] = i
+    (a) Every element mapping order[i] to itself (read off the table) must
+    fix each of its vertices (read off the vertex masks).  One probe per
+    orbit is exact: g fixes s setwise but not pointwise iff x*g*x^-1 does so
+    for x.s.  A simplex failing (a) has two vertices in one orbit, so its
+    quotient simplex is degenerate, and it is reported as such.
+    (b) The simplex projects to distinct vertex orbits, and no two simplex
+    orbits share an image.
+    """
+    vertex_orbit = {v: k for k, orb in enumerate(X.vertex_orbits()) for v in orb}
     t = X.table
-    images: set[tuple[int, ...]] = set()
+    images: set[Simplex] = set()
     seen = bytearray(len(t.order))
+    failure = None
     for i, s in enumerate(t.order):
         if seen[i]:
             continue
-        for p in t.perm:
-            seen[p[i]] = 1
-        img = tuple(sorted(orbit_of[v] for v in s))
-        if len(set(img)) != len(s):
-            return True  # two vertices of one simplex identified
-        if img in images:
-            return True  # two distinct simplex orbits share a quotient image
+        mask = X._fixer_mask(s)
+        fixed_pointwise = True
+        for g, p in enumerate(t.perm):
+            j = p[i]
+            seen[j] = 1
+            if j == i and not mask >> g & 1:
+                fixed_pointwise = False
+        img = tuple(sorted(map(vertex_orbit.__getitem__, s)))
+        if not fixed_pointwise or len(set(img)) != len(s):
+            failure = "regular action produced a degenerate quotient simplex"
+        elif img in images:
+            failure = "quotient conflated distinct simplex orbits"
+        if failure is not None:
+            break
         images.add(img)
-    return False
+    return OrbitWalk(vertex_orbit, images, failure)
 
 
 def is_regular(X: GComplex) -> bool:
-    return not (_setwise_invariant_violation(X) or _quotient_faithfulness_violation(X))
+    return X.walk.failure is None
 
 
 def _subdivide(X: GComplex) -> GComplex:
@@ -349,15 +361,12 @@ def _subdivide(X: GComplex) -> GComplex:
 
 def regularize(X: GComplex) -> GComplex:
     """Barycentrically subdivide (at most twice) until the action is regular.
-    The regular copy keeps the cached table, masks and orbits."""
+    The regular copy keeps the cached table, masks, orbits and orbit walk."""
     current = X
-    for _ in range(2):
-        if is_regular(current):
-            break
-        current = _subdivide(current)
-    else:
-        if not is_regular(current):
+    while not is_regular(current):
+        if current.subdivisions == X.subdivisions + 2:
             raise DefectError("two barycentric subdivisions did not regularize the action")
+        current = _subdivide(current)
     regular = GComplex(
         current.complex,
         current.group,
@@ -453,13 +462,6 @@ class Stratification:
         return self.strata[1:]
 
 
-def closure_of(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
-    closed: set[Simplex] = set()
-    for s in simplices:
-        closed.update(faces(s))
-    return frozenset(closed)
-
-
 def _compact(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
     """The simplices as a frozenset copied from a set: one grown straight
     from an iterator keeps a hash table up to twice as large."""
@@ -546,7 +548,8 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 "no unique principal orbit type: isotropy classes "
                 f"{principal.isotropy.elements} and {other.isotropy.elements} are incomparable minima"
             )
-    covered = closure_of(principal.simplices)
+    # every principal simplex lies in a principal component's saturation
+    covered = set().union(*(comp.closure for comp in principal.components))
     if covered != X.complex.simplices:
         raise ValidationError(
             "principal stratum is not dense: some simplex is not a face of a principal simplex"
@@ -575,31 +578,13 @@ def orbit_space(X: GComplex) -> OrbitSpace:
     """The quotient complex on vertex orbits (requires regularity, which makes
     simplex orbits and quotient simplices correspond bijectively)."""
     _require_regular(X)
-    orbits = X.vertex_orbits()
-    vertex_orbit: dict[int, int] = {}
-    for i, orb in enumerate(orbits):
-        for v in orb:
-            vertex_orbit[v] = i
-    t = X.table
-    images: set[Simplex] = set()
-    orbit_count = 0
-    seen = bytearray(len(t.order))
-    for i, s in enumerate(t.order):
-        if seen[i]:
-            continue
-        for p in t.perm:
-            seen[p[i]] = 1
-        orbit_count += 1
-        img = tuple(sorted(vertex_orbit[v] for v in s))
-        if len(set(img)) != len(s):
-            raise DefectError("regular action produced a degenerate quotient simplex")
-        images.add(img)
-    if len(images) != orbit_count:
-        raise DefectError("quotient conflated distinct simplex orbits")
-    quotient = SimplicialComplex(images)
-    if len(quotient.simplices) != len(images):
+    walk = X.walk
+    if walk.failure is not None:
+        raise DefectError(walk.failure)
+    quotient = SimplicialComplex(walk.images)
+    if len(quotient.simplices) != len(walk.images):
         raise DefectError("quotient image set was not closed under faces")
-    return OrbitSpace(quotient, vertex_orbit, orbits)
+    return OrbitSpace(quotient, dict(walk.vertex_orbit), X.vertex_orbits())
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,10 @@ class FiniteGroup:
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.perms = tuple(perms) if perms is not None else None
-        if not _trusted:
-            self._validate()
-        self.identity = self._find_identity()
+        if _trusted:
+            self.identity = self._find_identity()
+        else:
+            self._validate()  # finds the identity between its checks
         if not generators:
             generators = tuple(e for e in range(self.order) if e != self.identity)
         self.generators = tuple(generators)
@@ -65,22 +66,15 @@ class FiniteGroup:
         for b in range(n):
             if {self.table[a][b] for a in range(n)} != full:
                 raise ValidationError(f"table column {b} is not a permutation of element ids")
-        self._check_identity_exists()
+        self.identity = self._find_identity()
         self._check_associativity()
-
-    def _check_identity_exists(self) -> None:
-        for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
-                return
-        raise ValidationError("table has no identity element")
 
     def _magma_generators(self) -> list[int]:
         """A generating set of the table as a magma, found greedily: each
         element the right-multiplication closure of the identity has not
         reached yet is added, so every element is a product of the set."""
         t = self.table
-        identity = self._find_identity()
-        reached = {identity}
+        reached = {self.identity}
         gens: list[int] = []
         for g in range(self.order):
             if g in reached:
@@ -116,8 +110,10 @@ class FiniteGroup:
                     )
 
     def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][x] == x for x in range(self.order)):
+        """The two-sided identity: its row and its column are the ids."""
+        ids = tuple(range(self.order))
+        for e, row in enumerate(self.table):
+            if row == ids and all(r[e] == x for x, r in zip(ids, self.table)):
                 return e
         raise ValidationError("table has no identity element")
 

@@ -69,8 +69,7 @@ def load_json_file(path: str) -> Any:
 
 
 def _require(data: dict, key: str, where: str) -> Any:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where} must be a JSON object")
+    _block(data, dict, where)
     if key not in data:
         raise ValidationError(f"{where} is missing the required key {key!r}")
     return data[key]
@@ -86,6 +85,20 @@ def _ids(values: Iterable[Any], keys: bool = False) -> list[int]:
     if not set(map(type, out)) <= {int}:
         raise ValueError("ids must be JSON integers")
     return out
+
+
+def _count(value: Any, what: str) -> int:
+    """A count read from JSON: a JSON integer, never a float or a bool."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _block(value: Any, kind: type, what: str) -> Any:
+    """A JSON object (kind dict) or list (kind list), checked before use."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
 
 
 def rational_from_json(value: Any) -> Fraction:
@@ -111,8 +124,7 @@ def rational_from_json(value: Any) -> Fraction:
 
 
 def group_from_json(data: dict) -> FiniteGroup:
-    if not isinstance(data, dict):
-        raise ValidationError("group data must be a JSON object")
+    _block(data, dict, "group data")
     if "permutation_generators" in data:
         gens = data["permutation_generators"]
         if not isinstance(gens, list) or not gens:
@@ -148,8 +160,7 @@ def group_from_json(data: dict) -> FiniteGroup:
 
 
 def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
-    if not isinstance(data, dict):
-        raise ValidationError("complex data must be a JSON object")
+    _block(data, dict, "complex data")
     maximal = _require(data, "maximal_simplices", "complex data")
     try:
         simplices = [tuple(sorted(_ids(s))) for s in maximal]
@@ -181,6 +192,7 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
 
 
 def _subgroup_from_json(data: dict, group: FiniteGroup) -> Subgroup:
+    _block(data, dict, "subgroup data")
     key = "elements" if "elements" in data else "generators"
     if key not in data:
         raise ValidationError("subgroup data needs 'elements' or 'generators'")
@@ -198,10 +210,9 @@ def _subgroup_from_json(data: dict, group: FiniteGroup) -> Subgroup:
 
 
 def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
-    if not isinstance(data, dict):
-        raise ValidationError("bundle data must be a JSON object")
+    _block(data, dict, "bundle data")
     H = _subgroup_from_json(_require(data, "H", "bundle data"), group)
-    raw_components = _require(data, "components", "bundle data")
+    raw_components = _block(_require(data, "components", "bundle data"), list, "components")
     if not raw_components:
         raise ValidationError("bundle data lists no components")
     ids = []
@@ -210,17 +221,18 @@ def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
         ids.append(str(_require(comp, "id", "bundle component")))
         raw = _require(comp, "multiplicities", "bundle component")
         try:
-            mults.append(dict(zip(_ids(raw, keys=True), map(int, raw.values()))))
+            counts = [_count(m, "a component multiplicity") for m in raw.values()]
+            mults.append(dict(zip(_ids(raw, keys=True), counts)))
         except (AttributeError, TypeError, ValueError):
             raise ValidationError(
                 "component multiplicities must map irreducible indices to integers"
             ) from None
     N = normalizer(H)
     id_pos = {cid: i for i, cid in enumerate(ids)}
-    raw_action = data.get("component_action", {})
+    raw_action = _block(data.get("component_action", {}), dict, "component_action")
     action: dict[int, tuple[int, ...]] = {}
     for n in N.elements:
-        moves = raw_action.get(str(n), {})
+        moves = _block(raw_action.get(str(n), {}), dict, f"component_action of element {n}")
         perm = list(range(len(ids)))
         for src, dst in moves.items():
             if src not in id_pos or str(dst) not in id_pos:
@@ -244,21 +256,20 @@ def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
 
 
 def index_data_from_json(data: dict) -> IndexData:
-    if not isinstance(data, dict):
-        raise ValidationError("index data must be a JSON object")
+    _block(data, dict, "index data")
     mode = str(_require(data, "mode", "index data"))
-    dim = int(_require(data, "dim", "index data"))
+    dim = _count(_require(data, "dim", "index data"), "dim")
     principal = rational_from_json(_require(data, "principal_integral", "index data"))
     strata = []
-    for rec in data.get("strata", []):
+    for rec in _block(data.get("strata", []), list, "strata"):
         entries = []
-        for e in _require(rec, "entries", "stratum record"):
+        for e in _block(_require(rec, "entries", "stratum record"), list, "entries"):
             entries.append(
                 FineEntry(
-                    type_count=int(_require(e, "n_b", "fine entry")),
-                    rank=int(_require(e, "rank", "fine entry")),
+                    type_count=_count(_require(e, "n_b", "fine entry"), "n_b"),
+                    rank=_count(_require(e, "rank", "fine entry"), "rank"),
                     eta=rational_from_json(_require(e, "eta", "fine entry")),
-                    harmonic_dim=int(_require(e, "h", "fine entry")),
+                    harmonic_dim=_count(_require(e, "h", "fine entry"), "h"),
                     integral=rational_from_json(_require(e, "integral", "fine entry")),
                 )
             )
@@ -273,8 +284,7 @@ def index_data_from_json(data: dict) -> IndexData:
 def index_file_from_json(data: dict) -> dict[int | None, IndexData]:
     """An index data file holds either one bare block (key None) or a
     'per_rho' object keyed by irreducible index."""
-    if not isinstance(data, dict):
-        raise ValidationError("index data must be a JSON object")
+    _block(data, dict, "index data")
     if "per_rho" in data:
         blocks = data["per_rho"]
         if not isinstance(blocks, dict) or not blocks:

@@ -112,12 +112,14 @@ def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
         multiplicities.append(q.numerator)
     chi_rho = tuple(m * chi.degree for m, chi in zip(multiplicities, table))
     report = MultiplicityReport(X, numbers, tuple(multiplicities), chi_rho)
-    # the multiplicities must reassemble every Lefschetz number exactly
-    for g in range(G.order):
+    # the multiplicities must reassemble every Lefschetz number exactly: one
+    # sum per class, which every element of the class must equal
+    for c, members in enumerate(G.conjugacy_classes()):
         total = Cyc.zero(1)
         for chi, m in zip(table, multiplicities):
-            total = total + m * chi.values[G.class_of(g)]
-        if not (total == Cyc.rational(numbers[g])):
+            total = total + m * chi.values[c]
+        values = {numbers[g] for g in members}
+        if len(values) != 1 or not (total == Cyc.rational(values.pop())):
             raise DefectError("multiplicities do not reassemble the Lefschetz numbers")
     return report
 

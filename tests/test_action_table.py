@@ -1,6 +1,7 @@
-"""The integer action table against a plain vertex-map reference, the frozen
-texts of `build_gcomplex` failures, and known answers under equivariant
-subdivision up to about 10^4 simplices."""
+"""The integer action table and the orbit walk against plain vertex-map
+references, the frozen texts of `build_gcomplex` failures and of the
+stratification checks, and known answers under equivariant subdivision up to
+about 10^4 simplices."""
 
 import json
 import random
@@ -9,17 +10,20 @@ from itertools import combinations, permutations
 import pytest
 
 from equichi import (
+    DefectError,
     SimplicialComplex,
     ValidationError,
     build_gcomplex,
     character_table,
     corpus,
     group_from_permutations,
+    is_regular,
     orbit_space,
     orbit_type_stratification,
     regularize,
     verify_strata_vs_oracle,
 )
+from equichi.cli import main
 from equichi.gcomplex import GComplex
 from equichi.jsonio import group_from_json
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
@@ -226,6 +230,129 @@ def test_table_matches_vertex_map_reference(G, maximal, maps):
     check_lefschetz(R, ref)
     check_stratification(R, ref)
     check_orbit_space(R)
+
+
+# ---------------------------------------------------------------------------
+# regularity and the orbit space against a brute-force reference
+
+
+def reference_regularity(X):
+    """(a) on every simplex x element and (b) on every simplex-orbit image,
+    from the vertex maps alone: the verdict, the vertex -> quotient vertex
+    map and the quotient simplices."""
+    n = X.group.order
+
+    def image(g, s):
+        return tuple(sorted(X.action[g][v] for v in s))
+
+    pointwise = all(
+        all(X.action[g][v] == v for v in s)
+        for s in X.complex.simplices
+        for g in range(n)
+        if image(g, s) == s
+    )
+    least = {v: min(X.action[g][v] for g in range(n)) for v in X.complex.vertices}
+    labels = sorted(set(least.values()))
+    quotient_id = {v: labels.index(o) for v, o in least.items()}
+    orbits = {frozenset(image(g, s) for g in range(n)) for s in X.complex.simplices}
+    images = [tuple(sorted(quotient_id[v] for v in min(orbit))) for orbit in orbits]
+    faithful = all(len(set(img)) == len(img) for img in images) and len(set(images)) == len(images)
+    return pointwise and faithful, quotient_id, frozenset(images)
+
+
+def check_regularity(X):
+    regular, quotient_id, images = reference_regularity(X)
+    assert is_regular(X) == regular
+    flagged = GComplex(X.complex, X.group, X.action, regular=True)
+    if not regular:
+        with pytest.raises(DefectError):
+            orbit_space(flagged)
+        return
+    for Q in (orbit_space(flagged), orbit_space(regularize(X))):
+        assert Q.vertex_orbit == quotient_id
+        assert Q.complex.simplices == images
+
+
+@pytest.mark.parametrize("G, maximal, maps", list(parity_actions()))
+def test_orbit_walk_matches_brute_force_reference(G, maximal, maps):
+    X = build(G, maximal, maps)
+    check_regularity(X)
+    check_regularity(regularize(X))
+
+
+S3 = [[1, 0, 2], [0, 2, 1]]
+
+# actions that fail regularity, each named for what fails
+NON_REGULAR_ACTIONS = {
+    # (a) and (b): the edge is mapped to itself, its ends swapped
+    "flipped-edge": ([[1, 0]], [[0, 1]], [[1, 0]]),
+    # a fixed edge comes first; the flipped edge is walked later
+    "flipped-second-edge": ([[1, 0, 3, 2]], [[0, 1], [2, 3]], [[0, 1, 3, 2]]),
+    # element 1 flips the edge (1, 2) alone, which is not the first simplex of
+    # its orbit; the walk probes (0, 1), flipped by a conjugate of element 1
+    "s3-triangle-boundary": (S3, [[0, 1], [1, 2], [0, 2]], S3),
+    # (b) only: no simplex is mapped to itself, but each edge has both ends
+    # in the one vertex orbit
+    "rotated-triangle-boundary": ([[1, 2, 0]], [[0, 1], [1, 2], [0, 2]], [[1, 2, 0]]),
+    # (b) only: the two edge orbits of the square share their image
+    "half-turn-square": ([[2, 3, 0, 1]], [[0, 1], [1, 2], [2, 3], [0, 3]], [[2, 3, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_REGULAR_ACTIONS))
+def test_orbit_walk_matches_reference_on_non_regular_actions(name):
+    gens, maximal, images = NON_REGULAR_ACTIONS[name]
+    G = group_from_permutations(gens)
+    X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
+    assert not reference_regularity(X)[0]
+    check_regularity(X)
+    check_regularity(regularize(X))
+
+
+def test_s3_case_violates_regularity_away_from_the_orbit_probe():
+    gens, maximal, images = NON_REGULAR_ACTIONS["s3-triangle-boundary"]
+    G = group_from_permutations(gens)
+    X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
+    assert X.apply(1, (1, 2)) == (1, 2) and X.action[1][1] == 2
+    assert X.apply(1, (0, 1)) != (0, 1)
+    assert min(X.orbit((1, 2))) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the stratification checks keep their texts, reached from `verify`
+
+STRATIFICATION_FAILURES = {
+    # C2 swapping 0 and 1 on a triangle, beside a fixed isolated vertex
+    "not-dense": (
+        [[1, 0, 2, 3]],
+        [[0, 1, 2], [3]],
+        "principal stratum is not dense: some simplex is not a face of a principal simplex",
+    ),
+    # the Klein four group on two disjoint edges: each generator fixes one
+    # edge and flips the other
+    "two-minima": (
+        [[0, 1, 3, 2], [1, 0, 2, 3]],
+        [[0, 1], [2, 3]],
+        "no unique principal orbit type: isotropy classes (0, 1) and (0, 2) "
+        "are incomparable minima",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STRATIFICATION_FAILURES))
+def test_stratification_failures_keep_their_texts(tmp_path, capsys, name):
+    gens, maximal, text = STRATIFICATION_FAILURES[name]
+    G = group_from_permutations(gens)
+    X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, gens)
+    with pytest.raises(ValidationError) as err:
+        orbit_type_stratification(regularize(X))
+    assert str(err.value) == text
+    gpath, cpath = tmp_path / "group.json", tmp_path / "complex.json"
+    gpath.write_text(json.dumps({"permutation_generators": gens}))
+    cpath.write_text(json.dumps({"maximal_simplices": maximal, "action": {"generator_images": gens}}))
+    code = main(["verify", "--group", str(gpath), "--complex", str(cpath)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {text}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,65 @@ def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data
     assert err.startswith("error: ")
 
 
+C3_IN_S3 = json.loads(corpus.read_corpus_bytes("bundle-c3-in-s3").decode("utf-8"))
+
+
+def bundle_with(**changes):
+    return dict(C3_IN_S3["bundle"], **changes)
+
+
+def multiplicity(m):
+    return bundle_with(components=[{"id": "a0", "multiplicities": {"0": m, "1": m}}])
+
+
+def beta_with(**changes):
+    """BETA_DATA with keys of the data block or, under `entry`, of its one
+    fine entry replaced."""
+    entry = dict(BETA_DATA["strata"][0]["entries"][0], **changes.pop("entry", {}))
+    return dict(dict(BETA_DATA, strata=[{"id": "s1", "entries": [entry]}]), **changes)
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("fine-decomp", multiplicity(1.7)),
+        ("fine-decomp", multiplicity(True)),
+        ("fine-decomp", bundle_with(H=5)),
+        ("fine-decomp", bundle_with(components=5)),
+        ("fine-decomp", bundle_with(component_action=[])),
+        ("fine-decomp", bundle_with(component_action={"0": 5})),
+        ("assemble", beta_with(dim=1.5)),
+        ("assemble", beta_with(entry={"n_b": 1.5})),
+        ("assemble", beta_with(entry={"rank": 2.9})),
+        ("assemble", beta_with(entry={"h": 0.5})),
+        ("assemble", beta_with(strata=5)),
+        ("assemble", dict(BETA_DATA, strata=[{"id": "s1", "entries": 5}])),
+        ("assemble", beta_with(entry={"n_b": "x"})),
+        ("assemble", beta_with(entry={"h": None})),
+        ("assemble", beta_with(entry={"rank": [1]})),
+        ("assemble", beta_with(dim=None)),
+    ],
+    ids=["multiplicity-float", "multiplicity-bool", "H-not-an-object",
+         "components-not-a-list", "component-action-a-list",
+         "component-moves-not-an-object", "dim-float", "n_b-float", "rank-float",
+         "h-float", "strata-not-a-list", "entries-not-a-list", "n_b-string",
+         "h-null", "rank-a-list", "dim-null"],
+)
+def test_malformed_bundle_and_index_input_is_invalid(tmp_path, capsys, command, data):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    if command == "fine-decomp":
+        gpath = tmp_path / "group.json"
+        gpath.write_text(json.dumps(C3_IN_S3["group"]))
+        argv = ["fine-decomp", "--group", str(gpath), "--bundle", str(path)]
+    else:
+        argv = ["assemble", "--data", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_fine_decomp_report(tmp_path, capsys):
     doc = json.loads(corpus.read_corpus_bytes("bundle-c3-in-s3").decode("utf-8"))
     gpath = tmp_path / "group.json"

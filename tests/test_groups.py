@@ -88,6 +88,19 @@ def test_degenerate_tables_rejected():
         group_from_table([[0, 1], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 2, 1], [2, 1, 0], [1, 0, 2]],  # x*y = -x-y mod 3: no identity row
+        [[0, 1, 2], [2, 0, 1], [1, 2, 0]],  # x*y = y-x mod 3: 0 is a left identity only
+    ],
+    ids=["no-identity-row", "left-identity-only"],
+)
+def test_latin_square_without_two_sided_identity_rejected(table):
+    with pytest.raises(ValidationError, match="^table has no identity element$"):
+        group_from_table(table)
+
+
 def test_non_associative_table_rejected():
     bad = [[0, 1], [1, 1]]
     with pytest.raises(ValidationError):
