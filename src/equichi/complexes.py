@@ -7,7 +7,8 @@ characteristics are alternating simplex counts; everything is exact.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, permutations
 from typing import Iterable
 
 from .errors import ValidationError
@@ -32,7 +33,9 @@ def closure_of(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
 
 
 class SimplicialComplex:
-    """An abstract simplicial complex over integer vertex ids."""
+    """An abstract simplicial complex over integer vertex ids.  `order` lists
+    the simplices in canonical (dimension, vertex tuple) order, and a
+    simplex's position there is its number; `index` maps it back."""
 
     def __init__(self, simplices: Iterable[Simplex]):
         given = [tuple(s) for s in simplices]
@@ -43,25 +46,47 @@ class SimplicialComplex:
         if not closed:
             raise ValidationError("complex must be nonempty")
         self.simplices: frozenset[Simplex] = closed
-        self._by_dim: dict[int, tuple[Simplex, ...]] = {}
         by_dim: dict[int, list[Simplex]] = {}
         for s in closed:
             by_dim.setdefault(len(s) - 1, []).append(s)
-        for d, group in by_dim.items():
-            self._by_dim[d] = tuple(sorted(group))
-        self.dim = max(self._by_dim)
-        self.vertices: tuple[int, ...] = tuple(s[0] for s in self._by_dim[0])
+        self.dim = max(by_dim)
+        # a closed complex has simplices in every dimension up to its own
+        layers = [sorted(by_dim.pop(d)) for d in range(self.dim + 1)]
+        self.order: tuple[Simplex, ...] = tuple(s for layer in layers for s in layer)
+        self._f_vector = tuple(map(len, layers))
+        self.vertices: tuple[int, ...] = tuple(s[0] for s in layers[0])
 
     @staticmethod
     def from_maximal(maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
         return SimplicialComplex(tuple(sorted(set(m))) for m in maximal)
 
+    @cached_property
+    def index(self) -> dict[Simplex, int]:
+        """Simplex -> position in `order`."""
+        return {s: i for i, s in enumerate(self.order)}
+
     def sorted_simplices(self) -> list[Simplex]:
         """All simplices sorted by (dimension, vertex tuple); the canonical order."""
-        out: list[Simplex] = []
-        for d in range(self.dim + 1):
-            out.extend(self._by_dim.get(d, ()))
-        return out
+        return list(self.order)
+
+    def facets(self, i: int) -> list[int]:
+        """Positions of the facets of `order[i]`."""
+        s = self.order[i]
+        if len(s) == 1:
+            return []
+        index = self.index
+        return [index[s[:k] + s[k + 1 :]] for k in range(len(s))]
+
+    def closure(self, positions: Iterable[int]) -> set[int]:
+        """Positions of the given simplices and all their faces."""
+        closed = set(positions)
+        stack = list(closed)
+        while stack:
+            for j in self.facets(stack.pop()):
+                if j not in closed:
+                    closed.add(j)
+                    stack.append(j)
+        return closed
 
     def __contains__(self, simplex: Simplex) -> bool:
         return tuple(simplex) in self.simplices
@@ -70,13 +95,13 @@ class SimplicialComplex:
         return len(self.simplices)
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
+        return self._f_vector
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices that are no facet of another; in a closed complex a
         proper face is a facet of some simplex."""
         facets = {t[:i] + t[i + 1 :] for t in self.simplices for i in range(len(t))}
-        return tuple(s for s in self.sorted_simplices() if s not in facets)
+        return tuple(s for s in self.order if s not in facets)
 
 
 def euler_characteristic(simplices: Iterable[Simplex]) -> int:
@@ -105,56 +130,44 @@ def barycentric_subdivision(
 ) -> tuple[SimplicialComplex, dict[Simplex, int]]:
     """The barycentric subdivision and the map simplex -> new vertex id.
 
-    New vertex ids are positions in the canonical simplex order, so the
-    subdivision of a fixed complex is itself canonical.  Simplices of the
-    subdivision are chains of strictly nested simplices of K.
+    New vertex ids are positions in the canonical simplex order (the map is
+    `K.index`), so the subdivision of a fixed complex is itself canonical.
+    Its simplices are the chains of strictly nested simplices of K, and each
+    chain is a face of a full flag of a maximal simplex.
     """
-    order = K.sorted_simplices()
-    vertex_of: dict[Simplex, int] = {s: i for i, s in enumerate(order)}
-    supersets: dict[Simplex, list[Simplex]] = {s: [] for s in order}
-    for t in order:
-        for f in faces(t):
-            if f != t:
-                supersets[f].append(t)
-    chains: set[Simplex] = set()
-
-    # ids respect (dimension, lex) order, so chains grow with ascending ids
-    def grow(chain_ids: Simplex, last: Simplex) -> None:
-        chains.add(chain_ids)
-        for t in supersets[last]:
-            grow(chain_ids + (vertex_of[t],), t)
-
-    for s in order:
-        grow((vertex_of[s],), s)
-    return SimplicialComplex(chains), vertex_of
+    index = K.index
+    flags = [
+        tuple(index[tuple(sorted(p[: k + 1]))] for k in range(len(m)))
+        for m in K.maximal_simplices()
+        for p in permutations(m)
+    ]
+    return SimplicialComplex(flags), index
 
 
-def connected_components(simplices: Iterable[Simplex]) -> tuple[frozenset[Simplex], ...]:
-    """Components of a set of open simplices under the face relation
-    (two simplices touch when one is a face of the other, within the set).
-    Canonical order: by least simplex (dimension, then vertex tuple)."""
-    items = sorted(set(simplices), key=lambda s: (len(s), s))
-    parent: dict[Simplex, Simplex] = {s: s for s in items}
+def connected_components(K: SimplicialComplex, positions: Iterable[int]) -> list[list[int]]:
+    """Components of a set of open simplices, given by positions in
+    `K.order`, under the face relation (two simplices touch when one is a
+    face of the other, within the set).
 
-    def find(s: Simplex) -> Simplex:
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
+    Members are joined along facets only.  That is the same relation when
+    the set holds every simplex lying between two of its members, as a
+    subcomplex does and as the simplices of one exact isotropy do.  Each
+    component lists its positions in ascending order; components are
+    ordered by their least position.
+    """
+    parent = {i: i for i in sorted(set(positions))}
 
-    def union(a: Simplex, b: Simplex) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    item_set = set(items)
-    for s in items:
-        for f in faces(s):
-            if f != s and f in item_set:
-                union(f, s)
-    groups: dict[Simplex, set[Simplex]] = {}
-    for s in items:
-        groups.setdefault(find(s), set()).add(s)
-    comps = [frozenset(g) for g in groups.values()]
-    comps.sort(key=lambda c: min((len(s), s) for s in c))
-    return tuple(comps)
+    for i in parent:
+        for j in K.facets(i):
+            if j in parent:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in parent:  # ascending, so each component opens at its least position
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

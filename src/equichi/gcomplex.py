@@ -5,21 +5,20 @@ regularization by barycentric subdivision, fixed subcomplexes, orbit-type
 stratification with components relative to the group, orbit spaces, and
 orientation characters of normal data along strata.
 
-Regularity here means two things, both needed downstream:
-  (a) a simplex mapped to itself is fixed pointwise, so traces on chain
-      groups are fixed-simplex counts;
-  (b) the quotient map is faithful: no simplex has two vertices in one
-      orbit, and distinct simplex orbits have distinct vertex-orbit images,
-      so the orbit space is again a simplicial complex on vertex orbits.
-Two barycentric subdivisions always suffice; this is asserted, not assumed.
+Regularity here means that the quotient map is faithful: no simplex has
+two vertices in one orbit, and distinct simplex orbits have distinct
+vertex-orbit images, so the orbit space is again a simplicial complex on
+vertex orbits.  It implies that a simplex mapped to itself is fixed
+pointwise (see `_orbit_walk`), so traces on chain groups are fixed-simplex
+counts.  Two barycentric subdivisions always suffice; this is asserted.
 
-Per-simplex group loops read one integer action table per complex (see
-`ActionTable`): simplex positions in canonical order and, per element, the
-permutation of those positions.  Vertex fixity is kept apart from it, as one
-bitmask of fixing elements per vertex read off the vertex maps, so the
-fixed-set route to a Lefschetz number never reads the table the trace route
-counts on.  One walk over the simplex orbits (see `OrbitWalk`) decides both
-regularity conditions and yields the orbit space.
+Simplices are numbered by their positions in the complex's `order`.  Group
+loops read one permutation of positions per element (`GComplex.perm`), and
+the stratification runs on positions until it builds its output.  Vertex
+fixity is kept apart, as one bitmask of fixing elements per vertex read off
+the vertex maps, so the fixed-set route to a Lefschetz number never reads
+the rows the trace route counts on.  One walk over the simplex orbits (see
+`OrbitWalk`) decides regularity and yields the orbit space.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     barycentric_subdivision,
-    closure_of,
     connected_components,
     euler_characteristic,
 )
@@ -41,20 +39,6 @@ from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, normalizer, subconjugate
 
 VertexMap = dict[int, int]
-
-
-@dataclass(frozen=True)
-class ActionTable:
-    """The action on simplices as integer data, built once per complex.
-
-    `order` lists the simplices in canonical (dimension, vertex tuple) order,
-    `index` maps a simplex to its position there, and `perm[g][i]` is the
-    position of the image of `order[i]` under element g.
-    """
-
-    order: tuple[Simplex, ...]
-    index: dict[Simplex, int]
-    perm: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -72,10 +56,10 @@ class OrbitWalk:
 class GComplex:
     """A simplicial complex with a validated action of a finite group.
 
-    `action[g]` is the vertex map of element g.  `table` is the induced
-    action on simplices, `fixers[v]` the bitmask (bit g for element g) of
-    the elements fixing vertex v and `walk` the pass over simplex orbits;
-    each is built on first use and cached.
+    `action[g]` is the vertex map of element g.  `perm[g][i]` is the
+    position of the image of `complex.order[i]` under g, `fixers[v]` the
+    bitmask (bit g for element g) of the elements fixing vertex v and `walk`
+    the pass over simplex orbits; each is built on first use and cached.
     """
 
     def __init__(
@@ -96,10 +80,10 @@ class GComplex:
     # -- action data ----------------------------------------------------
 
     @property
-    def table(self) -> ActionTable:
-        if "table" not in self._caches:
-            self._caches["table"] = _action_table(self.complex, self.group, self.action)
-        return self._caches["table"]  # type: ignore[return-value]
+    def perm(self) -> tuple[tuple[int, ...], ...]:
+        if "perm" not in self._caches:
+            self._caches["perm"] = _simplex_perm(self.complex, self.group, self.action)
+        return self._caches["perm"]  # type: ignore[return-value]
 
     @property
     def walk(self) -> OrbitWalk:
@@ -137,19 +121,17 @@ class GComplex:
     # -- action application --------------------------------------------
 
     def apply(self, g: int, simplex: Simplex) -> Simplex:
-        t = self.table
-        i = t.index.get(simplex)
+        i = self.complex.index.get(simplex)
         if i is None:  # not a simplex of the complex: map its vertices
             m = self.action[g]
             return tuple(sorted(m[v] for v in simplex))
-        return t.order[t.perm[g][i]]
+        return self.complex.order[self.perm[g][i]]
 
     def orbit(self, simplex: Simplex) -> frozenset[Simplex]:
-        t = self.table
-        i = t.index.get(simplex)
+        i = self.complex.index.get(simplex)
         if i is None:
             return frozenset(self.apply(g, simplex) for g in range(self.group.order))
-        return frozenset(t.order[p[i]] for p in t.perm)
+        return frozenset(self.complex.order[p[i]] for p in self.perm)
 
     def isotropy(self, simplex: Simplex) -> Subgroup:
         """Pointwise stabilizer of the simplex."""
@@ -171,10 +153,11 @@ class GComplex:
         return self._caches["vertex_orbits"]  # type: ignore[return-value]
 
 
-def _action_table(
+def _simplex_perm(
     complex: SimplicialComplex, group: FiniteGroup, action: Mapping[int, VertexMap]
-) -> ActionTable:
-    """Build the simplex table, checking that the action is simplicial.
+) -> tuple[tuple[int, ...], ...]:
+    """Build every element's permutation of simplex positions, checking that
+    the action is simplicial.
 
     Only generator images are looked up; every other element's permutation
     is composed along the group's multiplication, which is exact because the
@@ -182,8 +165,7 @@ def _action_table(
     outside the complex, every element is rescanned in the order of
     `complex.simplices` so that the reported witness is the first one.
     """
-    order = tuple(complex.sorted_simplices())
-    index = {s: i for i, s in enumerate(order)}
+    order, index = complex.order, complex.index
     gen_perm: dict[int, tuple[int, ...]] = {}
     try:
         for g in group.generators:
@@ -193,7 +175,7 @@ def _action_table(
         _raise_non_simplicial(complex, group, action)
         raise DefectError("a generator is not simplicial, yet no element fails") from None
     # every row holds the int objects of `index`, none of its own
-    return ActionTable(order, index, _compose_rows(group, tuple(index.values()), gen_perm))
+    return _compose_rows(group, tuple(index.values()), gen_perm)
 
 
 def _compose_rows(
@@ -287,7 +269,7 @@ def build_gcomplex(
         for g in range(group.order)
     }
     X = GComplex(complex, group, action)
-    X.table  # the simplicial check
+    X.perm  # the simplicial check
     return X
 
 
@@ -309,33 +291,27 @@ def _raise_homomorphism_witness(group: FiniteGroup, phi: Sequence[tuple[int, ...
 
 
 def _orbit_walk(X: GComplex) -> OrbitWalk:
-    """Walk the simplex orbits, each probed at its first position i.
+    """Walk the simplex orbits, each probed at its first position: the
+    simplex must project to distinct vertex orbits, and no two simplex
+    orbits may share an image.
 
-    (a) Every element mapping order[i] to itself (read off the table) must
-    fix each of its vertices (read off the vertex masks).  One probe per
-    orbit is exact: g fixes s setwise but not pointwise iff x*g*x^-1 does so
-    for x.s.  A simplex failing (a) has two vertices in one orbit, so its
-    quotient simplex is degenerate, and it is reported as such.
-    (b) The simplex projects to distinct vertex orbits, and no two simplex
-    orbits share an image.
+    A simplex mapped to itself is then fixed pointwise, so that is not
+    probed: if g maps s to itself and moves a vertex v of s, then v and g.v
+    are two vertices of s in one orbit, and the image of s is degenerate.
+    Such a simplex is reported under that text.
     """
     vertex_orbit = {v: k for k, orb in enumerate(X.vertex_orbits()) for v in orb}
-    t = X.table
+    order, perm = X.complex.order, X.perm
     images: set[Simplex] = set()
-    seen = bytearray(len(t.order))
+    seen = bytearray(len(order))
     failure = None
-    for i, s in enumerate(t.order):
+    for i, s in enumerate(order):
         if seen[i]:
             continue
-        mask = X._fixer_mask(s)
-        fixed_pointwise = True
-        for g, p in enumerate(t.perm):
-            j = p[i]
-            seen[j] = 1
-            if j == i and not mask >> g & 1:
-                fixed_pointwise = False
+        for p in perm:
+            seen[p[i]] = 1
         img = tuple(sorted(map(vertex_orbit.__getitem__, s)))
-        if not fixed_pointwise or len(set(img)) != len(s):
+        if len(set(img)) != len(s):
             failure = "regular action produced a degenerate quotient simplex"
         elif img in images:
             failure = "quotient conflated distinct simplex orbits"
@@ -352,16 +328,16 @@ def is_regular(X: GComplex) -> bool:
 def _subdivide(X: GComplex) -> GComplex:
     """The barycentric subdivision, whose vertex ids are positions in the
     canonical simplex order, so each element acts on them by its row of
-    the simplex table."""
+    simplex positions."""
     sd, vertex_of = barycentric_subdivision(X.complex)
     ids = tuple(vertex_of.values())  # 0, 1, ... as one set of int objects for every map
-    action = {g: dict(zip(ids, p)) for g, p in enumerate(X.table.perm)}
+    action = {g: dict(zip(ids, p)) for g, p in enumerate(X.perm)}
     return GComplex(sd, X.group, action, subdivisions=X.subdivisions + 1)
 
 
 def regularize(X: GComplex) -> GComplex:
     """Barycentrically subdivide (at most twice) until the action is regular.
-    The regular copy keeps the cached table, masks, orbits and orbit walk."""
+    The regular copy keeps the cached rows, masks, orbits and orbit walk."""
     current = X
     while not is_regular(current):
         if current.subdivisions == X.subdivisions + 2:
@@ -389,14 +365,17 @@ def _require_regular(X: GComplex) -> None:
 
 @dataclass(frozen=True)
 class FixedSubcomplex:
-    """The full subcomplex of H-fixed vertices; its components are found on
-    first use."""
+    """The full subcomplex of H-fixed vertices in `complex`; its components
+    are found on first use."""
 
+    complex: SimplicialComplex = field(repr=False)
     simplices: frozenset[Simplex]
 
     @cached_property
     def components(self) -> tuple[frozenset[Simplex], ...]:
-        return connected_components(self.simplices)
+        order, index = self.complex.order, self.complex.index
+        positions = map(index.__getitem__, self.simplices)
+        return tuple(_simplices(order, c) for c in connected_components(self.complex, positions))
 
     def euler_characteristic(self) -> int:
         return euler_characteristic(self.simplices)
@@ -412,7 +391,7 @@ def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
     hmask = sum(1 << h for h in H.elements)
     fixed_vertices = {v for v, m in X.fixers.items() if m & hmask == hmask}
     return FixedSubcomplex(
-        frozenset(s for s in X.complex.simplices if fixed_vertices.issuperset(s))
+        X.complex, frozenset(s for s in X.complex.simplices if fixed_vertices.issuperset(s))
     )
 
 
@@ -462,10 +441,10 @@ class Stratification:
         return self.strata[1:]
 
 
-def _compact(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
-    """The simplices as a frozenset copied from a set: one grown straight
-    from an iterator keeps a hash table up to twice as large."""
-    return frozenset(set(simplices))
+def _simplices(order: Sequence[Simplex], positions: Iterable[int]) -> frozenset[Simplex]:
+    """The simplices at the positions, as a frozenset copied from a set: one
+    grown straight from an iterator keeps a hash table up to twice as large."""
+    return frozenset(set(map(order.__getitem__, positions)))
 
 
 def orbit_type_stratification(X: GComplex) -> Stratification:
@@ -473,8 +452,8 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     subconjugacy partial order (ascending isotropy order, canonical class
     representative as tie-break; the principal class comes first)."""
     _require_regular(X)
-    t = X.table
-    order, index = t.order, t.index
+    K = X.complex
+    order, perm = K.order, X.perm
     masks = [X._fixer_mask(s) for s in order]
     class_rep = {
         m: X._subgroup_of_mask(m).canonical_class_representative().elements
@@ -485,20 +464,18 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
         by_class.setdefault(class_rep[m], []).append(i)
     ordered = sorted(by_class, key=lambda rep: (len(rep), rep))
     strata: list[Stratum] = []
-    ambient_dim = X.complex.dim
+    covered = bytearray(len(order))  # flags the closures of the principal components
+    ambient_dim = K.dim
     for j, rep in enumerate(ordered):
         rep_mask = sum(1 << g for g in rep)
         H = X._subgroup_of_mask(rep_mask)
         members = by_class[rep]
-        simplices = _compact(map(order.__getitem__, members))
-        pieces = connected_components(order[i] for i in members if masks[i] == rep_mask)
-        piece_positions = [[index[s] for s in piece] for piece in pieces]
-        piece_index = {i: pid for pid, pos in enumerate(piece_positions) for i in pos}
-        # each piece is probed at its least simplex, the first in canonical order
-        probes = [min(pos) for pos in piece_positions]
+        pieces = connected_components(K, (i for i in members if masks[i] == rep_mask))
+        piece_index = {i: pid for pid, piece in enumerate(pieces) for i in piece}
+        # each piece is probed at its least position
         N = normalizer(H)
         piece_action = {
-            n: tuple(piece_index[t.perm[n][i]] for i in probes) for n in N.elements
+            n: tuple(piece_index[perm[n][piece[0]]] for piece in pieces) for n in N.elements
         }
         # components relative to the group: normalizer orbits of pieces
         member_set = set(members)
@@ -511,20 +488,22 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
             assigned.update(orbit_ids)
             swept: set[int] = set()
             for pid in orbit_ids:
-                for p in t.perm:
-                    swept.update(map(p.__getitem__, piece_positions[pid]))
+                for p in perm:
+                    swept.update(map(p.__getitem__, pieces[pid]))
             swept &= member_set
-            saturation = _compact(map(order.__getitem__, swept))
+            closure = K.closure(swept)
+            if j == 0:
+                for c in closure:
+                    covered[c] = 1
             dim = len(order[max(swept)]) - 1
-            closure = closure_of(saturation)
             comp = StratumComponent(
                 index=len(components),
                 piece_indices=tuple(orbit_ids),
-                simplices=saturation,
+                simplices=_simplices(order, swept),
                 dim=dim,
                 codim=ambient_dim - dim,
-                closure=closure,
-                lower=frozenset(closure - saturation),
+                closure=_simplices(order, closure),
+                lower=_simplices(order, closure - swept),
             )
             components.append(comp)
         stratum_dim = len(order[members[-1]]) - 1  # members ascend in canonical order
@@ -532,8 +511,8 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
             Stratum(
                 index=j,
                 isotropy=H,
-                simplices=simplices,
-                pieces=pieces,
+                simplices=_simplices(order, members),
+                pieces=tuple(_simplices(order, piece) for piece in pieces),
                 piece_action=piece_action,
                 components=tuple(components),
                 codimension=ambient_dim - stratum_dim,
@@ -548,9 +527,8 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 "no unique principal orbit type: isotropy classes "
                 f"{principal.isotropy.elements} and {other.isotropy.elements} are incomparable minima"
             )
-    # every principal simplex lies in a principal component's saturation
-    covered = set().union(*(comp.closure for comp in principal.components))
-    if covered != X.complex.simplices:
+    # every simplex is a face of a principal simplex
+    if not all(covered):
         raise ValidationError(
             "principal stratum is not dense: some simplex is not a face of a principal simplex"
         )

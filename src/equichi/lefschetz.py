@@ -4,9 +4,9 @@ For a regularized action every Lefschetz number is computed two independent
 ways and the two are required to agree exactly:
 
   * trace route: alternating count of simplices mapped to themselves, read
-    off the element's row of the simplex table (regularity makes every such
-    simplex pointwise fixed, so each contributes +1 to the trace on its
-    chain group);
+    off the element's permutation of simplex positions (regularity makes
+    every such simplex pointwise fixed, so each contributes +1 to the trace
+    on its chain group);
   * fixed-point route: the Euler characteristic of the fixed subcomplex of
     the cyclic group generated by the element, read off vertex fixity
     alone.
@@ -32,7 +32,7 @@ from .groups import FiniteGroup, Subgroup
 def lefschetz_number_trace(X: GComplex, g: int) -> int:
     if not X.regular:
         raise ValidationError("Lefschetz traces require a regularized complex")
-    p = X.table.perm[g]
+    p = X.perm[g]
     total = start = 0
     for d, count in enumerate(X.complex.f_vector()):
         positions = range(start, start + count)

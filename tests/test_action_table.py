@@ -175,6 +175,30 @@ def check_lefschetz(R, ref):
         assert lefschetz_number_fixed(R, g) == fixed
 
 
+def face_components(simplices):
+    """Components of a set of open simplices under all-faces adjacency: a
+    union-find joining each member to every proper face of it in the set,
+    listed by least simplex in (dimension, vertex tuple) order."""
+    members = sorted(simplices, key=lambda s: (len(s), s))
+    parent = {s: s for s in members}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
+    for t in members:
+        for r in range(1, len(t)):
+            for f in combinations(t, r):
+                if f in parent:
+                    parent[find(t)] = find(f)
+    groups = {}
+    for s in members:
+        groups.setdefault(find(s), set()).add(s)
+    comps = [frozenset(g) for g in groups.values()]
+    return tuple(sorted(comps, key=lambda c: min((len(s), s) for s in c)))
+
+
 def check_stratification(R, ref):
     G = R.group
     by_iso = {}
@@ -189,6 +213,10 @@ def check_stratification(R, ref):
     )
     for stratum in st.strata:
         assert stratum.simplices == by_class[stratum.isotropy.elements]
+        # pieces join along facets; the exact-isotropy set holds every
+        # simplex between two of its members, so that is face adjacency
+        exact = by_iso[stratum.isotropy.elements]
+        assert stratum.pieces == face_components(exact)
         covered = set()
         for comp in stratum.components:
             swept = {
@@ -239,7 +267,7 @@ def test_table_matches_vertex_map_reference(G, maximal, maps):
 def reference_regularity(X):
     """(a) on every simplex x element and (b) on every simplex-orbit image,
     from the vertex maps alone: the verdict, the vertex -> quotient vertex
-    map and the quotient simplices."""
+    map and the quotient simplices.  Asserts that (b) implies (a)."""
     n = X.group.order
 
     def image(g, s):
@@ -257,6 +285,8 @@ def reference_regularity(X):
     orbits = {frozenset(image(g, s) for g in range(n)) for s in X.complex.simplices}
     images = [tuple(sorted(quotient_id[v] for v in min(orbit))) for orbit in orbits]
     faithful = all(len(set(img)) == len(img) for img in images) and len(set(images)) == len(images)
+    # the walk checks (b) alone: every (a) failure must also be a (b) failure
+    assert pointwise or not faithful
     return pointwise and faithful, quotient_id, frozenset(images)
 
 
@@ -386,11 +416,11 @@ def test_image_outside_the_complex_names_the_simplex():
 
 def test_collapsed_simplex_is_named():
     # generator images are checked to be vertex bijections first, so only a
-    # hand-built action can collapse a simplex; its table build is the check
+    # hand-built action can collapse a simplex; building its rows is the check
     G = group_from_permutations(C2)
     X = GComplex(FULL_TRIANGLE, G, {0: {1: 1, 2: 2, 3: 3}, 1: {1: 1, 2: 1, 3: 3}})
     with pytest.raises(ValidationError) as err:
-        X.table
+        X.perm
     assert str(err.value) == "non-simplicial map: element 1 collapses simplex (1, 2)"
 
 

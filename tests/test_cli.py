@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import equichi
 from equichi import cli, corpus, gcomplex, strataformula
 from equichi.cli import main
 
@@ -425,3 +427,28 @@ def test_module_entry_point_round_trip():
     assert first.stdout == second.stdout
     payload = json.loads(first.stdout)
     assert payload["summary"]["ok"] == 1
+
+
+STDLIB_ONLY = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+import equichi
+from equichi import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--corpus"])
+allowed = sys.stdlib_module_names | {"equichi"}
+foreign = sorted(n for n in sys.modules if n != "__main__" and n.split(".")[0] not in allowed)
+print(json.dumps([code, foreign]))
+"""
+
+
+def test_verify_corpus_loads_only_the_standard_library():
+    # a fresh interpreter without site hooks, so only what equichi imports loads
+    package_root = str(Path(equichi.__file__).resolve().parent.parent)
+    cmd = [sys.executable, "-E", "-S", "-c", STDLIB_ONLY, package_root]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, foreign = json.loads(done.stdout)
+    assert code == 3  # s2-reflection is skipped by the codimension guard
+    assert foreign == []

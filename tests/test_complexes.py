@@ -1,5 +1,7 @@
 """Simplicial complexes: closure, Euler counts, subdivision, components."""
 
+from itertools import combinations
+
 import pytest
 
 from equichi import SimplicialComplex, ValidationError, barycentric_subdivision
@@ -105,15 +107,32 @@ def test_barycentric_subdivision_counts():
     assert len(set(vmap.values())) == len(vmap)
 
 
+def test_barycentric_subdivision_of_a_non_pure_complex_is_its_chains():
+    # a triangle, a dangling edge and an isolated vertex
+    K = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3], [4]])
+    Sd, vmap = barycentric_subdivision(K)
+    order = K.sorted_simplices()
+    assert vmap == K.index == {s: i for i, s in enumerate(order)}
+    chains = {
+        tuple(vmap[s] for s in chain)
+        for r in range(1, len(order) + 1)
+        for chain in combinations(order, r)
+        if all(set(a) < set(b) for a, b in zip(chain, chain[1:]))
+    }
+    assert Sd.simplices == chains
+    assert Sd.f_vector() == (10, 14, 6)
+
+
 def test_connected_components():
     K = SimplicialComplex.from_maximal([[0, 1], [2, 3]])
-    comps = connected_components(K.sorted_simplices())
+    comps = connected_components(K, range(len(K.order)))
     assert len(comps) == 2
-    assert {frozenset(v for s in c for v in s) for c in comps} == {
+    assert {frozenset(v for i in c for v in K.order[i]) for c in comps} == {
         frozenset({0, 1}),
         frozenset({2, 3}),
     }
-    assert len(connected_components(octahedron().sorted_simplices())) == 1
+    O = octahedron()
+    assert len(connected_components(O, range(len(O.order)))) == 1
     # isolated vertex counts as its own component
     L = SimplicialComplex.from_maximal([[0, 1], [4]])
-    assert len(connected_components(L.sorted_simplices())) == 2
+    assert len(connected_components(L, range(len(L.order)))) == 2
