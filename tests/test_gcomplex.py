@@ -260,3 +260,51 @@ def test_orientation_character_basepoint_independent(regular_cases):
         for piece in comp.simplices:
             again = orientation_character(X, s, comp, basepoint=piece)
             assert again.signs == base.signs
+
+
+# ---------------------------------------------------------------------------
+# the pseudomanifold checks on stars keep their texts: each complex below,
+# under the trivial group, has exactly one simplex that can be the witness
+
+# the six-vertex real projective plane; its cone has a non-orientable star
+RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+       [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
+
+STAR_FAILURES = {
+    # the edge (0, 3) hangs off the triangle at the basepoint
+    "not-pure": (
+        [[0, 1, 2], [0, 3]],
+        "star of (0,) fails the pseudomanifold check: not pure at (0, 3)",
+    ),
+    # three triangles on the edge (0, 1)
+    "wall-in-three-tops": (
+        [[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+        "star of (0,) fails the pseudomanifold check: wall (0, 1) in 3 tops",
+    ),
+    # the basepoint is the free end of an edge
+    "one-sided": (
+        [[0, 1]],
+        "star of (0,) fails the pseudomanifold check: wall (0,) is one-sided",
+    ),
+    "not-orientable": (
+        [[0] + t for t in RP2],
+        "star of (0,) is not orientable; orientation sign undefined",
+    ),
+    # two triangulated discs pinched at the basepoint
+    "not-wall-connected": (
+        [[0, 1, 2], [0, 2, 3], [0, 1, 3], [0, 4, 5], [0, 5, 6], [0, 4, 6]],
+        "star of (0,) fails the pseudomanifold check: top simplices are not wall-connected",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STAR_FAILURES))
+def test_star_checks_keep_their_texts(name):
+    maximal, text = STAR_FAILURES[name]
+    X = regularize(build_gcomplex(SimplicialComplex.from_maximal(maximal), group_from_permutations([]), []))
+    st = orbit_type_stratification(X)
+    (stratum,) = st.strata
+    (component,) = stratum.components
+    with pytest.raises(ValidationError) as err:
+        orientation_character(X, stratum, component, basepoint=(0,))
+    assert str(err.value) == text
