@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import sys
 import time
+from functools import cache
 from typing import Any
 
 from . import corpus
@@ -273,7 +274,9 @@ def _render_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="equichi",
         description="isotypical Euler characteristics and stratified index sums",
@@ -335,8 +338,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         payload, code = COMMANDS[args.command](args)

@@ -7,8 +7,10 @@ characteristics are alternating simplex counts; everything is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, groupby, permutations, repeat
+from operator import itemgetter, lt
 from typing import Iterable
 
 from .errors import ValidationError
@@ -33,27 +35,61 @@ def closure_of(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
 
 
 class SimplicialComplex:
-    """An abstract simplicial complex over integer vertex ids.  `order` lists
-    the simplices in canonical (dimension, vertex tuple) order, and a
-    simplex's position there is its number; `index` maps it back."""
+    """An abstract simplicial complex over integer vertex ids.
+
+    `order` lists the simplices in canonical (dimension, vertex tuple) order,
+    and a simplex's position there is its number; `index` maps it back.  The
+    d-simplices sit at positions `layer_start[d]` up to `layer_start[d + 1]`.
+    `facet_table[d][k]` is a column over the d-simplices, in layer order, of
+    the positions of their facets without vertex k; its entries are the int
+    objects of `index`.
+    """
 
     def __init__(self, simplices: Iterable[Simplex]):
-        given = [tuple(s) for s in simplices]
-        for t in given:
-            if len(set(t)) != len(t) or tuple(sorted(t)) != t:
-                raise ValidationError(f"simplex must be strictly ascending: {t}")
-        closed = closure_of(given)
-        if not closed:
+        listed = list(map(tuple, simplices))
+        # the given simplices by dimension, the empty one dropped
+        given = {n - 1: list(g) for n, g in groupby(sorted(listed, key=len), len) if n}
+        for d, group in given.items():
+            # strictly ascending: each column of k-th vertices lies below the next
+            columns = [list(map(itemgetter(k), group)) for k in range(d + 1)]
+            if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+                bad = next(t for t in listed if not all(map(lt, t, t[1:])))
+                raise ValidationError(f"simplex must be strictly ascending: {bad}")
+            given[d] = set(group)
+        if not given:
             raise ValidationError("complex must be nonempty")
-        self.simplices: frozenset[Simplex] = closed
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in closed:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self.dim = max(by_dim)
-        # a closed complex has simplices in every dimension up to its own
-        layers = [sorted(by_dim.pop(d)) for d in range(self.dim + 1)]
-        self.order: tuple[Simplex, ...] = tuple(s for layer in layers for s in layer)
+        self.dim = dim = max(given)
+        # One sweep from the top dimension down.  A layer is complete once the
+        # layer above has added its facets, and is sorted then; the facets of
+        # its simplices, made once each, fill in the layer below and, once
+        # that is sorted, are kept as positions within it.
+        layers: list[list[Simplex]] = [[] for _ in range(dim + 1)]
+        local_facets: list[list[int]] = [[] for _ in range(dim + 1)]
+        current = given.pop(dim)
+        facets: list[Simplex] = []
+        for d in range(dim, -1, -1):
+            layer = layers[d] = sorted(current)
+            if facets:
+                local = dict(zip(layer, range(len(layer))))
+                local_facets[d + 1] = list(map(local.__getitem__, facets))
+                facets = []
+            if d:
+                # a simplex's combinations drop its last vertex first
+                facets = list(chain.from_iterable(map(combinations, layer, repeat(d))))
+                current = given.pop(d - 1, set())
+                current.update(facets)
+        self.order: tuple[Simplex, ...] = tuple(chain.from_iterable(layers))
+        self.index: dict[Simplex, int] = dict(zip(self.order, range(len(self.order))))
+        ids = tuple(self.index.values())
         self._f_vector = tuple(map(len, layers))
+        start = self.layer_start = (0, *accumulate(self._f_vector))
+        self.facet_table: tuple[tuple[tuple[int, ...], ...], ...] = ((),) + tuple(
+            tuple(
+                tuple(map(ids[start[d - 1] : start[d]].__getitem__, local_facets[d][d - k :: d + 1]))
+                for k in range(d + 1)
+            )
+            for d in range(1, dim + 1)
+        )
         self.vertices: tuple[int, ...] = tuple(s[0] for s in layers[0])
 
     @staticmethod
@@ -61,38 +97,56 @@ class SimplicialComplex:
         return SimplicialComplex(tuple(sorted(set(m))) for m in maximal)
 
     @cached_property
-    def index(self) -> dict[Simplex, int]:
-        """Simplex -> position in `order`."""
-        return {s: i for i, s in enumerate(self.order)}
+    def simplices(self) -> frozenset[Simplex]:
+        return frozenset(self.order)
 
     def sorted_simplices(self) -> list[Simplex]:
         """All simplices sorted by (dimension, vertex tuple); the canonical order."""
         return list(self.order)
 
-    def facets(self, i: int) -> list[int]:
-        """Positions of the facets of `order[i]`."""
-        s = self.order[i]
-        if len(s) == 1:
-            return []
-        index = self.index
-        return [index[s[:k] + s[k + 1 :]] for k in range(len(s))]
+    def facets(self, i: int) -> tuple[int, ...]:
+        """Positions of the facets of `order[i]`, ascending."""
+        d = len(self.order[i]) - 1
+        k = i - self.layer_start[d]
+        return tuple(column[k] for column in reversed(self.facet_table[d]))
+
+    def by_layer(self, positions: Iterable[int]) -> list[list[int]]:
+        """The positions sorted and split by dimension."""
+        ps = sorted(positions)
+        cuts = [bisect_left(ps, s) for s in self.layer_start]
+        return [ps[cuts[d] : cuts[d + 1]] for d in range(self.dim + 1)]
 
     def closure(self, positions: Iterable[int]) -> set[int]:
         """Positions of the given simplices and all their faces."""
-        closed = set(positions)
-        stack = list(closed)
-        while stack:
-            for j in self.facets(stack.pop()):
-                if j not in closed:
-                    closed.add(j)
-                    stack.append(j)
-        return closed
+        layers = [set(layer) for layer in self.by_layer(positions)]
+        # each layer is complete before its facets are read
+        for d in range(self.dim, 0, -1):
+            lo = self.layer_start[d]
+            ks = [i - lo for i in layers[d]]
+            for column in self.facet_table[d]:
+                layers[d - 1].update(map(column.__getitem__, ks))
+        return set().union(*layers)
+
+    @cached_property
+    def _vertex_stars(self) -> dict[int, list[int]]:
+        """Vertex -> ascending positions of the simplices containing it."""
+        stars: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for i, s in enumerate(self.order):
+            for v in s:
+                stars[v].append(i)
+        return stars
+
+    def star(self, simplex: Simplex) -> list[int]:
+        """Ascending positions of the simplices containing `simplex`, read
+        from the star of its first vertex."""
+        order, base = self.order, set(simplex)
+        return [i for i in self._vertex_stars[simplex[0]] if base.issubset(order[i])]
 
     def __contains__(self, simplex: Simplex) -> bool:
-        return tuple(simplex) in self.simplices
+        return tuple(simplex) in self.index
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.order)
 
     def f_vector(self) -> tuple[int, ...]:
         return self._f_vector
@@ -100,8 +154,11 @@ class SimplicialComplex:
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices that are no facet of another; in a closed complex a
         proper face is a facet of some simplex."""
-        facets = {t[:i] + t[i + 1 :] for t in self.simplices for i in range(len(t))}
-        return tuple(s for s in self.order if s not in facets)
+        facets: set[int] = set()
+        for columns in self.facet_table:
+            for column in columns:
+                facets.update(column)
+        return tuple(s for i, s in enumerate(self.order) if i not in facets)
 
 
 def euler_characteristic(simplices: Iterable[Simplex]) -> int:
@@ -113,7 +170,7 @@ def euler_characteristic(simplices: Iterable[Simplex]) -> int:
 
 
 def euler_of_complex(K: SimplicialComplex) -> int:
-    return euler_characteristic(K.simplices)
+    return sum(n if d % 2 == 0 else -n for d, n in enumerate(K.f_vector()))
 
 
 def relative_euler(K: Iterable[Simplex], L: Iterable[Simplex]) -> int:
@@ -155,19 +212,27 @@ def connected_components(K: SimplicialComplex, positions: Iterable[int]) -> list
     component lists its positions in ascending order; components are
     ordered by their least position.
     """
-    parent = {i: i for i in sorted(set(positions))}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in parent:
-        for j in K.facets(i):
-            if j in parent:
-                parent[find(i)] = find(j)
+    members = sorted(set(positions))
+    parent = dict(zip(members, members))
+    # Union by least root, so a parent never exceeds its child.  A facet has
+    # a lower position than its simplex, so `i` is still a root when its
+    # facets are read, and a member's parent is final once `i` passes it.
+    for d, layer in enumerate(K.by_layer(members)):
+        lo = K.layer_start[d]
+        ks = [i - lo for i in layer]
+        for i, facets in zip(layer, zip(*(map(c.__getitem__, ks) for c in K.facet_table[d]))):
+            root = i
+            for j in facets:
+                if j not in parent:
+                    continue
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if j < root:
+                    parent[root] = root = j
+                elif j > root:
+                    parent[j] = root
     groups: dict[int, list[int]] = {}
-    for i in parent:  # ascending, so each component opens at its least position
-        groups.setdefault(find(i), []).append(i)
+    for i in members:  # ascending, so each component opens at its least position
+        root = parent[i] = parent[parent[i]]
+        groups.setdefault(root, []).append(i)
     return list(groups.values())

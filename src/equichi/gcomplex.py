@@ -16,8 +16,9 @@ Simplices are numbered by their positions in the complex's `order`.  Group
 loops read one permutation of positions per element (`GComplex.perm`), and
 the stratification runs on positions until it builds its output.  Vertex
 fixity is kept apart, as one bitmask of fixing elements per vertex read off
-the vertex maps, so the fixed-set route to a Lefschetz number never reads
-the rows the trace route counts on.  One walk over the simplex orbits (see
+the vertex maps and carried up the complex's facet table to every simplex,
+so the fixed-set route to a Lefschetz number never reads the rows the trace
+route counts on.  One walk over the simplex orbits (see
 `OrbitWalk`) decides regularity and yields the orbit space.
 """
 
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_
+from itertools import compress, repeat
+from operator import and_, eq
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import (
@@ -58,8 +60,9 @@ class GComplex:
 
     `action[g]` is the vertex map of element g.  `perm[g][i]` is the
     position of the image of `complex.order[i]` under g, `fixers[v]` the
-    bitmask (bit g for element g) of the elements fixing vertex v and `walk`
-    the pass over simplex orbits; each is built on first use and cached.
+    bitmask (bit g for element g) of the elements fixing vertex v, `masks[i]`
+    that of the elements fixing `complex.order[i]` pointwise and `walk` the
+    pass over simplex orbits; each is built on first use and cached.
     """
 
     def __init__(
@@ -102,6 +105,19 @@ class GComplex:
                         masks[v] |= bit
             self._caches["fixers"] = masks
         return self._caches["fixers"]  # type: ignore[return-value]
+
+    @property
+    def masks(self) -> list[int]:
+        """Per simplex position, the bitmask of the elements fixing the
+        simplex pointwise: what fixes its facets without vertex 0 and 1."""
+        if "masks" not in self._caches:
+            masks = list(map(self.fixers.__getitem__, self.complex.vertices))
+            for without_0, without_1, *_ in self.complex.facet_table[1:]:
+                masks.extend(
+                    map(and_, map(masks.__getitem__, without_0), map(masks.__getitem__, without_1))
+                )
+            self._caches["masks"] = masks
+        return self._caches["masks"]  # type: ignore[return-value]
 
     def _fixer_mask(self, simplex: Simplex) -> int:
         """Bitmask of the elements fixing every vertex of the simplex."""
@@ -162,8 +178,8 @@ def _simplex_perm(
     Only generator images are looked up; every other element's permutation
     is composed along the group's multiplication, which is exact because the
     vertex maps form a homomorphism.  If some generator sends a simplex
-    outside the complex, every element is rescanned in the order of
-    `complex.simplices` so that the reported witness is the first one.
+    outside the complex, every element is rescanned in canonical order so
+    that the reported witness is the first one.
     """
     order, index = complex.order, complex.index
     gen_perm: dict[int, tuple[int, ...]] = {}
@@ -205,13 +221,13 @@ def _raise_non_simplicial(
 ) -> None:
     for g in range(group.order):
         m = action[g]
-        for s in complex.simplices:
+        for s in complex.order:
             image = tuple(sorted(m[v] for v in s))
             if len(set(image)) != len(s):
                 raise ValidationError(
                     f"non-simplicial map: element {g} collapses simplex {s}"
                 )
-            if image not in complex.simplices:
+            if image not in complex.index:
                 raise ValidationError(
                     f"non-simplicial map: element {g} sends simplex {s} to {image}, "
                     "which is not a simplex of the complex"
@@ -383,15 +399,14 @@ class FixedSubcomplex:
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
     """Simplices all of whose vertices are fixed by every element of H, read
-    off the vertex masks alone.
+    off the fixer masks, which come from the vertex maps alone.
 
     For a regularized complex this is the honest fixed-point set.
     Components are listed canonically (by least simplex).
     """
     hmask = sum(1 << h for h in H.elements)
-    fixed_vertices = {v for v, m in X.fixers.items() if m & hmask == hmask}
     return FixedSubcomplex(
-        X.complex, frozenset(s for s in X.complex.simplices if fixed_vertices.issuperset(s))
+        X.complex, frozenset(s for s, m in zip(X.complex.order, X.masks) if m & hmask == hmask)
     )
 
 
@@ -454,14 +469,12 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     _require_regular(X)
     K = X.complex
     order, perm = K.order, X.perm
-    masks = [X._fixer_mask(s) for s in order]
-    class_rep = {
-        m: X._subgroup_of_mask(m).canonical_class_representative().elements
-        for m in set(masks)
-    }
+    masks = X.masks
+    at_mask = {m: list(compress(range(len(order)), map(eq, masks, repeat(m)))) for m in set(masks)}
     by_class: dict[tuple[int, ...], list[int]] = {}
-    for i, m in enumerate(masks):
-        by_class.setdefault(class_rep[m], []).append(i)
+    for m, positions in at_mask.items():
+        rep = X._subgroup_of_mask(m).canonical_class_representative().elements
+        by_class.setdefault(rep, []).extend(positions)
     ordered = sorted(by_class, key=lambda rep: (len(rep), rep))
     strata: list[Stratum] = []
     covered = bytearray(len(order))  # flags the closures of the principal components
@@ -469,8 +482,8 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     for j, rep in enumerate(ordered):
         rep_mask = sum(1 << g for g in rep)
         H = X._subgroup_of_mask(rep_mask)
-        members = by_class[rep]
-        pieces = connected_components(K, (i for i in members if masks[i] == rep_mask))
+        members = sorted(by_class[rep])
+        pieces = connected_components(K, at_mask.get(rep_mask, ()))
         piece_index = {i: pid for pid, piece in enumerate(pieces) for i in piece}
         # each piece is probed at its least position
         N = normalizer(H)
@@ -560,7 +573,7 @@ def orbit_space(X: GComplex) -> OrbitSpace:
     if walk.failure is not None:
         raise DefectError(walk.failure)
     quotient = SimplicialComplex(walk.images)
-    if len(quotient.simplices) != len(walk.images):
+    if len(quotient) != len(walk.images):
         raise DefectError("quotient image set was not closed under faces")
     return OrbitSpace(quotient, dict(walk.vertex_orbit), X.vertex_orbits())
 
@@ -641,15 +654,13 @@ def _permutation_sign(seq: Sequence[int]) -> int:
 
 
 def _oriented_star(
-    simplices: frozenset[Simplex], base: Simplex
+    star: Sequence[Simplex], base: Simplex
 ) -> dict[Simplex, int] | None:
-    """The top simplices of the star of `base` within the closed subcomplex
-    `simplices`, in ascending order, with coherent orientation signs; None
+    """The top simplices of `star`, the simplices of a closed subcomplex that
+    contain `base` in canonical order, with coherent orientation signs; None
     when the normal direction there is zero-dimensional.  Checks purity."""
-    bset = set(base)
-    star = [s for s in simplices if bset.issubset(s)]
     top_dim = max(len(s) for s in star)
-    tops = sorted(s for s in star if len(s) == top_dim)
+    tops = [s for s in star if len(s) == top_dim]
     for s in star:
         if not any(set(s) <= set(t) for t in tops):
             raise ValidationError(
@@ -741,8 +752,9 @@ def orientation_character(
     elif basepoint not in piece:
         raise ValidationError(f"basepoint {basepoint} is not in the component piece")
     H = X.isotropy(basepoint)
-    ambient = _oriented_star(X.complex.simplices, basepoint)
-    along = _oriented_star(component.closure, basepoint)
+    star = list(map(X.complex.order.__getitem__, X.complex.star(basepoint)))
+    ambient = _oriented_star(star, basepoint)
+    along = _oriented_star([s for s in star if s in component.closure], basepoint)
     signs: dict[int, int] = {}
     for h in H.elements:
         sign_ambient = _local_degree_sign(X, ambient, basepoint, h)

@@ -170,7 +170,12 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
         ) from None
     if not simplices:
         raise ValidationError("complex data lists no simplices")
-    complex = SimplicialComplex.from_maximal(simplices)
+    for raw, s in zip(maximal, simplices):
+        if not s:
+            raise ValidationError(f"maximal simplex {raw} has no vertices")
+        if len(set(s)) != len(s):
+            raise ValidationError(f"maximal simplex {raw} repeats a vertex")
+    complex = SimplicialComplex(simplices)
     action = _require(data, "action", "complex data")
     raw_images = _require(action, "generator_images", "complex action")
     try:

@@ -215,9 +215,8 @@ def strata_geometry(X: GComplex) -> StrataGeometry:
     singular_simplices = frozenset(
         s for stratum in strat.singular for s in stratum.simplices
     )
-    q_all = Q.complex.simplices
     q_sing = Q.project(singular_simplices)
-    principal_rel = euler_characteristic(q_all) - euler_characteristic(q_sing)
+    principal_rel = euler_of_complex(Q.complex) - euler_characteristic(q_sing)
     components: list[ComponentGeometry] = []
     for stratum in strat.singular:
         for component in stratum.components:

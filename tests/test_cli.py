@@ -250,6 +250,41 @@ def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "maximal, text",
+    [
+        ([[0, 0, 1]], "maximal simplex [0, 0, 1] repeats a vertex"),
+        ([[0, 1], [1, 0, 1]], "maximal simplex [1, 0, 1] repeats a vertex"),
+        ([[0, 1], []], "maximal simplex [] has no vertices"),
+        ([[]], "maximal simplex [] has no vertices"),
+    ],
+    ids=["repeated-vertex", "repeated-vertex-beside-an-edge", "empty-beside-an-edge", "only-empty"],
+)
+def test_degenerate_maximal_simplex_is_named(tmp_path, capsys, maximal, text):
+    # such a simplex used to be read as a smaller one, or dropped
+    gpath = tmp_path / "group.json"
+    cpath = tmp_path / "complex.json"
+    gpath.write_text(json.dumps(C2_GROUP))
+    cpath.write_text(json.dumps(dict(C2_EDGE, maximal_simplices=maximal)))
+    code, out, err = run_cli(
+        ["verify", "--group", str(gpath), "--complex", str(cpath)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {text}\n")
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--rho", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: equichi [-h] {strata,verify,fine-decomp,assemble} ...\n"
+        "equichi: error: unrecognized arguments: --rho 1\n"
+    )
+
+
 C3_IN_S3 = json.loads(corpus.read_corpus_bytes("bundle-c3-in-s3").decode("utf-8"))
 
 
