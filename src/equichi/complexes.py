@@ -214,9 +214,10 @@ def connected_components(K: SimplicialComplex, positions: Iterable[int]) -> list
     """
     members = sorted(set(positions))
     parent = dict(zip(members, members))
-    # Union by least root, so a parent never exceeds its child.  A facet has
-    # a lower position than its simplex, so `i` is still a root when its
-    # facets are read, and a member's parent is final once `i` passes it.
+    # Union by least root, so a parent never exceeds its child and, walking
+    # up, a parent's root is known before its child's.  A facet has a lower
+    # position than its simplex, so `i` is still a root when its facets are
+    # read.
     for d, layer in enumerate(K.by_layer(members)):
         lo = K.layer_start[d]
         ks = [i - lo for i in layer]
