@@ -31,8 +31,8 @@ from .assembler import assemble_index
 from .characters import character_table
 from .errors import CodimensionError, DefectError, ValidationError
 from .finedecomp import canonical_isotropy_bundle, fine_decomposition, is_adapted
-from .complexes import euler_characteristic, euler_of_complex
-from .gcomplex import orbit_space, orbit_type_stratification, regularize
+from .complexes import euler_of_complex
+from .gcomplex import orbit_type_stratification, regularize
 from .jsonio import (
     bundle_from_json,
     canonical_json,
@@ -62,7 +62,7 @@ def _load_action(args) -> tuple[Any, dict]:
     return X, inputs
 
 
-def _stratification_summary(X, strat, Q) -> dict:
+def _stratification_summary(X, strat) -> dict:
     strata = []
     for s in strat.strata:
         strata.append(
@@ -78,8 +78,8 @@ def _stratification_summary(X, strat, Q) -> dict:
                         "dim": c.dim,
                         "codimension": c.codim,
                         "pieces": len(c.piece_indices),
-                        "closure_euler": euler_characteristic(Q.project(c.closure)),
-                        "lower_euler": euler_characteristic(Q.project(c.lower)),
+                        "closure_euler": c.closure_euler,
+                        "lower_euler": c.lower_euler,
                     }
                     for c in s.components
                 ],
@@ -87,7 +87,10 @@ def _stratification_summary(X, strat, Q) -> dict:
         )
     return {
         "ambient_dim": strat.ambient_dim,
-        "orbit_space_euler": euler_of_complex(Q.complex),
+        # the open components partition Q
+        "orbit_space_euler": sum(
+            c.closure_euler - c.lower_euler for s in strat.strata for c in s.components
+        ),
         "euler": euler_of_complex(X.complex),
         "strata": strata,
     }
@@ -109,18 +112,18 @@ def _cmd_strata(args) -> tuple[dict, int]:
     skipped = None
     try:
         geometry = strata_geometry(X)
-        strat, Q = geometry.stratification, geometry.orbit_space
+        strat = geometry.stratification
         breakdowns = [geometry.breakdown(rho).to_json_dict() for rho in rows]
     except CodimensionError as exc:
         skipped = str(exc)
         code = EXIT_SKIPPED
         breakdowns = []
-        strat, Q = orbit_type_stratification(X), orbit_space(X)
+        strat = orbit_type_stratification(X)
     payload = {
         "command": "strata",
         "inputs": inputs,
         "subdivisions": X.subdivisions,
-        "stratification": _stratification_summary(X, strat, Q),
+        "stratification": _stratification_summary(X, strat),
         "breakdowns": breakdowns,
         "skipped": skipped,
     }

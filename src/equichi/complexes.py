@@ -116,6 +116,11 @@ class SimplicialComplex:
         cuts = [bisect_left(ps, s) for s in self.layer_start]
         return [ps[cuts[d] : cuts[d + 1]] for d in range(self.dim + 1)]
 
+    def euler(self, positions: Iterable[int]) -> int:
+        """Alternating count of the simplices at the positions."""
+        counts = map(len, self.by_layer(positions))
+        return sum(n if d % 2 == 0 else -n for d, n in enumerate(counts))
+
     def closure(self, positions: Iterable[int]) -> set[int]:
         """Positions of the given simplices and all their faces."""
         layers = [set(layer) for layer in self.by_layer(positions)]

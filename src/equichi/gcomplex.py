@@ -18,12 +18,16 @@ the stratification runs on positions until it builds its output.  Vertex
 fixity is kept apart, as one bitmask of fixing elements per vertex read off
 the vertex maps and carried up the complex's facet table to every simplex,
 so the fixed-set route to a Lefschetz number never reads the rows the trace
-route counts on.  One walk over the simplex orbits (see
-`OrbitWalk`) decides regularity and yields the orbit space.
+route counts on.  One walk over the simplex orbits (see `OrbitWalk`) decides
+regularity and flags the first position of each orbit; regularity makes
+orbits and quotient simplices correspond, so Euler numbers of the orbit space
+are signed counts of flagged positions.  Only `orbit_space` builds the
+quotient as a complex.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
@@ -35,7 +39,6 @@ from .complexes import (
     SimplicialComplex,
     barycentric_subdivision,
     connected_components,
-    euler_characteristic,
 )
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, normalizer, subconjugate
@@ -47,11 +50,13 @@ VertexMap = dict[int, int]
 class OrbitWalk:
     """One pass over the simplex orbits: `vertex_orbit` maps a vertex to its
     position in `vertex_orbits()`, `images` holds the vertex-orbit image of
-    each simplex orbit walked, and `failure` is the first regularity failure,
-    where the walk stopped, or None when the action is regular."""
+    each simplex orbit walked, `first[i]` is 1 when position i is the first of
+    its orbit, and `failure` is the first regularity failure, where the walk
+    stopped, or None when the action is regular."""
 
     vertex_orbit: dict[int, int]
     images: set[Simplex]
+    first: bytearray
     failure: str | None
 
 
@@ -78,60 +83,46 @@ class GComplex:
         self.action = {g: dict(m) for g, m in action.items()}
         self.regular = regular
         self.subdivisions = subdivisions
-        self._caches: dict[str, object] = {}
+        self._subgroups: dict[int, Subgroup] = {}  # see `_subgroup_of_mask`
 
     # -- action data ----------------------------------------------------
 
-    @property
+    @cached_property
     def perm(self) -> tuple[tuple[int, ...], ...]:
-        if "perm" not in self._caches:
-            self._caches["perm"] = _simplex_perm(self.complex, self.group, self.action)
-        return self._caches["perm"]  # type: ignore[return-value]
+        return _simplex_perm(self.complex, self.group, self.action)
 
-    @property
+    @cached_property
     def walk(self) -> OrbitWalk:
-        if "walk" not in self._caches:
-            self._caches["walk"] = _orbit_walk(self)
-        return self._caches["walk"]  # type: ignore[return-value]
+        return _orbit_walk(self)
 
-    @property
+    @cached_property
     def fixers(self) -> dict[int, int]:
-        if "fixers" not in self._caches:
-            masks = dict.fromkeys(self.complex.vertices, 0)
-            for g, m in self.action.items():
-                bit = 1 << g
-                for v, w in m.items():
-                    if v == w:
-                        masks[v] |= bit
-            self._caches["fixers"] = masks
-        return self._caches["fixers"]  # type: ignore[return-value]
+        masks = dict.fromkeys(self.complex.vertices, 0)
+        for g, m in self.action.items():
+            bit = 1 << g
+            for v, w in m.items():
+                if v == w:
+                    masks[v] |= bit
+        return masks
 
-    @property
+    @cached_property
     def masks(self) -> list[int]:
         """Per simplex position, the bitmask of the elements fixing the
         simplex pointwise: what fixes its facets without vertex 0 and 1."""
-        if "masks" not in self._caches:
-            masks = list(map(self.fixers.__getitem__, self.complex.vertices))
-            for without_0, without_1, *_ in self.complex.facet_table[1:]:
-                masks.extend(
-                    map(and_, map(masks.__getitem__, without_0), map(masks.__getitem__, without_1))
-                )
-            self._caches["masks"] = masks
-        return self._caches["masks"]  # type: ignore[return-value]
-
-    def _fixer_mask(self, simplex: Simplex) -> int:
-        """Bitmask of the elements fixing every vertex of the simplex."""
-        everything = (1 << self.group.order) - 1
-        return reduce(and_, map(self.fixers.__getitem__, simplex), everything)
+        masks = list(map(self.fixers.__getitem__, self.complex.vertices))
+        for without_0, without_1, *_ in self.complex.facet_table[1:]:
+            masks.extend(
+                map(and_, map(masks.__getitem__, without_0), map(masks.__getitem__, without_1))
+            )
+        return masks
 
     def _subgroup_of_mask(self, mask: int) -> Subgroup:
         """The subgroup whose elements are the set bits of `mask`, one cached
         instance per mask."""
-        cache = self._caches.setdefault("subgroups", {})
-        H = cache.get(mask)  # type: ignore[union-attr]
+        H = self._subgroups.get(mask)
         if H is None:
             members = tuple(g for g in range(self.group.order) if mask >> g & 1)
-            H = cache[mask] = Subgroup(self.group, members)  # type: ignore[index]
+            H = self._subgroups[mask] = Subgroup(self.group, members)
         return H
 
     # -- action application --------------------------------------------
@@ -150,23 +141,26 @@ class GComplex:
         return frozenset(self.complex.order[p[i]] for p in self.perm)
 
     def isotropy(self, simplex: Simplex) -> Subgroup:
-        """Pointwise stabilizer of the simplex."""
-        return self._subgroup_of_mask(self._fixer_mask(simplex))
+        """Pointwise stabilizer of the simplex: the AND of its vertices' masks."""
+        full = (1 << self.group.order) - 1
+        return self._subgroup_of_mask(reduce(and_, map(self.fixers.__getitem__, simplex), full))
+
+    @cached_property
+    def _vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
+        seen: set[int] = set()
+        orbits = []
+        for v in self.complex.vertices:
+            if v in seen:
+                continue
+            orb = {self.action[g][v] for g in range(self.group.order)}
+            seen |= orb
+            orbits.append(tuple(sorted(orb)))
+        orbits.sort(key=lambda o: o[0])
+        return tuple(orbits)
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Vertex orbits sorted by least member."""
-        if "vertex_orbits" not in self._caches:
-            seen: set[int] = set()
-            orbits = []
-            for v in self.complex.vertices:
-                if v in seen:
-                    continue
-                orb = {self.action[g][v] for g in range(self.group.order)}
-                seen |= orb
-                orbits.append(tuple(sorted(orb)))
-            orbits.sort(key=lambda o: o[0])
-            self._caches["vertex_orbits"] = tuple(orbits)
-        return self._caches["vertex_orbits"]  # type: ignore[return-value]
+        return self._vertex_orbits
 
 
 def _simplex_perm(
@@ -320,12 +314,14 @@ def _orbit_walk(X: GComplex) -> OrbitWalk:
     order, perm = X.complex.order, X.perm
     images: set[Simplex] = set()
     seen = bytearray(len(order))
+    first = bytearray(len(order))
     failure = None
     for i, s in enumerate(order):
         if seen[i]:
             continue
         for p in perm:
             seen[p[i]] = 1
+        first[i] = 1
         img = tuple(sorted(map(vertex_orbit.__getitem__, s)))
         if len(set(img)) != len(s):
             failure = "regular action produced a degenerate quotient simplex"
@@ -334,7 +330,7 @@ def _orbit_walk(X: GComplex) -> OrbitWalk:
         if failure is not None:
             break
         images.add(img)
-    return OrbitWalk(vertex_orbit, images, failure)
+    return OrbitWalk(vertex_orbit, images, first, failure)
 
 
 def is_regular(X: GComplex) -> bool:
@@ -359,14 +355,8 @@ def regularize(X: GComplex) -> GComplex:
         if current.subdivisions == X.subdivisions + 2:
             raise DefectError("two barycentric subdivisions did not regularize the action")
         current = _subdivide(current)
-    regular = GComplex(
-        current.complex,
-        current.group,
-        current.action,
-        regular=True,
-        subdivisions=current.subdivisions,
-    )
-    regular._caches = current._caches
+    regular = copy.copy(current)
+    regular.regular = True
     return regular
 
 
@@ -381,20 +371,25 @@ def _require_regular(X: GComplex) -> None:
 
 @dataclass(frozen=True)
 class FixedSubcomplex:
-    """The full subcomplex of H-fixed vertices in `complex`; its components
-    are found on first use."""
+    """The full subcomplex of H-fixed vertices in `complex`, given by its
+    ascending simplex positions; its simplices and components are found on
+    first use."""
 
     complex: SimplicialComplex = field(repr=False)
-    simplices: frozenset[Simplex]
+    positions: tuple[int, ...]
+
+    @cached_property
+    def simplices(self) -> frozenset[Simplex]:
+        return _simplices(self.complex.order, self.positions)
 
     @cached_property
     def components(self) -> tuple[frozenset[Simplex], ...]:
-        order, index = self.complex.order, self.complex.index
-        positions = map(index.__getitem__, self.simplices)
-        return tuple(_simplices(order, c) for c in connected_components(self.complex, positions))
+        order = self.complex.order
+        components = connected_components(self.complex, self.positions)
+        return tuple(_simplices(order, c) for c in components)
 
     def euler_characteristic(self) -> int:
-        return euler_characteristic(self.simplices)
+        return self.complex.euler(self.positions)
 
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
@@ -405,9 +400,8 @@ def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
     Components are listed canonically (by least simplex).
     """
     hmask = sum(1 << h for h in H.elements)
-    return FixedSubcomplex(
-        X.complex, frozenset(s for s, m in zip(X.complex.order, X.masks) if m & hmask == hmask)
-    )
+    fixed = [i for i, m in enumerate(X.masks) if m & hmask == hmask]
+    return FixedSubcomplex(X.complex, tuple(fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +411,10 @@ def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
 @dataclass
 class StratumComponent:
     """One component of a stratum relative to the group: the saturation of an
-    orbit of pieces of the H-fixed part."""
+    orbit of pieces of the H-fixed part.  Its closure and lower part are
+    G-invariant, so their images Q_cl and Q_low in the orbit space have one
+    simplex per simplex orbit: `closure_euler` and `lower_euler` are chi(Q_cl)
+    and chi(Q_low), counted on the orbits' first positions."""
 
     index: int
     piece_indices: tuple[int, ...]
@@ -426,6 +423,8 @@ class StratumComponent:
     codim: int
     closure: frozenset[Simplex]
     lower: frozenset[Simplex]  # closure minus the open component
+    closure_euler: int
+    lower_euler: int
 
 
 @dataclass
@@ -469,7 +468,7 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     _require_regular(X)
     K = X.complex
     order, perm = K.order, X.perm
-    masks = X.masks
+    masks, first = X.masks, X.walk.first
     at_mask = {m: list(compress(range(len(order)), map(eq, masks, repeat(m)))) for m in set(masks)}
     by_class: dict[tuple[int, ...], list[int]] = {}
     for m, positions in at_mask.items():
@@ -505,6 +504,7 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                     swept.update(map(p.__getitem__, pieces[pid]))
             swept &= member_set
             closure = K.closure(swept)
+            lower = closure - swept
             if j == 0:
                 for c in closure:
                     covered[c] = 1
@@ -516,7 +516,9 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 dim=dim,
                 codim=ambient_dim - dim,
                 closure=_simplices(order, closure),
-                lower=_simplices(order, closure - swept),
+                lower=_simplices(order, lower),
+                closure_euler=K.euler(filter(first.__getitem__, closure)),
+                lower_euler=K.euler(filter(first.__getitem__, lower)),
             )
             components.append(comp)
         stratum_dim = len(order[members[-1]]) - 1  # members ascend in canonical order
@@ -545,6 +547,9 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
         raise ValidationError(
             "principal stratum is not dense: some simplex is not a face of a principal simplex"
         )
+    # the Euler counts above hold only if the walk found the action regular
+    if X.walk.failure is not None:
+        raise DefectError(X.walk.failure)
     return Stratification(tuple(strata), ambient_dim)
 
 
@@ -567,7 +572,9 @@ class OrbitSpace:
 
 def orbit_space(X: GComplex) -> OrbitSpace:
     """The quotient complex on vertex orbits (requires regularity, which makes
-    simplex orbits and quotient simplices correspond bijectively)."""
+    simplex orbits and quotient simplices correspond bijectively).  The images
+    are closed under faces: a face of the image of s is the image of a face t
+    of s, which is the image of every simplex in the orbit of t."""
     _require_regular(X)
     walk = X.walk
     if walk.failure is not None:

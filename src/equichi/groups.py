@@ -10,11 +10,12 @@ explicit table keep the given ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import DefectError, ValidationError
+from .errors import ValidationError
 
 DEFAULT_SIZE_CAP = 256
 
@@ -40,6 +41,7 @@ class FiniteGroup:
             self.identity = self._find_identity()
         else:
             self._validate()  # finds the identity between its checks
+        self._inverse = tuple(row.index(self.identity) for row in self.table)
         if not generators:
             generators = tuple(e for e in range(self.order) if e != self.identity)
         self.generators = tuple(generators)
@@ -49,7 +51,6 @@ class FiniteGroup:
             )
         self._char_table = None
         self._subgroup_groups: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
-        self._caches: dict[str, object] = {}
 
     # -- construction-time validation ----------------------------------
 
@@ -123,15 +124,12 @@ class FiniteGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        row = self.table[a]
-        for b in range(self.order):
-            if row[b] == self.identity:
-                return b
-        raise DefectError(f"element {a} has no inverse")
+        return self._inverse[a]
 
     def conjugate(self, g: int, a: int) -> int:
         """g * a * g^-1."""
-        return self.mul(self.mul(g, a), self.inv(g))
+        t = self.table
+        return t[t[g][a]][self._inverse[g]]
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -140,50 +138,45 @@ class FiniteGroup:
             k += 1
         return k
 
-    @property
+    @cached_property
     def exponent(self) -> int:
-        if "exponent" not in self._caches:
-            exp = 1
-            for a in range(self.order):
-                exp = lcm(exp, self.element_order(a))
-            self._caches["exponent"] = exp
-        return self._caches["exponent"]  # type: ignore[return-value]
+        exp = 1
+        for a in range(self.order):
+            exp = lcm(exp, self.element_order(a))
+        return exp
 
     def is_abelian(self) -> bool:
-        if "abelian" not in self._caches:
-            t = self.table
-            self._caches["abelian"] = all(
-                t[a][b] == t[b][a] for a in range(self.order) for b in range(a)
-            )
-        return self._caches["abelian"]  # type: ignore[return-value]
+        t = self.table
+        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
     # -- conjugacy classes ----------------------------------------------
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The conjugacy classes in canonical order and each element's class."""
+        seen = [False] * self.order
+        classes = []
+        for a in range(self.order):
+            if seen[a]:
+                continue
+            cls = {self.conjugate(g, a) for g in range(self.order)}
+            for x in cls:
+                seen[x] = True
+            classes.append(tuple(sorted(cls)))
+        classes.sort(key=lambda c: (len(c), c[0]))
+        class_of = [0] * self.order
+        for j, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = j
+        return tuple(classes), tuple(class_of)
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugacy classes in canonical order: sorted by (size, least element id).
         Each class lists its element ids ascending."""
-        if "classes" not in self._caches:
-            seen = [False] * self.order
-            classes = []
-            for a in range(self.order):
-                if seen[a]:
-                    continue
-                cls = {self.conjugate(g, a) for g in range(self.order)}
-                for x in cls:
-                    seen[x] = True
-                classes.append(tuple(sorted(cls)))
-            classes.sort(key=lambda c: (len(c), c[0]))
-            self._caches["classes"] = tuple(classes)
-            class_of = [0] * self.order
-            for j, cls in enumerate(classes):
-                for x in cls:
-                    class_of[x] = j
-            self._caches["class_of"] = tuple(class_of)
-        return self._caches["classes"]  # type: ignore[return-value]
+        return self._classes[0]
 
     def class_of(self, a: int) -> int:
-        self.conjugacy_classes()
-        return self._caches["class_of"][a]  # type: ignore[index]
+        return self._classes[1][a]
 
     def class_representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.conjugacy_classes())

@@ -48,7 +48,8 @@ from .groups import (
 )
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
+# canonical decimals only (str(int(k)) == k), so "1" and "01" are not one id
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def canonical_json(obj: Any) -> str:
@@ -77,8 +78,9 @@ def _require(data: dict, key: str, where: str) -> Any:
 
 def _ids(values: Iterable[Any], keys: bool = False) -> list[int]:
     """Integer ids read from JSON: JSON integers, or, when the ids are object
-    keys (`keys=True`), the decimal strings of integers.  Anything else, a
-    float or a bool included, raises ValueError, never a truncated id."""
+    keys (`keys=True`), the canonical decimal strings of integers.  Anything
+    else, a float, a bool or a key such as "01" or "-0" included, raises
+    ValueError, never a truncated or merged id."""
     out = list(values)
     if keys:
         out = [int(v) if isinstance(v, str) and _DECIMAL.fullmatch(v) else v for v in out]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from operator import eq
 
 from .characters import ClassFunction, character_table, inner_product
-from .complexes import euler_characteristic
 from .cyclotomic import Cyc
 from .errors import DefectError, ValidationError
 from .gcomplex import GComplex, fixed_subcomplex

@@ -30,15 +30,13 @@ from .characters import (
     restrict,
     trivial_character,
 )
-from .complexes import euler_characteristic, euler_of_complex
+from .complexes import euler_of_complex
 from .errors import CodimensionError, DefectError, ValidationError
 from .gcomplex import (
     GComplex,
-    OrbitSpace,
     Stratification,
     Stratum,
     StratumComponent,
-    orbit_space,
     orbit_type_stratification,
     orientation_character,
     regularize,
@@ -173,7 +171,6 @@ class StrataGeometry:
 
     group: FiniteGroup
     stratification: Stratification
-    orbit_space: OrbitSpace
     principal_relative: int
     components: tuple[ComponentGeometry, ...]
 
@@ -211,12 +208,8 @@ def strata_geometry(X: GComplex) -> StrataGeometry:
     if not X.regular:
         raise ValidationError("the stratified sum requires a regularized complex")
     strat = orbit_type_stratification(X)
-    Q = orbit_space(X)
-    singular_simplices = frozenset(
-        s for stratum in strat.singular for s in stratum.simplices
-    )
-    q_sing = Q.project(singular_simplices)
-    principal_rel = euler_of_complex(Q.complex) - euler_characteristic(q_sing)
+    # Q minus Q_sing is the image of the open principal components
+    principal_rel = sum(c.closure_euler - c.lower_euler for c in strat.principal.components)
     components: list[ComponentGeometry] = []
     for stratum in strat.singular:
         for component in stratum.components:
@@ -234,19 +227,16 @@ def strata_geometry(X: GComplex) -> StrataGeometry:
                 raise DefectError(
                     "basepoint isotropy differs from the stratum isotropy"
                 )
-            rel = euler_characteristic(Q.project(component.closure)) - (
-                euler_characteristic(Q.project(component.lower))
-            )
             components.append(
                 ComponentGeometry(
                     stratum=stratum,
                     component=component,
                     sign_character=eps.class_function(),
                     sign_character_trivial=eps.is_trivial(),
-                    relative=rel,
+                    relative=component.closure_euler - component.lower_euler,
                 )
             )
-    return StrataGeometry(X.group, strat, Q, principal_rel, tuple(components))
+    return StrataGeometry(X.group, strat, principal_rel, tuple(components))
 
 
 def equivariant_euler_via_strata(X: GComplex, rho: Character) -> StrataEulerBreakdown:

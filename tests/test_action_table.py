@@ -10,12 +10,16 @@ from itertools import combinations, permutations
 import pytest
 
 from equichi import (
+    CodimensionError,
     DefectError,
     SimplicialComplex,
     ValidationError,
     build_gcomplex,
     character_table,
     corpus,
+    euler_characteristic,
+    euler_of_complex,
+    fixed_subcomplex,
     group_from_permutations,
     is_regular,
     orbit_space,
@@ -26,7 +30,9 @@ from equichi import (
 from equichi.cli import main
 from equichi.gcomplex import GComplex
 from equichi.jsonio import group_from_json
+from equichi.groups import all_subgroups
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
+from equichi.strataformula import strata_geometry
 
 # ---------------------------------------------------------------------------
 # actions as plain data: maximal simplices plus one vertex map per generator
@@ -246,6 +252,25 @@ def check_orbit_space(R):
     assert Q.complex.simplices == frozenset(
         tuple(sorted(quotient_id[v] for v in s)) for s in R.complex.simplices
     )
+    # the Euler numbers of the quotient, counted on simplex positions,
+    # against the projected simplices
+    st = orbit_type_stratification(R)
+    for stratum in st.strata:
+        for c in stratum.components:
+            assert c.closure_euler == euler_characteristic(Q.project(c.closure))
+            assert c.lower_euler == euler_characteristic(Q.project(c.lower))
+    singular = {s for stratum in st.singular for s in stratum.simplices}
+    try:
+        geometry = strata_geometry(R)
+    except CodimensionError:
+        assert any(c.codim < 2 for stratum in st.singular for c in stratum.components)
+    else:
+        assert geometry.principal_relative == (
+            euler_of_complex(Q.complex) - euler_characteristic(Q.project(singular))
+        )
+    for H in all_subgroups(R.group):
+        fixed = fixed_subcomplex(R, H)
+        assert fixed.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in fixed.simplices)
 
 
 @pytest.mark.parametrize("G, maximal, maps", list(parity_actions()))
@@ -337,6 +362,50 @@ def test_orbit_walk_matches_reference_on_non_regular_actions(name):
     assert not reference_regularity(X)[0]
     check_regularity(X)
     check_regularity(regularize(X))
+
+
+# what the stratified route raises on each action above, built flagged
+# regular: (strata_geometry, verify_strata_vs_oracle)
+NON_REGULAR_FAILURES = {
+    "flipped-edge": (
+        (DefectError, "regular action produced a degenerate quotient simplex"),
+        (DefectError, "Lefschetz number disagreement at element 1: trace -1 vs fixed-set 0"),
+    ),
+    "flipped-second-edge": (
+        (
+            ValidationError,
+            "principal stratum is not dense: some simplex is not a face of a principal simplex",
+        ),
+        (DefectError, "Lefschetz number disagreement at element 1: trace 0 vs fixed-set 1"),
+    ),
+    "s3-triangle-boundary": (
+        (DefectError, "regular action produced a degenerate quotient simplex"),
+        (DefectError, "Lefschetz number disagreement at element 1: trace 0 vs fixed-set 1"),
+    ),
+    "rotated-triangle-boundary": (
+        (DefectError, "regular action produced a degenerate quotient simplex"),
+        (DefectError, "regular action produced a degenerate quotient simplex"),
+    ),
+    "half-turn-square": (
+        (DefectError, "quotient conflated distinct simplex orbits"),
+        (DefectError, "quotient conflated distinct simplex orbits"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_REGULAR_ACTIONS))
+def test_stratified_route_rejects_non_regular_actions_flagged_regular(name):
+    gens, maximal, images = NON_REGULAR_ACTIONS[name]
+    G = group_from_permutations(gens)
+    X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
+    for run, (kind, text) in zip(
+        (strata_geometry, verify_strata_vs_oracle), NON_REGULAR_FAILURES[name]
+    ):
+        flagged = GComplex(X.complex, X.group, X.action, regular=True)
+        with pytest.raises(kind) as err:
+            run(flagged)
+        assert type(err.value) is kind
+        assert str(err.value) == text
 
 
 def test_s3_case_violates_regularity_away_from_the_orbit_probe():

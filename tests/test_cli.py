@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import equichi
-from equichi import cli, corpus, gcomplex, strataformula
+from equichi import cli, complexes, corpus, gcomplex, strataformula
 from equichi.cli import main
 
 BETA_DATA = {
@@ -150,7 +150,8 @@ def test_strata_codimension_guard(tmp_path, capsys):
 
 
 def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
-    calls = {"stratify": 0, "orbit_space": 0}
+    calls = {"stratify": 0}
+    built = []  # every SimplicialComplex constructed, in order
 
     def counted(name, fn):
         def wrapper(X):
@@ -165,22 +166,33 @@ def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
             "orbit_type_stratification",
             counted("stratify", gcomplex.orbit_type_stratification),
         )
-        monkeypatch.setattr(
-            module, "orbit_space", counted("orbit_space", gcomplex.orbit_space)
-        )
+    construct = complexes.SimplicialComplex.__init__
+
+    def recorded(self, simplices):
+        construct(self, simplices)
+        built.append(self)
+
+    monkeypatch.setattr(complexes.SimplicialComplex, "__init__", recorded)
+    # the orbit space is counted, never built: only the input and each
+    # subdivision are complexes
     report = strataformula.verify_strata_vs_oracle(
         corpus.load_case("s2-klein-four").gcomplex
     )
     assert len(report.rows) == 4
     assert report.all_match
-    assert calls == {"stratify": 1, "orbit_space": 1}
+    assert calls == {"stratify": 1}
+    assert report.subdivisions > 0
+    assert len(built) == 1 + report.subdivisions
 
-    calls.update(stratify=0, orbit_space=0)
+    calls.update(stratify=0)
+    built.clear()
     gpath, cpath = write_case_files(tmp_path, "s2-klein-four")
     code, out, _ = run_cli(["strata", "--group", gpath, "--complex", cpath], capsys)
     assert code == 0
-    assert len(json.loads(out)["breakdowns"]) == 4
-    assert calls == {"stratify": 1, "orbit_space": 1}
+    payload = json.loads(out)
+    assert len(payload["breakdowns"]) == 4
+    assert calls == {"stratify": 1}
+    assert len(built) == 1 + payload["subdivisions"]
 
 
 C2_GROUP = {"permutation_generators": [[1, 0]]}
@@ -226,6 +238,7 @@ def with_coefficient(pair, cls=1):
         (C2_GROUP, dict(C2_EDGE, action={"generator_images": [{"0.0": 1, "1": 0}]})),
         (dict(C2_GROUP, character_table=dict(C2_TABLE, conductor=2.0)), C2_EDGE),
         (dict(C2_GROUP, character_table=with_coefficient([-1.0, 1])), C2_EDGE),
+        (C2_GROUP, dict(C2_EDGE, action={"generator_images": [{"0": 1, "1": 0, "01": 0}]})),
     ],
     ids=["maximal-not-a-list", "vertex-not-an-integer", "generator-out-of-range",
          "table-without-rows", "table-not-an-object", "rows-not-a-list",
@@ -235,7 +248,7 @@ def with_coefficient(pair, cls=1):
          "images-not-a-list", "generator-float", "generator-bool",
          "table-entry-float", "permutation-entry-float", "permutation-entry-bool",
          "vertex-float", "image-entry-float", "image-value-bool", "image-key-float",
-         "conductor-float", "coefficient-float"],
+         "conductor-float", "coefficient-float", "image-key-not-canonical"],
 )
 def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data):
     gpath = tmp_path / "group.json"
@@ -322,12 +335,17 @@ def beta_with(**changes):
         ("assemble", beta_with(entry={"h": None})),
         ("assemble", beta_with(entry={"rank": [1]})),
         ("assemble", beta_with(dim=None)),
+        ("fine-decomp", bundle_with(components=[{"id": "a0", "multiplicities": {"0": 1, "1": 1, "01": 1}}])),
+        ("fine-decomp", bundle_with(components=[{"id": "a0", "multiplicities": {"0": 1, "1": 1, "-0": 1}}])),
+        ("assemble", {"per_rho": {"1": BETA_DATA, "01": PER_RHO_DATA["per_rho"]["0"]}}),
+        ("assemble", {"per_rho": {"0": BETA_DATA, "-0": BETA_DATA}}),
     ],
     ids=["multiplicity-float", "multiplicity-bool", "H-not-an-object",
          "components-not-a-list", "component-action-a-list",
          "component-moves-not-an-object", "dim-float", "n_b-float", "rank-float",
          "h-float", "strata-not-a-list", "entries-not-a-list", "n_b-string",
-         "h-null", "rank-a-list", "dim-null"],
+         "h-null", "rank-a-list", "dim-null", "multiplicity-key-leading-zero",
+         "multiplicity-key-minus-zero", "per-rho-key-leading-zero", "per-rho-key-minus-zero"],
 )
 def test_malformed_bundle_and_index_input_is_invalid(tmp_path, capsys, command, data):
     path = tmp_path / "data.json"
