@@ -1,12 +1,17 @@
 """Class functions, irreducible characters, and exact character tables.
 
-Tables are computed by the class-sum matrix method: the structure constants
-of the class sums give commuting integer matrices whose common eigenvectors
-are the central characters.  The splitting is performed modulo a
-deterministic prime p = 1 (mod exponent), p > 2*sqrt(|G|); character values
-are then reconstructed exactly as root-of-unity multiplicity vectors (the
-multiplicities are integers below p, so the modular computation determines
-them), and the finished table is certified exactly.  Any failure of the
+Tables are computed by the class-sum matrix method (Dixon, Numer. Math. 10,
+1967): the structure constants of the class sums give commuting integer
+matrices whose common eigenvectors are the central characters.  The
+splitting is performed modulo a deterministic prime p = 1 (mod exponent),
+p > 2*sqrt(|G|).  Each class matrix, restricted to an eigenspace found so
+far, splits it only at the roots of its characteristic polynomial, taken on
+its Hessenberg form.  Character values are then reconstructed exactly as
+root-of-unity multiplicity vectors (the multiplicities are integers below
+p, so the modular computation determines them), as integer vectors, once
+per Galois orbit of classes: chi(g^a) = sigma_a(chi(g)) for a prime to the
+order of g (Isaacs, Character Theory of Finite Groups) gives the rest of
+the orbit.  The finished table is certified exactly.  Any failure of the
 splitting or of the certification is a defect, never a data error.
 
 Certification is one matrix identity over Z[zeta_n], n the lcm of the
@@ -19,8 +24,11 @@ reduced mod Phi_n once and compared with |G| D_i D_j delta_ij.  Reduction
 mod Phi_n is a ring map and conjugation a Galois automorphism, so the check
 is exact.  `inner_product` runs the same kernel on two class functions.
 Orthonormal rows need not be characters (scale a column by a unit complex
-number), so certification then requires every value to be an algebraic
-integer and one row to be the trivial character.
+number, or swap two columns of equal class size), so certification then
+requires every value to be an algebraic integer, one row to be the trivial
+character, and every row to satisfy the class algebra identity
+|C_i| chi(g_i) chi(g_j) = chi(1) sum_{x in C_i} chi(x g_j) for enough
+classes i to tell the rows apart, which makes each row a character of G.
 
 Enumeration order of the irreducibles: ascending degree, then lexicographic
 order of the value rows, each value keyed by its canonical coefficient tuple
@@ -31,9 +39,9 @@ deterministic and recorded in serialized tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import Cyc, reduce_mod_phi
@@ -114,13 +122,9 @@ def _lift_values(values: Sequence[Cyc], n: int) -> _Lifted:
     """Values at conductor n as sparse (exponent, integer coefficient) pairs,
     all scaled by one common denominator D (1 unless a coefficient is
     fractional).  Returns (D, pairs per value)."""
-    D = lcm(1, *(c.denominator for v in values for c in v.coeffs if c))
+    D = lcm(1, *(v.den for v in values))
     return D, tuple(
-        tuple(
-            (k * (n // v.n), c.numerator * (D // c.denominator))
-            for k, c in enumerate(v.coeffs)
-            if c
-        )
+        tuple((k * (n // v.n), c * (D // v.den)) for k, c in enumerate(v.num) if c)
         for v in values
     )
 
@@ -146,8 +150,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyc:
     n = _conductor(a.values, b.values)
     la, lb = _lift_values(a.values, n), _lift_values(b.values, n)
     sizes = [len(c) for c in G.conjugacy_classes()]
-    den = G.order * la[0] * lb[0]
-    return Cyc(n, [Fraction(c, den) for c in _pairing(la, lb, sizes, n)])
+    return Cyc.from_ints(n, _pairing(la, lb, sizes, n), G.order * la[0] * lb[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,37 +216,128 @@ def decompose(cf: ClassFunction) -> tuple[tuple[Character, int], ...]:
 # modular linear algebra (small, exact over F_p)
 
 
-def _nullspace_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of the right nullspace of the matrix over F_p."""
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
+def _nullspace_mod_p(mat: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Basis of the right nullspace of the matrix over F_p, one vector per
+    free column; the rows of mat are overwritten.  Forward elimination
+    touches only the rows that are nonzero in the pivot column, and only
+    their entries right of it, so on a Hessenberg matrix it costs O(n^2);
+    back substitution then solves for the pivot columns."""
+    pivots: list[tuple[int, list[int]]] = []  # (column, row right of it, pivot scaled to 1)
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % p:
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+        tail = [(v * inv) % p for v in mat[r][c + 1:]]
+        for row in mat[r + 1:]:
+            f = row[c]
+            if f:  # columns up to c of this row are not read again
+                row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], tail)]
+        pivots.append((c, tail))
+    free = sorted(set(range(ncols)).difference(c for c, _ in pivots))
     basis = []
     for fc in free:
         vec = [0] * ncols
         vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-mat[i][fc]) % p
+        for c, tail in reversed(pivots):
+            vec[c] = -sum(map(mul, tail, vec[c + 1:])) % p
         basis.append(vec)
     return basis
+
+
+def _unit_pivots(vectors: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
+    """Row-reduce linearly independent vectors over F_p: the pivot columns
+    and the reduced vectors, each 1 at its own pivot and 0 at the others,
+    spanning the same space."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        for c, row in zip(pivots, rows):
+            f = vec[c]
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
+        c = next(i for i, x in enumerate(vec) if x)
+        inv = pow(vec[c], p - 2, p)
+        vec = [(x * inv) % p for x in vec]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, vec)]
+        pivots.append(c)
+        rows.append(vec)
+    return pivots, rows
+
+
+def _hessenberg_mod_p(mat: list[list[int]], p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Upper Hessenberg form H = Q^-1 M Q over F_p by elementary similarity
+    transforms (Cohen, A Course in Computational Algebraic Number Theory,
+    2.2.9), together with Q.  It divides only by entries of M, never by an
+    integer up to the size, so it works for any size, also at or above p
+    (C2^4 has 16 classes at p = 11)."""
+    n = len(mat)
+    H = [row[:] for row in mat]
+    Q = [[int(i == j) for j in range(n)] for i in range(n)]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            H[i], H[m] = H[m], H[i]
+            for row in chain(H, Q):
+                row[i], row[m] = row[m], row[i]
+        inv = pow(H[m][m - 1], p - 2, p)
+        for i in range(m + 1, n):
+            u = (H[i][m - 1] * inv) % p
+            if u:
+                # row i -= u * row m, then column m += u * column i
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
+                for row in chain(H, Q):
+                    row[m] = (row[m] + u * row[i]) % p
+    return H, Q
+
+
+def _charpoly_hessenberg(H: list[list[int]], p: int) -> list[int]:
+    """det(xI - H) over F_p for upper Hessenberg H, ascending coefficients,
+    by the recurrence on its leading principal minors."""
+    polys = [[1]]
+    for m in range(len(H)):
+        prev = polys[m]
+        new = [0] + prev
+        for d, c in enumerate(prev):
+            new[d] = (new[d] - H[m][m] * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = (t * H[i + 1][i]) % p
+            if not t:
+                break
+            c = (H[i][m] * t) % p
+            if c:
+                for d, q in enumerate(polys[i]):
+                    new[d] = (new[d] - c * q) % p
+        polys.append(new)
+    return polys[-1]
+
+
+def _roots_mod_p(poly: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a monic polynomial (ascending
+    coefficients), in ascending order.  Each root is divided out as often as
+    it divides; the scan stops once the quotient is constant."""
+    roots: list[int] = []
+    lam = 0
+    while len(poly) > 1 and lam < p:
+        acc, quotient = 0, []
+        for c in reversed(poly):
+            acc = (acc * lam + c) % p
+            quotient.append(acc)
+        if quotient.pop():
+            lam += 1
+            continue
+        poly = quotient[::-1]
+        if roots[-1:] != [lam]:
+            roots.append(lam)
+    return roots
 
 
 def _is_prime(n: int) -> bool:
@@ -286,80 +380,86 @@ def _root_of_unity_mod_p(exponent: int, p: int) -> int:
 # character table
 
 
-def _structure_constants(G: FiniteGroup) -> list[list[list[int]]]:
-    """a[i][j][k] with C_i C_j = sum_k a[i][j][k] C_k in the class algebra."""
+def _class_matrices(G: FiniteGroup) -> list[list[list[tuple[int, int]]]]:
+    """Per class i, the class matrix as sparse rows: row j lists the pairs
+    (m, a_ijm), a_ijm != 0, with C_i C_j = sum_m a_ijm C_m in the class
+    algebra.  The number of pairs (x, y) in C_i x C_j with xy = z must be
+    the same for every z in C_m, and it is checked to be.  Only nonzero
+    counts are kept, so the cost is O(|G|^2), not O(k^3)."""
     classes = G.conjugacy_classes()
-    k = len(classes)
-    sizes = [len(c) for c in classes]
-    counts = [[[0] * k for _ in range(k)] for _ in range(k)]
     class_of = [G.class_of(x) for x in range(G.order)]
-    for x in range(G.order):
-        cx = class_of[x]
-        row = G.table[x]
-        for y in range(G.order):
-            counts[cx][class_of[y]][class_of[row[y]]] += 1
-    for i in range(k):
-        for j in range(k):
-            for m in range(k):
-                total = counts[i][j][m]
-                if total % sizes[m]:
-                    raise DefectError("class algebra structure constants not integral")
-                counts[i][j][m] = total // sizes[m]
-    return counts
+    matrices = []
+    for cls in classes:
+        counts: dict[tuple[int, int], int] = {}
+        for x in cls:
+            for y, xy in enumerate(G.table[x]):
+                key = (class_of[y], class_of[xy])
+                counts[key] = counts.get(key, 0) + 1
+        rows: list[list[tuple[int, int]]] = [[] for _ in classes]
+        for (j, m), total in counts.items():
+            a, rest = divmod(total, len(classes[m]))
+            if rest:
+                raise DefectError("class algebra structure constants not integral")
+            rows[j].append((m, a))
+        matrices.append(rows)
+    return matrices
 
 
 def _split_central_characters(G: FiniteGroup, p: int) -> list[list[int]]:
     """Common eigenvectors (mod p) of the class-sum matrices, normalized so the
-    identity-class coordinate is 1.  Returns one vector per irreducible."""
-    classes = G.conjugacy_classes()
-    k = len(classes)
-    a = _structure_constants(G)
-    # matrices[i][j][m] = a[i][j][m]; eigen relation: M_i . omega = omega_i . omega
-    subspaces: list[list[list[int]]] = [[[1 if r == c else 0 for r in range(k)] for c in range(k)]]
-    # each subspace is a list of basis column vectors of length k
+    identity-class coordinate is 1.  Returns one vector per irreducible.
+
+    Each class matrix in turn splits every common eigenspace found so far.
+    A space is kept as basis vectors of length k, each 1 at its own pivot
+    coordinate and 0 at the others' pivots, so the class matrix restricted
+    to the space is the dim x dim matrix R of the pivot coordinates of the
+    images of the basis.  Nullspaces are taken only at the roots of the
+    characteristic polynomial of R, in ascending order, on its Hessenberg
+    form H = Q^-1 R Q, where each costs O(dim^2), and mapped back by Q.
+    """
+    k = len(G.conjugacy_classes())
+    matrices = _class_matrices(G)
+    subspaces = [(list(range(k)), [[int(r == c) for r in range(k)] for c in range(k)])]
     for i in range(1, k):
-        if all(len(w) == 1 for w in subspaces):
+        if all(len(basis) == 1 for _, basis in subspaces):
             break
-        mat = a[i]
-        refined: list[list[list[int]]] = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                refined.append(basis)
+        mat = matrices[i]  # eigen relation: mat . omega = omega_i . omega
+        refined: list[tuple[list[int], list[list[int]]]] = []
+        for pivots, basis in subspaces:
+            dim = len(basis)
+            if dim == 1:
+                refined.append((pivots, basis))
                 continue
-            images = []
-            for vec in basis:
-                img = [sum(mat[j][m] * vec[m] for m in range(k)) % p for j in range(k)]
-                images.append(img)
+            R = [[sum(x * vec[m] for m, x in mat[r]) % p for vec in basis] for r in pivots]
+            H, Q = _hessenberg_mod_p(R, p)
+            columns = list(zip(*basis))
             consumed = 0
-            for lam in range(p):
-                rows = [
-                    [(images[t][j] - lam * basis[t][j]) % p for t in range(len(basis))]
-                    for j in range(k)
+            for lam in _roots_mod_p(_charpoly_hessenberg(H, p), p):
+                shifted = [
+                    [(h - lam) % p if s == t else h for t, h in enumerate(row)]
+                    for s, row in enumerate(H)
                 ]
-                kernel = _nullspace_mod_p(rows, len(basis), p)
-                if not kernel:
-                    continue
-                newbasis = []
-                for coeffs in kernel:
-                    vec = [
-                        sum(coeffs[t] * basis[t][j] for t in range(len(basis))) % p
-                        for j in range(k)
-                    ]
-                    newbasis.append(vec)
-                refined.append(newbasis)
-                consumed += len(newbasis)
-                if consumed == len(basis):
-                    break
-            if consumed != len(basis):
+                kernel = [
+                    [sum(map(mul, qrow, vec)) % p for qrow in Q]
+                    for vec in _nullspace_mod_p(shifted, dim, p)
+                ]
+                cols, coords = _unit_pivots(kernel, p)
+                newbasis = [
+                    [sum(map(mul, cv, column)) % p for column in columns]
+                    for cv in coords
+                ]
+                refined.append(([pivots[c] for c in cols], newbasis))
+                consumed += len(kernel)
+            if consumed != dim:
                 raise DefectError("class-sum eigenvector splitting did not exhaust a subspace")
         subspaces = refined
-    if not all(len(w) == 1 for w in subspaces):
+    if not all(len(basis) == 1 for _, basis in subspaces):
         raise DefectError("class-sum eigenvector splitting did not fully diagonalize")
     if len(subspaces) != k:
         raise DefectError("wrong number of central characters")
     identity_class = G.class_of(G.identity)
     result = []
-    for (vec,) in subspaces:
+    for _, (vec,) in subspaces:
         v0 = vec[identity_class] % p
         if v0 == 0:
             raise DefectError("central character vanishes on the identity class")
@@ -368,60 +468,70 @@ def _split_central_characters(G: FiniteGroup, p: int) -> list[list[int]]:
     return result
 
 
-def _lift_character(
-    G: FiniteGroup, omega: list[int], p: int, zN: int
-) -> tuple[int, tuple[Cyc, ...]]:
-    """Exact character values from one modular central character."""
-    classes = G.conjugacy_classes()
-    sizes = [len(c) for c in classes]
-    reps = G.class_representatives()
+def _lift_characters(
+    G: FiniteGroup, omegas: list[list[int]], p: int
+) -> list[tuple[int, tuple[Cyc, ...]]]:
+    """Exact degrees and character values from the modular central characters.
+
+    The degree d solves d^2 * sum_j omega_j omega_{j*} / |C_j| = |G|.  Values
+    are lifted once per Galois orbit of classes, the classes of g^a for a
+    prime to the order m of g: a discrete Fourier transform at g gives the
+    multiplicity of each m-th root of unity among the eigenvalues of g (each
+    at most d, summing to d), and the class of g^a gets the same
+    multiplicities with exponent e moved to a*e mod N, since
+    chi(g^a) = sigma_a(chi(g)).  The inverse classes, the inverted class
+    sizes, the orbits and their transform matrices are built once per table;
+    `_certify_table` checks every value.
+    """
     N = G.exponent
-    inv_class = [G.class_of(G.inv(rep)) for rep in reps]
-    # degree: d^2 * sum_j omega_j omega_{j*} / |C_j| = |G|
-    s = 0
-    for j in range(len(classes)):
-        s = (s + omega[j] * omega[inv_class[j]] * pow(sizes[j], p - 2, p)) % p
-    if s == 0:
-        raise DefectError("degenerate norm in degree recovery")
-    d_sq = (G.order % p) * pow(s, p - 2, p) % p
-    d = None
-    for t in range(1, (p - 1) // 2 + 1):
-        if (t * t) % p == d_sq:
-            d = t
-            break
-    if d is None or d * d > G.order or G.order % d != 0:
-        raise DefectError("degree recovery failed")
-    chi_mod = [(d * omega[j] * pow(sizes[j], p - 2, p)) % p for j in range(len(classes))]
-    class_of_power: list[list[int]] = []
-    for rep in reps:
-        m = G.element_order(rep)
-        powers = []
-        x = G.identity
-        for _ in range(m):
-            powers.append(G.class_of(x))
-            x = G.mul(x, rep)
-        class_of_power.append(powers)
-    values = []
-    for j, rep in enumerate(reps):
-        m = G.element_order(rep)
-        zm = pow(zN, N // m, p)
-        zpows = [pow(zm, u, p) for u in range(m)]
-        chi_powers = [chi_mod[c] for c in class_of_power[j]]
-        inv_m = pow(m % p, p - 2, p)
-        coeffs = [Fraction(0)] * N
-        total = 0
-        for t in range(m):
-            acc = sum(chi_powers[s] * zpows[(-s * t) % m] for s in range(m))
-            mt = (acc * inv_m) % p
-            if mt > d:
-                raise DefectError("root-of-unity multiplicity exceeds the degree")
-            total += mt
-            if mt:
-                coeffs[(N // m) * t] += mt
-        if total != d:
-            raise DefectError("root-of-unity multiplicities do not sum to the degree")
-        values.append(Cyc(N, coeffs))
-    return d, tuple(values)
+    zN = _root_of_unity_mod_p(N, p)
+    size_inv = [pow(len(c), p - 2, p) for c in G.conjugacy_classes()]
+    powers = G.class_powers
+    inv_class = [pw[-1] for pw in powers]
+    orbits = []  # (classes of the powers of g, transform rows, N/m, (class of g^a, a) pairs)
+    seen: set[int] = set()
+    for j, pw in enumerate(powers):
+        if j in seen:
+            continue
+        m = len(pw)
+        images: dict[int, int] = {}
+        for a in range(1, m + 1):
+            if gcd(a, m) == 1:
+                images.setdefault(pw[a % m], a)
+        seen.update(images)
+        zpows = [pow(zN, (N // m) * u, p) for u in range(m)]
+        dft = [[zpows[(-s * t) % m] for s in range(m)] for t in range(m)]
+        orbits.append((pw, dft, N // m, tuple(images.items())))
+    raw = []
+    for omega in omegas:
+        s = sum(w * omega[c] * hinv for w, c, hinv in zip(omega, inv_class, size_inv)) % p
+        if s == 0:
+            raise DefectError("degenerate norm in degree recovery")
+        d_sq = (G.order % p) * pow(s, p - 2, p) % p
+        d = next((t for t in range(1, (p - 1) // 2 + 1) if (t * t) % p == d_sq), None)
+        if d is None or d * d > G.order or G.order % d != 0:
+            raise DefectError("degree recovery failed")
+        chi_mod = [(d * w * hinv) % p for w, hinv in zip(omega, size_inv)]
+        values: list = [None] * len(powers)  # the orbits partition the classes
+        for pw, dft, step, images in orbits:
+            chi_powers = [chi_mod[c] for c in pw]
+            inv_m = pow(len(pw), p - 2, p)
+            mults = []
+            for t, row in enumerate(dft):
+                mt = (sum(map(mul, chi_powers, row)) * inv_m) % p
+                if mt > d:
+                    raise DefectError("root-of-unity multiplicity exceeds the degree")
+                if mt:
+                    mults.append((step * t, mt))
+            if sum(mt for _, mt in mults) != d:
+                raise DefectError("root-of-unity multiplicities do not sum to the degree")
+            for c, a in images:
+                num = [0] * N
+                for e, mt in mults:
+                    num[(a * e) % N] = mt
+                values[c] = Cyc.from_ints(N, num)
+        raw.append((d, tuple(values)))
+    return raw
 
 
 def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> list[_Lifted]:
@@ -448,10 +558,76 @@ def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> list[_Lifted]:
     return lifted
 
 
+def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list[_Lifted]) -> None:
+    """Every row is a character of G, given the rest of `_certify_table`.
+
+    Each row must satisfy the class algebra identity
+        d * sum_{x in C_i} chi(x g_j) = |C_i| chi(g_i) chi(g_j),
+    which is 1/|C_j| times |C_i||C_j| chi_i chi_j = d sum_m a_ijm |C_m| chi_m,
+    for every class j and every i in a set S of classes whose values
+    chi_i / d tell the rows apart.  It is checked exactly, as a convolution
+    in Z[x]/(x^n - 1) reduced mod Phi_n, on the lifted rows (all integral
+    here).  Then omega = |C| chi / d is a common eigenvector of the class
+    matrices M_i, i in S.  Their common eigenspaces are spanned by the
+    central characters of the irreducibles, and k rows with distinct
+    eigenvalue tuples make each of them one-dimensional, so each omega is
+    the central character of one irreducible psi and chi = (d / psi(1)) psi;
+    orthonormality then forces d = psi(1).  Here d is the row's degree,
+    which both callers make its positive value at the identity.  S is chosen
+    greedily in class order; the Gram identity already implies that all
+    classes together tell the rows apart.
+    """
+    n = _conductor(*(chi.values for chi in rows))
+    classes = G.conjugacy_classes()
+    blocks = [list(range(len(rows)))]
+    chosen = []
+    for i in range(len(classes)):
+        if len(blocks) == len(rows):
+            break
+        parts: dict[tuple, list[int]] = {}
+        for block in blocks:
+            for r in block:
+                omega = (rows[r].values[i] / rows[r].degree).lift(n)
+                parts.setdefault((block[0], omega.num, omega.den), []).append(r)
+        if len(parts) > len(blocks):
+            chosen.append(i)
+            blocks = list(parts.values())
+    class_of = [G.class_of(x) for x in range(G.order)]
+    t = G.table
+    for i in chosen:
+        h = len(classes[i])
+        counts = []  # per class j: (class m, #{x in C_i : x g_j in C_m}) pairs
+        for g in G.class_representatives():
+            cnt: dict[int, int] = {}
+            for x in classes[i]:
+                m = class_of[t[x][g]]
+                cnt[m] = cnt.get(m, 0) + 1
+            counts.append(tuple(cnt.items()))
+        for r, (chi, (_, vals)) in enumerate(zip(rows, lifted)):
+            d = chi.degree
+            for j, cnt in enumerate(counts):
+                acc = [0] * n
+                for e, x in vals[i]:
+                    hx = h * x
+                    for f, y in vals[j]:
+                        acc[(e + f) % n] += hx * y
+                for m, c in cnt:
+                    dc = d * c
+                    for e, y in vals[m]:
+                        acc[e] -= dc * y
+                if any(acc) and any(reduce_mod_phi(n, acc)):
+                    raise DefectError(
+                        f"character row {r} violates the class algebra identity "
+                        f"at classes {i},{j}"
+                    )
+
+
 def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
-    """`_verify_table`, then the two facts orthonormality does not imply:
-    every value is an algebraic integer, and one row is the trivial
-    character.  Values are kept in the power basis reduced mod Phi_n, an
+    """`_verify_table`, then the three facts orthonormality does not imply:
+    every value is an algebraic integer, one row is the trivial character,
+    and every row is a character of G (`_check_class_algebra`; the Gram
+    identity does not change when two columns of equal class size are
+    swapped).  Values are kept in the power basis reduced mod Phi_n, an
     integral basis of Z[zeta_n], so integrality is integral coefficients."""
     lifted = _verify_table(G, rows)
     for i, (D, _) in enumerate(lifted):
@@ -460,6 +636,7 @@ def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
     one = ((0, 1),)  # the lift of 1 at any conductor
     if not any(all(v == one for v in values) for _, values in lifted):
         raise DefectError("no row is the trivial character")
+    _check_class_algebra(G, rows, lifted)
 
 
 def _sort_rows(G: FiniteGroup, raw: list[tuple[int, tuple[Cyc, ...]]]) -> list[Character]:
@@ -485,12 +662,8 @@ def character_table(G: FiniteGroup) -> tuple[Character, ...]:
             f"group order {G.order} exceeds the table cap "
             f"({CHARACTER_TABLE_ORDER_CAP}); supply a character table with the input"
         )
-    N = G.exponent
-    p = _dixon_prime(G.order, N)
-    zN = _root_of_unity_mod_p(N, p)
-    omegas = _split_central_characters(G, p)
-    raw = [_lift_character(G, omega, p, zN) for omega in omegas]
-    rows = _sort_rows(G, raw)
+    p = _dixon_prime(G.order, G.exponent)
+    rows = _sort_rows(G, _lift_characters(G, _split_central_characters(G, p), p))
     _certify_table(G, rows)
     G._char_table = tuple(rows)
     return G._char_table
@@ -509,12 +682,10 @@ def trivial_index(G: FiniteGroup) -> int:
 # serialization
 
 
-def _fraction_pair(q: Fraction) -> list[int]:
-    return [q.numerator, q.denominator]
-
-
 def cyc_to_json(value: Cyc, conductor: int) -> list[list[int]]:
-    return [_fraction_pair(c) for c in value.lift(conductor).coeffs]
+    """One [numerator, denominator] pair per coefficient, each in lowest terms."""
+    v = value.lift(conductor)
+    return [[c // g, v.den // g] for c in v.num for g in (gcd(c, v.den),)]
 
 
 def cyc_from_json(data: Sequence[Sequence[int]], conductor: int) -> Cyc:
@@ -523,7 +694,11 @@ def cyc_from_json(data: Sequence[Sequence[int]], conductor: int) -> Cyc:
             raise ValidationError("coefficient vector length differs from the conductor")
         if set(map(type, chain.from_iterable(data))) != {int}:
             raise TypeError("coefficients must be JSON integers, not floats or bools")
-        return Cyc(conductor, [Fraction(n, d) for n, d in data])
+        pairs = [(n, d) for n, d in data]
+        if any(d == 0 for _, d in pairs):
+            raise ZeroDivisionError
+        den = lcm(1, *(d for _, d in pairs))
+        return Cyc.from_ints(conductor, [n * (den // d) for n, d in pairs], den)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError(
             "a class value must be a list of [numerator, denominator] integer pairs "

@@ -1,22 +1,25 @@
 """Exact arithmetic in cyclotomic fields.
 
-An element of Q(zeta_n) is stored as a length-n coefficient vector over the
-spanning set {zeta_n^k : 0 <= k < n}, canonically reduced modulo the n-th
-cyclotomic polynomial.  The full power basis is deliberately kept (no
-primitive-basis minimization): reduction mod Phi_n leaves coefficients only
-in degrees below phi(n), equality at a fixed conductor is a plain tuple
-comparison, and mixed conductors are compared after lifting to the lcm.
-Adequate and simple for the small conductors that arise from finite groups
-of modest order.
+An element of Q(zeta_n) is stored as integers: a length-n numerator vector
+`num` over the spanning set {zeta_n^k : 0 <= k < n}, canonically reduced
+modulo the n-th cyclotomic polynomial, over one common denominator `den` > 0
+with gcd(den, num) = 1 (so zero has den = 1).  The full power basis is
+deliberately kept (no primitive-basis minimization): reduction mod Phi_n
+leaves coefficients only in degrees below phi(n), equality at a fixed
+conductor is a plain comparison of (num, den), and mixed conductors are
+compared after lifting to the lcm.  Adequate and simple for the small
+conductors that arise from finite groups of modest order.
 
-No floating point anywhere; coefficients are fractions.Fraction.
+No floating point anywhere.  Arithmetic, lifting, the Galois action and
+descent to a subfield run on Python ints; `coeffs` gives the coefficients
+as fractions.Fraction for readers that want them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -61,51 +64,43 @@ def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(phi) - 1, tuple((j, pj) for j, pj in enumerate(phi[:-1]) if pj)
 
 
-def reduce_mod_phi(n: int, folded: list) -> list:
-    """Reduce a length-n vector over {zeta_n^k} modulo Phi_n, in place.
-
-    The entries may be ints or Fractions; the result keeps only degrees below
-    phi(n) and is the canonical representative of the same element.
-    """
+def reduce_mod_phi(n: int, folded: list[int]) -> list[int]:
+    """Reduce a length-n integer vector over {zeta_n^k} modulo Phi_n, in
+    place; the result keeps only degrees below phi(n) and is the canonical
+    representative of the same element."""
     deg, tail = _phi_tail(n)
     for i in range(n - 1, deg - 1, -1):
         c = folded[i]
         if c:
-            folded[i] = 0 * c
+            folded[i] = 0
             base = i - deg
             for j, pj in tail:
                 folded[base + j] -= c * pj
     return folded
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Canonical representative: fold powers mod n, then reduce mod Phi_n."""
-    folded = [Fraction(0)] * n
-    for k, c in enumerate(coeffs):
-        if c:
-            folded[k % n] += c
-    return tuple(reduce_mod_phi(n, folded))
-
-
 @lru_cache(maxsize=None)
-def _subfield_basis(d: int, m: int) -> tuple[tuple[int, tuple, tuple], ...]:
+def _subfield_basis(d: int, m: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     """The power basis zeta_d^k (k < phi(d)) of Q(zeta_d), lifted into
-    Q(zeta_m) and brought to echelon form: one (pivot, row, combination)
-    triple per basis element, the row being 1 at its pivot and 0 at every
-    earlier pivot, the combination its coefficients over the basis."""
+    Q(zeta_m) and brought to echelon form over Z without division: one
+    (pivot, row, combination) triple per basis element, the row an integer
+    vector that is nonzero at its pivot and 0 at every earlier pivot, the
+    combination its integer coefficients over the basis.  Pivots are
+    mostly 1, but not always (Phi_105 has a coefficient -2)."""
     deg = len(cyclotomic_polynomial(d)) - 1
-    rows: list[tuple[int, tuple, tuple]] = []
+    rows: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     for k in range(deg):
-        vec = list(Cyc.zeta(d, k).lift(m).coeffs)
-        comb = [Fraction(int(i == k)) for i in range(deg)]
+        vec = list(Cyc.zeta(d, k).lift(m).num)
+        comb = [int(i == k) for i in range(deg)]
         for p, row, rcomb in rows:
             c = vec[p]
             if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-                comb = [a - c * b for a, b in zip(comb, rcomb)]
+                pv = row[p]
+                vec = [pv * a - c * b for a, b in zip(vec, row)]
+                comb = [pv * a - c * b for a, b in zip(comb, rcomb)]
+        g = gcd(*vec, *comb)
         p = next(i for i, c in enumerate(vec) if c)
-        inv = 1 / vec[p]
-        rows.append((p, tuple(a * inv for a in vec), tuple(a * inv for a in comb)))
+        rows.append((p, tuple(a // g for a in vec), tuple(a // g for a in comb)))
     return tuple(rows)
 
 
@@ -114,29 +109,48 @@ class Cyc:
 
     Attributes:
         n: conductor (the element lives in Q(zeta_n)).
-        coeffs: length-n tuple of Fractions, canonically reduced.
+        num: length-n tuple of ints, canonically reduced mod Phi_n.
+        den: positive int, coprime to the entries of num; the value is
+            sum_k (num[k] / den) zeta_n^k.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: Iterable[Rat]):
         if n < 1:
             raise ValueError("conductor must be positive")
-        object.__setattr__(self, "n", n)
-        vals = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", _reduce(n, vals))
+        vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in vals))
+        folded = [0] * n
+        for k, c in enumerate(vals):
+            if c:
+                folded[k % n] += c.numerator * (den // c.denominator)
+        self.n = n
+        self.num, self.den = _canonical(n, folded, den)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def from_ints(n: int, num: list[int], den: int = 1) -> "Cyc":
+        """The element sum_k (num[k] / den) zeta_n^k, for a length-n integer
+        vector num (reduced here, in place) and an integer den > 0."""
+        c = object.__new__(Cyc)
+        c.n = n
+        c.num, c.den = _canonical(n, num, den)
+        return c
+
+    @staticmethod
     def rational(value: Rat, n: int = 1) -> "Cyc":
-        return Cyc(n, [value] + [0] * (n - 1))
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        num = [0] * n
+        num[0] = q.numerator
+        return Cyc.from_ints(n, num, q.denominator)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "Cyc":
-        coeffs = [Fraction(0)] * n
-        coeffs[power % n] = Fraction(1)
-        return Cyc(n, coeffs)
+        num = [0] * n
+        num[power % n] = 1
+        return Cyc.from_ints(n, num)
 
     @staticmethod
     def zero(n: int = 1) -> "Cyc":
@@ -145,6 +159,11 @@ class Cyc:
     @staticmethod
     def one(n: int = 1) -> "Cyc":
         return Cyc.rational(1, n)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The canonical coefficients num[k] / den as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- conductor handling -------------------------------------------
 
@@ -155,10 +174,10 @@ class Cyc:
         if m == self.n:
             return self
         step = m // self.n
-        coeffs = [Fraction(0)] * m
-        for k, c in enumerate(self.coeffs):
-            coeffs[k * step] = c
-        return Cyc(m, coeffs)
+        num = [0] * m
+        for k, c in enumerate(self.num):
+            num[k * step] = c
+        return Cyc.from_ints(m, num, self.den)
 
     def _align(self, other: "Cyc") -> tuple["Cyc", "Cyc"]:
         if self.n == other.n:
@@ -181,12 +200,13 @@ class Cyc:
         if other is None:
             return NotImplemented
         a, b = self._align(other)
-        return Cyc(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        return Cyc.from_ints(a.n, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, [-c for c in self.coeffs])
+        return Cyc.from_ints(self.n, [-x for x in self.num], self.den)
 
     def __sub__(self, other) -> "Cyc":
         other = Cyc._coerce(other)
@@ -206,14 +226,13 @@ class Cyc:
             return NotImplemented
         a, b = self._align(other)
         n = a.n
-        prod = [Fraction(0)] * n
-        for i, ci in enumerate(a.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj:
-                    prod[(i + j) % n] += ci * cj
-        return Cyc(n, prod)
+        bterms = [(j, y) for j, y in enumerate(b.num) if y]
+        prod = [0] * n
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in bterms:
+                    prod[(i + j) % n] += x * y
+        return Cyc.from_ints(n, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -226,7 +245,11 @@ class Cyc:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return Cyc(self.n, [c / other for c in self.coeffs])
+            sign = 1 if other > 0 else -1
+            scale = sign * other.denominator
+            return Cyc.from_ints(
+                self.n, [c * scale for c in self.num], self.den * sign * other.numerator
+            )
         return NotImplemented
 
     def conj(self) -> "Cyc":
@@ -235,29 +258,28 @@ class Cyc:
 
     def galois(self, t: int) -> "Cyc":
         """The automorphism zeta_n -> zeta_n^t (t must be prime to n)."""
-        from math import gcd
-
-        if gcd(t, self.n) != 1:
-            raise ValueError(f"{t} is not invertible mod {self.n}")
-        coeffs = [Fraction(0)] * self.n
-        for k, c in enumerate(self.coeffs):
+        n = self.n
+        if gcd(t, n) != 1:
+            raise ValueError(f"{t} is not invertible mod {n}")
+        num = [0] * n
+        for k, c in enumerate(self.num):
             if c:
-                coeffs[(k * t) % self.n] += c
-        return Cyc(self.n, coeffs)
+                num[(k * t) % n] = c
+        return Cyc.from_ints(n, num, self.den)
 
     # -- predicates and conversions -----------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def as_integer(self) -> int:
         """The value as an int; raises if it is not a rational integer."""
@@ -267,30 +289,42 @@ class Cyc:
         return q.numerator
 
     def descend(self, d: int) -> "Cyc | None":
-        """The same value at conductor d if it lies in Q(zeta_d), else None."""
+        """The same value at conductor d if it lies in Q(zeta_d), else None.
+
+        Eliminates against `_subfield_basis` without division, keeping
+        scale * num = residual + sum_k coeffs[k] zeta_d^k throughout."""
         m = lcm(self.n, d)
         basis = _subfield_basis(d, m)
-        residual = list(self.lift(m).coeffs)
-        coeffs = [Fraction(0)] * len(basis)
+        residual = list(self.lift(m).num)
+        coeffs = [0] * len(basis)
+        scale = 1
         for p, row, comb in basis:
             c = residual[p]
             if c:
-                residual = [a - c * b for a, b in zip(residual, row)]
-                coeffs = [a + c * b for a, b in zip(coeffs, comb)]
-        return None if any(residual) else Cyc(d, coeffs)
+                pv = row[p]
+                residual = [pv * a - c * b for a, b in zip(residual, row)]
+                coeffs = [pv * a + c * b for a, b in zip(coeffs, comb)]
+                scale *= pv
+        if any(residual):
+            return None
+        if scale < 0:
+            coeffs, scale = [-c for c in coeffs], -scale
+        return Cyc.from_ints(d, coeffs + [0] * (d - len(coeffs)), self.den * scale)
 
-    def key(self, conductor: int | None = None) -> tuple[Fraction, ...]:
-        """Total-order key: the canonical coefficient tuple at `conductor`
-        (default: own conductor).  Used for deterministic sorting."""
+    def key(self, conductor: int | None = None) -> tuple[Rat, ...]:
+        """Total-order key: the canonical coefficients at `conductor`
+        (default: own conductor), ints when the denominator is 1 and
+        Fractions otherwise, which sort alike.  Used for deterministic
+        sorting."""
         c = self if conductor is None else self.lift(conductor)
-        return c.coeffs
+        return c.num if c.den == 1 else c.coeffs
 
     def __eq__(self, other) -> bool:
         other = Cyc._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._align(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # mutable-free but unhashable by design; compare, do not key
 
@@ -305,6 +339,17 @@ class Cyc:
                 mag = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{mag}z{self.n}^{k}" if k > 1 else f"{mag}z{self.n}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def _canonical(n: int, num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) in canonical form: num folded to length n is reduced mod
+    Phi_n in place, then num and den > 0 are divided by their gcd."""
+    reduce_mod_phi(n, num)
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
 
 
 def cyc_sum(values: Iterable[Cyc], n: int = 1) -> Cyc:

@@ -181,6 +181,22 @@ class FiniteGroup:
     def class_representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.conjugacy_classes())
 
+    @cached_property
+    def class_powers(self) -> tuple[tuple[int, ...], ...]:
+        """The power map: per class in canonical order, the classes of g^0,
+        g^1, ..., g^(m-1) for its representative g of order m."""
+        class_of = self._classes[1]
+        t = self.table
+        result = []
+        for g in self.class_representatives():
+            powers = [class_of[self.identity]]
+            x = g
+            while x != self.identity:
+                powers.append(class_of[x])
+                x = t[x][g]
+            result.append(tuple(powers))
+        return tuple(result)
+
 
 def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product in action order: (a*b)(x) = a(b(x))."""

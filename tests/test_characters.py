@@ -1,6 +1,7 @@
 """Character tables: orthogonality, enumeration order, induction, serialization."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -456,3 +457,65 @@ def test_attach_rejects_orthonormal_rows_that_are_not_characters():
     assert str(info.value) == (
         "supplied character table is invalid: no row is the trivial character"
     )
+
+
+def with_columns_swapped(G, a, b):
+    """The serialized table of G with the values of classes a and b swapped
+    in every row: the Gram identity still holds when |C_a| = |C_b|."""
+    doc = json.loads(json.dumps(table_to_json(G)))
+    for row in doc["rows"]:
+        row[a], row[b] = row[b], row[a]
+    return doc
+
+
+def classes_of_order(G, order, size):
+    return [
+        j for j, cls in enumerate(G.conjugacy_classes())
+        if len(cls) == size and G.element_order(cls[0]) == order
+    ]
+
+
+D12_GENS = [cycle(6), [(-i) % 6 for i in range(6)]]
+
+
+@pytest.mark.parametrize(
+    "gens, first, second, classes",
+    [(C4_GENS, (4, 1), (2, 1), "1,1"), (D12_GENS, (6, 2), (3, 2), "2,2")],
+    ids=["C4-g-g2", "D12-rotations-of-order-6-and-3"],
+)
+def test_attach_rejects_orthonormal_columns_swapped_within_a_class_size(gens, first, second, classes):
+    G = group_from_permutations(gens)
+    a, b = classes_of_order(G, *first)[0], classes_of_order(G, *second)[0]
+    with pytest.raises(ValidationError) as info:
+        attach_character_table(group_from_permutations(gens), with_columns_swapped(G, a, b))
+    assert str(info.value) == (
+        "supplied character table is invalid: "
+        f"character row 0 violates the class algebra identity at classes {classes}"
+    )
+
+
+@pytest.mark.parametrize(
+    "build, arg, order, size",
+    [
+        (as_relabelled_table, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]], 5, 12),  # A5: 5A <-> 5B
+        (group_from_permutations, D12_GENS, 2, 3),  # D12 reflections
+        (group_from_permutations, C4_GENS, 4, 1),  # C4: g <-> g^3
+    ],
+    ids=["A5-5A-5B", "D12-reflections", "C4-g-g3"],
+)
+def test_attach_accepts_column_swaps_that_are_table_symmetries(build, arg, order, size):
+    G = build(arg)
+    a, b = classes_of_order(G, order, size)
+    fresh = build(arg)
+    attach_character_table(fresh, with_columns_swapped(G, a, b))
+    assert table_to_json(fresh) == table_to_json(G)
+
+
+def test_attach_accepts_the_s4_column_swap_of_transpositions_and_four_cycles():
+    # not induced by an automorphism of S4, yet it permutes the rows
+    gens = [cycle(4), [1, 0, 2, 3]]
+    G = group_from_permutations(gens)
+    (a,), (b,) = classes_of_order(G, 2, 6), classes_of_order(G, 4, 6)
+    fresh = group_from_permutations(gens)
+    attach_character_table(fresh, with_columns_swapped(G, a, b))
+    assert table_to_json(fresh) == table_to_json(G)

@@ -263,6 +263,30 @@ def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data
     assert err.startswith("error: ")
 
 
+def test_table_with_columns_swapped_is_invalid(tmp_path, capsys):
+    # C4's table with the columns of g and g^2 swapped is orthonormal and
+    # integral and has the trivial row, but it is not C4's table
+    group = {"permutation_generators": [[1, 2, 3, 0]]}
+    table = equichi.characters.table_to_json(equichi.group_from_permutations([[1, 2, 3, 0]]))
+    for row in table["rows"]:
+        row[1], row[2] = row[2], row[1]
+    gpath = tmp_path / "group.json"
+    cpath = tmp_path / "complex.json"
+    gpath.write_text(json.dumps(dict(group, character_table=table)))
+    cpath.write_text(json.dumps({
+        "maximal_simplices": [[0, 1], [1, 2], [2, 3], [0, 3]],
+        "action": {"generator_images": [[1, 2, 3, 0]]},
+    }))
+    code, out, err = run_cli(
+        ["verify", "--group", str(gpath), "--complex", str(cpath)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: supplied character table is invalid: "
+        "character row 0 violates the class algebra identity at classes 1,1\n"
+    )
+
+
 @pytest.mark.parametrize(
     "maximal, text",
     [

@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic: ring laws, Galois action, rational detection."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -150,3 +152,97 @@ def test_descend_inverts_lift_and_detects_the_subfield():
     assert Cyc.zeta(8).descend(4) is None
     assert Cyc.zeta(3).descend(1) is None
     assert Cyc.rational(Fraction(3, 2), 12).descend(1) == Cyc.rational(Fraction(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# seeded properties of the integer representation against Fraction vectors
+
+# subfields for lift and descend; Phi_105 has a coefficient -2, so
+# descending from 210 to 105 meets a pivot that is not 1
+SUBFIELDS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 20, 21, 30, 105]
+# conductors whose pairwise lcm keeps the Fraction convolution quick
+SMALL = [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+
+def ref_reduce(n, coeffs):
+    """Canonical Fraction vector: fold exponents mod n, then reduce mod Phi_n."""
+    folded = [Fraction(0)] * n
+    for k, c in enumerate(coeffs):
+        folded[k % n] += Fraction(c)
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    for i in range(n - 1, deg - 1, -1):
+        c = folded[i]
+        if c:
+            for j, pj in enumerate(phi):
+                folded[i - deg + j] -= c * pj
+    return tuple(folded)
+
+
+def ref_lift(n, coeffs, m):
+    lifted = [Fraction(0)] * m
+    for k, c in enumerate(coeffs):
+        lifted[k * (m // n)] += c
+    return ref_reduce(m, lifted)
+
+
+def ref_aligned(a, b):
+    m = a.n * b.n // gcd(a.n, b.n)
+    return m, ref_lift(a.n, a.coeffs, m), ref_lift(b.n, b.coeffs, m)
+
+
+def random_cyc(rng, n):
+    coeffs = [0] * n
+    for _ in range(rng.randint(0, 4)):
+        coeffs[rng.randrange(n)] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+    return Cyc(n, coeffs), ref_reduce(n, coeffs)
+
+
+def assert_canonical(c, n, want):
+    assert (c.n, c.coeffs) == (n, want)
+    assert len(c.num) == n and all(type(x) is int for x in c.num)
+    assert c.den > 0 and gcd(c.den, *c.num) == 1
+    deg = len(cyclotomic_polynomial(n)) - 1
+    assert not any(c.num[deg:])
+    if not any(c.num):
+        assert c.den == 1
+
+
+def test_integer_arithmetic_matches_a_fraction_reference():
+    rng = random.Random(1967)
+    for _ in range(300):
+        (a, ra), (b, rb) = random_cyc(rng, rng.choice(SMALL)), random_cyc(rng, rng.choice(SMALL))
+        assert_canonical(a, a.n, ra)
+        m, la, lb = ref_aligned(a, b)
+        assert_canonical(a + b, m, ref_reduce(m, [x + y for x, y in zip(la, lb)]))
+        assert_canonical(a - b, m, ref_reduce(m, [x - y for x, y in zip(la, lb)]))
+        prod = [Fraction(0)] * m
+        for i, x in enumerate(la):
+            for j, y in enumerate(lb):
+                prod[(i + j) % m] += x * y
+        assert_canonical(a * b, m, ref_reduce(m, prod))
+        assert (a == b) == (la == lb)
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+        assert_canonical(a / q, a.n, tuple(x / q for x in ra))
+        t = rng.choice([t for t in range(1, 2 * a.n + 1) if gcd(t, a.n) == 1])
+        moved = [Fraction(0)] * a.n
+        for k, c in enumerate(ra):
+            moved[(k * t) % a.n] += c
+        assert_canonical(a.galois(t), a.n, ref_reduce(a.n, moved))
+        assert_canonical(a.conj(), a.n, ref_reduce(a.n, [ra[-k % a.n] for k in range(a.n)]))
+        assert a == a.lift(m) and a.lift(m) == a
+
+
+def test_lift_and_descend_match_a_fraction_reference():
+    rng = random.Random(1990)
+    pairs = [(d, m) for m in (6, 12, 20, 30, 60, 210) for d in SUBFIELDS if m % d == 0]
+    for d, m in pairs:
+        for _ in range(4):
+            v, rv = random_cyc(rng, d)
+            up = v.lift(m)
+            assert_canonical(up, m, ref_lift(d, rv, m))
+            down = up.descend(d)
+            assert_canonical(down, d, rv)
+        if Cyc.zeta(m).descend(d) is not None:
+            continue  # Q(zeta_d) = Q(zeta_m), as for d = 105, m = 210
+        assert (v.lift(m) + Cyc.zeta(m)).descend(d) is None

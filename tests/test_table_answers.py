@@ -3,6 +3,8 @@ tables, the closed form of abelian tables, and the Galois action on values."""
 
 import hashlib
 import json
+from functools import cache
+from itertools import product
 from math import gcd, lcm
 from pathlib import Path
 
@@ -72,6 +74,65 @@ def test_golden_groups_are_the_recorded_ones():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(GOLDEN_GROUPS)
 
 
+@cache
+def golden_table(name):
+    G = GOLDEN_GROUPS[name]()
+    return G, character_table(G)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_GROUPS))
 def test_serialized_table_matches_its_golden_digest(name):
-    assert table_digest(GOLDEN_GROUPS[name]()) == json.loads(DIGESTS.read_text())[name]
+    G, _ = golden_table(name)
+    assert table_digest(G) == json.loads(DIGESTS.read_text())[name]
+
+
+def abelian_rows_by_closed_form(orders, G):
+    """The rows of C_{n_1} x ... x C_{n_k}, generated by one cycle per
+    factor, from chi_a(g) = prod_i zeta_{n_i}^(a_i s_i(g)), s_i(g) the
+    exponent of the i-th cycle in g; each row lists its value at every
+    element id, as keys at the exponent."""
+    N = lcm(*orders)
+    starts = [sum(orders[:i]) for i in range(len(orders))]
+    exps = [[perm[s] - s for s in starts] for perm in G.perms]
+    rows = set()
+    for a in product(*(range(n) for n in orders)):
+        rows.add(tuple(
+            Cyc.zeta(N, sum(ai * si * (N // n) for ai, si, n in zip(a, s, orders))).key(N)
+            for s in exps
+        ))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(n,) for n in (1, 2, 7, 9, 16, 25, 30, 36, 42)]
+    + [(2, 2), (2, 6), (4, 6), (5, 5), (4, 8), (2, 2, 2), (3, 9), (2, 3, 4)],
+    ids=lambda orders: "x".join(f"C{n}" for n in orders),
+)
+def test_abelian_table_is_the_closed_form(orders):
+    G = group_from_permutations(product_of_cyclics(*orders))
+    N = G.exponent
+    got = {
+        tuple(chi.values[G.class_of(g)].key(N) for g in range(G.order))
+        for chi in character_table(G)
+    }
+    assert got == abelian_rows_by_closed_form(orders, G)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GROUPS))
+def test_values_on_powers_are_galois_conjugates(name):
+    # chi(g^a) = sigma_a(chi(g)) for a prime to the order m of g; sigma_a is
+    # applied as zeta_N -> zeta_N^b for some b = a (mod m) prime to N
+    G, table = golden_table(name)
+    N = G.exponent
+    for j, g in enumerate(G.class_representatives()):
+        m = G.element_order(g)
+        power = G.identity
+        for a in range(1, m + 1):
+            power = G.mul(power, g)
+            if gcd(a, m) != 1:
+                continue
+            b = next(b for b in range(a, a + m * N + 1, m) if gcd(b, N) == 1)
+            c = G.class_of(power)
+            for chi in table:
+                assert chi.values[c] == chi.values[j].galois(b)
