@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate, chain, combinations, groupby, permutations, repeat
+from itertools import accumulate, chain, combinations, filterfalse, groupby, permutations, repeat
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -156,14 +156,18 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         return self._f_vector
 
-    def maximal_simplices(self) -> tuple[Simplex, ...]:
-        """The simplices that are no facet of another; in a closed complex a
-        proper face is a facet of some simplex."""
+    def maximal_positions(self) -> list[int]:
+        """Ascending positions of the simplices that are no facet of another;
+        in a closed complex a proper face is a facet of some simplex."""
         facets: set[int] = set()
         for columns in self.facet_table:
             for column in columns:
                 facets.update(column)
-        return tuple(s for i, s in enumerate(self.order) if i not in facets)
+        return list(filterfalse(facets.__contains__, range(len(self.order))))
+
+    def maximal_simplices(self) -> tuple[Simplex, ...]:
+        """The simplices at `maximal_positions()`."""
+        return tuple(map(self.order.__getitem__, self.maximal_positions()))
 
 
 def euler_characteristic(simplices: Iterable[Simplex]) -> int:

@@ -13,12 +13,13 @@ pointwise (see `_orbit_walk`), so traces on chain groups are fixed-simplex
 counts.  Two barycentric subdivisions always suffice; this is asserted.
 
 Simplices are numbered by their positions in the complex's `order`.  Group
-loops read one permutation of positions per element (`GComplex.perm`), and
-the stratification runs on positions until it builds its output.  Vertex
-fixity is kept apart, as one bitmask of fixing elements per vertex read off
-the vertex maps and carried up the complex's facet table to every simplex,
-so the fixed-set route to a Lefschetz number never reads the rows the trace
-route counts on.  One walk over the simplex orbits (see `OrbitWalk`) decides
+loops read one permutation of positions per element (`GComplex.perm`).  The
+stratification holds positions and runs only its checks when it is made;
+each stratum and component builds its simplex sets, pieces and components
+when they are first read.  Vertex fixity is kept apart, as one bitmask of
+fixing elements per vertex read off the vertex maps and carried up the
+complex's facet table to every simplex, so the fixed-set route to a
+Lefschetz number never reads the rows the trace route counts on.  One walk over the simplex orbits (see `OrbitWalk`) decides
 regularity and flags the first position of each orbit; regularity makes
 orbits and quotient simplices correspond, so Euler numbers of the orbit space
 are signed counts of flagged positions.  Only `orbit_space` builds the
@@ -28,6 +29,8 @@ quotient as a complex.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
@@ -66,8 +69,9 @@ class GComplex:
     `action[g]` is the vertex map of element g.  `perm[g][i]` is the
     position of the image of `complex.order[i]` under g, `fixers[v]` the
     bitmask (bit g for element g) of the elements fixing vertex v, `masks[i]`
-    that of the elements fixing `complex.order[i]` pointwise and `walk` the
-    pass over simplex orbits; each is built on first use and cached.
+    that of the elements fixing `complex.order[i]` pointwise, `mask_tally`
+    the alternating simplex count per mask and `walk` the pass over simplex
+    orbits; each is built on first use and cached.
     """
 
     def __init__(
@@ -115,6 +119,18 @@ class GComplex:
                 map(and_, map(masks.__getitem__, without_0), map(masks.__getitem__, without_1))
             )
         return masks
+
+    @cached_property
+    def mask_tally(self) -> dict[int, int]:
+        """Per pointwise fixer mask, the alternating count of the simplices
+        that have exactly that mask."""
+        start, masks = self.complex.layer_start, self.masks
+        tally: dict[int, int] = {}
+        for d in range(self.complex.dim + 1):
+            sign = -1 if d % 2 else 1
+            for m, n in Counter(masks[start[d] : start[d + 1]]).items():
+                tally[m] = tally.get(m, 0) + sign * n
+        return tally
 
     def _subgroup_of_mask(self, mask: int) -> Subgroup:
         """The subgroup whose elements are the set bits of `mask`, one cached
@@ -411,34 +427,132 @@ def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
 @dataclass
 class StratumComponent:
     """One component of a stratum relative to the group: the saturation of an
-    orbit of pieces of the H-fixed part.  Its closure and lower part are
-    G-invariant, so their images Q_cl and Q_low in the orbit space have one
-    simplex per simplex orbit: `closure_euler` and `lower_euler` are chi(Q_cl)
-    and chi(Q_low), counted on the orbits' first positions."""
+    orbit of pieces of the H-fixed part.  `swept` holds its ascending simplex
+    positions and `closure_positions` those of its closure; `simplices`,
+    `closure` and `lower` (the closure minus the open component) are built
+    from them on first read.  The closure and the lower part are G-invariant,
+    so their images Q_cl and Q_low in the orbit space have one simplex per
+    simplex orbit: `closure_euler` and `lower_euler` are chi(Q_cl) and
+    chi(Q_low), counted on the orbits' first positions."""
 
+    complex: SimplicialComplex = field(repr=False, compare=False)
     index: int
     piece_indices: tuple[int, ...]
-    simplices: frozenset[Simplex]
+    swept: tuple[int, ...]
+    closure_positions: set[int] = field(repr=False)
     dim: int
     codim: int
-    closure: frozenset[Simplex]
-    lower: frozenset[Simplex]  # closure minus the open component
     closure_euler: int
     lower_euler: int
+
+    @cached_property
+    def simplices(self) -> frozenset[Simplex]:
+        return _simplices(self.complex.order, self.swept)
+
+    @cached_property
+    def closure(self) -> frozenset[Simplex]:
+        return _simplices(self.complex.order, self.closure_positions)
+
+    @cached_property
+    def lower(self) -> frozenset[Simplex]:
+        return _simplices(self.complex.order, self.closure_positions.difference(self.swept))
 
 
 @dataclass
 class Stratum:
-    """All simplices with isotropy in one conjugacy class of subgroups."""
+    """All simplices with isotropy in one conjugacy class of subgroups.
 
+    `members` holds their ascending positions and `exact` those whose
+    isotropy is the class representative itself, the open simplices of the
+    H-fixed part.  `simplices`, `pieces` (the components of the exact part,
+    as simplex sets in `pieces` and as ascending positions in
+    `piece_positions`), `piece_action` (normalizer element -> piece
+    permutation), `components` and `open_euler` are built on first read.
+    """
+
+    gcomplex: GComplex = field(repr=False, compare=False)
     index: int
     isotropy: Subgroup  # canonical class representative
-    simplices: frozenset[Simplex]
-    pieces: tuple[frozenset[Simplex], ...]  # components of the H-fixed part
-    piece_action: dict[int, tuple[int, ...]]  # normalizer element -> piece permutation
-    components: tuple[StratumComponent, ...]
+    members: tuple[int, ...] = field(repr=False)
+    exact: list[int] = field(repr=False)
     codimension: int
     is_principal: bool
+
+    @cached_property
+    def simplices(self) -> frozenset[Simplex]:
+        return _simplices(self.gcomplex.complex.order, self.members)
+
+    @cached_property
+    def open_euler(self) -> int:
+        """The signed count of the members that are the first position of
+        their orbit: chi of the image of the stratum's closure relative to
+        that of its frontier, chi(Q, Q_sing) for the principal stratum.  The
+        components' open parts partition the stratum, so this is the sum of
+        closure_euler - lower_euler over the components."""
+        first = self.gcomplex.walk.first
+        return self.gcomplex.complex.euler(filter(first.__getitem__, self.members))
+
+    @cached_property
+    def piece_positions(self) -> list[list[int]]:
+        return connected_components(self.gcomplex.complex, self.exact)
+
+    @cached_property
+    def pieces(self) -> tuple[frozenset[Simplex], ...]:
+        order = self.gcomplex.complex.order
+        return tuple(_simplices(order, piece) for piece in self.piece_positions)
+
+    @cached_property
+    def piece_action(self) -> dict[int, tuple[int, ...]]:
+        pieces, perm = self.piece_positions, self.gcomplex.perm
+        piece_index = {i: pid for pid, piece in enumerate(pieces) for i in piece}
+        # each piece is probed at its least position
+        return {
+            n: tuple(piece_index[perm[n][piece[0]]] for piece in pieces)
+            for n in normalizer(self.isotropy).elements
+        }
+
+    def piece_vertices(self, pid: int) -> list[int]:
+        """Ascending positions of the vertices of piece `pid`: a prefix of
+        the piece, since the vertices come first in the canonical order."""
+        piece = self.piece_positions[pid]
+        return piece[: bisect_left(piece, self.gcomplex.complex.layer_start[1])]
+
+    @cached_property
+    def components(self) -> tuple[StratumComponent, ...]:
+        """Components relative to the group: normalizer orbits of pieces,
+        each swept by the group.  The sweep stays in the stratum, since g
+        conjugates the isotropy of a simplex into that of its image."""
+        X = self.gcomplex
+        K, perm, first = X.complex, X.perm, X.walk.first
+        pieces, action = self.piece_positions, self.piece_action.values()
+        assigned: set[int] = set()
+        components: list[StratumComponent] = []
+        for i in range(len(pieces)):
+            if i in assigned:
+                continue
+            orbit_ids = sorted({a[i] for a in action})
+            assigned.update(orbit_ids)
+            saturation: set[int] = set()
+            for pid in orbit_ids:
+                for p in perm:
+                    saturation.update(map(p.__getitem__, pieces[pid]))
+            swept = tuple(sorted(saturation))
+            closure = K.closure(swept)
+            dim = len(K.order[swept[-1]]) - 1
+            components.append(
+                StratumComponent(
+                    complex=K,
+                    index=len(components),
+                    piece_indices=tuple(orbit_ids),
+                    swept=swept,
+                    closure_positions=closure,
+                    dim=dim,
+                    codim=K.dim - dim,
+                    closure_euler=K.euler(filter(first.__getitem__, closure)),
+                    lower_euler=K.euler(filter(first.__getitem__, closure.difference(swept))),
+                )
+            )
+        return tuple(components)
 
 
 @dataclass
@@ -464,77 +578,48 @@ def _simplices(order: Sequence[Simplex], positions: Iterable[int]) -> frozenset[
 def orbit_type_stratification(X: GComplex) -> Stratification:
     """Group simplices by isotropy conjugacy class, in an order extending the
     subconjugacy partial order (ascending isotropy order, canonical class
-    representative as tie-break; the principal class comes first)."""
+    representative as tie-break; the principal class comes first).
+
+    Only the checks run here, in this order: the first class must be the
+    unique minimal one, the principal stratum must be dense, and the orbit
+    walk must have found the action regular.  Each stratum builds its
+    simplex sets, pieces and components when they are first read.
+
+    Density asks that every simplex be a face of a principal simplex.  That
+    holds exactly when every maximal simplex is principal: a maximal simplex
+    is a face of itself alone, and every simplex is a face of a maximal one.
+    It is the density of the principal components' union, because the
+    components' open parts cover the principal stratum whatever the
+    regularity: a simplex with isotropy gHg^-1 is g times one with
+    isotropy H, so it lies in the sweep of some piece.
+    """
     _require_regular(X)
     K = X.complex
-    order, perm = K.order, X.perm
-    masks, first = X.masks, X.walk.first
-    at_mask = {m: list(compress(range(len(order)), map(eq, masks, repeat(m)))) for m in set(masks)}
+    masks = X.masks
+    at_mask = {m: list(compress(range(len(masks)), map(eq, masks, repeat(m)))) for m in set(masks)}
+    class_of = {
+        m: X._subgroup_of_mask(m).canonical_class_representative().elements for m in at_mask
+    }
     by_class: dict[tuple[int, ...], list[int]] = {}
     for m, positions in at_mask.items():
-        rep = X._subgroup_of_mask(m).canonical_class_representative().elements
-        by_class.setdefault(rep, []).extend(positions)
+        by_class.setdefault(class_of[m], []).extend(positions)
     ordered = sorted(by_class, key=lambda rep: (len(rep), rep))
     strata: list[Stratum] = []
-    covered = bytearray(len(order))  # flags the closures of the principal components
-    ambient_dim = K.dim
     for j, rep in enumerate(ordered):
         rep_mask = sum(1 << g for g in rep)
-        H = X._subgroup_of_mask(rep_mask)
-        members = sorted(by_class[rep])
-        pieces = connected_components(K, at_mask.get(rep_mask, ()))
-        piece_index = {i: pid for pid, piece in enumerate(pieces) for i in piece}
-        # each piece is probed at its least position
-        N = normalizer(H)
-        piece_action = {
-            n: tuple(piece_index[perm[n][piece[0]]] for piece in pieces) for n in N.elements
-        }
-        # components relative to the group: normalizer orbits of pieces
-        member_set = set(members)
-        assigned: set[int] = set()
-        components: list[StratumComponent] = []
-        for i in range(len(pieces)):
-            if i in assigned:
-                continue
-            orbit_ids = sorted({piece_action[n][i] for n in N.elements})
-            assigned.update(orbit_ids)
-            swept: set[int] = set()
-            for pid in orbit_ids:
-                for p in perm:
-                    swept.update(map(p.__getitem__, pieces[pid]))
-            swept &= member_set
-            closure = K.closure(swept)
-            lower = closure - swept
-            if j == 0:
-                for c in closure:
-                    covered[c] = 1
-            dim = len(order[max(swept)]) - 1
-            comp = StratumComponent(
-                index=len(components),
-                piece_indices=tuple(orbit_ids),
-                simplices=_simplices(order, swept),
-                dim=dim,
-                codim=ambient_dim - dim,
-                closure=_simplices(order, closure),
-                lower=_simplices(order, lower),
-                closure_euler=K.euler(filter(first.__getitem__, closure)),
-                lower_euler=K.euler(filter(first.__getitem__, lower)),
-            )
-            components.append(comp)
-        stratum_dim = len(order[members[-1]]) - 1  # members ascend in canonical order
+        members = tuple(sorted(by_class[rep]))
+        stratum_dim = len(K.order[members[-1]]) - 1
         strata.append(
             Stratum(
+                gcomplex=X,
                 index=j,
-                isotropy=H,
-                simplices=_simplices(order, members),
-                pieces=tuple(_simplices(order, piece) for piece in pieces),
-                piece_action=piece_action,
-                components=tuple(components),
-                codimension=ambient_dim - stratum_dim,
+                isotropy=X._subgroup_of_mask(rep_mask),
+                members=members,
+                exact=at_mask.get(rep_mask, []),
+                codimension=K.dim - stratum_dim,
                 is_principal=(j == 0),
             )
         )
-    # the first stratum must be the unique minimal class and open dense
     principal = strata[0]
     for other in strata[1:]:
         if not subconjugate(principal.isotropy, other.isotropy):
@@ -542,15 +627,15 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 "no unique principal orbit type: isotropy classes "
                 f"{principal.isotropy.elements} and {other.isotropy.elements} are incomparable minima"
             )
-    # every simplex is a face of a principal simplex
-    if not all(covered):
+    principal_masks = {m for m, rep in class_of.items() if rep == ordered[0]}
+    if not all(masks[i] in principal_masks for i in K.maximal_positions()):
         raise ValidationError(
             "principal stratum is not dense: some simplex is not a face of a principal simplex"
         )
-    # the Euler counts above hold only if the walk found the action regular
+    # the Euler counts of the strata hold only if the walk found the action regular
     if X.walk.failure is not None:
         raise DefectError(X.walk.failure)
-    return Stratification(tuple(strata), ambient_dim)
+    return Stratification(tuple(strata), K.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -744,24 +829,27 @@ def orientation_character(
 
     The basepoint defaults to the least vertex of the component's canonical
     piece; the character is evaluated on the isotropy subgroup of that piece
-    and verified to be multiplicative.
+    and verified to be multiplicative.  The piece, the star and the closure
+    are read as simplex positions.
     """
     _require_regular(X)
-    piece = stratum.pieces[component.piece_indices[0]]
+    K = X.complex
+    pid = component.piece_indices[0]
     if basepoint is None:
-        vertices = sorted(s for s in piece if len(s) == 1)
+        vertices = stratum.piece_vertices(pid)
         if not vertices:
             raise ValidationError(
                 "stratum component has no vertex to base the orientation "
                 "character at; regularize further"
             )
-        basepoint = vertices[0]
-    elif basepoint not in piece:
+        basepoint = K.order[vertices[0]]
+    elif K.index.get(basepoint) not in stratum.piece_positions[pid]:
         raise ValidationError(f"basepoint {basepoint} is not in the component piece")
     H = X.isotropy(basepoint)
-    star = list(map(X.complex.order.__getitem__, X.complex.star(basepoint)))
-    ambient = _oriented_star(star, basepoint)
-    along = _oriented_star([s for s in star if s in component.closure], basepoint)
+    star = K.star(basepoint)
+    closure = component.closure_positions
+    ambient = _oriented_star(list(map(K.order.__getitem__, star)), basepoint)
+    along = _oriented_star([K.order[i] for i in star if i in closure], basepoint)
     signs: dict[int, int] = {}
     for h in H.elements:
         sign_ambient = _local_degree_sign(X, ambient, basepoint, h)

@@ -200,7 +200,7 @@ class FiniteGroup:
 
 def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product in action order: (a*b)(x) = a(b(x))."""
-    return tuple(a[b[x]] for x in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def group_from_permutations(

@@ -32,6 +32,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Iterable
 
 from .assembler import FineEntry, IndexData, StratumRecord
@@ -165,7 +166,10 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
     _block(data, dict, "complex data")
     maximal = _require(data, "maximal_simplices", "complex data")
     try:
-        simplices = [tuple(sorted(_ids(s))) for s in maximal]
+        # one typed pass over every id, then the rows as given
+        if not set(map(type, chain.from_iterable(maximal))) <= {int}:
+            raise ValueError("ids must be JSON integers")
+        simplices = [tuple(sorted(s)) for s in maximal]
     except (TypeError, ValueError):
         raise ValidationError(
             "maximal_simplices must be a list of lists of integer vertex ids"

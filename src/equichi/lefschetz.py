@@ -9,7 +9,7 @@ ways and the two are required to agree exactly:
     on its chain group);
   * fixed-point route: the Euler characteristic of the fixed subcomplex of
     the cyclic group generated by the element, read off vertex fixity
-    alone.
+    alone (the per-simplex fixer masks, tallied once per complex).
 
 Averaging against irreducible characters then yields the multiplicity of
 each irreducible in the alternating sum of (co)homology; exact integrality
@@ -24,7 +24,7 @@ from operator import eq
 from .characters import ClassFunction, character_table, inner_product
 from .cyclotomic import Cyc
 from .errors import DefectError, ValidationError
-from .gcomplex import GComplex, fixed_subcomplex
+from .gcomplex import GComplex
 from .groups import FiniteGroup, Subgroup
 
 
@@ -42,8 +42,10 @@ def lefschetz_number_trace(X: GComplex, g: int) -> int:
 
 
 def lefschetz_number_fixed(X: GComplex, g: int) -> int:
-    cyclic = Subgroup.generated(X.group, [g])
-    return fixed_subcomplex(X, cyclic).euler_characteristic()
+    """chi of the subcomplex fixed pointwise by <g>: the simplices whose
+    fixer mask contains <g>, counted once per mask in `X.mask_tally`."""
+    cyclic = sum(1 << h for h in Subgroup.generated(X.group, [g]).elements)
+    return sum(n for m, n in X.mask_tally.items() if m & cyclic == cyclic)
 
 
 def lefschetz_number(X: GComplex, g: int) -> int:

@@ -141,11 +141,11 @@ class StrataEulerBreakdown:
 def _second_vertex_recheck(X, stratum, component, eps) -> None:
     """Recompute the orientation character at a second basepoint of the same
     piece; a dependence on the basepoint is an internal defect."""
-    piece = stratum.pieces[component.piece_indices[0]]
-    vertices = sorted(s for s in piece if len(s) == 1)
+    vertices = stratum.piece_vertices(component.piece_indices[0])
     if len(vertices) < 2:
         return
-    again = orientation_character(X, stratum, component, basepoint=vertices[1])
+    basepoint = X.complex.order[vertices[1]]
+    again = orientation_character(X, stratum, component, basepoint=basepoint)
     if again.signs != eps.signs:
         raise DefectError(
             "orientation character depends on the basepoint within a piece"
@@ -208,8 +208,9 @@ def strata_geometry(X: GComplex) -> StrataGeometry:
     if not X.regular:
         raise ValidationError("the stratified sum requires a regularized complex")
     strat = orbit_type_stratification(X)
-    # Q minus Q_sing is the image of the open principal components
-    principal_rel = sum(c.closure_euler - c.lower_euler for c in strat.principal.components)
+    # Q minus Q_sing is the image of the principal stratum, counted on its
+    # positions: its components are never built
+    principal_rel = strat.principal.open_euler
     components: list[ComponentGeometry] = []
     for stratum in strat.singular:
         for component in stratum.components:

@@ -13,6 +13,7 @@ from equichi import (
     CodimensionError,
     DefectError,
     SimplicialComplex,
+    Subgroup,
     ValidationError,
     build_gcomplex,
     character_table,
@@ -24,9 +25,11 @@ from equichi import (
     is_regular,
     orbit_space,
     orbit_type_stratification,
+    orientation_character,
     regularize,
     verify_strata_vs_oracle,
 )
+from equichi import strataformula
 from equichi.cli import main
 from equichi.gcomplex import GComplex
 from equichi.jsonio import group_from_json
@@ -539,3 +542,134 @@ def test_subdivision_ladder_keeps_chi_rho():
                 maximal, maps = subdivide(maximal, maps)
         sizes.append(len(closure(maximal)))
     assert max(sizes) > 10**4
+
+
+# ---------------------------------------------------------------------------
+# the stratification on positions: nothing is built before it is read, every
+# field built on first read matches a brute-force reference, and `verify`
+# counts the principal stratum without building its components
+
+STRATUM_FIELDS = {"simplices", "open_euler", "piece_positions", "pieces", "piece_action", "components"}
+
+
+def check_lazy_strata(R, ref):
+    G, K = R.group, R.complex
+    order, index = K.order, K.index
+    firsts = {min(index[t] for t in ref.images[s]) for s in order}
+
+    def faces(simplices):
+        return {f for s in simplices for r in range(1, len(s) + 1) for f in combinations(s, r)}
+
+    def orbit_euler(simplices):
+        """chi of the image of a G-invariant set: one simplex per orbit."""
+        return sum((-1) ** (len(s) - 1) for s in simplices if index[s] in firsts)
+
+    st = orbit_type_stratification(R)
+    for stratum in st.strata:
+        assert not STRATUM_FIELDS & vars(stratum).keys()
+        H = stratum.isotropy.elements
+        members = [i for i, s in enumerate(order) if ref_class_rep(G, ref.isotropy[s]) == H]
+        assert stratum.members == tuple(members)
+        assert stratum.exact == [i for i, s in enumerate(order) if ref.isotropy[s] == H]
+        assert stratum.simplices == frozenset(order[i] for i in members)
+        pieces = face_components(order[i] for i in stratum.exact)
+        assert stratum.pieces == pieces
+        for pid, piece in enumerate(stratum.piece_positions):
+            assert piece == sorted(index[s] for s in pieces[pid])
+            assert stratum.piece_vertices(pid) == sorted(index[s] for s in pieces[pid] if len(s) == 1)
+        normal = [g for g in range(G.order) if sorted(G.conjugate(g, a) for a in H) == list(H)]
+        assert sorted(stratum.piece_action) == normal
+        for n, perm in stratum.piece_action.items():
+            for pid, piece in enumerate(pieces):
+                assert {ref.images[s][n] for s in piece} == pieces[perm[pid]]
+        total = 0
+        listed = []
+        for comp in stratum.components:
+            assert {stratum.piece_action[n][comp.piece_indices[0]] for n in normal} == set(comp.piece_indices)
+            listed.extend(comp.piece_indices)
+            swept = {image for pid in comp.piece_indices for s in pieces[pid] for image in ref.images[s]}
+            closure = faces(swept)
+            assert comp.swept == tuple(sorted(index[s] for s in swept))
+            assert comp.closure_positions == {index[s] for s in closure}
+            assert comp.simplices == swept
+            assert comp.closure == closure
+            assert comp.lower == closure - swept
+            assert comp.dim == max(len(s) for s in swept) - 1
+            assert comp.codim == K.dim - comp.dim
+            assert comp.closure_euler == orbit_euler(closure)
+            assert comp.lower_euler == orbit_euler(closure - swept)
+            total += comp.closure_euler - comp.lower_euler
+        assert sorted(listed) == list(range(len(pieces)))
+        # the principal count is the sum over the principal components
+        assert stratum.open_euler == total == orbit_euler(stratum.simplices)
+
+
+def check_mask_tally(R, ref):
+    tally = {}
+    for s, iso in ref.isotropy.items():
+        m = sum(1 << g for g in iso)
+        tally[m] = tally.get(m, 0) + (-1) ** (len(s) - 1)
+    assert R.mask_tally == tally
+    for g in range(R.group.order):
+        cyclic = Subgroup.generated(R.group, [g])
+        assert lefschetz_number_fixed(R, g) == fixed_subcomplex(R, cyclic).euler_characteristic()
+
+
+@pytest.mark.parametrize("G, maximal, maps", list(parity_actions()))
+def test_lazy_strata_fields_match_brute_force_reference(G, maximal, maps):
+    R = regularize(build(G, maximal, maps))
+    ref = Reference(R)
+    check_lazy_strata(R, ref)
+    check_mask_tally(R, ref)
+
+
+@pytest.mark.parametrize("G, maximal, maps", list(parity_actions()))
+def test_verify_never_builds_the_principal_components(monkeypatch, G, maximal, maps):
+    built = []
+
+    def recorded(X):
+        built.append(orbit_type_stratification(X))
+        return built[-1]
+
+    monkeypatch.setattr(strataformula, "orbit_type_stratification", recorded)
+    report = verify_strata_vs_oracle(build(G, maximal, maps))
+    assert report.skipped is not None or report.all_match
+    (strat,) = built
+    assert "components" not in vars(strat.principal)
+    assert not {"simplices", "pieces", "piece_positions"} & vars(strat.principal).keys()
+    assert strat.principal.open_euler == sum(
+        c.closure_euler - c.lower_euler for c in strat.principal.components
+    )
+
+
+def test_non_principal_maximal_edge_fails_density(tmp_path, capsys):
+    """C2 swaps 0 and 1 in the triangle (0, 1, 2); the edge (2, 3) beside it
+    is fixed and maximal, so it is a face of no principal simplex."""
+    text = "principal stratum is not dense: some simplex is not a face of a principal simplex"
+    gens, maximal = [[1, 0, 2, 3]], [[0, 1, 2], [2, 3]]
+    G = group_from_permutations(gens)
+    R = regularize(build_gcomplex(SimplicialComplex.from_maximal(maximal), G, gens))
+    principal = {i for i, s in enumerate(R.complex.order) if not R.isotropy(s).elements[1:]}
+    assert principal and not R.complex.closure(principal) >= set(R.complex.maximal_positions())
+    with pytest.raises(ValidationError) as err:
+        orbit_type_stratification(R)
+    assert str(err.value) == text
+    gpath, cpath = tmp_path / "group.json", tmp_path / "complex.json"
+    gpath.write_text(json.dumps({"permutation_generators": gens}))
+    cpath.write_text(json.dumps({"maximal_simplices": maximal, "action": {"generator_images": gens}}))
+    assert main(["verify", "--group", str(gpath), "--complex", str(cpath)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {text}\n")
+
+
+def test_basepoint_outside_the_piece_is_rejected():
+    X = regularize(corpus.load_case("s2-pi-rotation").gcomplex)
+    st = orbit_type_stratification(X)
+    stratum = st.strata[1]
+    component = stratum.components[0]
+    order = X.complex.order
+    principal_vertex = next(order[i] for i in st.principal.members if len(order[i]) == 1)
+    other_piece = order[stratum.piece_vertices(stratum.components[1].piece_indices[0])[0]]
+    for basepoint in (principal_vertex, other_piece, (10**6,)):
+        with pytest.raises(ValidationError) as err:
+            orientation_character(X, stratum, component, basepoint=basepoint)
+        assert str(err.value) == f"basepoint {basepoint} is not in the component piece"

@@ -1,0 +1,99 @@
+"""Seeded fuzz test: corpus inputs with keys deleted or inserted and values
+swapped for floats, bools, nulls, strings, negatives, out-of-range ids and
+wrong containers.  Every mutant must end with an exit code of the CLI (0, 1,
+2 or 3), never with a raw traceback."""
+
+import copy
+import json
+import random
+
+import pytest
+
+from equichi import corpus
+from equichi.cli import main
+
+SEED = 10
+MUTANTS = 1000
+
+# keys the readers look for, so an insertion can reach a branch that a
+# corpus file does not take
+KEYS = (
+    "H", "action", "character_table", "component_action", "components", "dim",
+    "elements", "entries", "eta", "generator_images", "generators", "h", "id",
+    "integral", "maximal_simplices", "mode", "multiplicities", "n_b", "per_rho",
+    "permutation_generators", "principal_integral", "rank", "strata", "table",
+)
+
+
+def corpus_inputs():
+    """(command, {flag: document}) for every corpus input."""
+    out = []
+    for cid in corpus.case_ids():
+        doc = json.loads(corpus.read_corpus_bytes(cid))
+        for command in ("verify", "strata"):
+            out.append((command, {"--group": doc["group"], "--complex": doc["complex"]}))
+    for bid in corpus.bundle_ids():
+        doc = json.loads(corpus.read_corpus_bytes(bid))
+        out.append(("fine-decomp", {"--group": doc["group"], "--bundle": doc["bundle"]}))
+    for iid in corpus.index_data_ids():
+        out.append(("assemble", {"--data": json.loads(corpus.read_corpus_bytes(iid))["data"]}))
+    return out
+
+
+def junk(rng, value):
+    """A value of the wrong kind, or an id out of range, in place of `value`."""
+    options = [
+        1.5, 0.0, True, False, None, -1, -rng.randint(2, 9), 10**6,
+        rng.randint(0, 30), "x", "1", [], {}, [value], {"0": value},
+    ]
+    if type(value) is int:
+        options += [value + 1, -value, float(value)]
+    return rng.choice(options)
+
+
+def slots(node):
+    """(container, key) for every value below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from slots(value)
+
+
+def mutate(rng, docs):
+    docs = copy.deepcopy(docs)
+    for _ in range(rng.randint(1, 3)):
+        parent, key = rng.choice(list(slots(docs)))
+        kind = rng.randrange(3)
+        if kind == 0 and parent is not docs:
+            del parent[key]
+        elif kind == 1 or not isinstance(parent[key], (dict, list)):
+            parent[key] = junk(rng, parent[key])
+        elif isinstance(parent[key], dict):
+            parent[key][rng.choice(KEYS)] = junk(rng, None)
+        else:
+            target = parent[key]
+            target.insert(rng.randint(0, len(target)), junk(rng, target[0] if target else 0))
+    return docs
+
+
+def test_mutated_corpus_inputs_end_with_an_exit_code(tmp_path, capsys):
+    rng = random.Random(SEED)
+    inputs = corpus_inputs()
+    codes = set()
+    for n in range(MUTANTS):
+        command, docs = inputs[n % len(inputs)]
+        mutant = mutate(rng, docs)
+        argv = [command]
+        for flag, doc in mutant.items():
+            path = tmp_path / f"{n}{flag}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback: name the mutant that raised it
+            pytest.fail(f"{command} on {json.dumps(mutant)} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), (command, mutant)
+        codes.add(code)
+    # the mutants reach past the readers as well as into them
+    assert {0, 1} <= codes
