@@ -42,7 +42,7 @@ from .jsonio import (
     index_file_from_json,
     load_json_file,
 )
-from .strataformula import strata_geometry, verify_strata_vs_oracle
+from .strataformula import StrataGeometry, verify_strata_vs_oracle
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -110,15 +110,14 @@ def _cmd_strata(args) -> tuple[dict, int]:
         rows = list(table)
     code = EXIT_OK
     skipped = None
+    strat = orbit_type_stratification(X)
     try:
-        geometry = strata_geometry(X)
-        strat = geometry.stratification
+        geometry = StrataGeometry(X.group, strat)
         breakdowns = [geometry.breakdown(rho).to_json_dict() for rho in rows]
     except CodimensionError as exc:
         skipped = str(exc)
         code = EXIT_SKIPPED
         breakdowns = []
-        strat = orbit_type_stratification(X)
     payload = {
         "command": "strata",
         "inputs": inputs,

@@ -132,21 +132,6 @@ class SimplicialComplex:
                 layers[d - 1].update(map(column.__getitem__, ks))
         return set().union(*layers)
 
-    @cached_property
-    def _vertex_stars(self) -> dict[int, list[int]]:
-        """Vertex -> ascending positions of the simplices containing it."""
-        stars: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for i, s in enumerate(self.order):
-            for v in s:
-                stars[v].append(i)
-        return stars
-
-    def star(self, simplex: Simplex) -> list[int]:
-        """Ascending positions of the simplices containing `simplex`, read
-        from the star of its first vertex."""
-        order, base = self.order, set(simplex)
-        return [i for i in self._vertex_stars[simplex[0]] if base.issubset(order[i])]
-
     def __contains__(self, simplex: Simplex) -> bool:
         return tuple(simplex) in self.index
 

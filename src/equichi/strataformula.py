@@ -1,77 +1,46 @@
 """Isotypical Euler characteristics through the orbit-type stratification.
 
-The rho-isotypical Euler characteristic of a regular action decomposes over
-the quotient as a principal term plus one term per singular stratum
-component:
+Under a regular action the isotropy group of a simplex fixes it pointwise,
+so the chain complex is a sum, over simplex orbits, of permutation modules
+C[G/G_s], and no orientation is flipped.  Frobenius reciprocity then gives
+the rho-isotypical Euler characteristic as a sum over the strata, the
+equivariant Euler characteristic in the Burnside ring (tom Dieck,
+*Transformation Groups*, 1987):
 
     chi_rho(M) = chi_rho(G/H_pr) * chi(Q, Q_sing)
-               + sum over components  chi_rho(G/H_j, eps_j) * chi(Q_cl, Q_low)
+               + sum over components  chi_rho(G/H_j) * chi(Q_cl, Q_low)
 
-where Q is the orbit space, Q_sing the image of the non-principal part,
-Q_cl / Q_low the images of a component's closure and of its boundary part,
-and eps_j the orientation character of the normal data along the component.
-Every homogeneous factor chi_rho(G/H, eps) = deg(rho) * <Res_H chi_rho, eps>
-is an exact integer.
+where Q is the orbit space, Q_sing the image of the non-principal part, and
+Q_cl / Q_low the images of a component's closure and of its boundary part.
+Every homogeneous factor chi_rho(G/H) = deg(rho) * <Res_H chi_rho, 1>_H is
+an exact integer.
 
-Components of codimension below two are rejected with a typed error rather
-than silently producing a wrong answer; the verification driver converts
-that into an explicit skip.
+Components of codimension below two are rejected with a typed error; the
+verification driver converts that into an explicit skip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .characters import (
-    Character,
-    ClassFunction,
-    character_table,
-    inner_product,
-    restrict,
-    trivial_character,
-)
+from .characters import Character, character_table, inner_product, restrict, trivial_character
 from .complexes import euler_of_complex
 from .errors import CodimensionError, DefectError, ValidationError
-from .gcomplex import (
-    GComplex,
-    Stratification,
-    Stratum,
-    StratumComponent,
-    orbit_type_stratification,
-    orientation_character,
-    regularize,
-)
+from .gcomplex import GComplex, Stratification, orbit_type_stratification, regularize
 from .groups import FiniteGroup, Subgroup
 from .lefschetz import equivariant_multiplicities
 
 
-def _check_sign_values(eps: ClassFunction) -> None:
-    for v in eps.values:
-        q = v.as_rational()
-        if q is None or q * q != 1:
-            raise ValidationError("orientation data must take values +-1")
-
-
-def chi_rho_homogeneous(
-    G: FiniteGroup, H: Subgroup, eps: ClassFunction | None, rho: Character
-) -> int:
-    """chi_rho of the homogeneous space G/H twisted by a sign character:
-    deg(rho) * <Res_H chi_rho, eps>_H, an exact integer.
-
-    eps = None means the trivial sign character.
-    """
+def chi_rho_homogeneous(G: FiniteGroup, H: Subgroup, rho: Character) -> int:
+    """chi_rho of the homogeneous space G/H: deg(rho) * <Res_H chi_rho, 1>_H,
+    an exact integer."""
     if rho.group is not G:
         raise ValidationError("character lives on a different group")
     if H.parent is not G:
         raise ValidationError("subgroup lives in a different group")
     Hgroup, _ = H.as_group()
-    if eps is None:
-        eps = trivial_character(Hgroup)
-    if eps.group is not Hgroup:
-        raise ValidationError("sign character does not live on the subgroup")
-    _check_sign_values(eps)
-    mult = inner_product(restrict(rho, H), eps)
-    m = mult.as_integer()
+    m = inner_product(restrict(rho, H), trivial_character(Hgroup)).as_integer()
     if m < 0:
         raise DefectError("negative multiplicity in a restriction")
     return rho.degree * m
@@ -85,9 +54,10 @@ class StrataTerm:
     component_index: int
     isotropy: tuple[int, ...]
     codimension: int
-    homogeneous: int  # chi_rho(G/H, eps)
+    homogeneous: int  # chi_rho(G/H)
     relative: int  # chi of (image of closure, image of lower part)
-    sign_character_trivial: bool
+    # the sum carries no orientation twist, so the one it reports is trivial
+    sign_character_trivial: ClassVar[bool] = True
 
     @property
     def product(self) -> int:
@@ -138,67 +108,58 @@ class StrataEulerBreakdown:
         }
 
 
-def _second_vertex_recheck(X, stratum, component, eps) -> None:
-    """Recompute the orientation character at a second basepoint of the same
-    piece; a dependence on the basepoint is an internal defect."""
-    vertices = stratum.piece_vertices(component.piece_indices[0])
-    if len(vertices) < 2:
-        return
-    basepoint = X.complex.order[vertices[1]]
-    again = orientation_character(X, stratum, component, basepoint=basepoint)
-    if again.signs != eps.signs:
-        raise DefectError(
-            "orientation character depends on the basepoint within a piece"
-        )
-
-
-@dataclass(frozen=True)
-class ComponentGeometry:
-    """The rho-independent data of one singular component: its place in the
-    stratification, its sign character and chi(Q_cl, Q_low)."""
-
-    stratum: Stratum
-    component: StratumComponent
-    sign_character: ClassFunction
-    sign_character_trivial: bool
-    relative: int
-
-
 @dataclass(frozen=True)
 class StrataGeometry:
-    """Everything in the stratified sum that does not depend on rho, built
-    once per complex by `strata_geometry`."""
+    """Everything in the stratified sum that does not depend on rho: the
+    group and its stratification.  Constructing it applies the codimension
+    guard, scanning the singular components in order."""
 
     group: FiniteGroup
     stratification: Stratification
-    principal_relative: int
-    components: tuple[ComponentGeometry, ...]
+
+    def __post_init__(self) -> None:
+        for stratum in self.stratification.singular:
+            for component in stratum.components:
+                if component.codim < 2:
+                    raise CodimensionError(
+                        "stratified sum rejected: component "
+                        f"{component.index} of stratum {stratum.index} has "
+                        f"codimension {component.codim} < 2",
+                        stratum_index=stratum.index,
+                        component_index=component.index,
+                    )
+
+    @property
+    def principal_relative(self) -> int:
+        """chi(Q, Q_sing), counted on the principal positions: the principal
+        components are never built."""
+        return self.stratification.principal.open_euler
 
     def breakdown(self, rho: Character) -> StrataEulerBreakdown:
         """Evaluate the stratified sum for one irreducible of the group."""
         G = self.group
         H_pr = self.stratification.principal.isotropy
-        principal_hom = chi_rho_homogeneous(G, H_pr, None, rho)
-        terms = tuple(
-            StrataTerm(
-                stratum_index=c.stratum.index,
-                component_index=c.component.index,
-                isotropy=c.stratum.isotropy.elements,
-                codimension=c.component.codim,
-                homogeneous=chi_rho_homogeneous(
-                    G, c.stratum.isotropy, c.sign_character, rho
-                ),
-                relative=c.relative,
-                sign_character_trivial=c.sign_character_trivial,
+        principal_homogeneous = chi_rho_homogeneous(G, H_pr, rho)
+        terms: list[StrataTerm] = []
+        for stratum in self.stratification.singular:
+            homogeneous = chi_rho_homogeneous(G, stratum.isotropy, rho)
+            terms.extend(
+                StrataTerm(
+                    stratum_index=stratum.index,
+                    component_index=c.index,
+                    isotropy=stratum.isotropy.elements,
+                    codimension=c.codim,
+                    homogeneous=homogeneous,
+                    relative=c.closure_euler - c.lower_euler,
+                )
+                for c in stratum.components
             )
-            for c in self.components
-        )
         return StrataEulerBreakdown(
             rho_index=rho.index,
             principal_isotropy=H_pr.elements,
-            principal_homogeneous=principal_hom,
+            principal_homogeneous=principal_homogeneous,
             principal_relative=self.principal_relative,
-            terms=terms,
+            terms=tuple(terms),
         )
 
 
@@ -207,37 +168,7 @@ def strata_geometry(X: GComplex) -> StrataGeometry:
     geometric input derived from the complex itself."""
     if not X.regular:
         raise ValidationError("the stratified sum requires a regularized complex")
-    strat = orbit_type_stratification(X)
-    # Q minus Q_sing is the image of the principal stratum, counted on its
-    # positions: its components are never built
-    principal_rel = strat.principal.open_euler
-    components: list[ComponentGeometry] = []
-    for stratum in strat.singular:
-        for component in stratum.components:
-            if component.codim < 2:
-                raise CodimensionError(
-                    "stratified sum rejected: component "
-                    f"{component.index} of stratum {stratum.index} has "
-                    f"codimension {component.codim} < 2",
-                    stratum_index=stratum.index,
-                    component_index=component.index,
-                )
-            eps = orientation_character(X, stratum, component)
-            _second_vertex_recheck(X, stratum, component, eps)
-            if eps.subgroup.elements != stratum.isotropy.elements:
-                raise DefectError(
-                    "basepoint isotropy differs from the stratum isotropy"
-                )
-            components.append(
-                ComponentGeometry(
-                    stratum=stratum,
-                    component=component,
-                    sign_character=eps.class_function(),
-                    sign_character_trivial=eps.is_trivial(),
-                    relative=component.closure_euler - component.lower_euler,
-                )
-            )
-    return StrataGeometry(X.group, strat, principal_rel, tuple(components))
+    return StrataGeometry(X.group, orbit_type_stratification(X))
 
 
 def equivariant_euler_via_strata(X: GComplex, rho: Character) -> StrataEulerBreakdown:

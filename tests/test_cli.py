@@ -149,6 +149,21 @@ def test_strata_codimension_guard(tmp_path, capsys):
     assert payload["stratification"]["strata"][1]["codimension"] == 1
 
 
+def test_strata_stratifies_once_when_the_guard_fires(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return gcomplex.orbit_type_stratification(X)
+
+    for module in (strataformula, cli):
+        monkeypatch.setattr(module, "orbit_type_stratification", counted)
+    gpath, cpath = write_case_files(tmp_path, "s2-reflection")
+    code, _, _ = run_cli(["strata", "--group", gpath, "--complex", cpath], capsys)
+    assert code == 3
+    assert len(calls) == 1
+
+
 def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
     calls = {"stratify": 0}
     built = []  # every SimplicialComplex constructed, in order

@@ -187,8 +187,6 @@ def test_constructor_matches_closure_reference(seed):
     assert K.maximal_simplices() == ref["maximal"]
     assert [K.facets(i) for i in range(len(K.order))] == ref["facets"]
     assert len(K) == len(ref["order"]) and K.dim == len(ref["order"][-1]) - 1
-    for s in ref["order"]:
-        assert K.star(s) == [i for i, t in enumerate(ref["order"]) if set(s) <= set(t)]
     # the table holds the int objects of `index`, none of its own
     ids = tuple(K.index.values())
     assert all(j is ids[j] for columns in K.facet_table for column in columns for j in column)

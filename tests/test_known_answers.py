@@ -1,0 +1,136 @@
+"""Known answers for actions whose isotropy reverses the normal orientation.
+
+Every action here has an isotropy group that acts on the normal slice of
+its fixed set by an orientation-reversing map, or a fixed set that reaches
+the boundary.  The stratified sum carries no orientation twist, so both
+routes must give the answer known in closed form.
+"""
+
+import json
+import random
+from itertools import product
+
+import pytest
+
+from equichi import (
+    ClassFunction,
+    Cyc,
+    character_table,
+    equivariant_multiplicities,
+    inner_product,
+    regularize,
+)
+from equichi.cli import main
+from equichi.jsonio import gcomplex_from_json, group_from_json
+
+# the boundary of the 4-cross-polytope, S^3: vertex 2i is +e_i and vertex
+# 2i + 1 is -e_i, and each facet picks one of +-e_i for every i
+CROSS_POLYTOPE = [[2 * i + b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=4)]
+NEGATE_123 = [1, 0, 3, 2, 5, 4, 6, 7]  # diag(-1, -1, -1, 1)
+NEGATE_234 = [0, 1, 3, 2, 5, 4, 7, 6]  # diag(1, -1, -1, -1)
+CYCLE_1234 = [2, 3, 4, 5, 6, 7, 0, 1]  # e_i -> e_(i+1)
+
+# the cone over the half-turn of the octahedral sphere: a 3-ball whose axis
+# of rotation reaches the boundary
+OCTAHEDRON = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
+HALF_TURN = [3, 4, 2, 0, 1, 5]
+
+REPRODUCTIONS = {
+    # S^3 / C2 with two isolated fixed points: Lambda(g) = 2, Lambda(1) = 0
+    "s3-negate-three": ([NEGATE_123], CROSS_POLYTOPE, (-1, 1)),
+    "cone-over-half-turn": ([HALF_TURN + [6]], [t + [6] for t in OCTAHEDRON], (0, 1)),
+    # three tetrahedra on the edge (0, 1), permuted cyclically by C3
+    "three-tetrahedra-on-an-edge": (
+        [[0, 1, 4, 5, 6, 7, 2, 3]],
+        [[0, 1, 2, 3], [0, 1, 4, 5], [0, 1, 6, 7]],
+        (0, 0, 1),
+    ),
+}
+
+
+def write_action(tmp_path, gens, maximal, maps=None):
+    gpath, cpath = tmp_path / "group.json", tmp_path / "complex.json"
+    gpath.write_text(json.dumps({"permutation_generators": gens}))
+    images = gens if maps is None else maps
+    cpath.write_text(json.dumps({"maximal_simplices": maximal, "action": {"generator_images": images}}))
+    return gpath, cpath
+
+
+def verify(tmp_path, gens, maximal, maps=None):
+    gpath, cpath = write_action(tmp_path, gens, maximal, maps)
+    code = main(["verify", "--group", str(gpath), "--complex", str(cpath)])
+    return code, gpath, cpath
+
+
+@pytest.mark.parametrize("name", list(REPRODUCTIONS))
+def test_normal_orientation_reversing_isotropy_verifies(tmp_path, capsys, name):
+    gens, maximal, expected = REPRODUCTIONS[name]
+    code, _, _ = verify(tmp_path, gens, maximal)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    rows = json.loads(out)["report"]["rows"]
+    assert tuple(r["oracle"] for r in rows) == expected
+    assert tuple(r["formula"] for r in rows) == expected
+
+
+def signed_det(perm):
+    """det of the signed permutation matrix acting on the cross-polytope's
+    vertices as `perm`: the sign of the coordinate permutation times the
+    signs it puts on the coordinates."""
+    coords = [perm[2 * i] // 2 for i in range(len(perm) // 2)]
+    det = 1
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            if coords[i] > coords[j]:
+                det = -det
+    for i in range(len(coords)):
+        if perm[2 * i] % 2:
+            det = -det
+    return det
+
+
+def closed_form(G):
+    """chi^rho = deg rho * <Lambda, rho>, Lambda(g) = 1 + (-1)^(n-1) det g
+    on S^(n-1), since g acts on H^(n-1) by det g."""
+    n = len(G.perms[0]) // 2
+    values = tuple(Cyc.rational(1 + (-1) ** (n - 1) * signed_det(G.perms[g])) for g in G.class_representatives())
+    lam = ClassFunction(G, values)
+    return tuple(rho.degree * inner_product(lam, rho).as_integer() for rho in character_table(G))
+
+
+def relabeled(gens, rng):
+    """The cross-polytope and the generators' vertex maps, with the vertices
+    renamed at random into [100, 108)."""
+    new = list(range(100, 108))
+    rng.shuffle(new)
+    maximal = [[new[v] for v in s] for s in CROSS_POLYTOPE]
+    maps = [{str(new[v]): new[g[v]] for v in range(8)} for g in gens]
+    return maximal, maps
+
+
+CROSS_POLYTOPE_GROUPS = {
+    "C2": ([NEGATE_123], 0),
+    "V4": ([NEGATE_123, NEGATE_234], 0),
+    "C4": ([CYCLE_1234], 0),
+    # holds diag(1, 1, -1, 1), a reflection: its fixed set has codimension 1
+    "order-64": ([CYCLE_1234, NEGATE_123], 3),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSS_POLYTOPE_GROUPS))
+def test_cross_polytope_signed_permutations_match_closed_form(tmp_path, capsys, name):
+    gens, exit_code = CROSS_POLYTOPE_GROUPS[name]
+    maximal, maps = relabeled(gens, random.Random(name))
+    code, gpath, cpath = verify(tmp_path, gens, maximal, maps)
+    out, _ = capsys.readouterr()
+    assert code == exit_code
+    G = group_from_json(json.loads(gpath.read_text()))
+    expected = closed_form(G)
+    report = json.loads(out)["report"]
+    if exit_code == 0:
+        assert tuple(r["oracle"] for r in report["rows"]) == expected
+        assert tuple(r["formula"] for r in report["rows"]) == expected
+    else:
+        assert report["rows"] == [] and report["skipped"] is not None
+        X = gcomplex_from_json(json.loads(cpath.read_text()), G)
+        assert equivariant_multiplicities(regularize(X)).chi_rho == expected

@@ -25,7 +25,7 @@ def test_homogeneous_chi_whole_group_trivial_twist():
     tab = character_table(G)
     k = trivial_index(G)
     for rho in tab:
-        assert chi_rho_homogeneous(G, whole, None, rho) == (1 if rho.index == k else 0)
+        assert chi_rho_homogeneous(G, whole, rho) == (1 if rho.index == k else 0)
 
 
 def test_homogeneous_chi_free_orbit_gives_degree_squared():
@@ -33,26 +33,7 @@ def test_homogeneous_chi_free_orbit_gives_degree_squared():
     G = group_from_permutations(S3_GENS)
     triv = Subgroup.generated(G, [])
     for rho in character_table(G):
-        assert chi_rho_homogeneous(G, triv, None, rho) == rho.degree**2
-
-
-def test_homogeneous_chi_with_sign_twist():
-    C2 = group_from_permutations([[1, 0]])
-    whole = Subgroup.generated(C2, [0, 1])
-    HG, _ = whole.as_group()
-    sign_eps = character_table(HG)[0]
-    tab = character_table(C2)
-    assert chi_rho_homogeneous(C2, whole, sign_eps, tab[0]) == 1
-    assert chi_rho_homogeneous(C2, whole, sign_eps, tab[1]) == 0
-
-
-def test_homogeneous_chi_rejects_foreign_twist():
-    G = group_from_permutations(S3_GENS)
-    whole = Subgroup.generated(G, list(G.generators))
-    C2 = group_from_permutations([[1, 0]])
-    eps = character_table(C2)[0]
-    with pytest.raises(ValidationError):
-        chi_rho_homogeneous(G, whole, eps, character_table(G)[0])
+        assert chi_rho_homogeneous(G, triv, rho) == rho.degree**2
 
 
 def test_breakdown_internals_half_rotation(regular_cases):
