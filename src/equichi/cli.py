@@ -360,8 +360,12 @@ def main(argv=None) -> int:
     payload["exact_arithmetic"] = True
     text = canonical_json(payload) if args.format == "json" else _render_table(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INVALID
     else:
         sys.stdout.write(text)
     return code

@@ -12,18 +12,18 @@ vertex orbits.  It implies that a simplex mapped to itself is fixed
 pointwise (see `_orbit_walk`), so traces on chain groups are fixed-simplex
 counts.  Two barycentric subdivisions always suffice; this is asserted.
 
-Simplices are numbered by their positions in the complex's `order`.  Group
-loops read one permutation of positions per element (`GComplex.perm`).  The
-stratification holds positions and runs only its checks when it is made;
-each stratum and component builds its simplex sets, pieces and components
-when they are first read.  Vertex fixity is kept apart, as one bitmask of
-fixing elements per vertex read off the vertex maps and carried up the
-complex's facet table to every simplex, so the fixed-set route to a
-Lefschetz number never reads the rows the trace route counts on.  One walk over the simplex orbits (see `OrbitWalk`) decides
-regularity and flags the first position of each orbit; regularity makes
-orbits and quotient simplices correspond, so Euler numbers of the orbit space
-are signed counts of flagged positions.  Only `orbit_space` builds the
-quotient as a complex.
+Simplices are numbered by their positions in the complex's `order`.  The
+action is one row of vertex positions per element (`vertex_perm`); group
+loops read one row of simplex positions per element (`perm`), composed from
+the generators'.  The stratification holds positions and runs only its
+checks when made; strata and components build simplex sets, pieces and
+components when first read.  Vertex fixity, one bitmask of fixing elements
+per vertex read off the vertex rows and carried up the facet table, never
+reads the simplex rows, so the two Lefschetz routes stay independent.  One
+walk over the simplex orbits (see `OrbitWalk`) decides regularity and flags
+the first position of each orbit; regularity makes orbits and quotient
+simplices correspond, so Euler numbers of the orbit space are signed counts
+of flagged positions.  Only `orbit_space` builds the quotient as a complex.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ from .complexes import (
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, normalizer, subconjugate
 
-VertexMap = dict[int, int]
-
-
 @dataclass(frozen=True)
 class OrbitWalk:
     """One pass over the simplex orbits: `vertex_orbit` maps a vertex to its
@@ -66,11 +63,11 @@ class OrbitWalk:
 class GComplex:
     """A simplicial complex with a validated action of a finite group.
 
-    `action[g]` is the vertex map of element g.  `perm[g][i]` is the
-    position of the image of `complex.order[i]` under g, `fixers[v]` the
-    bitmask (bit g for element g) of the elements fixing vertex v, `masks[i]`
-    that of the elements fixing `complex.order[i]` pointwise, `mask_tally`
-    the alternating simplex count per mask and `walk` the pass over simplex
+    `vertex_perm[g][i]`, stored as given, is the position of the image of
+    `complex.vertices[i]` under g.  `perm[g][i]` is that of `complex.order[i]`,
+    so its vertex layer is `vertex_perm[g]`; `masks[i]` the bitmask (bit g for
+    g) of the elements fixing `complex.order[i]` pointwise, `mask_tally` the
+    alternating simplex count per mask and `walk` the pass over simplex
     orbits; each is built on first use and cached.
     """
 
@@ -78,13 +75,13 @@ class GComplex:
         self,
         complex: SimplicialComplex,
         group: FiniteGroup,
-        action: Mapping[int, VertexMap],
+        vertex_perm: Sequence[Sequence[int]],
         regular: bool = False,
         subdivisions: int = 0,
     ):
         self.complex = complex
         self.group = group
-        self.action = {g: dict(m) for g, m in action.items()}
+        self.vertex_perm = vertex_perm
         self.regular = regular
         self.subdivisions = subdivisions
         self._subgroups: dict[int, Subgroup] = {}  # see `_subgroup_of_mask`
@@ -93,27 +90,23 @@ class GComplex:
 
     @cached_property
     def perm(self) -> tuple[tuple[int, ...], ...]:
-        return _simplex_perm(self.complex, self.group, self.action)
+        return _simplex_perm(self.complex, self.group, self.vertex_perm)
 
     @cached_property
     def walk(self) -> OrbitWalk:
         return _orbit_walk(self)
 
     @cached_property
-    def fixers(self) -> dict[int, int]:
-        masks = dict.fromkeys(self.complex.vertices, 0)
-        for g, m in self.action.items():
-            bit = 1 << g
-            for v, w in m.items():
-                if v == w:
-                    masks[v] |= bit
-        return masks
-
-    @cached_property
     def masks(self) -> list[int]:
-        """Per simplex position, the bitmask of the elements fixing the
-        simplex pointwise: what fixes its facets without vertex 0 and 1."""
-        masks = list(map(self.fixers.__getitem__, self.complex.vertices))
+        """Per simplex position, the bitmask of the elements fixing the simplex
+        pointwise: for a vertex, the rows that keep its position; above, what
+        fixes its facets without vertex 0 and 1."""
+        positions = range(len(self.complex.vertices))
+        masks = [0] * len(positions)
+        for g, row in enumerate(self.vertex_perm):
+            bit = 1 << g
+            for i in compress(positions, map(eq, row, positions)):
+                masks[i] |= bit
         for without_0, without_1, *_ in self.complex.facet_table[1:]:
             masks.extend(
                 map(and_, map(masks.__getitem__, without_0), map(masks.__getitem__, without_1))
@@ -146,7 +139,7 @@ class GComplex:
     def apply(self, g: int, simplex: Simplex) -> Simplex:
         i = self.complex.index.get(simplex)
         if i is None:  # not a simplex of the complex: map its vertices
-            m = self.action[g]
+            m = _vertex_map(self.complex, self.vertex_perm[g])
             return tuple(sorted(m[v] for v in simplex))
         return self.complex.order[self.perm[g][i]]
 
@@ -157,37 +150,38 @@ class GComplex:
         return frozenset(self.complex.order[p[i]] for p in self.perm)
 
     def isotropy(self, simplex: Simplex) -> Subgroup:
-        """Pointwise stabilizer of the simplex: the AND of its vertices' masks."""
+        """Pointwise stabilizer of any vertex tuple: the AND of its vertices' masks."""
         full = (1 << self.group.order) - 1
-        return self._subgroup_of_mask(reduce(and_, map(self.fixers.__getitem__, simplex), full))
+        index, masks = self.complex.index, self.masks
+        return self._subgroup_of_mask(reduce(and_, (masks[index[(v,)]] for v in simplex), full))
 
     @cached_property
     def _vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
-        seen: set[int] = set()
-        orbits = []
-        for v in self.complex.vertices:
-            if v in seen:
-                continue
-            orb = {self.action[g][v] for g in range(self.group.order)}
-            seen |= orb
-            orbits.append(tuple(sorted(orb)))
-        orbits.sort(key=lambda o: o[0])
-        return tuple(orbits)
+        # column i of the rows is the orbit of vertex i
+        vertices = self.complex.vertices
+        orbits = sorted({tuple(sorted(set(column))) for column in zip(*self.vertex_perm)})
+        return tuple(tuple(map(vertices.__getitem__, orbit)) for orbit in orbits)
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Vertex orbits sorted by least member."""
         return self._vertex_orbits
 
 
+def _vertex_map(complex: SimplicialComplex, row: Sequence[int]) -> dict[int, int]:
+    """The vertex map, on vertex ids, of a row of vertex positions."""
+    vertices = complex.vertices
+    return dict(zip(vertices, map(vertices.__getitem__, row)))
+
+
 def _simplex_perm(
-    complex: SimplicialComplex, group: FiniteGroup, action: Mapping[int, VertexMap]
+    complex: SimplicialComplex, group: FiniteGroup, vertex_perm: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """Build every element's permutation of simplex positions, checking that
     the action is simplicial.
 
     Only generator images are looked up; every other element's permutation
     is composed along the group's multiplication, which is exact because the
-    vertex maps form a homomorphism.  If some generator sends a simplex
+    vertex rows form a homomorphism.  If some generator sends a simplex
     outside the complex, every element is rescanned in canonical order so
     that the reported witness is the first one.
     """
@@ -195,10 +189,10 @@ def _simplex_perm(
     gen_perm: dict[int, tuple[int, ...]] = {}
     try:
         for g in group.generators:
-            m = action[g]
+            m = _vertex_map(complex, vertex_perm[g])
             gen_perm[g] = tuple(index[tuple(sorted(map(m.__getitem__, s)))] for s in order)
     except KeyError:
-        _raise_non_simplicial(complex, group, action)
+        _raise_non_simplicial(complex, vertex_perm)
         raise DefectError("a generator is not simplicial, yet no element fails") from None
     # every row holds the int objects of `index`, none of its own
     return _compose_rows(group, tuple(index.values()), gen_perm)
@@ -226,11 +220,9 @@ def _compose_rows(
     return tuple(rows[g] for g in range(group.order))
 
 
-def _raise_non_simplicial(
-    complex: SimplicialComplex, group: FiniteGroup, action: Mapping[int, VertexMap]
-) -> None:
-    for g in range(group.order):
-        m = action[g]
+def _raise_non_simplicial(complex: SimplicialComplex, vertex_perm: Sequence[Sequence[int]]) -> None:
+    for g, row in enumerate(vertex_perm):
+        m = _vertex_map(complex, row)
         for s in complex.order:
             image = tuple(sorted(m[v] for v in s))
             if len(set(image)) != len(s):
@@ -279,7 +271,7 @@ def build_gcomplex(
         if set(m) != set(vertices) or set(m.values()) != set(vertices):
             raise ValidationError("generator image is not a vertex bijection")
         given.append((gid, tuple(position[m[v]] for v in vertices)))
-    # vertex maps as tuples of vertex positions
+    # vertex maps as rows of vertex positions
     phi = _compose_rows(group, tuple(range(len(vertices))), dict(given))
     for x, px in enumerate(phi):
         for gid, mg in given:
@@ -290,11 +282,7 @@ def build_gcomplex(
                     f"(the image given for element {gid} differs from the map "
                     "the group table forces on it)"
                 )
-    action = {
-        g: dict(zip(vertices, map(vertices.__getitem__, phi[g])))
-        for g in range(group.order)
-    }
-    X = GComplex(complex, group, action)
+    X = GComplex(complex, group, phi)
     X.perm  # the simplicial check
     return X
 
@@ -354,13 +342,11 @@ def is_regular(X: GComplex) -> bool:
 
 
 def _subdivide(X: GComplex) -> GComplex:
-    """The barycentric subdivision, whose vertex ids are positions in the
-    canonical simplex order, so each element acts on them by its row of
-    simplex positions."""
-    sd, vertex_of = barycentric_subdivision(X.complex)
-    ids = tuple(vertex_of.values())  # 0, 1, ... as one set of int objects for every map
-    action = {g: dict(zip(ids, p)) for g, p in enumerate(X.perm)}
-    return GComplex(sd, X.group, action, subdivisions=X.subdivisions + 1)
+    """The barycentric subdivision, whose vertex ids are the positions in the
+    canonical simplex order, each at its own position among the vertices, so
+    the parent's simplex rows are the child's vertex rows."""
+    sd, _ = barycentric_subdivision(X.complex)
+    return GComplex(sd, X.group, X.perm, subdivisions=X.subdivisions + 1)
 
 
 def regularize(X: GComplex) -> GComplex:
@@ -410,7 +396,7 @@ class FixedSubcomplex:
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
     """Simplices all of whose vertices are fixed by every element of H, read
-    off the fixer masks, which come from the vertex maps alone.
+    off the fixer masks, which come from the rows of vertex positions alone.
 
     For a regularized complex this is the honest fixed-point set.
     Components are listed canonically (by least simplex).
@@ -772,7 +758,7 @@ def _local_degree_sign(
     and preserve the subcomplex)."""
     if star is None:
         return 1  # zero-dimensional normal direction within this subcomplex
-    m = X.action[g]
+    m = _vertex_map(X.complex, X.vertex_perm[g])
     signs = set()
     for t, sign in star.items():
         image_vertices = [m[v] for v in t]

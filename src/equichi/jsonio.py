@@ -66,7 +66,10 @@ def load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bad syntax or bytes, an integer past Python's digit limit, deep nesting
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

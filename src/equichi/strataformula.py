@@ -166,8 +166,6 @@ class StrataGeometry:
 def strata_geometry(X: GComplex) -> StrataGeometry:
     """Build the rho-independent part of the stratified sum, with every
     geometric input derived from the complex itself."""
-    if not X.regular:
-        raise ValidationError("the stratified sum requires a regularized complex")
     return StrataGeometry(X.group, orbit_type_stratification(X))
 
 

@@ -31,7 +31,7 @@ from equichi import (
 )
 from equichi import strataformula
 from equichi.cli import main
-from equichi.gcomplex import GComplex
+from equichi.gcomplex import GComplex, _subdivide
 from equichi.jsonio import group_from_json
 from equichi.groups import all_subgroups
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
@@ -129,17 +129,25 @@ def parity_actions():
 # the plain reference: vertex maps only, one simplex and one element at a time
 
 
+def vertex_maps(X):
+    """Per element, the vertex map on vertex ids read off its row of vertex
+    positions; build it once per complex, not inside a comprehension."""
+    V = X.complex.vertices
+    return [dict(zip(V, map(V.__getitem__, row))) for row in X.vertex_perm]
+
+
 class Reference:
     """Every image and every pointwise stabilizer, from the vertex maps."""
 
     def __init__(self, X):
         n = X.group.order
+        self.maps = maps = vertex_maps(X)
         self.images = {
-            s: [tuple(sorted(X.action[g][v] for v in s)) for g in range(n)]
+            s: [tuple(sorted(maps[g][v] for v in s)) for g in range(n)]
             for s in X.complex.simplices
         }
         self.isotropy = {
-            s: tuple(g for g in range(n) if all(X.action[g][v] == v for v in s))
+            s: tuple(g for g in range(n) if all(maps[g][v] == v for v in s))
             for s in X.complex.simplices
         }
 
@@ -149,7 +157,10 @@ def ref_class_rep(G, elems):
 
 
 def check_action(X, ref):
-    G = X.group
+    G, maps = X.group, ref.maps
+    V = len(X.complex.vertices)
+    # the vertex layer of each simplex row is the stored row itself
+    assert all(p[:V] == row for p, row in zip(X.perm, X.vertex_perm))
     for s in X.complex.sorted_simplices():
         assert [X.apply(g, s) for g in range(G.order)] == ref.images[s]
         assert X.orbit(s) == frozenset(ref.images[s])
@@ -158,9 +169,9 @@ def check_action(X, ref):
     v, w = X.complex.vertices[0], X.complex.vertices[-1]
     outside = (v, w) if (v, w) not in X.complex else (w, v)
     for g in range(G.order):
-        assert X.apply(g, outside) == tuple(sorted(X.action[g][u] for u in outside))
+        assert X.apply(g, outside) == tuple(sorted(maps[g][u] for u in outside))
     assert X.isotropy(outside).elements == tuple(
-        g for g in range(G.order) if X.action[g][v] == v and X.action[g][w] == w
+        g for g in range(G.order) if maps[g][v] == v and maps[g][w] == w
     )
 
 
@@ -244,10 +255,10 @@ def check_stratification(R, ref):
                 assert all(ref.images[s][n] in target for s in piece)
 
 
-def check_orbit_space(R):
+def check_orbit_space(R, ref):
     orbit_of = {}
     for v in R.complex.vertices:
-        orbit_of.setdefault(v, frozenset(R.action[g][v] for g in range(R.group.order)))
+        orbit_of.setdefault(v, frozenset(m[v] for m in ref.maps))
     labels = sorted({min(o) for o in orbit_of.values()})
     quotient_id = {v: labels.index(min(o)) for v, o in orbit_of.items()}
     Q = orbit_space(R)
@@ -285,7 +296,7 @@ def test_table_matches_vertex_map_reference(G, maximal, maps):
     check_action(R, ref)
     check_lefschetz(R, ref)
     check_stratification(R, ref)
-    check_orbit_space(R)
+    check_orbit_space(R, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +308,18 @@ def reference_regularity(X):
     from the vertex maps alone: the verdict, the vertex -> quotient vertex
     map and the quotient simplices.  Asserts that (b) implies (a)."""
     n = X.group.order
+    maps = vertex_maps(X)
 
     def image(g, s):
-        return tuple(sorted(X.action[g][v] for v in s))
+        return tuple(sorted(maps[g][v] for v in s))
 
     pointwise = all(
-        all(X.action[g][v] == v for v in s)
+        all(maps[g][v] == v for v in s)
         for s in X.complex.simplices
         for g in range(n)
         if image(g, s) == s
     )
-    least = {v: min(X.action[g][v] for g in range(n)) for v in X.complex.vertices}
+    least = {v: min(m[v] for m in maps) for v in X.complex.vertices}
     labels = sorted(set(least.values()))
     quotient_id = {v: labels.index(o) for v, o in least.items()}
     orbits = {frozenset(image(g, s) for g in range(n)) for s in X.complex.simplices}
@@ -321,7 +333,7 @@ def reference_regularity(X):
 def check_regularity(X):
     regular, quotient_id, images = reference_regularity(X)
     assert is_regular(X) == regular
-    flagged = GComplex(X.complex, X.group, X.action, regular=True)
+    flagged = GComplex(X.complex, X.group, X.vertex_perm, regular=True)
     if not regular:
         with pytest.raises(DefectError):
             orbit_space(flagged)
@@ -404,7 +416,7 @@ def test_stratified_route_rejects_non_regular_actions_flagged_regular(name):
     for run, (kind, text) in zip(
         (strata_geometry, verify_strata_vs_oracle), NON_REGULAR_FAILURES[name]
     ):
-        flagged = GComplex(X.complex, X.group, X.action, regular=True)
+        flagged = GComplex(X.complex, X.group, X.vertex_perm, regular=True)
         with pytest.raises(kind) as err:
             run(flagged)
         assert type(err.value) is kind
@@ -415,7 +427,7 @@ def test_s3_case_violates_regularity_away_from_the_orbit_probe():
     gens, maximal, images = NON_REGULAR_ACTIONS["s3-triangle-boundary"]
     G = group_from_permutations(gens)
     X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
-    assert X.apply(1, (1, 2)) == (1, 2) and X.action[1][1] == 2
+    assert X.apply(1, (1, 2)) == (1, 2) and vertex_maps(X)[1][1] == 2
     assert X.apply(1, (0, 1)) != (0, 1)
     assert min(X.orbit((1, 2))) == (0, 1)
 
@@ -490,7 +502,8 @@ def test_collapsed_simplex_is_named():
     # generator images are checked to be vertex bijections first, so only a
     # hand-built action can collapse a simplex; building its rows is the check
     G = group_from_permutations(C2)
-    X = GComplex(FULL_TRIANGLE, G, {0: {1: 1, 2: 2, 3: 3}, 1: {1: 1, 2: 1, 3: 3}})
+    # vertices 1, 2, 3 sit at positions 0, 1, 2; element 1 sends 2 to 1
+    X = GComplex(FULL_TRIANGLE, G, ((0, 1, 2), (0, 0, 2)))
     with pytest.raises(ValidationError) as err:
         X.perm
     assert str(err.value) == "non-simplicial map: element 1 collapses simplex (1, 2)"
@@ -503,7 +516,7 @@ def test_image_of_a_generator_must_be_the_map_it_acts_by():
     edge = SimplicialComplex.from_maximal([[0, 1]])
     with pytest.raises(ValidationError, match="the image given for element 0 differs"):
         build_gcomplex(edge, G, [[1, 0], [1, 0]])
-    assert build_gcomplex(edge, G, [[0, 1], [1, 0]]).action[1] == {0: 1, 1: 0}
+    assert vertex_maps(build_gcomplex(edge, G, [[0, 1], [1, 0]]))[1] == {0: 1, 1: 0}
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +537,9 @@ CHI_RHO = {
 
 
 def test_subdivision_ladder_keeps_chi_rho():
+    # the parent's simplex rows are handed over as the subdivision's vertex rows
+    X = corpus.load_case("s2-pi-rotation").gcomplex
+    assert _subdivide(X).vertex_perm is X.perm
     rng = random.Random(7)
     sizes = []
     for cid, expected in CHI_RHO.items():

@@ -1,9 +1,11 @@
 """The benchmark's routes stay runnable against the package.
 
 `bench/workloads.py` imports names from `equichi` and re-runs `verify` and
-`strata` call by call in its traced form.  This runs every rotation-groups
-op both ways, so removing or changing a name it uses fails here, not only
-in a benchmark run.  Inputs are written under the test's temporary
+`strata` call by call in its traced form.  This runs every subdiv-ladder and
+rotation-groups op both ways, so removing or changing a name it uses fails
+here, not only in a benchmark run.  The traced subdiv-ladder route also
+computes an orientation character on every corpus action at every
+subdivision level.  Inputs are written under the test's temporary
 directory; nothing is written under `bench/`.
 """
 
@@ -27,9 +29,10 @@ def bench():
         sys.path.remove(str(BENCH))
 
 
-def test_rotation_groups_traced_routes_match_the_command(bench, tmp_path):
+@pytest.mark.parametrize("workload", ["subdiv-ladder", "rotation-groups"])
+def test_traced_routes_match_the_command(bench, tmp_path, workload):
     workloads, Tracer, same_outcome = bench["workloads"], bench["spans"].Tracer, bench["run"].same_outcome
-    ops = workloads.rotation_groups(tmp_path, 7)
+    ops = workloads.WORKLOADS[workload](tmp_path, 7)
     assert ops
     for op in ops:
         plain = op.outcome(op.run())

@@ -480,6 +480,35 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_unreadable_files_exit_invalid_naming_the_path(tmp_path, capsys):
+    """Unreadable input files and an unwritable --out end with exit 1 and one
+    `error:` line naming the path, not a traceback."""
+    data = tmp_path / "idx.json"
+    data.write_text(json.dumps(BETA_DATA))
+    gpath, cpath = write_case_files(tmp_path, "s2-pi-rotation")
+    contents = {
+        "bad-bytes.json": b"\xff\xfe",
+        "deep.json": b"[" * 200_000,
+        "long-int.json": b"9" * 5000,
+    }
+    runs = [
+        (["verify", "--group", str(tmp_path / "missing.json"), "--complex", cpath],
+         tmp_path / "missing.json"),
+        (["assemble", "--data", str(tmp_path)], tmp_path),
+        (["assemble", "--data", str(data), "--out", str(tmp_path / "no-dir" / "r.json")],
+         tmp_path / "no-dir" / "r.json"),
+    ]
+    for name, raw in contents.items():
+        (tmp_path / name).write_bytes(raw)
+        runs.append((["assemble", "--data", str(tmp_path / name)], tmp_path / name))
+    for argv, path in runs:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert out == ""
+        (line,) = [line for line in err.splitlines() if not line.startswith("elapsed:")]
+        assert line.startswith("error: ") and str(path) in line, line
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "idx.json"
     path.write_text(json.dumps(BETA_DATA))

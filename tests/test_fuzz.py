@@ -1,11 +1,16 @@
-"""Seeded fuzz test: corpus inputs with keys deleted or inserted and values
-swapped for floats, bools, nulls, strings, negatives, out-of-range ids and
-wrong containers.  Every mutant must end with an exit code of the CLI (0, 1,
-2 or 3), never with a raw traceback."""
+"""Seeded fuzz tests: corpus inputs, and the benchmark's rotation-group
+inputs, with keys deleted or inserted and values swapped for floats, bools,
+nulls, strings, negatives, out-of-range ids and wrong containers; the
+rotation-group inputs also with two entries of one generator image swapped.
+Every mutant must end with an exit code of the CLI (0, 1, 2 or 3), never
+with a raw traceback.  Nothing is written under `bench/`."""
 
 import copy
+import importlib
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +102,63 @@ def test_mutated_corpus_inputs_end_with_an_exit_code(tmp_path, capsys):
         codes.add(code)
     # the mutants reach past the readers as well as into them
     assert {0, 1} <= codes
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROTATION_MUTANTS = 600
+
+
+def rotation_inputs():
+    """(command, {flag: document}) for the five rotation-group actions of
+    `bench/inputs.py`, each run through `verify` and `strata`."""
+    sys.path.insert(0, str(BENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        inputs = importlib.import_module("inputs")
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(BENCH))
+    made = [
+        inputs.tetrahedron_a4(), inputs.octahedron_s4(), inputs.icosahedron_a5(),
+        inputs.suspended_polygon(8), inputs.suspended_polygon(12),
+    ]
+    return [
+        (command, {"--group": {"permutation_generators": gens}, "--complex": action.to_json()})
+        for gens, action in made
+        for command in ("verify", "strata")
+    ]
+
+
+def transpose(rng, docs):
+    """Swap two entries of one generator image: still a vertex bijection, so
+    the mutant reaches the homomorphism and simplicial checks."""
+    docs = copy.deepcopy(docs)
+    image = rng.choice(docs["--complex"]["action"]["generator_images"])
+    i, j = rng.sample(range(len(image)), 2)
+    image[i], image[j] = image[j], image[i]
+    return docs
+
+
+def test_mutated_rotation_inputs_end_with_an_exit_code(tmp_path, capsys):
+    rng = random.Random(SEED)
+    inputs = rotation_inputs()
+    codes, errors = set(), set()
+    for n in range(ROTATION_MUTANTS):
+        command, docs = inputs[n % len(inputs)]
+        mutant = transpose(rng, docs) if n % 2 else mutate(rng, docs)
+        argv = [command]
+        for flag, doc in mutant.items():
+            path = tmp_path / f"{n}{flag}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback: name the mutant that raised it
+            pytest.fail(f"{command} on {json.dumps(mutant)} raised {exc!r}")
+        errors.add(capsys.readouterr().err.split("\n", 1)[0].partition(" (")[0])
+        assert code in (0, 1, 2, 3), (command, mutant)
+        codes.add(code)
+    assert {0, 1} <= codes
+    # the swapped images reach both witnesses of `build_gcomplex`
+    assert "error: generator images do not define a group action" in errors
+    assert any(e.startswith("error: non-simplicial map: element") for e in errors)

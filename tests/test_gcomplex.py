@@ -119,10 +119,12 @@ def test_regularize_establishes_both_conditions(cases, regular_cases):
         assert X.regular
         assert is_regular(X)
         # a setwise invariant simplex must be pointwise fixed
+        V = X.complex.vertices
+        maps = [dict(zip(V, map(V.__getitem__, row))) for row in X.vertex_perm]
         for s in X.complex.simplices:
             for g in range(X.group.order):
                 if X.apply(g, s) == s:
-                    assert all(X.action[g][v] == v for v in s)
+                    assert all(maps[g][v] == v for v in s)
 
 
 def test_regularize_is_identity_when_already_regular(cases):
