@@ -20,7 +20,9 @@ outranks success.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
+import os
 import sys
 import time
 from functools import cache
@@ -341,6 +343,10 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a missing --out directory fails before the run, not after it
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"error: cannot write {args.out}: {os.strerror(errno.ENOENT)}", file=sys.stderr)
+        return EXIT_INVALID
     start = time.perf_counter()
     try:
         payload, code = COMMANDS[args.command](args)

@@ -20,15 +20,16 @@ checks when made; strata and components build simplex sets, pieces and
 components when first read.  Vertex fixity, one bitmask of fixing elements
 per vertex read off the vertex rows and carried up the facet table, never
 reads the simplex rows, so the two Lefschetz routes stay independent.  One
-walk over the simplex orbits (see `OrbitWalk`) decides regularity and flags
-the first position of each orbit; regularity makes orbits and quotient
-simplices correspond, so Euler numbers of the orbit space are signed counts
-of flagged positions.  Only `orbit_space` builds the quotient as a complex.
+walk over the simplex orbits (see `OrbitWalk`), cached per complex, flags
+the first position of each orbit and gives the verdict on regularity; that
+verdict, read through `is_regular`, is the only regularity state.
+Regularity makes orbits and quotient simplices correspond, so Euler numbers
+of the orbit space are signed counts of flagged positions.  Only
+`orbit_space` builds the quotient as a complex.
 """
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -51,13 +52,13 @@ class OrbitWalk:
     """One pass over the simplex orbits: `vertex_orbit` maps a vertex to its
     position in `vertex_orbits()`, `images` holds the vertex-orbit image of
     each simplex orbit walked, `first[i]` is 1 when position i is the first of
-    its orbit, and `failure` is the first regularity failure, where the walk
-    stopped, or None when the action is regular."""
+    its orbit, and `faithful` is the verdict: True when the action is
+    regular, False when the walk stopped at the first orbit that is not."""
 
     vertex_orbit: dict[int, int]
     images: set[Simplex]
     first: bytearray
-    failure: str | None
+    faithful: bool
 
 
 class GComplex:
@@ -68,7 +69,8 @@ class GComplex:
     so its vertex layer is `vertex_perm[g]`; `masks[i]` the bitmask (bit g for
     g) of the elements fixing `complex.order[i]` pointwise, `mask_tally` the
     alternating simplex count per mask and `walk` the pass over simplex
-    orbits; each is built on first use and cached.
+    orbits, whose verdict `is_regular` reads; each is built on first use and
+    cached.
     """
 
     def __init__(
@@ -76,13 +78,11 @@ class GComplex:
         complex: SimplicialComplex,
         group: FiniteGroup,
         vertex_perm: Sequence[Sequence[int]],
-        regular: bool = False,
         subdivisions: int = 0,
     ):
         self.complex = complex
         self.group = group
         self.vertex_perm = vertex_perm
-        self.regular = regular
         self.subdivisions = subdivisions
         self._subgroups: dict[int, Subgroup] = {}  # see `_subgroup_of_mask`
 
@@ -307,19 +307,18 @@ def _raise_homomorphism_witness(group: FiniteGroup, phi: Sequence[tuple[int, ...
 def _orbit_walk(X: GComplex) -> OrbitWalk:
     """Walk the simplex orbits, each probed at its first position: the
     simplex must project to distinct vertex orbits, and no two simplex
-    orbits may share an image.
+    orbits may share an image.  The walk stops at the first orbit that
+    fails, with the verdict False.
 
     A simplex mapped to itself is then fixed pointwise, so that is not
     probed: if g maps s to itself and moves a vertex v of s, then v and g.v
     are two vertices of s in one orbit, and the image of s is degenerate.
-    Such a simplex is reported under that text.
     """
     vertex_orbit = {v: k for k, orb in enumerate(X.vertex_orbits()) for v in orb}
     order, perm = X.complex.order, X.perm
     images: set[Simplex] = set()
     seen = bytearray(len(order))
     first = bytearray(len(order))
-    failure = None
     for i, s in enumerate(order):
         if seen[i]:
             continue
@@ -327,18 +326,15 @@ def _orbit_walk(X: GComplex) -> OrbitWalk:
             seen[p[i]] = 1
         first[i] = 1
         img = tuple(sorted(map(vertex_orbit.__getitem__, s)))
-        if len(set(img)) != len(s):
-            failure = "regular action produced a degenerate quotient simplex"
-        elif img in images:
-            failure = "quotient conflated distinct simplex orbits"
-        if failure is not None:
-            break
+        if len(set(img)) != len(s) or img in images:
+            return OrbitWalk(vertex_orbit, images, first, False)
         images.add(img)
-    return OrbitWalk(vertex_orbit, images, first, failure)
+    return OrbitWalk(vertex_orbit, images, first, True)
 
 
 def is_regular(X: GComplex) -> bool:
-    return X.walk.failure is None
+    """The orbit walk's verdict, cached on the complex."""
+    return X.walk.faithful
 
 
 def _subdivide(X: GComplex) -> GComplex:
@@ -350,20 +346,19 @@ def _subdivide(X: GComplex) -> GComplex:
 
 
 def regularize(X: GComplex) -> GComplex:
-    """Barycentrically subdivide (at most twice) until the action is regular.
-    The regular copy keeps the cached rows, masks, orbits and orbit walk."""
+    """The first regular complex of the ladder X, sd X, sd^2 X: X itself when
+    its action is regular.  Two subdivisions always suffice; needing a third
+    is a defect."""
     current = X
     while not is_regular(current):
         if current.subdivisions == X.subdivisions + 2:
             raise DefectError("two barycentric subdivisions did not regularize the action")
         current = _subdivide(current)
-    regular = copy.copy(current)
-    regular.regular = True
-    return regular
+    return current
 
 
 def _require_regular(X: GComplex) -> None:
-    if not X.regular:
+    if not is_regular(X):
         raise ValidationError("operation requires a regularized complex")
 
 
@@ -566,10 +561,10 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     subconjugacy partial order (ascending isotropy order, canonical class
     representative as tie-break; the principal class comes first).
 
-    Only the checks run here, in this order: the first class must be the
-    unique minimal one, the principal stratum must be dense, and the orbit
-    walk must have found the action regular.  Each stratum builds its
-    simplex sets, pieces and components when they are first read.
+    The orbit walk must have found the action regular; then only these
+    checks run here, in this order: the first class must be the unique
+    minimal one, and the principal stratum must be dense.  Each stratum
+    builds its simplex sets, pieces and components when they are first read.
 
     Density asks that every simplex be a face of a principal simplex.  That
     holds exactly when every maximal simplex is principal: a maximal simplex
@@ -618,9 +613,6 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
         raise ValidationError(
             "principal stratum is not dense: some simplex is not a face of a principal simplex"
         )
-    # the Euler counts of the strata hold only if the walk found the action regular
-    if X.walk.failure is not None:
-        raise DefectError(X.walk.failure)
     return Stratification(tuple(strata), K.dim)
 
 
@@ -648,8 +640,6 @@ def orbit_space(X: GComplex) -> OrbitSpace:
     of s, which is the image of every simplex in the orbit of t."""
     _require_regular(X)
     walk = X.walk
-    if walk.failure is not None:
-        raise DefectError(walk.failure)
     quotient = SimplicialComplex(walk.images)
     if len(quotient) != len(walk.images):
         raise DefectError("quotient image set was not closed under faces")

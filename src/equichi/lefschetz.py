@@ -24,12 +24,12 @@ from operator import eq
 from .characters import ClassFunction, character_table, inner_product
 from .cyclotomic import Cyc
 from .errors import DefectError, ValidationError
-from .gcomplex import GComplex
+from .gcomplex import GComplex, is_regular
 from .groups import FiniteGroup, Subgroup
 
 
 def lefschetz_number_trace(X: GComplex, g: int) -> int:
-    if not X.regular:
+    if not is_regular(X):
         raise ValidationError("Lefschetz traces require a regularized complex")
     p = X.perm[g]
     total = start = 0

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .characters import Character, character_table, inner_product, restrict, trivial_character
+from .characters import Character, character_table
 from .complexes import euler_of_complex
+from .cyclotomic import cyc_sum
 from .errors import CodimensionError, DefectError, ValidationError
 from .gcomplex import GComplex, Stratification, orbit_type_stratification, regularize
 from .groups import FiniteGroup, Subgroup
@@ -34,13 +35,12 @@ from .lefschetz import equivariant_multiplicities
 
 def chi_rho_homogeneous(G: FiniteGroup, H: Subgroup, rho: Character) -> int:
     """chi_rho of the homogeneous space G/H: deg(rho) * <Res_H chi_rho, 1>_H,
-    an exact integer."""
+    an exact integer; the pairing is the average of rho over H."""
     if rho.group is not G:
         raise ValidationError("character lives on a different group")
     if H.parent is not G:
         raise ValidationError("subgroup lives in a different group")
-    Hgroup, _ = H.as_group()
-    m = inner_product(restrict(rho, H), trivial_character(Hgroup)).as_integer()
+    m = (cyc_sum(map(rho, H.elements)) / H.order).as_integer()
     if m < 0:
         raise DefectError("negative multiplicity in a restriction")
     return rho.degree * m
@@ -238,8 +238,7 @@ def verify_strata_vs_oracle(X: GComplex) -> VerifyReport:
 
     A codimension guard fires as an explicit skip, never as a wrong number.
     """
-    if not X.regular:
-        X = regularize(X)
+    X = regularize(X)
     chi_m = euler_of_complex(X.complex)
     report = equivariant_multiplicities(X)
     table = character_table(X.group)

@@ -5,6 +5,8 @@ about 10^4 simplices."""
 
 import json
 import random
+from dataclasses import replace
+from functools import cached_property
 from itertools import combinations, permutations
 
 import pytest
@@ -18,6 +20,7 @@ from equichi import (
     build_gcomplex,
     character_table,
     corpus,
+    equivariant_multiplicities,
     euler_characteristic,
     euler_of_complex,
     fixed_subcomplex,
@@ -31,7 +34,7 @@ from equichi import (
 )
 from equichi import strataformula
 from equichi.cli import main
-from equichi.gcomplex import GComplex, _subdivide
+from equichi.gcomplex import GComplex, _orbit_walk, _subdivide
 from equichi.jsonio import group_from_json
 from equichi.groups import all_subgroups
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
@@ -333,14 +336,14 @@ def reference_regularity(X):
 def check_regularity(X):
     regular, quotient_id, images = reference_regularity(X)
     assert is_regular(X) == regular
-    flagged = GComplex(X.complex, X.group, X.vertex_perm, regular=True)
     if not regular:
-        with pytest.raises(DefectError):
-            orbit_space(flagged)
+        with pytest.raises(ValidationError, match="^operation requires a regularized complex$"):
+            orbit_space(X)
         return
-    for Q in (orbit_space(flagged), orbit_space(regularize(X))):
-        assert Q.vertex_orbit == quotient_id
-        assert Q.complex.simplices == images
+    assert regularize(X) is X
+    Q = orbit_space(X)
+    assert Q.vertex_orbit == quotient_id
+    assert Q.complex.simplices == images
 
 
 @pytest.mark.parametrize("G, maximal, maps", list(parity_actions()))
@@ -379,48 +382,76 @@ def test_orbit_walk_matches_reference_on_non_regular_actions(name):
     check_regularity(regularize(X))
 
 
-# what the stratified route raises on each action above, built flagged
-# regular: (strata_geometry, verify_strata_vs_oracle)
-NON_REGULAR_FAILURES = {
-    "flipped-edge": (
-        (DefectError, "regular action produced a degenerate quotient simplex"),
-        (DefectError, "Lefschetz number disagreement at element 1: trace -1 vs fixed-set 0"),
-    ),
+class ReportsRegular(GComplex):
+    """A test double whose cached orbit walk reports the action regular,
+    whatever the walk found.  The trace and fixed-set Lefschetz routes read
+    `perm` and the fixer masks, never the walk, so the dual-route check still
+    sees the action as it is."""
+
+    @cached_property
+    def walk(self):
+        return replace(_orbit_walk(self), faithful=True)
+
+
+# what `verify_strata_vs_oracle` raises on each action above whose two
+# Lefschetz routes disagree, once the action is flagged regular by the double
+LEFSCHETZ_DISAGREEMENTS = {
+    "flipped-edge": "Lefschetz number disagreement at element 1: trace -1 vs fixed-set 0",
+    "flipped-second-edge": "Lefschetz number disagreement at element 1: trace 0 vs fixed-set 1",
+    "s3-triangle-boundary": "Lefschetz number disagreement at element 1: trace 0 vs fixed-set 1",
+}
+
+
+# what `verify_strata_vs_oracle` makes of each action above, given
+# unregularized: (subdivisions, oracle chi_rho, whether the codimension guard
+# skips the stratified route), or the text it fails with
+UNREGULARIZED_VERIFY = {
+    # the midpoint of the edge is fixed: a stratum of codimension 1
+    "flipped-edge": (1, (0, 1), True),
+    # the fixed edge is a face of no principal simplex
     "flipped-second-edge": (
-        (
-            ValidationError,
-            "principal stratum is not dense: some simplex is not a face of a principal simplex",
-        ),
-        (DefectError, "Lefschetz number disagreement at element 1: trace 0 vs fixed-set 1"),
+        "principal stratum is not dense: some simplex is not a face of a principal simplex"
     ),
-    "s3-triangle-boundary": (
-        (DefectError, "regular action produced a degenerate quotient simplex"),
-        (DefectError, "Lefschetz number disagreement at element 1: trace 0 vs fixed-set 1"),
-    ),
-    "rotated-triangle-boundary": (
-        (DefectError, "regular action produced a degenerate quotient simplex"),
-        (DefectError, "regular action produced a degenerate quotient simplex"),
-    ),
-    "half-turn-square": (
-        (DefectError, "quotient conflated distinct simplex orbits"),
-        (DefectError, "quotient conflated distinct simplex orbits"),
-    ),
+    # each reflection fixes a vertex and the midpoint of the opposite edge
+    "s3-triangle-boundary": (1, (-1, 1, 0), True),
+    "rotated-triangle-boundary": (2, (0, 0, 0), False),
+    "half-turn-square": (1, (0, 0), False),
 }
 
 
 @pytest.mark.parametrize("name", list(NON_REGULAR_ACTIONS))
 def test_stratified_route_rejects_non_regular_actions_flagged_regular(name):
+    """Unregularized, the stratification and the orbit space reject the
+    action and `verify` regularizes it first; flagged regular, an action
+    whose Lefschetz routes disagree fails the dual-route check."""
     gens, maximal, images = NON_REGULAR_ACTIONS[name]
     G = group_from_permutations(gens)
     X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
-    for run, (kind, text) in zip(
-        (strata_geometry, verify_strata_vs_oracle), NON_REGULAR_FAILURES[name]
-    ):
-        flagged = GComplex(X.complex, X.group, X.vertex_perm, regular=True)
-        with pytest.raises(kind) as err:
-            run(flagged)
-        assert type(err.value) is kind
-        assert str(err.value) == text
+    for run in (strata_geometry, orbit_space):
+        with pytest.raises(ValidationError) as err:
+            run(X)
+        assert str(err.value) == "operation requires a regularized complex"
+    expected = UNREGULARIZED_VERIFY[name]
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as err:
+            verify_strata_vs_oracle(X)
+        assert str(err.value) == expected
+    else:
+        subdivisions, chi_rho, skipped = expected
+        report = verify_strata_vs_oracle(X)
+        assert report.subdivisions == subdivisions
+        assert equivariant_multiplicities(regularize(X)).chi_rho == chi_rho
+        if skipped:
+            assert report.rows == () and report.skipped is not None
+        else:
+            assert report.all_match and tuple(r.oracle for r in report.rows) == chi_rho
+    flagged = ReportsRegular(X.complex, X.group, X.vertex_perm)
+    assert is_regular(flagged) and regularize(flagged) is flagged
+    if name in LEFSCHETZ_DISAGREEMENTS:
+        with pytest.raises(DefectError) as err:
+            verify_strata_vs_oracle(flagged)
+        assert type(err.value) is DefectError
+        assert str(err.value) == LEFSCHETZ_DISAGREEMENTS[name]
 
 
 def test_s3_case_violates_regularity_away_from_the_orbit_probe():

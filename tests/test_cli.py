@@ -509,6 +509,22 @@ def test_unreadable_files_exit_invalid_naming_the_path(tmp_path, capsys):
         assert line.startswith("error: ") and str(path) in line, line
 
 
+def test_missing_out_directory_fails_before_the_run(tmp_path, capsys):
+    """An --out path into a missing directory exits 1 before any work: its
+    one stderr line is the `error:` line, with no `elapsed:` line, and no
+    file is made.  A path the write itself fails on still exits 1 after."""
+    target = tmp_path / "no-dir" / "x.json"
+    code, out, err = run_cli(["verify", "--corpus", "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+    assert not target.parent.exists()
+    data = tmp_path / "idx.json"
+    data.write_text(json.dumps(BETA_DATA))
+    code, out, err = run_cli(["assemble", "--data", str(data), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: cannot write {tmp_path}: Is a directory"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "idx.json"
     path.write_text(json.dumps(BETA_DATA))

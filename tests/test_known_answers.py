@@ -1,9 +1,10 @@
 """Known answers for actions whose isotropy reverses the normal orientation.
 
-Every action here has an isotropy group that acts on the normal slice of
-its fixed set by an orientation-reversing map, or a fixed set that reaches
-the boundary.  The stratified sum carries no orientation twist, so both
-routes must give the answer known in closed form.
+The actions here have isotropy groups that act on the normal slice of
+their fixed sets by orientation-reversing maps, or fixed sets that reach the
+boundary; the signed permutation groups also act by rotations alone.  The
+stratified sum carries no orientation twist, so both routes must give the
+answer known in closed form.
 """
 
 import json
@@ -15,10 +16,16 @@ import pytest
 from equichi import (
     ClassFunction,
     Cyc,
+    SimplicialComplex,
+    Subgroup,
+    all_subgroups,
+    build_gcomplex,
     character_table,
     equivariant_multiplicities,
+    group_from_permutations,
     inner_product,
     regularize,
+    verify_strata_vs_oracle,
 )
 from equichi.cli import main
 from equichi.jsonio import gcomplex_from_json, group_from_json
@@ -134,3 +141,51 @@ def test_cross_polytope_signed_permutations_match_closed_form(tmp_path, capsys, 
         assert report["rows"] == [] and report["skipped"] is not None
         X = gcomplex_from_json(json.loads(cpath.read_text()), G)
         assert equivariant_multiplicities(regularize(X)).chi_rho == expected
+
+
+# the octahedron, the boundary of the 3-cross-polytope, and generators of
+# the signed permutations B_3 (order 48) acting on its vertices
+OCTAHEDRON_FACETS = [[2 * i + b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=3)]
+B3 = [[2, 3, 4, 5, 0, 1], [2, 3, 0, 1, 4, 5], [1, 0, 2, 3, 4, 5]]
+
+
+def signed_trace(perm):
+    """Trace of the signed permutation matrix acting as `perm`."""
+    return sum(1 if perm[2 * i] == 2 * i else -1 for i in range(len(perm) // 2) if perm[2 * i] // 2 == i)
+
+
+def generators(H):
+    """A generating set of H, picked greedily from its elements."""
+    gens: list[int] = []
+    for h in H.elements:
+        if h not in Subgroup.generated(H.parent, gens).elements:
+            gens.append(h)
+    return gens
+
+
+def test_octahedron_signed_permutation_subgroups_match_closed_form():
+    """One subgroup from each conjugacy class of B_3 acts on the octahedron.
+    Lambda(g) = 1 + det g, and both routes must give deg rho * <Lambda, rho>.
+    A class holding a reflection (det -1, trace 1) fixes a great circle, a
+    stratum of codimension 1: the stratified route is skipped there, and
+    the oracle alone must match."""
+    B = group_from_permutations(B3)
+    assert B.order == 48
+    classes = {H.canonical_class_representative().elements: H for H in all_subgroups(B)}
+    assert len(classes) == 33
+    skipped = 0
+    for H in classes.values():
+        perms = [B.perms[h] for h in generators(H)] or [B.perms[B.identity]]
+        G = group_from_permutations(perms)
+        X = regularize(build_gcomplex(SimplicialComplex.from_maximal(OCTAHEDRON_FACETS), G, perms))
+        expected = closed_form(G)
+        report = verify_strata_vs_oracle(X)
+        reflection = any(signed_det(p) == -1 and signed_trace(p) == 1 for p in G.perms)
+        if reflection:
+            skipped += 1
+            assert report.rows == () and report.skipped is not None
+            assert equivariant_multiplicities(X).chi_rho == expected
+        else:
+            assert report.skipped is None and report.all_match
+            assert tuple(r.oracle for r in report.rows) == expected
+    assert skipped == 19
