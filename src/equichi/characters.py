@@ -14,7 +14,7 @@ order of g (Isaacs, Character Theory of Finite Groups) gives the rest of
 the orbit.  The finished table is certified exactly.  Any failure of the
 splitting or of the certification is a defect, never a data error.
 
-Certification is one matrix identity over Z[zeta_n], n the lcm of the
+Certification rests on the Gram identity over Z[zeta_n], n the lcm of the
 conductors of the values: X diag(|C|) conj(X)^T = |G| I, next to the row
 count and sum deg^2 = |G|.  Each row is lifted to conductor n once, as sparse
 (exponent, integer coefficient) pairs with one common denominator D_i (1
@@ -24,11 +24,15 @@ reduced mod Phi_n once and compared with |G| D_i D_j delta_ij.  Reduction
 mod Phi_n is a ring map and conjugation a Galois automorphism, so the check
 is exact.  `inner_product` runs the same kernel on two class functions.
 Orthonormal rows need not be characters (scale a column by a unit complex
-number, or swap two columns of equal class size), so certification then
+number, or swap two columns of equal class size), so certification also
 requires every value to be an algebraic integer, one row to be the trivial
 character, and every row to satisfy the class algebra identity
 |C_i| chi(g_i) chi(g_j) = chi(1) sum_{x in C_i} chi(x g_j) for enough
-classes i to tell the rows apart, which makes each row a character of G.
+classes i to tell the rows apart.  That makes each row a positive multiple
+of a distinct irreducible, so the off-diagonal Gram entries are 0, and a
+table is certified by its k diagonal entries, not all k^2.  The ordered
+scan over all entries runs only to name the first failure of a table that
+is rejected.
 
 Enumeration order of the irreducibles: ascending degree, then lexicographic
 order of the value rows, each value keyed by its canonical coefficient tuple
@@ -534,23 +538,37 @@ def _lift_characters(
     return raw
 
 
-def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> list[_Lifted]:
-    """Exact certification: row count, degree accounting, and the Gram
-    identity X diag(|C|) conj(X)^T = |G| I over Z[zeta_n], entry by entry in
-    row-major order.  Returns the rows as lifted for the check."""
-    k = len(G.conjugacy_classes())
-    if len(rows) != k:
+def _lift_table(G: FiniteGroup, rows: Sequence[Character]) -> tuple[int, list[int], list[_Lifted]]:
+    """The row count and sum deg^2 = |G|, then every row lifted once to n,
+    the lcm of the conductors of the values.  Returns (n, class sizes, lifted
+    rows)."""
+    if len(rows) != len(G.conjugacy_classes()):
         raise DefectError("table row count differs from the class count")
     if sum(chi.degree**2 for chi in rows) != G.order:
         raise DefectError("squared degrees do not sum to the group order")
     n = _conductor(*(chi.values for chi in rows))
-    lifted = [_lift_values(chi.values, n) for chi in rows]
     sizes = [len(c) for c in G.conjugacy_classes()]
+    return n, sizes, [_lift_values(chi.values, n) for chi in rows]
+
+
+def _gram_fails(order: int, sizes: list[int], n: int, a: _Lifted, b: _Lifted, diagonal: bool) -> bool:
+    """Whether one entry of X diag(|C|) conj(X)^T differs from |G| delta_ij."""
+    gram = _pairing(a, b, sizes, n)
+    return gram[0] != (order * a[0] * b[0] if diagonal else 0) or any(gram[1:])
+
+
+def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> list[_Lifted]:
+    """The ordered Gram scan: `_lift_table`, then the identity
+    X diag(|C|) conj(X)^T = |G| I over Z[zeta_n], entry by entry in row-major
+    order over the upper triangle.  The Gram matrix is Hermitian and every
+    expected entry is real, so (i, j) fails exactly when (j, i) does, and the
+    first failure in row-major order has i <= j.  `_certify_table` runs it
+    only to name the first failure of a table it rejects.  Returns the rows
+    as lifted for the check."""
+    n, sizes, lifted = _lift_table(G, rows)
     for i, a in enumerate(lifted):
-        for j, b in enumerate(lifted):
-            gram = _pairing(a, b, sizes, n)
-            expected = G.order * a[0] * b[0] if i == j else 0
-            if gram[0] != expected or any(gram[1:]):
+        for j in range(i, len(lifted)):
+            if _gram_fails(G.order, sizes, n, a, lifted[j], i == j):
                 got = inner_product(rows[i], rows[j])
                 raise DefectError(
                     f"character rows {i},{j} are not orthonormal (got {got!r})"
@@ -558,24 +576,25 @@ def _verify_table(G: FiniteGroup, rows: Sequence[Character]) -> list[_Lifted]:
     return lifted
 
 
-def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list[_Lifted]) -> None:
-    """Every row is a character of G, given the rest of `_certify_table`.
+def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list[_Lifted]) -> bool:
+    """Every row is a multiple of an irreducible character of G, and whether
+    the classes checked tell the rows apart.
 
     Each row must satisfy the class algebra identity
         d * sum_{x in C_i} chi(x g_j) = |C_i| chi(g_i) chi(g_j),
     which is 1/|C_j| times |C_i||C_j| chi_i chi_j = d sum_m a_ijm |C_m| chi_m,
-    for every class j and every i in a set S of classes whose values
-    chi_i / d tell the rows apart.  It is checked exactly, as a convolution
-    in Z[x]/(x^n - 1) reduced mod Phi_n, on the lifted rows (all integral
-    here).  Then omega = |C| chi / d is a common eigenvector of the class
-    matrices M_i, i in S.  Their common eigenspaces are spanned by the
-    central characters of the irreducibles, and k rows with distinct
-    eigenvalue tuples make each of them one-dimensional, so each omega is
-    the central character of one irreducible psi and chi = (d / psi(1)) psi;
-    orthonormality then forces d = psi(1).  Here d is the row's degree,
-    which both callers make its positive value at the identity.  S is chosen
-    greedily in class order; the Gram identity already implies that all
-    classes together tell the rows apart.
+    for every class j and every i in a set S of classes chosen greedily in
+    class order, each splitting the rows by the values chi_i / d, until they
+    are told apart or the classes run out.  It is checked exactly, as a
+    convolution in Z[x]/(x^n - 1) reduced mod Phi_n, on the lifted rows (all
+    integral here).  Then omega = |C| chi / d is a common eigenvector of the
+    class matrices M_i, i in S, whose common eigenspaces are spanned by the
+    central characters of the irreducibles.  Here d is the row's degree,
+    which both callers make its positive value at the identity, so omega is
+    1 there.  Returns True when S tells the k rows apart: then their k
+    distinct eigenvalue tuples make each common eigenspace one-dimensional,
+    so each omega is the central character of a distinct irreducible psi and
+    chi = (d / psi(1)) psi.
     """
     n = _conductor(*(chi.values for chi in rows))
     classes = G.conjugacy_classes()
@@ -620,23 +639,50 @@ def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list
                         f"character row {r} violates the class algebra identity "
                         f"at classes {i},{j}"
                     )
+    return len(blocks) == len(rows)
 
 
-def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
-    """`_verify_table`, then the three facts orthonormality does not imply:
-    every value is an algebraic integer, one row is the trivial character,
-    and every row is a character of G (`_check_class_algebra`; the Gram
-    identity does not change when two columns of equal class size are
-    swapped).  Values are kept in the power basis reduced mod Phi_n, an
-    integral basis of Z[zeta_n], so integrality is integral coefficients."""
-    lifted = _verify_table(G, rows)
+def _check_characters(G: FiniteGroup, rows: Sequence[Character], lifted: list[_Lifted]) -> bool:
+    """Every value is an algebraic integer, one row is the trivial character,
+    and `_check_class_algebra`, whose separation verdict it returns.  Values
+    are kept in the power basis reduced mod Phi_n, an integral basis of
+    Z[zeta_n], so integrality is integral coefficients."""
     for i, (D, _) in enumerate(lifted):
         if D != 1:
             raise DefectError(f"character row {i} has a value that is not an algebraic integer")
     one = ((0, 1),)  # the lift of 1 at any conductor
     if not any(all(v == one for v in values) for _, values in lifted):
         raise DefectError("no row is the trivial character")
-    _check_class_algebra(G, rows, lifted)
+    return _check_class_algebra(G, rows, lifted)
+
+
+def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
+    """Certify that the rows are the irreducible characters of G.
+
+    `_lift_table`, the k diagonal Gram entries, then `_check_characters`,
+    which must report that its classes tell the rows apart.  That suffices:
+    each row is then (d / psi(1)) psi for a distinct irreducible psi, so a
+    diagonal entry equal to |G| forces d = psi(1), and the off-diagonal
+    entries are 0.  The Gram identity alone would not do: it does not
+    change when two columns of equal class size are swapped, and orthonormal
+    rows need not be integral or contain the trivial character.
+
+    On any failure the ordered sequence runs instead, `_verify_table` and
+    then `_check_characters`, so a rejected table is named by its first
+    failure in that order: the first off-diagonal Gram entry that fails,
+    not a later diagonal one.  A repeated row passes every check but the
+    separation, and the ordered scan names it.  The ordered sequence
+    accepts no table that the first pass rejects: orthonormal rows are not
+    proportional, so all classes together tell them apart.
+    """
+    n, sizes, lifted = _lift_table(G, rows)
+    try:
+        diagonal = not any(_gram_fails(G.order, sizes, n, a, a, True) for a in lifted)
+        if diagonal and _check_characters(G, rows, lifted):
+            return
+    except DefectError:
+        pass
+    _check_characters(G, rows, _verify_table(G, rows))
 
 
 def _sort_rows(G: FiniteGroup, raw: list[tuple[int, tuple[Cyc, ...]]]) -> list[Character]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,11 @@ from equichi import (
     trivial_character,
     trivial_index,
 )
+from equichi import characters
 from equichi.characters import (
+    _certify_table,
+    _check_class_algebra,
+    _lift_table,
     _verify_table,
     attach_character_table,
     cyc_to_json,
@@ -519,3 +524,144 @@ def test_attach_accepts_the_s4_column_swap_of_transpositions_and_four_cycles():
     fresh = group_from_permutations(gens)
     attach_character_table(fresh, with_columns_swapped(G, a, b))
     assert table_to_json(fresh) == table_to_json(G)
+
+
+# ---------------------------------------------------------------------------
+# certification: k diagonal Gram entries on success, the ordered scan on failure
+
+MUTANT_SEED = 5
+MUTANTS = 1200
+MUTANT_GROUPS = {
+    "C2": C2_GENS,
+    "C4": C4_GENS,
+    "C6": [cycle(6)],
+    "S3": S3_GENS,
+    "S4": [cycle(4), [1, 0, 2, 3]],
+    "D12": D12_GENS,
+    "A5": [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
+    "V4": V4_GENS,
+}
+
+
+def ordered_reference(G, rows):
+    """Each check of the certification in full, in order: the row-major Gram
+    scan, integrality, the trivial row and the class algebra identity."""
+    lifted = _verify_table(G, rows)
+    for i, (D, _) in enumerate(lifted):
+        if D != 1:
+            raise DefectError(f"character row {i} has a value that is not an algebraic integer")
+    if not any(all(v == ((0, 1),) for v in values) for _, values in lifted):
+        raise DefectError("no row is the trivial character")
+    _check_class_algebra(G, rows, lifted)
+
+
+def outcome(check, G, rows):
+    try:
+        check(G, rows)
+    except DefectError as exc:
+        return str(exc)
+    return None
+
+
+def as_rows(G, value_rows):
+    """Table rows with these values, each of degree its value at the
+    identity, as both callers of the certification make it; None when such
+    a value is not a positive integer."""
+    identity_class = G.class_of(G.identity)
+    rows = []
+    for i, values in enumerate(value_rows):
+        q = values[identity_class].as_rational()
+        if q is None or q.denominator != 1 or q < 1:
+            return None
+        rows.append(Character(G, tuple(values), degree=q.numerator, irreducible=True, index=i))
+    return rows
+
+
+def table_mutant(rng, G):
+    """The table of G with one seeded edit: a coefficient changed, a row
+    repeated, two columns swapped, a value negated, two values of one column
+    swapped, or a row conjugated."""
+    values = [list(chi.values) for chi in character_table(G)]
+    k = len(values)
+    r, c = rng.randrange(k), rng.randrange(k)
+    s, d = rng.sample(range(k), 2)
+    kind = rng.randrange(6)
+    if kind == 0:
+        n = G.exponent
+        coeffs = list(values[r][c].lift(n).coeffs)
+        coeffs[rng.randrange(n)] += rng.choice([1, -1, 2, Fraction(1, 2)])
+        values[r][c] = Cyc(n, coeffs)
+    elif kind == 1:
+        values[d] = list(values[s])
+    elif kind == 2:
+        for row in values:
+            row[s], row[d] = row[d], row[s]
+    elif kind == 3:
+        values[r][c] = -values[r][c]
+    elif kind == 4:
+        values[s][c], values[d][c] = values[d][c], values[s][c]
+    else:
+        values[r] = [v.conj() for v in values[r]]
+    return as_rows(G, values)
+
+
+def test_certification_agrees_with_the_ordered_reference_on_mutants():
+    rng = random.Random(MUTANT_SEED)
+    groups = [(name, group_from_permutations(gens)) for name, gens in MUTANT_GROUPS.items()]
+    seen = []
+    while len(seen) < MUTANTS:
+        name, G = groups[len(seen) % len(groups)]
+        rows = table_mutant(rng, G)
+        if rows is None:
+            continue
+        got = outcome(_certify_table, G, rows)
+        assert got == outcome(ordered_reference, G, rows), (name, [chi.values for chi in rows])
+        seen.append(got)
+    # the mutants reach acceptance and each kind of failure
+    texts = {t.split(" (")[0].split(" at ")[0] if t else None for t in seen}
+    assert None in texts
+    assert "squared degrees do not sum to the group order" in texts
+    assert any(t and "not orthonormal" in t for t in texts)
+    assert any(t and "class algebra identity" in t for t in texts)
+
+
+def trivial_row_repeated(G):
+    """The table with the trivial row first and repeated in place of row 1:
+    degrees, diagonal Gram entries, integrality, the trivial row and the
+    class algebra all pass, and only the separation of the rows fails."""
+    values = [chi.values for chi in character_table(G)]
+    trivial = values.pop(trivial_index(G))
+    values[0] = trivial  # a linear row: the table is sorted by degree
+    return as_rows(G, [trivial] + values)
+
+
+@pytest.mark.parametrize("gens", [C2_GENS, C4_GENS, [cycle(4), [1, 0, 2, 3]]], ids=["C2", "C4", "S4"])
+def test_repeated_trivial_row_is_named_by_the_ordered_scan(gens):
+    G = group_from_permutations(gens)
+    rows = trivial_row_repeated(G)
+    assert _check_class_algebra(G, rows, _lift_table(G, rows)[2]) is False
+    message = "character rows 0,1 are not orthonormal (got 1)"
+    assert outcome(_certify_table, G, rows) == message
+    assert outcome(ordered_reference, G, rows) == message
+
+
+def test_accepted_table_makes_one_pairing_per_row(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pairing(*args)
+
+    pairing = characters._pairing
+    monkeypatch.setattr(characters, "_pairing", counted)
+    G = group_from_permutations([cycle(20)])
+    assert len(character_table(G)) == 20
+    assert len(calls) == 20
+    calls.clear()
+    attach_character_table(group_from_permutations([cycle(20)]), table_to_json(G))
+    assert len(calls) == 20
+    # a repeated row passes the diagonal and falls back to the ordered scan
+    calls.clear()
+    with pytest.raises(DefectError, match=r"^character rows 0,1 are not orthonormal \(got 1\)$"):
+        _certify_table(G, trivial_row_repeated(G))
+    assert len(calls) > 20

@@ -2,8 +2,10 @@
 inputs, with keys deleted or inserted and values swapped for floats, bools,
 nulls, strings, negatives, out-of-range ids and wrong containers; the
 rotation-group inputs also with two entries of one generator image swapped.
-Every mutant must end with an exit code of the CLI (0, 1, 2 or 3), never
-with a raw traceback.  Nothing is written under `bench/`."""
+The character tables that group files carry for rotation groups are
+mutated too, with junk at one path of the block.  Every mutant must end
+with an exit code of the CLI (0, 1, 2 or 3), never with a raw traceback.
+Nothing is written under `bench/`."""
 
 import copy
 import importlib
@@ -15,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from equichi import corpus
+from equichi.characters import table_to_json
 from equichi.cli import main
+from equichi.jsonio import group_from_json
 
 SEED = 10
 MUTANTS = 1000
@@ -108,16 +112,21 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 ROTATION_MUTANTS = 600
 
 
-def rotation_inputs():
-    """(command, {flag: document}) for the five rotation-group actions of
-    `bench/inputs.py`, each run through `verify` and `strata`."""
+def bench_inputs():
+    """The `bench/inputs.py` module, imported without writing bytecode."""
     sys.path.insert(0, str(BENCH))
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        inputs = importlib.import_module("inputs")
+        return importlib.import_module("inputs")
     finally:
         sys.dont_write_bytecode = write_bytecode
         sys.path.remove(str(BENCH))
+
+
+def rotation_inputs():
+    """(command, {flag: document}) for the five rotation-group actions of
+    `bench/inputs.py`, each run through `verify` and `strata`."""
+    inputs = bench_inputs()
     made = [
         inputs.tetrahedron_a4(), inputs.octahedron_s4(), inputs.icosahedron_a5(),
         inputs.suspended_polygon(8), inputs.suspended_polygon(12),
@@ -162,3 +171,64 @@ def test_mutated_rotation_inputs_end_with_an_exit_code(tmp_path, capsys):
     # the swapped images reach both witnesses of `build_gcomplex`
     assert "error: generator images do not define a group action" in errors
     assert any(e.startswith("error: non-simplicial map: element") for e in errors)
+
+
+TABLE_MUTANTS = 240
+TABLE_JUNK = (None, "x", "1", 1.5, 0.0, True, False, [], {}, 0, -1, 2**64, [1, 0], [1], [1, 1, 1])
+
+
+def table_inputs():
+    """{flag: document} for `verify` of S4, C6, D12 and A5 rotating the
+    2-sphere, each group file carrying its serialized character table."""
+    inputs = bench_inputs()
+    gens, hexagon = inputs.suspended_polygon(6)
+    # D12 as the rotations of the hexagonal bipyramid: the half-turn through
+    # vertex 0 reflects the hexagon and swaps the poles
+    d12 = gens + [[(-i) % 6 for i in range(6)] + [7, 6]]
+    made = [
+        inputs.octahedron_s4(), (gens, hexagon),
+        (d12, inputs.Action(hexagon.maximal, [dict(enumerate(g)) for g in d12])),
+        inputs.icosahedron_a5(),
+    ]
+    out = []
+    for gens, action in made:
+        group = {"permutation_generators": gens}
+        group["character_table"] = table_to_json(group_from_json(group))
+        out.append({"--group": group, "--complex": action.to_json()})
+    return out
+
+
+def mutate_table(rng, docs):
+    """Junk at one path of the character table block (a zero denominator,
+    a pair of the wrong length, a value of the wrong kind), or the key
+    there deleted."""
+    docs = copy.deepcopy(docs)
+    node, key = rng.choice(list(slots(docs["--group"]["character_table"])))
+    if isinstance(node, dict) and rng.randrange(2):
+        del node[key]
+    else:
+        node[key] = rng.choice(TABLE_JUNK)
+    return docs
+
+
+def test_mutated_character_tables_end_with_an_exit_code(tmp_path, capsys):
+    rng = random.Random(SEED)
+    inputs = table_inputs()
+    codes, errors = set(), set()
+    for n in range(TABLE_MUTANTS):
+        mutant = mutate_table(rng, inputs[n % len(inputs)])
+        argv = ["verify"]
+        for flag, doc in mutant.items():
+            path = tmp_path / f"{n}{flag}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback: name the mutant that raised it
+            pytest.fail(f"verify on {json.dumps(mutant)} raised {exc!r}")
+        errors.add(capsys.readouterr().err.split("\n", 1)[0].partition(": ")[2].partition(":")[0])
+        assert code in (0, 1, 2, 3), mutant
+        codes.add(code)
+    assert {0, 1} <= codes
+    # junk that reads as a table reaches the certification
+    assert "supplied character table is invalid" in errors
