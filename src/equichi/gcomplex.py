@@ -45,7 +45,7 @@ from .complexes import (
     connected_components,
 )
 from .errors import DefectError, ValidationError
-from .groups import FiniteGroup, Subgroup, normalizer, subconjugate
+from .groups import FiniteGroup, Subgroup, compose_rows, normalizer, subconjugate
 
 @dataclass(frozen=True)
 class OrbitWalk:
@@ -180,7 +180,7 @@ def _simplex_perm(
     the action is simplicial.
 
     Only generator images are looked up; every other element's permutation
-    is composed along the group's multiplication, which is exact because the
+    is composed along the group's generator walk, which is exact because the
     vertex rows form a homomorphism.  If some generator sends a simplex
     outside the complex, every element is rescanned in canonical order so
     that the reported witness is the first one.
@@ -195,29 +195,7 @@ def _simplex_perm(
         _raise_non_simplicial(complex, vertex_perm)
         raise DefectError("a generator is not simplicial, yet no element fails") from None
     # every row holds the int objects of `index`, none of its own
-    return _compose_rows(group, tuple(index.values()), gen_perm)
-
-
-def _compose_rows(
-    group: FiniteGroup, identity_row: tuple[int, ...], generator_rows: Mapping[int, tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """Every element's row, composed breadth-first from the identity's along
-    row(x*g) = row(x) o row(g); indexed by element id."""
-    rows = {group.identity: identity_row}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            rx = rows[x]
-            for g, rg in generator_rows.items():
-                y = group.mul(x, g)
-                if y not in rows:
-                    rows[y] = tuple(map(rx.__getitem__, rg))
-                    new.append(y)
-        frontier = new
-    if len(rows) != group.order:
-        raise DefectError("generators do not reach every group element")
-    return tuple(rows[g] for g in range(group.order))
+    return compose_rows(group.generator_walk, tuple(index.values()), gen_perm)
 
 
 def _raise_non_simplicial(complex: SimplicialComplex, vertex_perm: Sequence[Sequence[int]]) -> None:
@@ -245,7 +223,7 @@ def build_gcomplex(
 
     `generator_images[i]` gives the vertex map of `group.generators[i]`,
     either as a dict or as a list aligned with the complex's vertex order.
-    The extension is by composition along the group's multiplication.  It is
+    The extension is by composition along the group's generator walk.  It is
     a homomorphism that realizes every given image exactly when
     phi(x*g) = phi(x) o m_g for every element x and every given image m_g,
     which costs |G| * |gens| * V; each map must send simplices to simplices
@@ -272,7 +250,7 @@ def build_gcomplex(
             raise ValidationError("generator image is not a vertex bijection")
         given.append((gid, tuple(position[m[v]] for v in vertices)))
     # vertex maps as rows of vertex positions
-    phi = _compose_rows(group, tuple(range(len(vertices))), dict(given))
+    phi = compose_rows(group.generator_walk, tuple(range(len(vertices))), dict(given))
     for x, px in enumerate(phi):
         for gid, mg in given:
             if phi[group.mul(x, gid)] != tuple(map(px.__getitem__, mg)):

@@ -5,15 +5,18 @@ the canonical element ordering: breadth-first closure from the identity,
 each layer sorted lexicographically by permutation tuple, so identical
 generator lists always produce identical tables.  Groups built from an
 explicit table keep the given ordering.
+
+Tables that the generators fix (a permutation group's own table, the rows
+of an action) are composed along one breadth-first walk over them (`_walk`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import inf, lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -72,25 +75,14 @@ class FiniteGroup:
 
     def _magma_generators(self) -> list[int]:
         """A generating set of the table as a magma, found greedily: each
-        element the right-multiplication closure of the identity has not
-        reached yet is added, so every element is a product of the set."""
-        t = self.table
+        element that the walk over the set so far does not reach is added, so
+        every element is a product of the set."""
         reached = {self.identity}
         gens: list[int] = []
         for g in range(self.order):
-            if g in reached:
-                continue
-            gens.append(g)
-            frontier = list(reached)
-            while frontier:
-                new = []
-                for x in frontier:
-                    for s in gens:
-                        y = t[x][s]
-                        if y not in reached:
-                            reached.add(y)
-                            new.append(y)
-                frontier = new
+            if g not in reached:
+                gens.append(g)
+                reached.update(y for y, _, _ in _walk(self.identity, gens, self.mul))
         return gens
 
     def _check_associativity(self) -> None:
@@ -122,6 +114,18 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
+
+    @cached_property
+    def generator_walk(self) -> list[tuple[int, int, int]]:
+        """The walk (see `_walk`) over `generators`, which must reach every
+        element."""
+        walk = _walk(self.identity, self.generators, self.mul)
+        if len(walk) + 1 != self.order:
+            raise ValidationError(
+                f"generators {list(self.generators)} reach {len(walk) + 1} "
+                f"of the {self.order} group elements"
+            )
+        return walk
 
     def inv(self, a: int) -> int:
         return self._inverse[a]
@@ -203,13 +207,48 @@ def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(a.__getitem__, b))
 
 
+def _walk(identity, generators: Iterable, mul, limit: float = inf) -> list[tuple]:
+    """The breadth-first spanning tree of what right products by `generators`
+    reach from `identity`: one (y, x, g) with y = mul(x, g) per element
+    reached, in the order reached, one frontier at a time with the generators
+    in first-occurrence order.  Stops after the frontier on which more than
+    `limit` elements are reached."""
+    gens = tuple(dict.fromkeys(generators))
+    reached = {identity}
+    walk = []
+    frontier = [identity]
+    while frontier and len(reached) <= limit:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in reached:
+                    reached.add(y)
+                    new.append(y)
+                    walk.append((y, x, g))
+        frontier = new
+    return walk
+
+
+def compose_rows(
+    walk: Sequence[tuple[int, int, int]], identity_row: tuple[int, ...], generator_rows: Mapping
+) -> tuple[tuple[int, ...], ...]:
+    """Every element's row, indexed by element id, composed along a walk that
+    reaches every element: row(x*g) = row(x) o row(g)."""
+    rows = [identity_row] * (len(walk) + 1)
+    for y, x, g in walk:
+        rows[y] = tuple(map(rows[x].__getitem__, generator_rows[g]))
+    return tuple(rows)
+
+
 def group_from_permutations(
     generators: Sequence[Sequence[int]], size_cap: int = DEFAULT_SIZE_CAP
 ) -> FiniteGroup:
     """Close permutation generators into a group with canonical element order.
 
-    Breadth-first from the identity, each new layer sorted lexicographically,
-    so the ordering depends only on the generated set of permutations.
+    Breadth-first from the identity, each layer sorted lexicographically, so
+    the ordering depends only on the generated set of permutations.  The
+    table is composed from the generators' left-multiplication rows.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -219,27 +258,20 @@ def group_from_permutations(
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValidationError(f"not a permutation of 0..{degree - 1}: {list(g)}")
     identity = tuple(range(degree))
-    elements: list[tuple[int, ...]] = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        layer = set()
-        for x in frontier:
-            for g in gens:
-                y = _perm_mul(x, g)
-                if y not in index and y not in layer:
-                    layer.add(y)
-        if len(index) + len(layer) > size_cap:
-            raise ValidationError(
-                f"generator closure exceeds the size cap ({size_cap}); "
-                "raise the cap explicitly if this is intended"
-            )
-        frontier = sorted(layer)
-        for y in frontier:
-            index[y] = len(elements)
-            elements.append(y)
-    n = len(elements)
-    table = [[index[_perm_mul(a, b)] for b in elements] for a in elements]
+    walk = _walk(identity, gens, _perm_mul, size_cap)
+    if len(walk) >= size_cap:
+        raise ValidationError(
+            f"generator closure exceeds the size cap ({size_cap}); "
+            "raise the cap explicitly if this is intended"
+        )
+    depth = {identity: 0}
+    for y, x, _ in walk:
+        depth[y] = depth[x] + 1
+    elements = sorted(depth, key=lambda p: (depth[p], p))
+    index = {p: i for i, p in enumerate(elements)}
+    left = {index[g]: tuple(index[_perm_mul(g, b)] for b in elements) for g in set(gens)}
+    walk_ids = [(index[y], index[x], index[g]) for y, x, g in walk]
+    table = compose_rows(walk_ids, tuple(range(len(elements))), left)
     gen_ids = tuple(index[g] for g in gens)
     return FiniteGroup(table, generators=gen_ids, perms=elements, _trusted=True)
 
@@ -273,19 +305,8 @@ class Subgroup:
 
     @staticmethod
     def generated(parent: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
-        closure = {parent.identity}
-        frontier = [parent.identity]
-        gens = list(gens)
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = parent.mul(x, g)
-                    if y not in closure:
-                        closure.add(y)
-                        new.append(y)
-            frontier = new
-        return Subgroup(parent, tuple(sorted(closure)))
+        walk = _walk(parent.identity, gens, parent.mul)
+        return Subgroup(parent, (parent.identity, *(y for y, _, _ in walk)))
 
     @property
     def order(self) -> int:

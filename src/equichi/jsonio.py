@@ -5,7 +5,8 @@ Input formats (all plain JSON objects):
   group:    {"permutation_generators": [[...], ...]}  or
             {"table": [[...], ...], "generators": [...]?}
             with an optional "character_table" block, validated exactly
-            before use.
+            before use.  Table generators must generate the group; they
+            default to every non-identity element.
 
   complex:  {"maximal_simplices": [[...], ...],
              "action": {"generator_images": [{...} | [...], ...]}}

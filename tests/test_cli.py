@@ -302,6 +302,36 @@ def test_table_with_columns_swapped_is_invalid(tmp_path, capsys):
     )
 
 
+V4_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+def test_generators_that_do_not_generate_are_invalid(tmp_path, capsys):
+    """A table group whose listed generators reach only part of it is
+    invalid input for the commands that read generators; fine-decomp,
+    which reads none, decomposes the bundle as usual."""
+    gpath = tmp_path / "group.json"
+    cpath = tmp_path / "complex.json"
+    bpath = tmp_path / "bundle.json"
+    gpath.write_text(json.dumps({"table": V4_TABLE, "generators": [1]}))
+    cpath.write_text(json.dumps({
+        "maximal_simplices": [[0, 1], [1, 2], [2, 3], [0, 3]],
+        "action": {"generator_images": [[2, 3, 0, 1]]},
+    }))
+    bpath.write_text(json.dumps({
+        "H": {"generators": [1]},
+        "components": [{"id": "a0", "multiplicities": {"0": 1}}],
+    }))
+    for command in ("verify", "strata"):
+        code, out, err = run_cli([command, "--group", str(gpath), "--complex", str(cpath)], capsys)
+        assert (code, out) == (1, ""), command
+        assert [line for line in err.splitlines() if not line.startswith("elapsed:")] == [
+            "error: generators [1] reach 2 of the 4 group elements"
+        ]
+    code, out, _ = run_cli(["fine-decomp", "--group", str(gpath), "--bundle", str(bpath)], capsys)
+    assert code == 0
+    assert json.loads(out)["subgroup"] == [0, 1]
+
+
 @pytest.mark.parametrize(
     "maximal, text",
     [

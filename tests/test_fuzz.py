@@ -4,7 +4,9 @@ nulls, strings, negatives, out-of-range ids and wrong containers; the
 rotation-group inputs also with two entries of one generator image swapped.
 The character tables that group files carry for rotation groups are
 mutated too, with junk at one path of the block.  Every mutant must end
-with an exit code of the CLI (0, 1, 2 or 3), never with a raw traceback.
+with an exit code of the CLI, never with a raw traceback, and never with
+exit 2: on fuzzed input that would be an invalid input sorted into the
+wrong class, or a real mismatch between the routes.
 Nothing is written under `bench/`."""
 
 import copy
@@ -102,7 +104,7 @@ def test_mutated_corpus_inputs_end_with_an_exit_code(tmp_path, capsys):
         except Exception as exc:  # a traceback: name the mutant that raised it
             pytest.fail(f"{command} on {json.dumps(mutant)} raised {exc!r}")
         capsys.readouterr()
-        assert code in (0, 1, 2, 3), (command, mutant)
+        assert code in (0, 1, 3), (command, mutant)
         codes.add(code)
     # the mutants reach past the readers as well as into them
     assert {0, 1} <= codes
@@ -165,7 +167,7 @@ def test_mutated_rotation_inputs_end_with_an_exit_code(tmp_path, capsys):
         except Exception as exc:  # a traceback: name the mutant that raised it
             pytest.fail(f"{command} on {json.dumps(mutant)} raised {exc!r}")
         errors.add(capsys.readouterr().err.split("\n", 1)[0].partition(" (")[0])
-        assert code in (0, 1, 2, 3), (command, mutant)
+        assert code in (0, 1, 3), (command, mutant)
         codes.add(code)
     assert {0, 1} <= codes
     # the swapped images reach both witnesses of `build_gcomplex`
@@ -227,7 +229,7 @@ def test_mutated_character_tables_end_with_an_exit_code(tmp_path, capsys):
         except Exception as exc:  # a traceback: name the mutant that raised it
             pytest.fail(f"verify on {json.dumps(mutant)} raised {exc!r}")
         errors.add(capsys.readouterr().err.split("\n", 1)[0].partition(": ")[2].partition(":")[0])
-        assert code in (0, 1, 2, 3), mutant
+        assert code in (0, 1, 3), mutant
         codes.add(code)
     assert {0, 1} <= codes
     # junk that reads as a table reaches the certification

@@ -11,6 +11,7 @@ from equichi import (
     all_subgroups,
     group_from_permutations,
     group_from_table,
+    groups,
     normalizer,
     subconjugate,
 )
@@ -110,6 +111,45 @@ def test_non_associative_table_rejected():
 def test_size_cap_enforced():
     with pytest.raises(ValidationError):
         group_from_permutations(S3_GENS, size_cap=5)
+
+
+def cycle(n):
+    return [*range(1, n), 0]
+
+
+COMPOSED_CASES = {
+    "C60": [cycle(60)],
+    "D30": [cycle(15), [0, *range(14, 0, -1)]],
+    "S4": [cycle(4), [1, 0, 2, 3]],
+    "S5": [cycle(5), [1, 0, 2, 3, 4]],
+    # the rotations of the icosahedron on its twelve vertices
+    "A5": [[0, 2, 6, 8, 10, 7, 5, 1, 4, 9, 11, 3], [2, 0, 1, 5, 3, 4, 8, 6, 7, 11, 9, 10]],
+    "B3": [[2, 3, 4, 5, 0, 1], [2, 3, 0, 1, 4, 5], [1, 0, 2, 3, 4, 5]],
+}
+
+
+@pytest.mark.parametrize("name", COMPOSED_CASES)
+def test_composed_table_equals_pairwise_products(name):
+    G = group_from_permutations(COMPOSED_CASES[name])
+    assert G.order == len(perm_closure(COMPOSED_CASES[name]))
+    index = {p: i for i, p in enumerate(G.perms)}
+    assert G.table == tuple(
+        tuple(index[tuple(a[i] for i in b)] for b in G.perms) for a in G.perms
+    )
+
+
+def test_table_costs_linear_permutation_products(monkeypatch):
+    # the pairwise table made |G|^2 products, 3,660 for C60 with its closure
+    calls = []
+    product = groups._perm_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(groups, "_perm_mul", counted)
+    assert group_from_permutations([cycle(60)]).order == 60
+    assert len(calls) <= 200
 
 
 def test_conjugacy_classes_against_direct_conjugation():
