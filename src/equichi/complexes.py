@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate, chain, combinations, filterfalse, groupby, permutations, repeat
+from itertools import accumulate, chain, combinations, filterfalse, groupby, repeat
 from operator import itemgetter, lt
 from typing import Iterable
 
 from .errors import ValidationError
+from .groups import gather
 
 Simplex = tuple[int, ...]
 
@@ -64,14 +65,14 @@ class SimplicialComplex:
         # its simplices, made once each, fill in the layer below and, once
         # that is sorted, are kept as positions within it.
         layers: list[list[Simplex]] = [[] for _ in range(dim + 1)]
-        local_facets: list[list[int]] = [[] for _ in range(dim + 1)]
+        local_facets: list[tuple[int, ...]] = [() for _ in range(dim + 1)]
         current = given.pop(dim)
         facets: list[Simplex] = []
         for d in range(dim, -1, -1):
             layer = layers[d] = sorted(current)
             if facets:
                 local = dict(zip(layer, range(len(layer))))
-                local_facets[d + 1] = list(map(local.__getitem__, facets))
+                local_facets[d + 1] = gather(facets)(local)
                 facets = []
             if d:
                 # a simplex's combinations drop its last vertex first
@@ -85,7 +86,7 @@ class SimplicialComplex:
         start = self.layer_start = (0, *accumulate(self._f_vector))
         self.facet_table: tuple[tuple[tuple[int, ...], ...], ...] = ((),) + tuple(
             tuple(
-                tuple(map(ids[start[d - 1] : start[d]].__getitem__, local_facets[d][d - k :: d + 1]))
+                gather(local_facets[d][d - k :: d + 1])(ids[start[d - 1] : start[d]])
                 for k in range(d + 1)
             )
             for d in range(1, dim + 1)
@@ -184,15 +185,24 @@ def barycentric_subdivision(
     New vertex ids are positions in the canonical simplex order (the map is
     `K.index`), so the subdivision of a fixed complex is itself canonical.
     Its simplices are the chains of strictly nested simplices of K, and each
-    chain is a face of a full flag of a maximal simplex.
+    chain is a face of a full flag of a maximal simplex.  The flags are
+    built top-down on positions through the facet table: each chain opens
+    at a maximal position, and every facet of its lowest simplex is
+    prepended, layer by layer, down to the vertices.
     """
-    index = K.index
-    flags = [
-        tuple(index[tuple(sorted(p[: k + 1]))] for k in range(len(m)))
-        for m in K.maximal_simplices()
-        for p in permutations(m)
-    ]
-    return SimplicialComplex(flags), index
+    start = K.layer_start
+    flags: list[tuple[int, ...]] = []
+    for top, maximal in enumerate(K.by_layer(K.maximal_positions())):
+        if not maximal:
+            continue
+        # one column per layer of the chains so far, the lowest first
+        columns = [maximal]
+        for d in range(top, 0, -1):
+            lowest = gather([i - start[d] for i in columns[0]])
+            below = list(chain.from_iterable(map(lowest, K.facet_table[d])))
+            columns = [below, *(column * (d + 1) for column in columns)]
+        flags.extend(zip(*columns))
+    return SimplicialComplex(flags), K.index
 
 
 def connected_components(K: SimplicialComplex, positions: Iterable[int]) -> list[list[int]]:

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import and_, eq
 from typing import Iterable, Mapping, Sequence
 
@@ -45,7 +45,7 @@ from .complexes import (
     connected_components,
 )
 from .errors import DefectError, ValidationError
-from .groups import FiniteGroup, Subgroup, compose_rows, normalizer, subconjugate
+from .groups import FiniteGroup, Subgroup, compose_rows, gather, normalizer, subconjugate
 
 @dataclass(frozen=True)
 class OrbitWalk:
@@ -179,18 +179,21 @@ def _simplex_perm(
     """Build every element's permutation of simplex positions, checking that
     the action is simplicial.
 
-    Only generator images are looked up; every other element's permutation
-    is composed along the group's generator walk, which is exact because the
-    vertex rows form a homomorphism.  If some generator sends a simplex
-    outside the complex, every element is rescanned in canonical order so
-    that the reported witness is the first one.
+    Only generator images are looked up, the sorted image of each simplex
+    in `index`, in one pipeline of C-level maps that keeps no image; every
+    other element's permutation is composed along the group's generator
+    walk, which is exact because the vertex rows form a homomorphism.  If
+    some generator sends a simplex outside the complex, every element is
+    rescanned in canonical order so that the reported witness is the first
+    one.
     """
     order, index = complex.order, complex.index
     gen_perm: dict[int, tuple[int, ...]] = {}
     try:
         for g in group.generators:
             m = _vertex_map(complex, vertex_perm[g])
-            gen_perm[g] = tuple(index[tuple(sorted(map(m.__getitem__, s)))] for s in order)
+            images = map(tuple, map(sorted, map(map, repeat(m.__getitem__), order)))
+            gen_perm[g] = tuple(map(index.__getitem__, images))
     except KeyError:
         _raise_non_simplicial(complex, vertex_perm)
         raise DefectError("a generator is not simplicial, yet no element fails") from None
@@ -251,9 +254,10 @@ def build_gcomplex(
         given.append((gid, tuple(position[m[v]] for v in vertices)))
     # vertex maps as rows of vertex positions
     phi = compose_rows(group.generator_walk, tuple(range(len(vertices))), dict(given))
+    given_getters = [(gid, gather(mg)) for gid, mg in given]
     for x, px in enumerate(phi):
-        for gid, mg in given:
-            if phi[group.mul(x, gid)] != tuple(map(px.__getitem__, mg)):
+        for gid, times_mg in given_getters:
+            if phi[group.mul(x, gid)] != times_mg(px):
                 _raise_homomorphism_witness(group, phi)
                 raise ValidationError(
                     "generator images do not define a group action "
@@ -491,11 +495,8 @@ class Stratum:
                 continue
             orbit_ids = sorted({a[i] for a in action})
             assigned.update(orbit_ids)
-            saturation: set[int] = set()
-            for pid in orbit_ids:
-                for p in perm:
-                    saturation.update(map(p.__getitem__, pieces[pid]))
-            swept = tuple(sorted(saturation))
+            at_pieces = gather([i for pid in orbit_ids for i in pieces[pid]])
+            swept = tuple(sorted(set(chain.from_iterable(map(at_pieces, perm)))))
             closure = K.closure(swept)
             dim = len(K.order[swept[-1]]) - 1
             components.append(

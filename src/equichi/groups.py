@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -203,8 +203,8 @@ class FiniteGroup:
 
 
 def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product in action order: (a*b)(x) = a(b(x))."""
-    return tuple(map(a.__getitem__, b))
+    """Product in action order: (a*b)(x) = a(b(x)), a `gather` from a."""
+    return gather(b)(a)
 
 
 def _walk(identity, generators: Iterable, mul, limit: float = inf) -> list[tuple]:
@@ -230,14 +230,29 @@ def _walk(identity, generators: Iterable, mul, limit: float = inf) -> list[tuple
     return walk
 
 
+def gather(positions: Sequence) -> Callable[[Sequence], tuple]:
+    """The C-level gather row -> (row[p] for p in positions), as a tuple: an
+    `itemgetter` over the positions, built once and applied to many rows.
+    One position gets a 1-tuple, where `itemgetter` would return the bare
+    item, and none gets ()."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return lambda row: ()
+
+
 def compose_rows(
     walk: Sequence[tuple[int, int, int]], identity_row: tuple[int, ...], generator_rows: Mapping
 ) -> tuple[tuple[int, ...], ...]:
     """Every element's row, indexed by element id, composed along a walk that
-    reaches every element: row(x*g) = row(x) o row(g)."""
+    reaches every element: row(x*g) = row(x) o row(g), one `gather` per
+    generator applied to row(x)."""
+    getters = {g: gather(row) for g, row in generator_rows.items()}
     rows = [identity_row] * (len(walk) + 1)
     for y, x, g in walk:
-        rows[y] = tuple(map(rows[x].__getitem__, generator_rows[g]))
+        rows[y] = getters[g](rows[x])
     return tuple(rows)
 
 

@@ -332,6 +332,53 @@ def test_generators_that_do_not_generate_are_invalid(tmp_path, capsys):
     assert json.loads(out)["subgroup"] == [0, 1]
 
 
+def test_one_vertex_complex_under_c2(tmp_path, capsys):
+    """Every action row has one position, so every gather returns 1-tuples."""
+    gpath = tmp_path / "group.json"
+    cpath = tmp_path / "complex.json"
+    gpath.write_text(json.dumps({"permutation_generators": [[1, 0]]}))
+    cpath.write_text(json.dumps({"maximal_simplices": [[5]], "action": {"generator_images": [[5]]}}))
+    code, out, _ = run_cli(["verify", "--group", str(gpath), "--complex", str(cpath)], capsys)
+    assert code == 0
+    assert json.loads(out)["report"] == {
+        "all_match": True,
+        "euler_characteristic": 1,
+        "rows": [
+            {"degree": 1, "formula": 0, "match": True, "oracle": 0, "rho": 0},
+            {"degree": 1, "formula": 1, "match": True, "oracle": 1, "rho": 1},
+        ],
+        "skipped": None,
+        "subdivisions": 0,
+        "totals_consistent": True,
+    }
+    code, out, _ = run_cli(["strata", "--group", str(gpath), "--complex", str(cpath)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    principal = {"isotropy": [0, 1], "relative": 1}
+    assert report["breakdowns"] == [
+        {"principal": {**principal, "homogeneous": h, "product": h}, "rho": h, "singular_terms": [], "total": h}
+        for h in (0, 1)
+    ]
+    assert report["stratification"] == {
+        "ambient_dim": 0,
+        "euler": 1,
+        "orbit_space_euler": 1,
+        "strata": [
+            {
+                "codimension": 0,
+                "components": [
+                    {"closure_euler": 1, "codimension": 0, "dim": 0, "index": 0, "lower_euler": 0, "pieces": 1}
+                ],
+                "index": 0,
+                "is_principal": True,
+                "isotropy": [0, 1],
+                "isotropy_order": 2,
+            }
+        ],
+    }
+    assert (report["skipped"], report["subdivisions"]) == (None, 0)
+
+
 @pytest.mark.parametrize(
     "maximal, text",
     [

@@ -235,6 +235,39 @@ def brute_components(order, members):
     return sorted(groups.values(), key=lambda c: (len(c[0]), c[0]))
 
 
+# ---------------------------------------------------------------------------
+# the subdivision built on the facet table against every chain under inclusion
+
+
+def chain_subdivision(K):
+    """The barycentric subdivision's simplex order, from every chain of
+    simplices strictly nested under inclusion, on the positions of `order`."""
+    index = {s: i for i, s in enumerate(K.order)}
+    ending_at = {}  # per simplex, the chains whose largest simplex it is
+    for s in K.order:
+        below = [ending_at[f] for f in faces(s) if f != s]
+        ending_at[s] = [(index[s],)] + [c + (index[s],) for chains in below for c in chains]
+    chains = [c for cs in ending_at.values() for c in cs]
+    return tuple(sorted(chains, key=lambda c: (len(c), c))), index
+
+
+def subdivision_cases():
+    for seed in range(40):
+        yield f"random:{seed}", SimplicialComplex(random_given(random.Random(seed)))
+    for name, K in corpus_complexes():
+        if not name.endswith(":sd3"):
+            yield name, K
+    yield "non-pure", SimplicialComplex.from_maximal([[0, 1, 2], [3]])
+
+
+def test_subdivision_equals_the_chain_reference():
+    for name, K in subdivision_cases():
+        Sd, vmap = barycentric_subdivision(K)
+        order, index = chain_subdivision(K)
+        assert Sd.order == order, name
+        assert vmap == index, name
+
+
 def test_closure_and_components_match_brute_force_on_the_corpus():
     rng = random.Random(11)
     for name, K in corpus_complexes():

@@ -15,6 +15,10 @@ from equichi import (
     normalizer,
     subconjugate,
 )
+from equichi.complexes import SimplicialComplex
+from equichi.gcomplex import _subdivide
+from equichi.jsonio import gcomplex_from_json
+from test_fuzz import bench_inputs
 
 
 def perm_closure(generators):
@@ -136,6 +140,65 @@ def test_composed_table_equals_pairwise_products(name):
     assert G.table == tuple(
         tuple(index[tuple(a[i] for i in b)] for b in G.perms) for a in G.perms
     )
+
+
+def element_maps(G, generator_maps):
+    """Every element's vertex map as a dict, closed breadth-first over the
+    generators' maps: (x*g)(v) = x(g(v))."""
+    maps = {G.identity: {v: v for v in generator_maps[0]}}
+    frontier = [G.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, m in zip(G.generators, generator_maps):
+                y = G.mul(x, g)
+                if y not in maps:
+                    maps[y] = {v: maps[x][m[v]] for v in m}
+                    new.append(y)
+        frontier = new
+    return [maps[g] for g in range(G.order)]
+
+
+# the five rotation actions of `bench/inputs.py`
+ROTATION_ACTIONS = {
+    "A4": lambda inputs: inputs.tetrahedron_a4(),
+    "S4": lambda inputs: inputs.octahedron_s4(),
+    "A5": lambda inputs: inputs.icosahedron_a5(),
+    "C8": lambda inputs: inputs.suspended_polygon(8),
+    "C12": lambda inputs: inputs.suspended_polygon(12),
+}
+
+
+@pytest.mark.parametrize("name", ROTATION_ACTIONS)
+def test_composed_simplex_rows_equal_per_element_lookups(name):
+    """The simplex rows of the rotation actions at sd^2, composed along the
+    generator walk, against each element's map sorted and looked up simplex
+    by simplex; the sd^2 maps come from the plain-data subdivision of
+    `bench/inputs.py`."""
+    gens, action = ROTATION_ACTIONS[name](bench_inputs())
+    G = group_from_permutations(gens)
+    X = gcomplex_from_json(action.to_json(), G)
+    Y = _subdivide(_subdivide(X))
+    sd2 = action.subdivide().subdivide()
+    K = Y.complex
+    assert K.order == SimplicialComplex.from_maximal(sd2.maximal).order
+    rows = [
+        tuple(K.index[tuple(sorted(m[v] for v in s))] for s in K.order)
+        for m in element_maps(G, sd2.generator_maps)
+    ]
+    assert Y.perm == tuple(rows)
+    # the same rows when the sd^2 action is given as input
+    assert gcomplex_from_json(sd2.to_json(), G).perm == tuple(rows)
+
+
+def test_compose_rows_keeps_one_position_rows_as_tuples():
+    G = group_from_permutations([[1, 0]])
+    assert groups.compose_rows(G.generator_walk, (0,), {1: (0,)}) == ((0,), (0,))
+    assert groups.compose_rows(G.generator_walk, (0, 1), {1: (1, 0)}) == ((0, 1), (1, 0))
+    row = (7, 8, 9)
+    assert groups.gather([2])(row) == (9,)
+    assert groups.gather([])(row) == ()
+    assert groups.gather([2, 0, 2])(row) == (9, 7, 9)
 
 
 def test_table_costs_linear_permutation_products(monkeypatch):
