@@ -11,7 +11,11 @@ root-of-unity multiplicity vectors (the multiplicities are integers below
 p, so the modular computation determines them), as integer vectors, once
 per Galois orbit of classes: chi(g^a) = sigma_a(chi(g)) for a prime to the
 order of g (Isaacs, Character Theory of Finite Groups) gives the rest of
-the orbit.  The finished table is certified exactly.  Any failure of the
+the orbit.  An abelian group, one element per class, skips the split: its
+irreducibles are the homomorphisms to the N-th roots of unity, N the
+exponent, built by extending the characters of a growing subgroup along
+the elements in id order (`_abelian_characters`).  The finished table is
+certified exactly, by the same checks on either route.  Any failure of the
 splitting or of the certification is a defect, never a data error.
 
 Certification rests on the Gram identity over Z[zeta_n], n the lcm of the
@@ -50,7 +54,7 @@ from typing import Sequence
 
 from .cyclotomic import Cyc, reduce_mod_phi
 from .errors import DefectError, ValidationError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, gather
 
 CHARACTER_TABLE_ORDER_CAP = 256
 
@@ -538,6 +542,51 @@ def _lift_characters(
     return raw
 
 
+def _abelian_characters(G: FiniteGroup) -> list[tuple[int, tuple[Cyc, ...]]]:
+    """The linear characters of an abelian G, each as (1, values).
+
+    Extends the characters of a subgroup H along the elements in id order,
+    starting from H = 1: each g outside H gives H' = <H, g>, the union of
+    the cosets H g^i, i < m, for m the least exponent with g^m in H.  A
+    character chi of H extends to H' in m ways, g -> zeta_N^b with
+    m b = e (mod N) where chi(g^m) = zeta_N^e, N the exponent: the order of
+    g is m times that of g^m and divides N, so m divides e and
+    b = e/m + s N/m, s < m.  Values are kept as exponents mod N, listed in
+    the order the elements join H, and become `Cyc` values through one list
+    of the N roots of unity.  The generators of G are not read: a table
+    group's declared generators need not generate it.
+    """
+    N = G.exponent
+    t = G.table
+    elements = [G.identity]  # H, in the order its elements joined it
+    pos = [-1] * G.order  # position in `elements`, -1 outside H
+    pos[G.identity] = 0
+    exps = [[0]]  # per character of H, its exponents along `elements`
+    for g in range(G.order):
+        if pos[g] >= 0:
+            continue
+        powers = [g]  # g^1 .. g^(m-1)
+        x = t[g][g]
+        while pos[x] < 0:
+            powers.append(x)
+            x = t[x][g]
+        m = len(powers) + 1
+        coset = gather(elements)  # row of g^i -> the coset g^i H
+        for gi in powers:
+            for y in coset(t[gi]):
+                pos[y] = len(elements)
+                elements.append(y)
+        h, step = pos[x], N // m
+        exps = [
+            [(a + i * b) % N for i in range(m) for a in row]
+            for row in exps
+            for b in range(row[h] // m, N, step)
+        ]
+    zetas = [Cyc.zeta(N, e) for e in range(N)]
+    where = gather([pos[r] for r in G.class_representatives()])
+    return [(1, tuple(map(zetas.__getitem__, where(row)))) for row in exps]
+
+
 def _lift_table(G: FiniteGroup, rows: Sequence[Character]) -> tuple[int, list[int], list[_Lifted]]:
     """The row count and sum deg^2 = |G|, then every row lifted once to n,
     the lcm of the conductors of the values.  Returns (n, class sizes, lifted
@@ -697,9 +746,13 @@ def _sort_rows(G: FiniteGroup, raw: list[tuple[int, tuple[Cyc, ...]]]) -> list[C
 def character_table(G: FiniteGroup) -> tuple[Character, ...]:
     """The full irreducible character table, cached on the group.
 
-    Groups above the order cap must have a table attached up front (see
-    `attach_character_table`), since the class-matrix computation is only
-    intended for desk-scale orders.
+    An abelian G, one element per conjugacy class, gets its linear
+    characters from `_abelian_characters`; any other G goes through the
+    class-sum split and the value lift.  Both sets of rows are sorted by
+    `_sort_rows` and certified by `_certify_table` alike.  Groups above the
+    order cap must have a table attached up front (see
+    `attach_character_table`), since the computation is only intended for
+    desk-scale orders.
     """
     if G._char_table is not None:
         return G._char_table
@@ -708,8 +761,12 @@ def character_table(G: FiniteGroup) -> tuple[Character, ...]:
             f"group order {G.order} exceeds the table cap "
             f"({CHARACTER_TABLE_ORDER_CAP}); supply a character table with the input"
         )
-    p = _dixon_prime(G.order, G.exponent)
-    rows = _sort_rows(G, _lift_characters(G, _split_central_characters(G, p), p))
+    if len(G.conjugacy_classes()) == G.order:
+        raw = _abelian_characters(G)
+    else:
+        p = _dixon_prime(G.order, G.exponent)
+        raw = _lift_characters(G, _split_central_characters(G, p), p)
+    rows = _sort_rows(G, raw)
     _certify_table(G, rows)
     G._char_table = tuple(rows)
     return G._char_table

@@ -12,6 +12,7 @@ from equichi import (
     ClassFunction,
     Cyc,
     DefectError,
+    FiniteGroup,
     Subgroup,
     ValidationError,
     character_table,
@@ -665,3 +666,83 @@ def test_accepted_table_makes_one_pairing_per_row(monkeypatch):
     with pytest.raises(DefectError, match=r"^character rows 0,1 are not orthonormal \(got 1\)$"):
         _certify_table(G, trivial_row_repeated(G))
     assert len(calls) > 20
+
+
+def cycles(*lengths):
+    """Generators of C_{n_1} x C_{n_2} x ..., one cycle per factor, each on
+    its own block of points."""
+    total = sum(lengths)
+    gens, start = [], 0
+    for n in lengths:
+        gens.append([start + (j - start + 1) % n if start <= j < start + n else j for j in range(total)])
+        start += n
+    return gens
+
+
+def abelian_groups():
+    """Abelian groups on every path into `character_table`, as (build, arg):
+    permutation groups, relabelled tables whose identity is not element 0,
+    a table on its default generators, and a table whose declared
+    generators do not generate it.  On relabelled C4 x C6 the element chain
+    meets elements whose least power inside the subgroup so far is not the
+    identity, so characters extend through a nontrivial value."""
+    groups = {
+        name: (group_from_permutations, cycles(*lengths))
+        for name, lengths in {
+            "C1": (), "C2": (2,), "C12": (12,), "C20": (20,), "C60": (60,), "C3xC3": (3, 3),
+            "C2xC4": (2, 4), "C4xC6": (4, 6), "C2xC2xC2": (2, 2, 2),
+        }.items()
+    }
+    groups.update({
+        "C2^4-relabelled": (as_relabelled_table, cycles(2, 2, 2, 2)),
+        "C4xC6-relabelled": (as_relabelled_table, cycles(4, 6)),
+        "C2xC4-default-generators": (
+            group_from_table, group_from_permutations(cycles(2, 4)).table
+        ),
+        "V4-generators-[1]": (
+            lambda table: FiniteGroup(table, generators=[1]),
+            [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+        ),
+    })
+    return groups
+
+
+def class_sum_table_json(G):
+    """The class-sum path called directly: the split, the value lift and the
+    row sort, certified and installed on G, then serialized."""
+    p = characters._dixon_prime(G.order, G.exponent)
+    omegas = characters._split_central_characters(G, p)
+    rows = characters._sort_rows(G, characters._lift_characters(G, omegas, p))
+    _certify_table(G, rows)
+    G._char_table = tuple(rows)
+    return table_to_json(G)
+
+
+@pytest.mark.parametrize("name", sorted(abelian_groups()))
+def test_abelian_chain_table_equals_the_class_sum_table(name):
+    build, arg = abelian_groups()[name]
+    G = build(arg)
+    assert len(G.conjugacy_classes()) == G.order
+    if name.endswith("-relabelled"):
+        assert G.identity != 0
+    if name == "C2xC4-default-generators":
+        assert G.generators == tuple(x for x in range(G.order) if x != G.identity)
+    if name == "V4-generators-[1]":
+        assert Subgroup.generated(G, G.generators).order < G.order
+    assert table_to_json(G) == class_sum_table_json(build(arg))
+
+
+def test_abelian_tables_skip_the_class_sum_split(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    split = characters._split_central_characters
+    monkeypatch.setattr(characters, "_split_central_characters", counted)
+    for name, abelian in (("C20", True), ("C2_4", True), ("S4", False), ("D12", False)):
+        calls.clear()
+        build, arg = kernel_groups()[name]
+        character_table(build(arg))
+        assert (len(calls) == 0) if abelian else (len(calls) >= 1), name
