@@ -379,8 +379,6 @@ def _root_of_unity_mod_p(exponent: int, p: int) -> int:
         z = pow(a, (p - 1) // exponent, p)
         if _multiplicative_order(z, p) == exponent:
             return z
-    if exponent == 1:
-        return 1
     raise DefectError("no element of the required order mod p")
 
 

@@ -36,10 +36,9 @@ def twist_irrep(H: Subgroup, sigma: Character, n: int) -> Character:
         raise ValidationError("character does not live on the given subgroup")
     if not 0 <= n < G.order:
         raise ValidationError(f"element {n} is not a group element id")
-    n_inv = G.inv(n)
-    eset = set(H.elements)
-    if any(G.conjugate(n_inv, h) not in eset for h in H.elements):
+    if n not in H.conjugates[H.elements]:
         raise ValidationError(f"element {n} does not normalize the subgroup")
+    n_inv = G.inv(n)
     to_sub = {p: i for i, p in enumerate(to_parent)}
     values = []
     for rep in Hgroup.class_representatives():

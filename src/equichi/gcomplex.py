@@ -556,10 +556,15 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     _require_regular(X)
     K = X.complex
     masks = X.masks
-    at_mask = {m: list(compress(range(len(masks)), map(eq, masks, repeat(m)))) for m in set(masks)}
-    class_of = {
-        m: X._subgroup_of_mask(m).canonical_class_representative().elements for m in at_mask
-    }
+    at_mask: dict[int, list[int]] = {}
+    for i, m in enumerate(masks):
+        at_mask.setdefault(m, []).append(i)
+    class_of: dict[int, tuple[int, ...]] = {}  # every conjugate mask -> class representative
+    for m in at_mask:
+        if m not in class_of:
+            conjugates = X._subgroup_of_mask(m).conjugates
+            rep = min(conjugates)
+            class_of.update((sum(1 << g for g in c), rep) for c in conjugates)
     by_class: dict[tuple[int, ...], list[int]] = {}
     for m, positions in at_mask.items():
         by_class.setdefault(class_of[m], []).extend(positions)

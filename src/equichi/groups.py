@@ -144,10 +144,9 @@ class FiniteGroup:
 
     @cached_property
     def exponent(self) -> int:
-        exp = 1
-        for a in range(self.order):
-            exp = lcm(exp, self.element_order(a))
-        return exp
+        """The lcm of the element orders, read off the power map: conjugate
+        elements have equal orders."""
+        return lcm(*map(len, self.class_powers))
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -306,6 +305,10 @@ class Subgroup:
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
         G = self.parent
+        if elems and not (0 <= elems[0] and elems[-1] < G.order):
+            raise ValidationError(
+                f"subgroup elements must be element ids in [0, {G.order - 1}]"
+            )
         if G.identity not in elems:
             raise ValidationError("subgroup must contain the identity")
         eset = set(elems)
@@ -320,6 +323,11 @@ class Subgroup:
 
     @staticmethod
     def generated(parent: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
+        gens = tuple(gens)
+        if any(not 0 <= g < parent.order for g in gens):
+            raise ValidationError(
+                f"subgroup generators must be element ids in [0, {parent.order - 1}]"
+            )
         walk = _walk(parent.identity, gens, parent.mul)
         return Subgroup(parent, (parent.identity, *(y for y, _, _ in walk)))
 
@@ -330,14 +338,21 @@ class Subgroup:
     def __contains__(self, a: int) -> bool:
         return a in set(self.elements)
 
+    @cached_property
+    def conjugates(self) -> dict[tuple[int, ...], list[int]]:
+        """Every conjugate g H g^-1, as its ascending element tuple, mapped to
+        the ascending ids g that give it: one scan over the parent group,
+        which the class representative, the normalizer and subconjugacy read."""
+        G = self.parent
+        found: dict[tuple[int, ...], list[int]] = {}
+        for g in range(G.order):
+            conjugate = tuple(sorted(G.conjugate(g, a) for a in self.elements))
+            found.setdefault(conjugate, []).append(g)
+        return found
+
     def canonical_class_representative(self) -> "Subgroup":
         """Lexicographically least element tuple among all conjugates."""
-        G = self.parent
-        best = min(
-            tuple(sorted(G.conjugate(g, a) for a in self.elements))
-            for g in range(G.order)
-        )
-        return Subgroup(G, best)
+        return Subgroup(self.parent, min(self.conjugates))
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """The subgroup as its own FiniteGroup plus the id-to-parent map.
@@ -360,29 +375,15 @@ class Subgroup:
 
 
 def normalizer(H: Subgroup) -> Subgroup:
-    """N_G(H) = { g : g H g^-1 = H }, by exhaustive check."""
-    G = H.parent
-    eset = set(H.elements)
-    members = [
-        g
-        for g in range(G.order)
-        if {G.conjugate(g, a) for a in H.elements} == eset
-    ]
-    return Subgroup(G, tuple(members))
+    """N_G(H) = { g : g H g^-1 = H }, the ids that conjugate H to itself."""
+    return Subgroup(H.parent, tuple(H.conjugates[H.elements]))
 
 
 def subconjugate(H: Subgroup, K: Subgroup) -> bool:
-    """True iff some conjugate of H is contained in K (exhaustive over g)."""
+    """True iff some conjugate of H is contained in K."""
     if H.parent is not K.parent:
         raise ValidationError("subgroups of different parent groups")
-    G = H.parent
-    kset = set(K.elements)
-    if len(H.elements) > len(K.elements):
-        return False
-    for g in range(G.order):
-        if all(G.conjugate(g, a) in kset for a in H.elements):
-            return True
-    return False
+    return any(map(set(K.elements).issuperset, H.conjugates))
 
 
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:

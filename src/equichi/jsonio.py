@@ -215,10 +215,6 @@ def _subgroup_from_json(data: dict, group: FiniteGroup) -> Subgroup:
         ids = _ids(data[key])
     except (TypeError, ValueError):
         raise ValidationError(f"subgroup {key} must be a list of integer element ids") from None
-    if any(not 0 <= x < group.order for x in ids):
-        raise ValidationError(
-            f"subgroup {key} must be element ids in [0, {group.order - 1}]"
-        )
     if key == "elements":
         return Subgroup(group, tuple(sorted(ids)))
     return Subgroup.generated(group, ids)

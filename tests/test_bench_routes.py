@@ -1,9 +1,9 @@
 """The benchmark's routes stay runnable against the package.
 
 `bench/workloads.py` imports names from `equichi` and re-runs `verify` and
-`strata` call by call in its traced form.  This runs every subdiv-ladder and
-rotation-groups op both ways, so removing or changing a name it uses fails
-here, not only in a benchmark run.  The traced subdiv-ladder route also
+`strata` call by call in its traced form.  This runs every subdiv-ladder,
+char-tables and rotation-groups op both ways, so removing or changing a
+name it uses fails here, not only in a benchmark run.  The traced subdiv-ladder route also
 computes an orientation character on every corpus action at every
 subdivision level.  Inputs are written under the test's temporary
 directory; nothing is written under `bench/`.
@@ -29,7 +29,7 @@ def bench():
         sys.path.remove(str(BENCH))
 
 
-@pytest.mark.parametrize("workload", ["subdiv-ladder", "rotation-groups"])
+@pytest.mark.parametrize("workload", ["subdiv-ladder", "char-tables", "rotation-groups"])
 def test_traced_routes_match_the_command(bench, tmp_path, workload):
     workloads, Tracer, same_outcome = bench["workloads"], bench["spans"].Tracer, bench["run"].same_outcome
     ops = workloads.WORKLOADS[workload](tmp_path, 7)

@@ -478,6 +478,24 @@ def test_malformed_bundle_and_index_input_is_invalid(tmp_path, capsys, command, 
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "H, message",
+    [
+        ({"elements": [0, 2, 4, 6]}, "subgroup elements must be element ids in [0, 5]"),
+        ({"elements": [-1, 0]}, "subgroup elements must be element ids in [0, 5]"),
+        ({"generators": [2, 9]}, "subgroup generators must be element ids in [0, 5]"),
+        ({"generators": [-4]}, "subgroup generators must be element ids in [0, 5]"),
+    ],
+)
+def test_bundle_subgroup_ids_outside_the_group_are_invalid(tmp_path, capsys, H, message):
+    gpath, bpath = tmp_path / "group.json", tmp_path / "bundle.json"
+    gpath.write_text(json.dumps(C3_IN_S3["group"]))
+    bpath.write_text(json.dumps(bundle_with(H=H)))
+    code, out, err = run_cli(["fine-decomp", "--group", str(gpath), "--bundle", str(bpath)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == f"error: {message}"
+
+
 def test_fine_decomp_report(tmp_path, capsys):
     doc = json.loads(corpus.read_corpus_bytes("bundle-c3-in-s3").decode("utf-8"))
     gpath = tmp_path / "group.json"

@@ -3,6 +3,7 @@
 import pytest
 
 from equichi import (
+    FiniteGroup,
     SimplicialComplex,
     Subgroup,
     ValidationError,
@@ -16,6 +17,8 @@ from equichi import (
     orientation_character,
     regularize,
 )
+from equichi.jsonio import gcomplex_from_json, group_from_json
+from test_fuzz import bench_inputs
 
 OCT_TRIS = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
 PI_ROT = [3, 4, 2, 0, 1, 5]
@@ -193,6 +196,32 @@ def test_strata_partition_is_disjoint(regular_cases):
         assert not (seen & set(s.simplices))
         seen |= set(s.simplices)
     assert seen == set(X.complex.simplices)
+
+
+def test_stratification_scans_each_isotropy_class_once(monkeypatch):
+    """A5 on the icosahedron, regularized: 32 fixer masks in 4 classes.  A
+    scan over the group conjugates the identity by itself exactly once, so
+    counting those calls counts the scans; one per stratum, plus one for the
+    principal class's subconjugacy checks."""
+    gens, action = bench_inputs().icosahedron_a5()
+    G = group_from_json({"permutation_generators": gens})
+    X = regularize(gcomplex_from_json(action.to_json(), G))
+    assert len(X.complex.order) == 2162 and len(set(X.masks)) == 32
+    scans = []
+    conjugate = FiniteGroup.conjugate
+
+    def counted(self, g, a):
+        if g == a == self.identity:
+            scans.append(self)
+        return conjugate(self, g, a)
+
+    monkeypatch.setattr(FiniteGroup, "conjugate", counted)
+    st = orbit_type_stratification(X)
+    assert len(st.strata) == 4
+    assert 1 <= len(scans) <= len(st.strata) + 1
+    monkeypatch.undo()
+    for s in st.strata:
+        assert s.isotropy.canonical_class_representative() == s.isotropy
 
 
 def test_stratum_component_closure_and_lower(regular_cases):

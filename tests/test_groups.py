@@ -1,6 +1,7 @@
 """Group construction, conjugacy data, and the subgroup lattice."""
 
 import itertools
+import math
 
 import pytest
 
@@ -299,6 +300,52 @@ def test_subconjugacy_relations():
         for B in reflections:
             assert subconjugate(A, B)
     assert not subconjugate(whole, triv)
+
+
+S4_GENS = [[1, 2, 3, 0], [1, 0, 2, 3]]
+# the signed permutations B_3 (order 48) on the octahedron's six vertices
+B3_GENS = [[2, 3, 4, 5, 0, 1], [2, 3, 0, 1, 4, 5], [1, 0, 2, 3, 4, 5]]
+
+
+def brute_conjugate(H, g):
+    G = H.parent
+    return tuple(sorted(G.mul(G.mul(g, a), G.inv(g)) for a in H.elements))
+
+
+@pytest.mark.parametrize("gens, count", [(S4_GENS, 30), (B3_GENS, 98)], ids=["S4", "B3"])
+def test_conjugation_questions_agree_with_brute_force(gens, count):
+    G = group_from_permutations(gens)
+    assert G.exponent == math.lcm(*map(G.element_order, range(G.order)))
+    subs = all_subgroups(G)
+    assert len(subs) == count
+    for H in subs:
+        conjugates = [brute_conjugate(H, g) for g in range(G.order)]
+        assert H.canonical_class_representative().elements == min(conjugates)
+        assert normalizer(H).elements == tuple(
+            g for g in range(G.order) if conjugates[g] == H.elements
+        )
+
+
+def test_subconjugate_agrees_with_brute_force_on_every_pair_in_s4():
+    G = group_from_permutations(S4_GENS)
+    subs = all_subgroups(G)
+    for H in subs:
+        conjugates = {brute_conjugate(H, g) for g in range(G.order)}
+        for K in subs:
+            assert subconjugate(H, K) == any(set(c) <= set(K.elements) for c in conjugates)
+
+
+def test_subgroup_rejects_ids_outside_the_parent():
+    C3 = group_from_permutations([[1, 2, 0]])
+    C4 = group_from_permutations([R4])
+    with pytest.raises(ValidationError, match=r"subgroup elements must be element ids in \[0, 2\]"):
+        Subgroup(C3, (0, 1, 2, -1))
+    with pytest.raises(ValidationError, match=r"subgroup elements must be element ids in \[0, 2\]"):
+        Subgroup(C3, (0, 5))
+    with pytest.raises(ValidationError, match=r"subgroup generators must be element ids in \[0, 2\]"):
+        Subgroup.generated(C3, [7])
+    with pytest.raises(ValidationError, match=r"subgroup generators must be element ids in \[0, 3\]"):
+        Subgroup.generated(C4, [-1])
 
 
 def test_all_subgroups_of_symmetric_group():
