@@ -9,8 +9,8 @@ Regularity here means that the quotient map is faithful: no simplex has
 two vertices in one orbit, and distinct simplex orbits have distinct
 vertex-orbit images, so the orbit space is again a simplicial complex on
 vertex orbits.  It implies that a simplex mapped to itself is fixed
-pointwise (see `_orbit_walk`), so traces on chain groups are fixed-simplex
-counts.  Two barycentric subdivisions always suffice; this is asserted.
+pointwise (see `GComplex.faithful`), so traces on chain groups are
+fixed-simplex counts.  Two barycentric subdivisions always suffice.
 
 Simplices are numbered by their positions in the complex's `order`.  The
 action is one row of vertex positions per element (`vertex_perm`); group
@@ -20,12 +20,13 @@ checks when made; strata and components build simplex sets, pieces and
 components when first read.  Vertex fixity, one bitmask of fixing elements
 per vertex read off the vertex rows and carried up the facet table, never
 reads the simplex rows, so the two Lefschetz routes stay independent.  One
-walk over the simplex orbits (see `OrbitWalk`), cached per complex, flags
-the first position of each orbit and gives the verdict on regularity; that
-verdict, read through `is_regular`, is the only regularity state.
+orbit table per complex (`GComplex.orbit_of`), one pass over the simplex
+rows, labels each position with the least position of its orbit; the vertex
+orbits, the verdict on regularity (read through `is_regular`, the only
+regularity state), the stratum components and the orbit space read it.
 Regularity makes orbits and quotient simplices correspond, so Euler numbers
-of the orbit space are signed counts of flagged positions.  Only
-`orbit_space` builds the quotient as a complex.
+of the orbit space are signed counts of the positions that label their
+orbit.  Only `orbit_space` builds the quotient as a complex.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, compress, repeat
+from itertools import compress, count, repeat
 from operator import and_, eq
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .complexes import (
     Simplex,
@@ -47,20 +48,6 @@ from .complexes import (
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, compose_rows, gather, normalizer, subconjugate
 
-@dataclass(frozen=True)
-class OrbitWalk:
-    """One pass over the simplex orbits: `vertex_orbit` maps a vertex to its
-    position in `vertex_orbits()`, `images` holds the vertex-orbit image of
-    each simplex orbit walked, `first[i]` is 1 when position i is the first of
-    its orbit, and `faithful` is the verdict: True when the action is
-    regular, False when the walk stopped at the first orbit that is not."""
-
-    vertex_orbit: dict[int, int]
-    images: set[Simplex]
-    first: bytearray
-    faithful: bool
-
-
 class GComplex:
     """A simplicial complex with a validated action of a finite group.
 
@@ -68,9 +55,9 @@ class GComplex:
     `complex.vertices[i]` under g.  `perm[g][i]` is that of `complex.order[i]`,
     so its vertex layer is `vertex_perm[g]`; `masks[i]` the bitmask (bit g for
     g) of the elements fixing `complex.order[i]` pointwise, `mask_tally` the
-    alternating simplex count per mask and `walk` the pass over simplex
-    orbits, whose verdict `is_regular` reads; each is built on first use and
-    cached.
+    alternating simplex count per mask, `orbit_of[i]` the least position of
+    the orbit of position i, and `faithful` the verdict on regularity that
+    `is_regular` reads; each is built on first use and cached.
     """
 
     def __init__(
@@ -93,8 +80,38 @@ class GComplex:
         return _simplex_perm(self.complex, self.group, self.vertex_perm)
 
     @cached_property
-    def walk(self) -> OrbitWalk:
-        return _orbit_walk(self)
+    def orbit_of(self) -> list[int]:
+        """Per simplex position, the least position of its orbit: positions
+        are visited ascending, and each one not yet labelled labels its
+        column of the simplex rows."""
+        orbit_of: list[int] = [-1] * len(self.complex.order)
+        for i in range(len(orbit_of)):
+            if orbit_of[i] < 0:
+                for p in self.perm:
+                    orbit_of[p[i]] = i
+        return orbit_of
+
+    @cached_property
+    def faithful(self) -> bool:
+        """The verdict on regularity: each simplex orbit, probed at its least
+        position, ascending, must project to distinct vertex labels and to an
+        image no earlier orbit has; False at the first that fails.  If g maps s
+        to itself and moves a vertex v, then v and g.v share a label in s."""
+        orbit_of = self.orbit_of
+        label = dict(zip(self.complex.vertices, orbit_of))
+        images: set[Simplex] = set()
+        for s in compress(self.complex.order, map(eq, orbit_of, count())):
+            img = tuple(sorted(map(label.__getitem__, s)))
+            if len(set(img)) != len(s) or img in images:
+                return False
+            images.add(img)
+        return True
+
+    def _quotient_euler(self, positions: Collection[int]) -> int:
+        """chi of the image in the orbit space of a G-invariant set of positions
+        (the action regular): the signed count of those that label their orbit."""
+        labels = map(self.orbit_of.__getitem__, positions)
+        return self.complex.euler(compress(positions, map(eq, labels, positions)))
 
     @cached_property
     def masks(self) -> list[int]:
@@ -136,35 +153,40 @@ class GComplex:
 
     # -- action application --------------------------------------------
 
+    def _position(self, simplex: Simplex, g: int = 0) -> int | None:
+        """The position of `simplex`, None for a vertex tuple outside the complex."""
+        if not 0 <= g < self.group.order:
+            raise ValidationError(f"element {g} is not an element id in [0, {self.group.order - 1}]")
+        if not simplex:
+            raise ValidationError(f"simplex {simplex} has no vertices")
+        for v in simplex:
+            if (v,) not in self.complex.index:
+                raise ValidationError(f"vertex {v} is not a vertex of the complex")
+        return self.complex.index.get(simplex)
+
     def apply(self, g: int, simplex: Simplex) -> Simplex:
-        i = self.complex.index.get(simplex)
+        i = self._position(simplex, g)
         if i is None:  # not a simplex of the complex: map its vertices
             m = _vertex_map(self.complex, self.vertex_perm[g])
             return tuple(sorted(m[v] for v in simplex))
         return self.complex.order[self.perm[g][i]]
 
     def orbit(self, simplex: Simplex) -> frozenset[Simplex]:
-        i = self.complex.index.get(simplex)
-        if i is None:
-            return frozenset(self.apply(g, simplex) for g in range(self.group.order))
-        return frozenset(self.complex.order[p[i]] for p in self.perm)
+        return frozenset(self.apply(g, simplex) for g in range(self.group.order))
 
     def isotropy(self, simplex: Simplex) -> Subgroup:
         """Pointwise stabilizer of any vertex tuple: the AND of its vertices' masks."""
+        self._position(simplex)
         full = (1 << self.group.order) - 1
         index, masks = self.complex.index, self.masks
         return self._subgroup_of_mask(reduce(and_, (masks[index[(v,)]] for v in simplex), full))
 
-    @cached_property
-    def _vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
-        # column i of the rows is the orbit of vertex i
-        vertices = self.complex.vertices
-        orbits = sorted({tuple(sorted(set(column))) for column in zip(*self.vertex_perm)})
-        return tuple(tuple(map(vertices.__getitem__, orbit)) for orbit in orbits)
-
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex orbits sorted by least member."""
-        return self._vertex_orbits
+        """Vertex orbits sorted by least member, read off the orbit table."""
+        orbits: dict[int, list[int]] = {}
+        for v, label in zip(self.complex.vertices, self.orbit_of):
+            orbits.setdefault(label, []).append(v)
+        return tuple(map(tuple, orbits.values()))
 
 
 def _vertex_map(complex: SimplicialComplex, row: Sequence[int]) -> dict[int, int]:
@@ -286,37 +308,9 @@ def _raise_homomorphism_witness(group: FiniteGroup, phi: Sequence[tuple[int, ...
 # regularization
 
 
-def _orbit_walk(X: GComplex) -> OrbitWalk:
-    """Walk the simplex orbits, each probed at its first position: the
-    simplex must project to distinct vertex orbits, and no two simplex
-    orbits may share an image.  The walk stops at the first orbit that
-    fails, with the verdict False.
-
-    A simplex mapped to itself is then fixed pointwise, so that is not
-    probed: if g maps s to itself and moves a vertex v of s, then v and g.v
-    are two vertices of s in one orbit, and the image of s is degenerate.
-    """
-    vertex_orbit = {v: k for k, orb in enumerate(X.vertex_orbits()) for v in orb}
-    order, perm = X.complex.order, X.perm
-    images: set[Simplex] = set()
-    seen = bytearray(len(order))
-    first = bytearray(len(order))
-    for i, s in enumerate(order):
-        if seen[i]:
-            continue
-        for p in perm:
-            seen[p[i]] = 1
-        first[i] = 1
-        img = tuple(sorted(map(vertex_orbit.__getitem__, s)))
-        if len(set(img)) != len(s) or img in images:
-            return OrbitWalk(vertex_orbit, images, first, False)
-        images.add(img)
-    return OrbitWalk(vertex_orbit, images, first, True)
-
-
 def is_regular(X: GComplex) -> bool:
-    """The orbit walk's verdict, cached on the complex."""
-    return X.walk.faithful
+    """The verdict of the orbit table's probe, cached on the complex."""
+    return X.faithful
 
 
 def _subdivide(X: GComplex) -> GComplex:
@@ -396,7 +390,7 @@ class StratumComponent:
     from them on first read.  The closure and the lower part are G-invariant,
     so their images Q_cl and Q_low in the orbit space have one simplex per
     simplex orbit: `closure_euler` and `lower_euler` are chi(Q_cl) and
-    chi(Q_low), counted on the orbits' first positions."""
+    chi(Q_low), counted on the positions that label their orbits."""
 
     complex: SimplicialComplex = field(repr=False, compare=False)
     index: int
@@ -447,13 +441,12 @@ class Stratum:
 
     @cached_property
     def open_euler(self) -> int:
-        """The signed count of the members that are the first position of
-        their orbit: chi of the image of the stratum's closure relative to
-        that of its frontier, chi(Q, Q_sing) for the principal stratum.  The
-        components' open parts partition the stratum, so this is the sum of
-        closure_euler - lower_euler over the components."""
-        first = self.gcomplex.walk.first
-        return self.gcomplex.complex.euler(filter(first.__getitem__, self.members))
+        """The signed count of the members that label their orbit: chi of
+        the image of the stratum's closure relative to that of its frontier,
+        chi(Q, Q_sing) for the principal stratum.  The components' open parts
+        partition the stratum, so this is the sum of closure_euler -
+        lower_euler over the components."""
+        return self.gcomplex._quotient_euler(self.members)
 
     @cached_property
     def piece_positions(self) -> list[list[int]]:
@@ -482,34 +475,37 @@ class Stratum:
 
     @cached_property
     def components(self) -> tuple[StratumComponent, ...]:
-        """Components relative to the group: normalizer orbits of pieces,
-        each swept by the group.  The sweep stays in the stratum, since g
-        conjugates the isotropy of a simplex into that of its image."""
+        """Components relative to the group: normalizer orbits of pieces, each
+        swept by the group, read off the orbit table.  Two pieces lie in one
+        normalizer orbit exactly when they meet a common simplex orbit: if
+        t = g.s with s and t both exact, then G_t = g G_s g^-1 = H, so g
+        normalizes H and maps the piece of s onto that of t, whether or not the
+        action is regular.  So the pieces are grouped by the least orbit label
+        they meet, and a group's sweep is the stratum's members whose label it
+        meets (g conjugates the isotropy of a simplex into that of its image)."""
         X = self.gcomplex
-        K, perm, first = X.complex, X.perm, X.walk.first
-        pieces, action = self.piece_positions, self.piece_action.values()
-        assigned: set[int] = set()
+        K, orbit_of, members = X.complex, X.orbit_of, self.members
+        groups: dict[int, tuple[list[int], set[int]]] = {}  # least label -> pieces, labels
+        for pid, piece in enumerate(self.piece_positions):
+            labels = set(map(orbit_of.__getitem__, piece))
+            groups.setdefault(min(labels), ([], labels))[0].append(pid)
+        member_labels = list(map(orbit_of.__getitem__, members))
         components: list[StratumComponent] = []
-        for i in range(len(pieces)):
-            if i in assigned:
-                continue
-            orbit_ids = sorted({a[i] for a in action})
-            assigned.update(orbit_ids)
-            at_pieces = gather([i for pid in orbit_ids for i in pieces[pid]])
-            swept = tuple(sorted(set(chain.from_iterable(map(at_pieces, perm)))))
+        for piece_ids, labels in groups.values():
+            swept = tuple(compress(members, map(labels.__contains__, member_labels)))
             closure = K.closure(swept)
             dim = len(K.order[swept[-1]]) - 1
             components.append(
                 StratumComponent(
                     complex=K,
                     index=len(components),
-                    piece_indices=tuple(orbit_ids),
+                    piece_indices=tuple(piece_ids),
                     swept=swept,
                     closure_positions=closure,
                     dim=dim,
                     codim=K.dim - dim,
-                    closure_euler=K.euler(filter(first.__getitem__, closure)),
-                    lower_euler=K.euler(filter(first.__getitem__, closure.difference(swept))),
+                    closure_euler=X._quotient_euler(closure),
+                    lower_euler=X._quotient_euler(closure.difference(swept)),
                 )
             )
         return tuple(components)
@@ -540,7 +536,7 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     subconjugacy partial order (ascending isotropy order, canonical class
     representative as tie-break; the principal class comes first).
 
-    The orbit walk must have found the action regular; then only these
+    The action must be regular (`is_regular`); then only these
     checks run here, in this order: the first class must be the unique
     minimal one, and the principal stratum must be dense.  Each stratum
     builds its simplex sets, pieces and components when they are first read.
@@ -623,11 +619,14 @@ def orbit_space(X: GComplex) -> OrbitSpace:
     are closed under faces: a face of the image of s is the image of a face t
     of s, which is the image of every simplex in the orbit of t."""
     _require_regular(X)
-    walk = X.walk
-    quotient = SimplicialComplex(walk.images)
-    if len(quotient) != len(walk.images):
+    orbits = X.vertex_orbits()
+    vertex_orbit = {v: k for k, orbit in enumerate(orbits) for v in orbit}
+    firsts = compress(X.complex.order, map(eq, X.orbit_of, count()))
+    images = {tuple(sorted(map(vertex_orbit.__getitem__, s))) for s in firsts}
+    quotient = SimplicialComplex(images)
+    if len(quotient) != len(images):
         raise DefectError("quotient image set was not closed under faces")
-    return OrbitSpace(quotient, dict(walk.vertex_orbit), X.vertex_orbits())
+    return OrbitSpace(quotient, vertex_orbit, orbits)
 
 
 # ---------------------------------------------------------------------------

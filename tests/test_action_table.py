@@ -1,11 +1,11 @@
-"""The integer action table and the orbit walk against plain vertex-map
+"""The integer action table and the orbit table against plain vertex-map
 references, the frozen texts of `build_gcomplex` failures and of the
 stratification checks, and known answers under equivariant subdivision up to
 about 10^4 simplices."""
 
 import json
 import random
-from dataclasses import replace
+from collections import Counter
 from functools import cached_property
 from itertools import combinations, permutations
 
@@ -34,11 +34,12 @@ from equichi import (
 )
 from equichi import strataformula
 from equichi.cli import main
-from equichi.gcomplex import GComplex, _orbit_walk, _subdivide
+from equichi.gcomplex import GComplex, _subdivide
 from equichi.jsonio import group_from_json
 from equichi.groups import all_subgroups
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
 from equichi.strataformula import strata_geometry
+from test_known_answers import B3, OCTAHEDRON_FACETS, generators
 
 # ---------------------------------------------------------------------------
 # actions as plain data: maximal simplices plus one vertex map per generator
@@ -383,14 +384,12 @@ def test_orbit_walk_matches_reference_on_non_regular_actions(name):
 
 
 class ReportsRegular(GComplex):
-    """A test double whose cached orbit walk reports the action regular,
-    whatever the walk found.  The trace and fixed-set Lefschetz routes read
-    `perm` and the fixer masks, never the walk, so the dual-route check still
-    sees the action as it is."""
+    """A test double whose verdict reports the action regular, whatever the
+    orbit table's probe finds.  The trace and fixed-set Lefschetz routes read
+    `perm` and the fixer masks, never the verdict, so the dual-route check
+    still sees the action as it is."""
 
-    @cached_property
-    def walk(self):
-        return replace(_orbit_walk(self), faithful=True)
+    faithful = True
 
 
 # what `verify_strata_vs_oracle` raises on each action above whose two
@@ -452,6 +451,76 @@ def test_stratified_route_rejects_non_regular_actions_flagged_regular(name):
             verify_strata_vs_oracle(flagged)
         assert type(err.value) is DefectError
         assert str(err.value) == LEFSCHETZ_DISAGREEMENTS[name]
+
+
+def ladder_actions():
+    """Every corpus case and every rotation action at sd^0, sd^1 and sd^2,
+    relabelled at each rung, whether the rung is regular or not."""
+    rng = random.Random(2025)
+    actions = [(cid, *corpus_action(cid)) for cid in corpus.case_ids()]
+    for name, (gens, faces) in ROTATION_ACTIONS.items():
+        maximal = [tuple(sorted(f)) for f in faces]
+        actions.append((name, group_from_permutations(gens), maximal, [dict(enumerate(g)) for g in gens]))
+    for name, G, maximal, maps in actions:
+        for level in range(3):
+            yield pytest.param(G, *relabel(maximal, maps, rng), id=f"{name}:sd{level}")
+            maximal, maps = subdivide(maximal, maps)
+
+
+@pytest.mark.parametrize("G, maximal, maps", list(ladder_actions()))
+def test_orbit_table_matches_brute_force_reference(G, maximal, maps):
+    X = build(G, maximal, maps)
+    index, by_element = X.complex.index, vertex_maps(X)
+    least = [min(index[tuple(sorted(m[v] for v in s))] for m in by_element) for s in X.complex.order]
+    assert X.orbit_of == least
+    orbits = {tuple(sorted({m[v] for m in by_element})) for v in X.complex.vertices}
+    assert X.vertex_orbits() == tuple(sorted(orbits))
+    assert is_regular(X) == reference_regularity(X)[0]
+
+
+def count_orbit_tables(monkeypatch):
+    """Record every complex whose orbit table is built from here on."""
+    built = []
+    table = GComplex.__dict__["orbit_of"]
+
+    def counted(self):
+        built.append(self)
+        return table.func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(GComplex, "orbit_of")
+    monkeypatch.setattr(GComplex, "orbit_of", prop)
+    return built
+
+
+def b3_slice():
+    """One subgroup from each conjugacy class of B_3, acting on the octahedron."""
+    B = group_from_permutations(B3)
+    classes = {H.canonical_class_representative().elements: H for H in all_subgroups(B)}
+    for H in classes.values():
+        perms = [B.perms[h] for h in generators(H)] or [B.perms[B.identity]]
+        yield group_from_permutations(perms), OCTAHEDRON_FACETS, perms
+
+
+def test_components_read_one_orbit_table_per_complex(monkeypatch):
+    """The components group pieces on the orbit table, without the piece
+    action, and every orbit question on a complex reads one table."""
+    gens, faces = ROTATION_ACTIONS["a5-icosahedron"]
+    actions = [(group_from_permutations(gens), faces, gens), *b3_slice()]
+    assert len(actions) == 34
+    built = count_orbit_tables(monkeypatch)
+    for G, maximal, images in actions:
+        R = regularize(build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images))
+        st = orbit_type_stratification(R)
+        for stratum in st.strata:
+            assert stratum.open_euler == sum(c.closure_euler - c.lower_euler for c in stratum.components)
+            assert "piece_action" not in vars(stratum)
+            for c in stratum.components:
+                orbit = {stratum.piece_action[n][c.piece_indices[0]] for n in stratum.piece_action}
+                assert orbit == set(c.piece_indices)
+        assert is_regular(R) and orbit_space(R).vertex_orbit
+        assert R.vertex_orbits() and R in built
+    assert len(built) >= 35 and set(Counter(map(id, built)).values()) == {1}
 
 
 def test_s3_case_violates_regularity_away_from_the_orbit_probe():

@@ -108,6 +108,25 @@ def test_apply_orbit_isotropy():
     assert X.vertex_orbits() == ((0, 3), (1, 4), (2,), (5,))
 
 
+# each call on s2-pi-rotation (C2) with an invalid argument, and its text
+INVALID_ACTION_CALLS = {
+    "negative-element": (lambda X: X.apply(-1, (0,)), "element -1 is not an element id in [0, 1]"),
+    "element-past-the-group": (lambda X: X.apply(5, (0,)), "element 5 is not an element id in [0, 1]"),
+    "isotropy-of-a-missing-vertex": (lambda X: X.isotropy((999,)), "vertex 999 is not a vertex of the complex"),
+    "image-of-a-missing-vertex": (lambda X: X.apply(1, (999,)), "vertex 999 is not a vertex of the complex"),
+    "orbit-of-a-missing-vertex": (lambda X: X.orbit((999,)), "vertex 999 is not a vertex of the complex"),
+    "isotropy-of-the-empty-tuple": (lambda X: X.isotropy(()), "simplex () has no vertices"),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID_ACTION_CALLS))
+def test_action_calls_reject_invalid_arguments(cases, name):
+    call, text = INVALID_ACTION_CALLS[name]
+    with pytest.raises(ValidationError) as err:
+        call(cases["s2-pi-rotation"].gcomplex)
+    assert str(err.value) == text
+
+
 def test_subdivision_counts_frozen(regular_cases):
     for cid, X in regular_cases.items():
         assert X.subdivisions == SUBDIVISIONS[cid], cid
