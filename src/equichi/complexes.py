@@ -3,15 +3,24 @@
 A complex is the set of all its nonempty simplices, each a strictly
 ascending tuple of integer vertex ids, closed under taking faces.  Euler
 characteristics are alternating simplex counts; everything is exact.
+
+A complex is built on packed integer keys, not on vertex tuples: the sorted
+vertex ids are ranked once, and a d-simplex is the int holding the ranks of
+its d + 1 vertices, b bits each with the least first, where b is the bit
+length of the greatest rank.  Int order within a dimension is then the
+canonical (vertex tuple) order, so each dimension is sorted once as ints,
+and a facet's key is its simplex's key with one b-bit field cut out by
+shifts and masks.  Vertex tuples are built only when `order` or `index` is
+first read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import cached_property
+from bisect import bisect_left, bisect_right
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, filterfalse, groupby, repeat
-from operator import itemgetter, lt
-from typing import Iterable
+from operator import and_, itemgetter, lshift, lt, or_, rshift
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .groups import gather
@@ -35,18 +44,52 @@ def closure_of(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
     return frozenset(closed)
 
 
+def _pack(columns: Sequence[Iterable[int]], bits: int) -> Iterable[int]:
+    """The ints holding, per row, the entries of the columns `bits` bits
+    each, the first column in the highest field; lazily, in C-level maps."""
+    return reduce(lambda keys, c: map(or_, map(lshift, keys, repeat(bits)), c), columns[1:], columns[0])
+
+
+def _drop_field(keys: Iterable[int], d: int, k: int, bits: int) -> Iterable[int]:
+    """The keys of d-simplices with the field of vertex k cut out: the keys
+    of their facets without vertex k."""
+    low = bits * (d - k)  # the fields of vertices k + 1 .. d
+    if k == d:
+        return map(rshift, keys, repeat(bits))
+    below = map(and_, keys, repeat((1 << low) - 1))
+    if k == 0:
+        return below
+    above = map(lshift, map(rshift, keys, repeat(low + bits)), repeat(low))
+    return map(or_, above, below)
+
+
+class RankColumns(NamedTuple):
+    """Simplices given without vertex tuples: per dimension d, d + 1 columns
+    of vertex ranks, strictly ascending along each row, over `vertices`."""
+
+    given: dict[int, list[list[int]]]
+    vertices: tuple[int, ...]
+
+
 class SimplicialComplex:
     """An abstract simplicial complex over integer vertex ids.
 
-    `order` lists the simplices in canonical (dimension, vertex tuple) order,
-    and a simplex's position there is its number; `index` maps it back.  The
-    d-simplices sit at positions `layer_start[d]` up to `layer_start[d + 1]`.
-    `facet_table[d][k]` is a column over the d-simplices, in layer order, of
-    the positions of their facets without vertex k; its entries are the int
-    objects of `index`.
+    A simplex's number is its position in the canonical (dimension, vertex
+    tuple) order; the d-simplices sit at positions `layer_start[d]` up to
+    `layer_start[d + 1]`, and the vertices first, so a vertex's position is
+    its rank among `vertices`.  Two tables of columns over the d-simplices,
+    in layer order, describe them: `columns[d][k]` holds the positions of
+    their vertex k, and `facet_table[d][k]` those of their facets without
+    vertex k.  Both hold the int objects of `positions`, none of their own.
+    `order` (the simplices as vertex tuples) and `index` (tuple -> position)
+    are built from `columns` when first read; no computation on positions
+    needs them.
     """
 
-    def __init__(self, simplices: Iterable[Simplex]):
+    def __init__(self, simplices: Iterable[Simplex] | RankColumns):
+        if isinstance(simplices, RankColumns):
+            self._build(dict(simplices.given), simplices.vertices)
+            return
         listed = list(map(tuple, simplices))
         # the given simplices by dimension, the empty one dropped
         given = {n - 1: list(g) for n, g in groupby(sorted(listed, key=len), len) if n}
@@ -56,42 +99,63 @@ class SimplicialComplex:
             if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
                 bad = next(t for t in listed if not all(map(lt, t, t[1:])))
                 raise ValidationError(f"simplex must be strictly ascending: {bad}")
-            given[d] = set(group)
+            given[d] = columns
         if not given:
             raise ValidationError("complex must be nonempty")
+        vertices = sorted(set().union(*chain.from_iterable(given.values())))
+        rank = dict(zip(vertices, range(len(vertices)))).__getitem__
+        for columns in given.values():
+            columns[:] = [list(map(rank, c)) for c in columns]
+        self._build(given, tuple(vertices))
+
+    def _build(self, given: dict[int, list[list[int]]], vertices: tuple[int, ...]) -> None:
+        self.vertices = vertices
+        bits = max(len(vertices) - 1, 1).bit_length()
         self.dim = dim = max(given)
-        # One sweep from the top dimension down.  A layer is complete once the
-        # layer above has added its facets, and is sorted then; the facets of
-        # its simplices, made once each, fill in the layer below and, once
-        # that is sorted, are kept as positions within it.
-        layers: list[list[Simplex]] = [[] for _ in range(dim + 1)]
-        local_facets: list[tuple[int, ...]] = [() for _ in range(dim + 1)]
-        current = given.pop(dim)
-        facets: list[Simplex] = []
+        # One sweep from the top dimension down: a layer is complete once the
+        # layer above has added its facets, and is sorted then.
+        layers: list[list[int]] = [[] for _ in range(dim + 1)]
+        current = set(_pack(given.pop(dim), bits))
         for d in range(dim, -1, -1):
             layer = layers[d] = sorted(current)
-            if facets:
-                local = dict(zip(layer, range(len(layer))))
-                local_facets[d + 1] = gather(facets)(local)
-                facets = []
             if d:
-                # a simplex's combinations drop its last vertex first
-                facets = list(chain.from_iterable(map(combinations, layer, repeat(d))))
-                current = given.pop(d - 1, set())
-                current.update(facets)
-        self.order: tuple[Simplex, ...] = tuple(chain.from_iterable(layers))
-        self.index: dict[Simplex, int] = dict(zip(self.order, range(len(self.order))))
-        ids = tuple(self.index.values())
+                current = set(_pack(given.pop(d - 1), bits)) if d - 1 in given else set()
+                for k in range(d + 1):
+                    current.update(_drop_field(layer, d, k, bits))
+        del current
         self._f_vector = tuple(map(len, layers))
         start = self.layer_start = (0, *accumulate(self._f_vector))
-        self.facet_table: tuple[tuple[tuple[int, ...], ...], ...] = ((),) + tuple(
-            tuple(
-                gather(local_facets[d][d - k :: d + 1])(ids[start[d - 1] : start[d]])
-                for k in range(d + 1)
-            )
-            for d in range(1, dim + 1)
+        ids = self.positions = tuple(range(start[-1]))
+        columns = [(ids[: start[1]],)]
+        facet_table: list[tuple[tuple[int, ...], ...]] = [()]
+        for d in range(1, dim + 1):
+            # the facets as positions within the layer below
+            facets = [_drop_field(layers[d], d, k, bits) for k in range(d + 1)]
+            if d > 1:  # a vertex's key is its rank, which is that position
+                local = dict(zip(layers[d - 1], range(len(layers[d - 1]))))
+                facets = [map(local.__getitem__, f) for f in facets]
+            facets = [gather(list(f)) for f in facets]
+            layers[d - 1] = []  # each layer's keys are read for the last time here
+            below = ids[start[d - 1] : start[d]]
+            facet_table.append(tuple(f(below) for f in facets))
+            # vertex k < d is vertex k of the facet without vertex d, and
+            # vertex d is vertex d - 1 of the facet without vertex 0
+            columns.append((*map(facets[d], columns[d - 1]), facets[0](columns[d - 1][-1])))
+        self.columns: tuple[tuple[tuple[int, ...], ...], ...] = tuple(columns)
+        self.facet_table: tuple[tuple[tuple[int, ...], ...], ...] = tuple(facet_table)
+
+    @cached_property
+    def order(self) -> tuple[Simplex, ...]:
+        """The simplices as vertex tuples, in canonical order."""
+        vertex = self.vertices.__getitem__
+        return tuple(
+            chain.from_iterable(zip(*(map(vertex, column) for column in columns)) for columns in self.columns)
         )
-        self.vertices: tuple[int, ...] = tuple(s[0] for s in layers[0])
+
+    @cached_property
+    def index(self) -> dict[Simplex, int]:
+        """Simplex -> position, onto the int objects of `positions`."""
+        return dict(zip(self.order, self.positions))
 
     @staticmethod
     def from_maximal(maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -105,9 +169,13 @@ class SimplicialComplex:
         """All simplices sorted by (dimension, vertex tuple); the canonical order."""
         return list(self.order)
 
+    def dim_of(self, i: int) -> int:
+        """The dimension of the simplex at position i."""
+        return bisect_right(self.layer_start, i) - 1
+
     def facets(self, i: int) -> tuple[int, ...]:
         """Positions of the facets of `order[i]`, ascending."""
-        d = len(self.order[i]) - 1
+        d = self.dim_of(i)
         k = i - self.layer_start[d]
         return tuple(column[k] for column in reversed(self.facet_table[d]))
 
@@ -137,7 +205,7 @@ class SimplicialComplex:
         return tuple(simplex) in self.index
 
     def __len__(self) -> int:
-        return len(self.order)
+        return self.layer_start[-1]
 
     def f_vector(self) -> tuple[int, ...]:
         return self._f_vector
@@ -149,7 +217,7 @@ class SimplicialComplex:
         for columns in self.facet_table:
             for column in columns:
                 facets.update(column)
-        return list(filterfalse(facets.__contains__, range(len(self.order))))
+        return list(filterfalse(facets.__contains__, self.positions))
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices at `maximal_positions()`."""
@@ -184,14 +252,25 @@ def barycentric_subdivision(
 
     New vertex ids are positions in the canonical simplex order (the map is
     `K.index`), so the subdivision of a fixed complex is itself canonical.
+    See `subdivision` for how it is built.
+    """
+    return subdivision(K), K.index
+
+
+def subdivision(K: SimplicialComplex) -> SimplicialComplex:
+    """The barycentric subdivision, on the positions of K as vertex ids.
+
     Its simplices are the chains of strictly nested simplices of K, and each
     chain is a face of a full flag of a maximal simplex.  The flags are
     built top-down on positions through the facet table: each chain opens
     at a maximal position, and every facet of its lowest simplex is
-    prepended, layer by layer, down to the vertices.
+    prepended, layer by layer, down to the vertices.  The flags of the
+    maximal d-simplices are columns of vertex ranks (every position of K is
+    a vertex of the subdivision, so its rank is itself), and the
+    subdivision is built on them without a vertex tuple.
     """
     start = K.layer_start
-    flags: list[tuple[int, ...]] = []
+    flags: dict[int, list[list[int]]] = {}
     for top, maximal in enumerate(K.by_layer(K.maximal_positions())):
         if not maximal:
             continue
@@ -201,8 +280,8 @@ def barycentric_subdivision(
             lowest = gather([i - start[d] for i in columns[0]])
             below = list(chain.from_iterable(map(lowest, K.facet_table[d])))
             columns = [below, *(column * (d + 1) for column in columns)]
-        flags.extend(zip(*columns))
-    return SimplicialComplex(flags), K.index
+        flags[top] = columns
+    return SimplicialComplex(RankColumns(flags, K.positions))
 
 
 def connected_components(K: SimplicialComplex, positions: Iterable[int]) -> list[list[int]]:

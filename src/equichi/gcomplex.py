@@ -12,10 +12,12 @@ vertex orbits.  It implies that a simplex mapped to itself is fixed
 pointwise (see `GComplex.faithful`), so traces on chain groups are
 fixed-simplex counts.  Two barycentric subdivisions always suffice.
 
-Simplices are numbered by their positions in the complex's `order`.  The
+Simplices are numbered by their positions in the complex's canonical
+order, and nothing here builds a vertex tuple unless asked for one.  The
 action is one row of vertex positions per element (`vertex_perm`); group
 loops read one row of simplex positions per element (`perm`), composed from
-the generators'.  The stratification holds positions and runs only its
+the generators', which are joined up from the vertex rows one layer at a
+time (`_simplex_perm`).  The stratification holds positions and runs only its
 checks when made; strata and components build simplex sets, pieces and
 components when first read.  Vertex fixity, one bitmask of fixing elements
 per vertex read off the vertex rows and carried up the facet table, never
@@ -35,15 +37,15 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, count, repeat
-from operator import and_, eq
+from itertools import chain, compress, count, repeat
+from operator import add, and_, eq, mul
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .complexes import (
     Simplex,
     SimplicialComplex,
-    barycentric_subdivision,
     connected_components,
+    subdivision,
 )
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, compose_rows, gather, normalizer, subconjugate
@@ -84,7 +86,7 @@ class GComplex:
         """Per simplex position, the least position of its orbit: positions
         are visited ascending, and each one not yet labelled labels its
         column of the simplex rows."""
-        orbit_of: list[int] = [-1] * len(self.complex.order)
+        orbit_of: list[int] = [-1] * len(self.complex)
         for i in range(len(orbit_of)):
             if orbit_of[i] < 0:
                 for p in self.perm:
@@ -93,18 +95,30 @@ class GComplex:
 
     @cached_property
     def faithful(self) -> bool:
-        """The verdict on regularity: each simplex orbit, probed at its least
-        position, ascending, must project to distinct vertex labels and to an
-        image no earlier orbit has; False at the first that fails.  If g maps s
-        to itself and moves a vertex v, then v and g.v share a label in s."""
-        orbit_of = self.orbit_of
-        label = dict(zip(self.complex.vertices, orbit_of))
-        images: set[Simplex] = set()
-        for s in compress(self.complex.order, map(eq, orbit_of, count())):
-            img = tuple(sorted(map(label.__getitem__, s)))
-            if len(set(img)) != len(s) or img in images:
+        """The verdict on regularity, probed one layer at a time on the least
+        position of each simplex orbit: every such simplex must project to
+        distinct vertex labels, and no two of a layer to one image.  If two
+        vertices of a simplex share a label, so do those of the edge they
+        span and of the least edge of its orbit, so distinct labels are
+        checked on the edges alone.  The image of a d-simplex is keyed by the
+        product of T + label over its vertices, whose base-T digits are the
+        elementary symmetric functions of its labels, so the key is the label
+        set once T exceeds them all.  If g maps s to itself and moves a vertex
+        v, then v and g.v share a label in s."""
+        K, orbit_of = self.complex, self.orbit_of
+        start, label = K.layer_start, orbit_of.__getitem__
+        bits = len(K.vertices).bit_length()  # every label lies below 2**bits
+        for d in range(1, K.dim + 1):
+            lo, hi = start[d], start[d + 1]
+            first = list(map(eq, orbit_of[lo:hi], range(lo, hi)))
+            labels = [list(map(label, compress(column, first))) for column in K.columns[d]]
+            if d == 1 and any(map(eq, *labels)):
                 return False
-            images.add(img)
+            T = 1 << (bits + 1) * (d + 1)
+            factors = [map(add, column, repeat(T)) for column in labels]
+            images = reduce(lambda keys, f: map(mul, keys, f), factors[1:], factors[0])
+            if len(set(images)) != len(labels[0]):
+                return False
         return True
 
     def _quotient_euler(self, positions: Collection[int]) -> int:
@@ -201,26 +215,42 @@ def _simplex_perm(
     """Build every element's permutation of simplex positions, checking that
     the action is simplicial.
 
-    Only generator images are looked up, the sorted image of each simplex
-    in `index`, in one pipeline of C-level maps that keeps no image; every
-    other element's permutation is composed along the group's generator
-    walk, which is exact because the vertex rows form a homomorphism.  If
-    some generator sends a simplex outside the complex, every element is
-    rescanned in canonical order so that the reported witness is the first
-    one.
+    Only generator rows are built here, one layer at a time by a join: a
+    d-simplex is the simplex spanned by a facet and the vertex opposite, so
+    its image is looked up from the images of its facet without vertex 0
+    and of its vertex 0, both already in the row, in a table that holds
+    every d-simplex once per such pair.  The table, keyed by one int per
+    pair, serves every generator and is dropped before the next layer.
+    Every other element's permutation is composed along the group's
+    generator walk, which is exact because the vertex rows form a
+    homomorphism.  A pair that is no key, an image outside the complex or a
+    collapsed one, sends every element to be rescanned in canonical order so
+    that the reported witness is the first one.
     """
-    order, index = complex.order, complex.index
-    gen_perm: dict[int, tuple[int, ...]] = {}
+    K = complex
+    n = len(K.vertices)
+    rows = {g: list(vertex_perm[g]) for g in group.generators}
     try:
-        for g in group.generators:
-            m = _vertex_map(complex, vertex_perm[g])
-            images = map(tuple, map(sorted, map(map, repeat(m.__getitem__), order)))
-            gen_perm[g] = tuple(map(index.__getitem__, images))
+        for d in range(1, K.dim + 1) if rows else ():  # no generator, no row
+            layer = K.positions[K.layer_start[d] : K.layer_start[d + 1]]
+            pairs = map(_pair_keys, K.facet_table[d], K.columns[d], repeat(n))
+            table = dict(zip(chain.from_iterable(pairs), chain.from_iterable(repeat(layer, d + 1))))
+            without_0, vertex_0 = K.facet_table[d][0], K.columns[d][0]
+            for row in rows.values():
+                images = _pair_keys(map(row.__getitem__, without_0), map(row.__getitem__, vertex_0), n)
+                row.extend(map(table.__getitem__, images))
+            del table
     except KeyError:
         _raise_non_simplicial(complex, vertex_perm)
         raise DefectError("a generator is not simplicial, yet no element fails") from None
-    # every row holds the int objects of `index`, none of its own
-    return compose_rows(group.generator_walk, tuple(index.values()), gen_perm)
+    # every row holds the int objects of `positions`, none of its own
+    rows = {g: tuple(row) for g, row in rows.items()}
+    return compose_rows(group.generator_walk, K.positions, rows)
+
+
+def _pair_keys(facets: Iterable[int], vertices: Iterable[int], n: int) -> Iterable[int]:
+    """One int per (facet position, vertex position) pair, n vertices."""
+    return map(add, map(mul, facets, repeat(n)), vertices)
 
 
 def _raise_non_simplicial(complex: SimplicialComplex, vertex_perm: Sequence[Sequence[int]]) -> None:
@@ -260,20 +290,20 @@ def build_gcomplex(
             f"expected {len(gens)} generator images, got {len(generator_images)}"
         )
     vertices = complex.vertices
-    position = {v: i for i, v in enumerate(vertices)}
+    position = dict(zip(vertices, range(len(vertices))))
     given: list[tuple[int, tuple[int, ...]]] = []
     for gid, img in zip(gens, generator_images):
         if isinstance(img, Mapping):
-            m = {int(k): int(v) for k, v in img.items()}
+            m = dict(zip(map(int, img.keys()), map(int, img.values())))
         else:
             if len(img) != len(vertices):
                 raise ValidationError(
                     f"generator image length {len(img)} differs from vertex count {len(vertices)}"
                 )
-            m = {v: int(w) for v, w in zip(vertices, img)}
-        if set(m) != set(vertices) or set(m.values()) != set(vertices):
+            m = dict(zip(vertices, map(int, img)))
+        if m.keys() != position.keys() or set(m.values()) != position.keys():
             raise ValidationError("generator image is not a vertex bijection")
-        given.append((gid, tuple(position[m[v]] for v in vertices)))
+        given.append((gid, tuple(map(position.__getitem__, map(m.__getitem__, vertices)))))
     # vertex maps as rows of vertex positions
     phi = compose_rows(group.generator_walk, tuple(range(len(vertices))), dict(given))
     given_getters = [(gid, gather(mg)) for gid, mg in given]
@@ -317,8 +347,7 @@ def _subdivide(X: GComplex) -> GComplex:
     """The barycentric subdivision, whose vertex ids are the positions in the
     canonical simplex order, each at its own position among the vertices, so
     the parent's simplex rows are the child's vertex rows."""
-    sd, _ = barycentric_subdivision(X.complex)
-    return GComplex(sd, X.group, X.perm, subdivisions=X.subdivisions + 1)
+    return GComplex(subdivision(X.complex), X.group, X.perm, subdivisions=X.subdivisions + 1)
 
 
 def regularize(X: GComplex) -> GComplex:
@@ -494,7 +523,7 @@ class Stratum:
         for piece_ids, labels in groups.values():
             swept = tuple(compress(members, map(labels.__contains__, member_labels)))
             closure = K.closure(swept)
-            dim = len(K.order[swept[-1]]) - 1
+            dim = K.dim_of(swept[-1])
             components.append(
                 StratumComponent(
                     complex=K,
@@ -569,7 +598,7 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     for j, rep in enumerate(ordered):
         rep_mask = sum(1 << g for g in rep)
         members = tuple(sorted(by_class[rep]))
-        stratum_dim = len(K.order[members[-1]]) - 1
+        stratum_dim = K.dim_of(members[-1])
         strata.append(
             Stratum(
                 gcomplex=X,

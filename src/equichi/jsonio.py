@@ -173,18 +173,20 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
         # one typed pass over every id, then the rows as given
         if not set(map(type, chain.from_iterable(maximal))) <= {int}:
             raise ValueError("ids must be JSON integers")
-        simplices = [tuple(sorted(s)) for s in maximal]
+        simplices = list(map(sorted, maximal))
     except (TypeError, ValueError):
         raise ValidationError(
             "maximal_simplices must be a list of lists of integer vertex ids"
         ) from None
     if not simplices:
         raise ValidationError("complex data lists no simplices")
-    for raw, s in zip(maximal, simplices):
-        if not s:
-            raise ValidationError(f"maximal simplex {raw} has no vertices")
-        if len(set(s)) != len(s):
-            raise ValidationError(f"maximal simplex {raw} repeats a vertex")
+    # checked in C; the first empty or repeating simplex is found only on failure
+    if not all(simplices) or list(map(len, map(set, simplices))) != list(map(len, simplices)):
+        for raw, s in zip(maximal, simplices):
+            if not s:
+                raise ValidationError(f"maximal simplex {raw} has no vertices")
+            if len(set(s)) != len(s):
+                raise ValidationError(f"maximal simplex {raw} repeats a vertex")
     complex = SimplicialComplex(simplices)
     action = _require(data, "action", "complex data")
     raw_images = _require(action, "generator_images", "complex action")

@@ -40,6 +40,7 @@ from equichi.groups import all_subgroups
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
 from equichi.strataformula import strata_geometry
 from test_known_answers import B3, OCTAHEDRON_FACETS, generators
+from test_report_digests import DIGESTS, report_digests
 
 # ---------------------------------------------------------------------------
 # actions as plain data: maximal simplices plus one vertex map per generator
@@ -521,6 +522,110 @@ def test_components_read_one_orbit_table_per_complex(monkeypatch):
         assert is_regular(R) and orbit_space(R).vertex_orbit
         assert R.vertex_orbits() and R in built
     assert len(built) >= 35 and set(Counter(map(id, built)).values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# simplex rows from the per-layer join against the sort-and-lookup they replace
+
+
+def sort_and_lookup_rows(X):
+    """Every element's simplex row as it was built before the join: the
+    sorted image of each simplex under the vertex map, looked up in `index`."""
+    index, order = X.complex.index, X.complex.order
+    return tuple(tuple(index[tuple(sorted(m[v] for v in s))] for s in order) for m in vertex_maps(X))
+
+
+def b3_actions():
+    for k, (G, maximal, images) in enumerate(b3_slice()):
+        yield pytest.param(G, maximal, images, id=f"b3-class{k}-order{G.order}")
+
+
+@pytest.mark.parametrize("G, maximal, maps", [*ladder_actions(), *b3_actions()])
+def test_join_rows_match_sort_and_lookup(G, maximal, maps):
+    X = build(G, maximal, maps)
+    assert X.perm == sort_and_lookup_rows(X)
+    if len(X.complex) < 100:  # every B_3 case and the small ladder rungs
+        # a subdivision's vertex rows are its parent's simplex rows
+        sd = _subdivide(X)
+        assert sd.perm == sort_and_lookup_rows(sd)
+
+
+def test_b3_actions_cover_the_33_classes():
+    assert len(list(b3_actions())) == 33
+
+
+def record_complexes(monkeypatch):
+    """Record every complex constructed from here on."""
+    built = []
+    construct = SimplicialComplex.__init__
+
+    def recorded(self, simplices):
+        construct(self, simplices)
+        built.append(self)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", recorded)
+    return built
+
+
+def test_verify_and_strata_build_no_simplex_tuple(tmp_path, monkeypatch):
+    """Both routes, and every stratification count that `strata` reports,
+    run on positions: no complex on the way builds `order` or `index`."""
+    built = record_complexes(monkeypatch)
+    for cid in corpus.case_ids():
+        G, maximal, maps = corpus_action(cid)
+        for level in range(4):
+            built.clear()
+            report = verify_strata_vs_oracle(build(G, maximal, maps))
+            assert len(built) == 1 + report.subdivisions
+            assert [vars(K).keys() & {"order", "index"} for K in built] == [set()] * len(built), f"{cid}:sd{level}"
+            maximal, maps = subdivide(maximal, maps)
+    built.clear()
+    digests = report_digests(tmp_path)
+    assert digests == json.loads(DIGESTS.read_text())
+    assert built and not any(vars(K).keys() & {"order", "index"} for K in built)
+
+
+# ---------------------------------------------------------------------------
+# a join that misses falls through to the rescan, which names the witness
+
+
+def cli_error(tmp_path, capsys, gens, maximal, images):
+    """The first line of what `verify` prints for an action it rejects."""
+    gpath, cpath = tmp_path / "group.json", tmp_path / "complex.json"
+    gpath.write_text(json.dumps({"permutation_generators": gens}))
+    cpath.write_text(json.dumps({"maximal_simplices": maximal, "action": {"generator_images": images}}))
+    assert main(["verify", "--group", str(gpath), "--complex", str(cpath)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    return err.splitlines()[0][len("error: ") :]
+
+
+def test_triangle_sent_onto_a_hollow_one_is_named(tmp_path, capsys):
+    """Every edge goes to an edge, but the filled triangle goes to the hollow
+    one: the join finds the edges and misses the triangle."""
+    text = (
+        "non-simplicial map: element 1 sends simplex (1, 2, 3) to (4, 5, 6), "
+        "which is not a simplex of the complex"
+    )
+    maximal, swap = [[1, 2, 3], [4, 5], [5, 6], [4, 6]], [4, 5, 6, 1, 2, 3]
+    G = group_from_permutations(C2)
+    with pytest.raises(ValidationError) as err:
+        build_gcomplex(SimplicialComplex.from_maximal(maximal), G, [swap])
+    assert str(err.value) == text
+    assert cli_error(tmp_path, capsys, C2, maximal, [swap]) == text
+
+
+def test_collapsed_tetrahedron_is_named(tmp_path, capsys):
+    """Vertex 4 goes to 3, collapsing the tetrahedron, two of its triangles
+    and the edge (3, 4), which comes first in canonical order."""
+    tetrahedron = SimplicialComplex.from_maximal([[1, 2, 3, 4]])
+    X = GComplex(tetrahedron, group_from_permutations(C2), ((0, 1, 2, 3), (0, 1, 2, 2)))
+    with pytest.raises(ValidationError) as err:
+        X.perm
+    assert str(err.value) == "non-simplicial map: element 1 collapses simplex (3, 4)"
+    # as generator images, such a map is rejected before any row is built
+    text = cli_error(tmp_path, capsys, C2, [[1, 2, 3, 4]], [[1, 2, 3, 3]])
+    assert text == "generator image is not a vertex bijection"
 
 
 def test_s3_case_violates_regularity_away_from_the_orbit_probe():

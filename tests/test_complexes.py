@@ -1,7 +1,7 @@
 """Simplicial complexes: closure, Euler counts, subdivision, components."""
 
 import random
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 
 import pytest
 
@@ -203,6 +203,69 @@ def test_constructor_names_the_first_bad_simplex():
     with pytest.raises(ValidationError) as err:
         SimplicialComplex([(0, 1, 2), (3, 5, 4), (1, 0)])
     assert str(err.value) == "simplex must be strictly ascending: (3, 5, 4)"
+
+
+# ---------------------------------------------------------------------------
+# the packed-key constructor against the sorted closure, every table compared
+
+
+def wide_given(rng):
+    """Simplices of dimension up to 0-4 over ids that are negative, large or
+    sparse, with faces of given simplices and duplicates among them."""
+    pool = rng.sample(
+        [*range(-40, 40, 3), -(10**12), 10**12, 2**70 + 1, -(2**65), 999_983, 7 * 10**9], rng.randint(1, 12)
+    )
+    top = rng.randint(0, min(4, len(pool) - 1))
+    given = [tuple(sorted(rng.sample(pool, rng.randint(1, top + 1)))) for _ in range(rng.randint(1, 8))]
+    given += [tuple(sorted(rng.sample(s, rng.randint(1, len(s))))) for s in given if rng.random() < 0.5]
+    given += rng.sample(given, rng.randint(0, len(given)))
+    rng.shuffle(given)
+    return given
+
+
+def sorted_closure_tables(given):
+    """order, index, layer_start, vertices, columns and facet_table of the
+    sorted closure of `given`, read off vertex tuples one simplex at a time."""
+    order = tuple(sorted(closure_of(given), key=lambda s: (len(s), s)))
+    index = {s: i for i, s in enumerate(order)}
+    dim = len(order[-1]) - 1
+    layers = [[s for s in order if len(s) == d + 1] for d in range(dim + 1)]
+    return {
+        "order": order,
+        "index": index,
+        "layer_start": tuple(accumulate(map(len, layers), initial=0)),
+        "vertices": tuple(s[0] for s in layers[0]),
+        "columns": tuple(
+            tuple(tuple(index[(s[k],)] for s in layer) for k in range(d + 1)) for d, layer in enumerate(layers)
+        ),
+        "facet_table": ((),) + tuple(
+            tuple(tuple(index[s[:k] + s[k + 1 :]] for s in layers[d]) for k in range(d + 1))
+            for d in range(1, dim + 1)
+        ),
+    }
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_packed_keys_match_the_sorted_closure(seed):
+    given = wide_given(random.Random(seed))
+    K = SimplicialComplex(given)
+    ref = sorted_closure_tables(given)
+    got = {name: getattr(K, name) for name in ref}
+    assert got == ref
+    assert K.dim + 1 == len(K.columns) == len(K.facet_table)
+    assert K.positions == tuple(range(len(ref["order"])))
+    # every table holds the int objects of `positions`, none of its own
+    tables = [*chain(*K.columns), *chain(*K.facet_table), K.index.values()]
+    assert all(j is K.positions[j] for j in chain.from_iterable(tables))
+
+
+def test_order_and_index_are_built_only_when_read():
+    K = SimplicialComplex([(3, 10**12), (-5, 3, 10**12)])
+    assert not {"order", "index"} & vars(K).keys()
+    assert K.f_vector() == (3, 3, 1) and K.dim_of(2) == 0 and K.dim_of(3) == 1 and K.dim_of(6) == 2
+    assert K.maximal_positions() == [6] and K.facets(6) == (3, 4, 5)
+    assert not {"order", "index"} & vars(K).keys()
+    assert K.order[6] == (-5, 3, 10**12) and K.index[(3, 10**12)] == 5
 
 
 def corpus_complexes():
