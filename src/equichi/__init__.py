@@ -34,7 +34,6 @@ from .complexes import (
     barycentric_subdivision,
     euler_characteristic,
     euler_of_complex,
-    relative_euler,
 )
 from .cyclotomic import Cyc
 from .errors import CodimensionError, DefectError, EquichiError, ValidationError
@@ -142,7 +141,6 @@ __all__ = [
     "orbit_type_stratification",
     "orientation_character",
     "regularize",
-    "relative_euler",
     "restrict",
     "strata_geometry",
     "stratum_component_system",

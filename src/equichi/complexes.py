@@ -10,15 +10,15 @@ its d + 1 vertices, b bits each with the least first, where b is the bit
 length of the greatest rank.  Int order within a dimension is then the
 canonical (vertex tuple) order, so each dimension is sorted once as ints,
 and a facet's key is its simplex's key with one b-bit field cut out by
-shifts and masks.  Vertex tuples are built only when `order` or `index` is
-first read.
+shifts and masks.  Every computation reads positions; vertex tuples are
+built only when `order` or `index` is first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations, filterfalse, groupby, repeat
+from itertools import accumulate, chain, filterfalse, groupby, repeat
 from operator import and_, itemgetter, lshift, lt, or_, rshift
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,22 +26,6 @@ from .errors import ValidationError
 from .groups import gather
 
 Simplex = tuple[int, ...]
-
-
-def faces(simplex: Simplex) -> list[Simplex]:
-    """All nonempty faces, the simplex itself included."""
-    out: list[Simplex] = []
-    for r in range(1, len(simplex) + 1):
-        out.extend(combinations(simplex, r))
-    return out
-
-
-def closure_of(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
-    """The simplices together with all their faces."""
-    closed: set[Simplex] = set()
-    for s in simplices:
-        closed.update(faces(s))
-    return frozenset(closed)
 
 
 def _pack(columns: Sequence[Iterable[int]], bits: int) -> Iterable[int]:
@@ -163,11 +147,8 @@ class SimplicialComplex:
 
     @cached_property
     def simplices(self) -> frozenset[Simplex]:
+        """A view for the benchmark, which counts it."""
         return frozenset(self.order)
-
-    def sorted_simplices(self) -> list[Simplex]:
-        """All simplices sorted by (dimension, vertex tuple); the canonical order."""
-        return list(self.order)
 
     def dim_of(self, i: int) -> int:
         """The dimension of the simplex at position i."""
@@ -201,9 +182,6 @@ class SimplicialComplex:
                 layers[d - 1].update(map(column.__getitem__, ks))
         return set().union(*layers)
 
-    def __contains__(self, simplex: Simplex) -> bool:
-        return tuple(simplex) in self.index
-
     def __len__(self) -> int:
         return self.layer_start[-1]
 
@@ -219,13 +197,9 @@ class SimplicialComplex:
                 facets.update(column)
         return list(filterfalse(facets.__contains__, self.positions))
 
-    def maximal_simplices(self) -> tuple[Simplex, ...]:
-        """The simplices at `maximal_positions()`."""
-        return tuple(map(self.order.__getitem__, self.maximal_positions()))
-
 
 def euler_characteristic(simplices: Iterable[Simplex]) -> int:
-    """Alternating count over any set of simplices (need not be closed)."""
+    """Alternating count over any set of simplices; the benchmark's check."""
     total = 0
     for s in simplices:
         total += -1 if len(s) % 2 == 0 else 1
@@ -236,15 +210,6 @@ def euler_of_complex(K: SimplicialComplex) -> int:
     return sum(n if d % 2 == 0 else -n for d, n in enumerate(K.f_vector()))
 
 
-def relative_euler(K: Iterable[Simplex], L: Iterable[Simplex]) -> int:
-    """chi(K, L) = chi(K) - chi(L); L must be a subset of K."""
-    kset = set(K)
-    lset = set(L)
-    if not lset <= kset:
-        raise ValidationError("relative Euler characteristic needs L contained in K")
-    return euler_characteristic(kset) - euler_characteristic(lset)
-
-
 def barycentric_subdivision(
     K: SimplicialComplex,
 ) -> tuple[SimplicialComplex, dict[Simplex, int]]:
@@ -252,7 +217,7 @@ def barycentric_subdivision(
 
     New vertex ids are positions in the canonical simplex order (the map is
     `K.index`), so the subdivision of a fixed complex is itself canonical.
-    See `subdivision` for how it is built.
+    The README documents this view; `subdivision` builds it on positions.
     """
     return subdivision(K), K.index
 

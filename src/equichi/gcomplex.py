@@ -13,12 +13,12 @@ pointwise (see `GComplex.faithful`), so traces on chain groups are
 fixed-simplex counts.  Two barycentric subdivisions always suffice.
 
 Simplices are numbered by their positions in the complex's canonical
-order, and nothing here builds a vertex tuple unless asked for one.  The
+order, and every action question is asked and answered by position.  The
 action is one row of vertex positions per element (`vertex_perm`); group
 loops read one row of simplex positions per element (`perm`), composed from
 the generators', which are joined up from the vertex rows one layer at a
 time (`_simplex_perm`).  The stratification holds positions and runs only its
-checks when made; strata and components build simplex sets, pieces and
+checks when made; strata build their pieces, piece action and
 components when first read.  Vertex fixity, one bitmask of fixing elements
 per vertex read off the vertex rows and carried up the facet table, never
 reads the simplex rows, so the two Lefschetz routes stay independent.  One
@@ -54,12 +54,12 @@ class GComplex:
     """A simplicial complex with a validated action of a finite group.
 
     `vertex_perm[g][i]`, stored as given, is the position of the image of
-    `complex.vertices[i]` under g.  `perm[g][i]` is that of `complex.order[i]`,
-    so its vertex layer is `vertex_perm[g]`; `masks[i]` the bitmask (bit g for
-    g) of the elements fixing `complex.order[i]` pointwise, `mask_tally` the
-    alternating simplex count per mask, `orbit_of[i]` the least position of
-    the orbit of position i, and `faithful` the verdict on regularity that
-    `is_regular` reads; each is built on first use and cached.
+    `complex.vertices[i]` under g.  `perm[g][i]` is that of the simplex at
+    position i, so its vertex layer is `vertex_perm[g]`; `masks[i]` its
+    isotropy, the bitmask (bit g for g) of the elements fixing it pointwise;
+    `mask_tally` the alternating simplex count per mask, `orbit_of[i]` the
+    least position of the orbit of position i, and `faithful` the verdict on
+    regularity that `is_regular` reads; each is built on first use and cached.
     """
 
     def __init__(
@@ -164,36 +164,6 @@ class GComplex:
             members = tuple(g for g in range(self.group.order) if mask >> g & 1)
             H = self._subgroups[mask] = Subgroup(self.group, members)
         return H
-
-    # -- action application --------------------------------------------
-
-    def _position(self, simplex: Simplex, g: int = 0) -> int | None:
-        """The position of `simplex`, None for a vertex tuple outside the complex."""
-        if not 0 <= g < self.group.order:
-            raise ValidationError(f"element {g} is not an element id in [0, {self.group.order - 1}]")
-        if not simplex:
-            raise ValidationError(f"simplex {simplex} has no vertices")
-        for v in simplex:
-            if (v,) not in self.complex.index:
-                raise ValidationError(f"vertex {v} is not a vertex of the complex")
-        return self.complex.index.get(simplex)
-
-    def apply(self, g: int, simplex: Simplex) -> Simplex:
-        i = self._position(simplex, g)
-        if i is None:  # not a simplex of the complex: map its vertices
-            m = _vertex_map(self.complex, self.vertex_perm[g])
-            return tuple(sorted(m[v] for v in simplex))
-        return self.complex.order[self.perm[g][i]]
-
-    def orbit(self, simplex: Simplex) -> frozenset[Simplex]:
-        return frozenset(self.apply(g, simplex) for g in range(self.group.order))
-
-    def isotropy(self, simplex: Simplex) -> Subgroup:
-        """Pointwise stabilizer of any vertex tuple: the AND of its vertices' masks."""
-        self._position(simplex)
-        full = (1 << self.group.order) - 1
-        index, masks = self.complex.index, self.masks
-        return self._subgroup_of_mask(reduce(and_, (masks[index[(v,)]] for v in simplex), full))
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Vertex orbits sorted by least member, read off the orbit table."""
@@ -374,8 +344,8 @@ def _require_regular(X: GComplex) -> None:
 @dataclass(frozen=True)
 class FixedSubcomplex:
     """The full subcomplex of H-fixed vertices in `complex`, given by its
-    ascending simplex positions; its simplices and components are found on
-    first use."""
+    ascending simplex positions; its simplices and components, the README's
+    view, are found on first use."""
 
     complex: SimplicialComplex = field(repr=False)
     positions: tuple[int, ...]
@@ -414,12 +384,12 @@ def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
 class StratumComponent:
     """One component of a stratum relative to the group: the saturation of an
     orbit of pieces of the H-fixed part.  `swept` holds its ascending simplex
-    positions and `closure_positions` those of its closure; `simplices`,
-    `closure` and `lower` (the closure minus the open component) are built
-    from them on first read.  The closure and the lower part are G-invariant,
-    so their images Q_cl and Q_low in the orbit space have one simplex per
-    simplex orbit: `closure_euler` and `lower_euler` are chi(Q_cl) and
-    chi(Q_low), counted on the positions that label their orbits."""
+    positions and `closure_positions` those of its closure; `closure` and
+    `lower` (the closure minus the open component), views the benchmark
+    reads, are built on first read.  Both are G-invariant, so their images
+    Q_cl and Q_low in the orbit space have one simplex per simplex orbit:
+    `closure_euler` and `lower_euler` are chi(Q_cl) and chi(Q_low), counted
+    on the positions that label their orbits."""
 
     complex: SimplicialComplex = field(repr=False, compare=False)
     index: int
@@ -430,10 +400,6 @@ class StratumComponent:
     codim: int
     closure_euler: int
     lower_euler: int
-
-    @cached_property
-    def simplices(self) -> frozenset[Simplex]:
-        return _simplices(self.complex.order, self.swept)
 
     @cached_property
     def closure(self) -> frozenset[Simplex]:
@@ -450,9 +416,8 @@ class Stratum:
 
     `members` holds their ascending positions and `exact` those whose
     isotropy is the class representative itself, the open simplices of the
-    H-fixed part.  `simplices`, `pieces` (the components of the exact part,
-    as simplex sets in `pieces` and as ascending positions in
-    `piece_positions`), `piece_action` (normalizer element -> piece
+    H-fixed part.  `piece_positions` (the components of the exact part, as
+    ascending positions), `piece_action` (normalizer element -> piece
     permutation), `components` and `open_euler` are built on first read.
     """
 
@@ -463,10 +428,6 @@ class Stratum:
     exact: list[int] = field(repr=False)
     codimension: int
     is_principal: bool
-
-    @cached_property
-    def simplices(self) -> frozenset[Simplex]:
-        return _simplices(self.gcomplex.complex.order, self.members)
 
     @cached_property
     def open_euler(self) -> int:
@@ -482,11 +443,6 @@ class Stratum:
         return connected_components(self.gcomplex.complex, self.exact)
 
     @cached_property
-    def pieces(self) -> tuple[frozenset[Simplex], ...]:
-        order = self.gcomplex.complex.order
-        return tuple(_simplices(order, piece) for piece in self.piece_positions)
-
-    @cached_property
     def piece_action(self) -> dict[int, tuple[int, ...]]:
         pieces, perm = self.piece_positions, self.gcomplex.perm
         piece_index = {i: pid for pid, piece in enumerate(pieces) for i in piece}
@@ -497,8 +453,8 @@ class Stratum:
         }
 
     def piece_vertices(self, pid: int) -> list[int]:
-        """Ascending positions of the vertices of piece `pid`: a prefix of
-        the piece, since the vertices come first in the canonical order."""
+        """Ascending positions of the vertices of piece `pid`: a prefix, as the
+        vertices come first in canonical order.  Read by `orientation_character`."""
         piece = self.piece_positions[pid]
         return piece[: bisect_left(piece, self.gcomplex.complex.layer_start[1])]
 
@@ -639,14 +595,16 @@ class OrbitSpace:
         return tuple(sorted(self.vertex_orbit[v] for v in s))
 
     def project(self, simplices: Iterable[Simplex]) -> frozenset[Simplex]:
+        """A view the benchmark reads."""
         return frozenset(self.project_simplex(s) for s in simplices)
 
 
 def orbit_space(X: GComplex) -> OrbitSpace:
-    """The quotient complex on vertex orbits (requires regularity, which makes
-    simplex orbits and quotient simplices correspond bijectively).  The images
-    are closed under faces: a face of the image of s is the image of a face t
-    of s, which is the image of every simplex in the orbit of t."""
+    """The quotient complex on vertex orbits, the README's view (requires
+    regularity, which makes simplex orbits and quotient simplices correspond
+    bijectively).  The images are closed under faces: a face of the image of
+    s is the image of a face t of s, which is the image of every simplex in
+    the orbit of t."""
     _require_regular(X)
     orbits = X.vertex_orbits()
     vertex_orbit = {v: k for k, orbit in enumerate(orbits) for v in orbit}
@@ -825,9 +783,10 @@ def orientation_character(
                 "character at; regularize further"
             )
         basepoint = K.order[vertices[0]]
-    elif K.index.get(basepoint) not in stratum.piece_positions[pid]:
+    i = K.index.get(basepoint)
+    if i not in stratum.piece_positions[pid]:
         raise ValidationError(f"basepoint {basepoint} is not in the component piece")
-    H = X.isotropy(basepoint)
+    H = X._subgroup_of_mask(X.masks[i])
     base = set(basepoint)
     star = [i for i, s in enumerate(K.order) if base.issubset(s)]
     closure = component.closure_positions

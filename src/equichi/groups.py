@@ -388,7 +388,7 @@ def subconjugate(H: Subgroup, K: Subgroup) -> bool:
 
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, found by closing cyclic subgroups under joins.
-    Sorted by (order, element tuple).  Exhaustive; intended for small G."""
+    Sorted by (order, element tuple).  Exhaustive, for small G; README API."""
     found: set[tuple[int, ...]] = {(G.identity,)}
     cyclics = set()
     for a in range(G.order):

@@ -28,7 +28,13 @@ from .gcomplex import GComplex, is_regular
 from .groups import FiniteGroup
 
 
+def _require_element(X: GComplex, g: int) -> None:
+    if not 0 <= g < X.group.order:
+        raise ValidationError(f"element {g} is not an element id in [0, {X.group.order - 1}]")
+
+
 def lefschetz_number_trace(X: GComplex, g: int) -> int:
+    _require_element(X, g)
     if not is_regular(X):
         raise ValidationError("Lefschetz traces require a regularized complex")
     p = X.perm[g]
@@ -45,6 +51,7 @@ def lefschetz_number_fixed(X: GComplex, g: int) -> int:
     """chi of the subcomplex fixed pointwise by g: the simplices whose fixer
     mask has bit g, counted once per mask in `X.mask_tally`.  A fixer mask is
     a subgroup, so it holds <g> exactly when it holds g."""
+    _require_element(X, g)
     return sum(n for m, n in X.mask_tally.items() if m >> g & 1)
 
 

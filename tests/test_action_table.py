@@ -3,11 +3,13 @@ references, the frozen texts of `build_gcomplex` failures and of the
 stratification checks, and known answers under equivariant subdivision up to
 about 10^4 simplices."""
 
+import ast
 import json
 import random
 from collections import Counter
 from functools import cached_property
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -161,23 +163,24 @@ def ref_class_rep(G, elems):
     return min(tuple(sorted(G.conjugate(g, a) for a in elems)) for g in range(G.order))
 
 
+def simplices_at(K, positions):
+    return frozenset(map(K.order.__getitem__, positions))
+
+
 def check_action(X, ref):
-    G, maps = X.group, ref.maps
+    """Per position, the image under every element, the orbit and the
+    isotropy, read off the simplex rows, the orbit table and the fixer masks."""
+    order = X.complex.order
     V = len(X.complex.vertices)
     # the vertex layer of each simplex row is the stored row itself
     assert all(p[:V] == row for p, row in zip(X.perm, X.vertex_perm))
-    for s in X.complex.sorted_simplices():
-        assert [X.apply(g, s) for g in range(G.order)] == ref.images[s]
-        assert X.orbit(s) == frozenset(ref.images[s])
-        assert X.isotropy(s).elements == ref.isotropy[s]
-    # a vertex tuple outside the complex is mapped through the vertex maps
-    v, w = X.complex.vertices[0], X.complex.vertices[-1]
-    outside = (v, w) if (v, w) not in X.complex else (w, v)
-    for g in range(G.order):
-        assert X.apply(g, outside) == tuple(sorted(maps[g][u] for u in outside))
-    assert X.isotropy(outside).elements == tuple(
-        g for g in range(G.order) if maps[g][v] == v and maps[g][w] == w
-    )
+    orbits = {}
+    for i, label in enumerate(X.orbit_of):
+        orbits.setdefault(label, set()).add(order[i])
+    for i, s in enumerate(order):
+        assert [order[p[i]] for p in X.perm] == ref.images[s]
+        assert orbits[X.orbit_of[i]] == set(ref.images[s])
+        assert X._subgroup_of_mask(X.masks[i]).elements == ref.isotropy[s]
 
 
 def check_lefschetz(R, ref):
@@ -237,26 +240,28 @@ def check_stratification(R, ref):
         by_class, key=lambda rep: (len(rep), rep)
     )
     for stratum in st.strata:
-        assert stratum.simplices == by_class[stratum.isotropy.elements]
+        simplices = simplices_at(R.complex, stratum.members)
+        assert simplices == by_class[stratum.isotropy.elements]
         # pieces join along facets; the exact-isotropy set holds every
         # simplex between two of its members, so that is face adjacency
         exact = by_iso[stratum.isotropy.elements]
-        assert stratum.pieces == face_components(exact)
+        pieces = tuple(simplices_at(R.complex, p) for p in stratum.piece_positions)
+        assert pieces == face_components(exact)
         covered = set()
         for comp in stratum.components:
             swept = {
                 image
                 for pid in comp.piece_indices
-                for s in stratum.pieces[pid]
+                for s in pieces[pid]
                 for image in ref.images[s]
             }
-            assert comp.simplices == swept & stratum.simplices
+            assert simplices_at(R.complex, comp.swept) == swept & simplices
             assert comp.dim == max(len(s) for s in swept) - 1
-            covered |= comp.simplices
-        assert covered == stratum.simplices
+            covered |= simplices_at(R.complex, comp.swept)
+        assert covered == simplices
         for n, perm in stratum.piece_action.items():
-            for i, piece in enumerate(stratum.pieces):
-                target = stratum.pieces[perm[i]]
+            for i, piece in enumerate(pieces):
+                target = pieces[perm[i]]
                 assert all(ref.images[s][n] in target for s in piece)
 
 
@@ -278,7 +283,7 @@ def check_orbit_space(R, ref):
         for c in stratum.components:
             assert c.closure_euler == euler_characteristic(Q.project(c.closure))
             assert c.lower_euler == euler_characteristic(Q.project(c.lower))
-    singular = {s for stratum in st.singular for s in stratum.simplices}
+    singular = {R.complex.order[i] for stratum in st.singular for i in stratum.members}
     try:
         geometry = strata_geometry(R)
     except CodimensionError:
@@ -585,6 +590,53 @@ def test_verify_and_strata_build_no_simplex_tuple(tmp_path, monkeypatch):
     assert built and not any(vars(K).keys() & {"order", "index"} for K in built)
 
 
+GCOMPLEX_SOURCE = Path(__file__).resolve().parent.parent / "src" / "equichi" / "gcomplex.py"
+
+# every function or method of `gcomplex` that reads a complex's vertex
+# tuples (`order`, `index` or `simplices`), and why it may
+TUPLE_READERS = {
+    "_raise_non_simplicial": "the witness rescan names the first failing simplex in canonical order",
+    "FixedSubcomplex.simplices": "the README documents fixed_subcomplex",
+    "FixedSubcomplex.components": "the README documents fixed_subcomplex",
+    "StratumComponent.closure": "the benchmark projects it into the orbit space",
+    "StratumComponent.lower": "the benchmark projects it into the orbit space",
+    "orbit_space": "the README documents the quotient, built on vertex tuples",
+    "orientation_character": "the orientation diagnostic, which the benchmark times",
+}
+
+
+def attribute_reads(tree, names):
+    """(qualified name of the enclosing function, owner expression) for each
+    read of an attribute in `names` that is not called as a method."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in names and id(child) not in called:
+                reads.append((".".join(scope), ast.unparse(child.value)))
+            visit(child, scope)
+
+    visit(tree, [])
+    return reads
+
+
+def test_only_the_listed_functions_read_vertex_tuples():
+    """A complex in `gcomplex` is `K`, `complex` or an attribute `complex`,
+    and a group `G`, `group` or an attribute `group`; a read of either kind
+    of owner under another name fails here rather than go unlisted."""
+    reads = attribute_reads(ast.parse(GCOMPLEX_SOURCE.read_text()), {"order", "index", "simplices"})
+    on_complex = {"K", "complex"}
+    on_group = {"G", "group"}
+    owners = {owner for _, owner in reads}
+    assert all(o.split(".")[-1] in on_complex | on_group for o in owners), owners
+    readers = {scope for scope, owner in reads if owner.split(".")[-1] in on_complex}
+    assert readers == set(TUPLE_READERS)
+
+
 # ---------------------------------------------------------------------------
 # a join that misses falls through to the rescan, which names the witness
 
@@ -632,9 +684,10 @@ def test_s3_case_violates_regularity_away_from_the_orbit_probe():
     gens, maximal, images = NON_REGULAR_ACTIONS["s3-triangle-boundary"]
     G = group_from_permutations(gens)
     X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
-    assert X.apply(1, (1, 2)) == (1, 2) and vertex_maps(X)[1][1] == 2
-    assert X.apply(1, (0, 1)) != (0, 1)
-    assert min(X.orbit((1, 2))) == (0, 1)
+    index = X.complex.index
+    assert X.perm[1][index[(1, 2)]] == index[(1, 2)] and vertex_maps(X)[1][1] == 2
+    assert X.perm[1][index[(0, 1)]] != index[(0, 1)]
+    assert X.orbit_of[index[(1, 2)]] == index[(0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +823,7 @@ def test_subdivision_ladder_keeps_chi_rho():
 # field built on first read matches a brute-force reference, and `verify`
 # counts the principal stratum without building its components
 
-STRATUM_FIELDS = {"simplices", "open_euler", "piece_positions", "pieces", "piece_action", "components"}
+STRATUM_FIELDS = {"open_euler", "piece_positions", "piece_action", "components"}
 
 
 def check_lazy_strata(R, ref):
@@ -792,9 +845,8 @@ def check_lazy_strata(R, ref):
         members = [i for i, s in enumerate(order) if ref_class_rep(G, ref.isotropy[s]) == H]
         assert stratum.members == tuple(members)
         assert stratum.exact == [i for i, s in enumerate(order) if ref.isotropy[s] == H]
-        assert stratum.simplices == frozenset(order[i] for i in members)
         pieces = face_components(order[i] for i in stratum.exact)
-        assert stratum.pieces == pieces
+        assert tuple(simplices_at(K, p) for p in stratum.piece_positions) == pieces
         for pid, piece in enumerate(stratum.piece_positions):
             assert piece == sorted(index[s] for s in pieces[pid])
             assert stratum.piece_vertices(pid) == sorted(index[s] for s in pieces[pid] if len(s) == 1)
@@ -812,7 +864,6 @@ def check_lazy_strata(R, ref):
             closure = faces(swept)
             assert comp.swept == tuple(sorted(index[s] for s in swept))
             assert comp.closure_positions == {index[s] for s in closure}
-            assert comp.simplices == swept
             assert comp.closure == closure
             assert comp.lower == closure - swept
             assert comp.dim == max(len(s) for s in swept) - 1
@@ -822,7 +873,7 @@ def check_lazy_strata(R, ref):
             total += comp.closure_euler - comp.lower_euler
         assert sorted(listed) == list(range(len(pieces)))
         # the principal count is the sum over the principal components
-        assert stratum.open_euler == total == orbit_euler(stratum.simplices)
+        assert stratum.open_euler == total == orbit_euler(order[i] for i in members)
 
 
 def check_mask_tally(R, ref):
@@ -857,7 +908,7 @@ def test_verify_never_builds_the_principal_components(monkeypatch, G, maximal, m
     assert report.skipped is not None or report.all_match
     (strat,) = built
     assert "components" not in vars(strat.principal)
-    assert not {"simplices", "pieces", "piece_positions"} & vars(strat.principal).keys()
+    assert "piece_positions" not in vars(strat.principal)
     assert strat.principal.open_euler == sum(
         c.closure_euler - c.lower_euler for c in strat.principal.components
     )
@@ -870,7 +921,7 @@ def test_non_principal_maximal_edge_fails_density(tmp_path, capsys):
     gens, maximal = [[1, 0, 2, 3]], [[0, 1, 2], [2, 3]]
     G = group_from_permutations(gens)
     R = regularize(build_gcomplex(SimplicialComplex.from_maximal(maximal), G, gens))
-    principal = {i for i, s in enumerate(R.complex.order) if not R.isotropy(s).elements[1:]}
+    principal = {i for i, m in enumerate(R.masks) if m == 1 << R.group.identity}
     assert principal and not R.complex.closure(principal) >= set(R.complex.maximal_positions())
     with pytest.raises(ValidationError) as err:
         orbit_type_stratification(R)

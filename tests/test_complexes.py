@@ -6,20 +6,33 @@ from itertools import accumulate, chain, combinations
 import pytest
 
 from equichi import SimplicialComplex, ValidationError, barycentric_subdivision, corpus
-from equichi.complexes import (
-    closure_of,
-    connected_components,
-    euler_characteristic,
-    euler_of_complex,
-    faces,
-    relative_euler,
-)
+from equichi.complexes import connected_components, euler_characteristic, euler_of_complex
 
 OCT_TRIS = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
 
 
 def octahedron():
     return SimplicialComplex.from_maximal(OCT_TRIS)
+
+
+def faces(simplex):
+    """All nonempty faces, the simplex itself included."""
+    out = []
+    for r in range(1, len(simplex) + 1):
+        out.extend(combinations(simplex, r))
+    return out
+
+
+def closure_of(simplices):
+    """The simplices together with all their faces."""
+    closed = set()
+    for s in simplices:
+        closed.update(faces(s))
+    return frozenset(closed)
+
+
+def maximal_simplices(K):
+    return tuple(map(K.order.__getitem__, K.maximal_positions()))
 
 
 def test_constructor_closes_under_faces():
@@ -48,20 +61,20 @@ def test_faces_of_a_triangle():
 
 def test_from_maximal_sorts_and_dedupes():
     K = SimplicialComplex.from_maximal([[2, 1], [1, 2]])
-    assert K.maximal_simplices() == ((1, 2),)
+    assert maximal_simplices(K) == ((1, 2),)
 
 
 def test_octahedron_counts():
     K = octahedron()
     assert K.f_vector() == (6, 12, 8)
     assert euler_of_complex(K) == 2
-    assert euler_characteristic(K.sorted_simplices()) == 2
-    assert K.maximal_simplices() == tuple(tuple(t) for t in OCT_TRIS)
+    assert euler_characteristic(K.order) == 2
+    assert maximal_simplices(K) == tuple(tuple(t) for t in OCT_TRIS)
 
 
 def test_sorted_simplices_order_is_dimension_then_lex():
     K = SimplicialComplex.from_maximal([[0, 1], [1, 2]])
-    assert K.sorted_simplices() == [(0,), (1,), (2,), (0, 1), (1, 2)]
+    assert K.order == ((0,), (1,), (2,), (0, 1), (1, 2))
 
 
 def test_euler_characteristic_of_standard_shapes():
@@ -73,22 +86,6 @@ def test_euler_characteristic_of_standard_shapes():
     assert euler_of_complex(disc) == 1
     point = SimplicialComplex.from_maximal([[0]])
     assert euler_of_complex(point) == 1
-
-
-def test_relative_euler_interval_mod_endpoints():
-    interval = SimplicialComplex.from_maximal([[0, 1]])
-    assert relative_euler(interval.sorted_simplices(), [(0,), (1,)]) == -1
-
-
-def test_relative_euler_disc_mod_boundary():
-    disc = SimplicialComplex.from_maximal([[0, 1, 2]])
-    boundary = [s for s in disc.sorted_simplices() if s != (0, 1, 2)]
-    assert relative_euler(disc.sorted_simplices(), boundary) == 1
-
-
-def test_relative_euler_empty_subcomplex():
-    K = octahedron()
-    assert relative_euler(K.sorted_simplices(), []) == 2
 
 
 def test_barycentric_subdivision_preserves_euler():
@@ -113,7 +110,7 @@ def test_barycentric_subdivision_of_a_non_pure_complex_is_its_chains():
     # a triangle, a dangling edge and an isolated vertex
     K = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3], [4]])
     Sd, vmap = barycentric_subdivision(K)
-    order = K.sorted_simplices()
+    order = K.order
     assert vmap == K.index == {s: i for i, s in enumerate(order)}
     chains = {
         tuple(vmap[s] for s in chain)
@@ -184,7 +181,7 @@ def test_constructor_matches_closure_reference(seed):
     assert K.simplices == ref["simplices"]
     assert K.f_vector() == ref["f_vector"]
     assert K.vertices == ref["vertices"]
-    assert K.maximal_simplices() == ref["maximal"]
+    assert maximal_simplices(K) == ref["maximal"]
     assert [K.facets(i) for i in range(len(K.order))] == ref["facets"]
     assert len(K) == len(ref["order"]) and K.dim == len(ref["order"][-1]) - 1
     # the table holds the int objects of `index`, none of its own

@@ -18,6 +18,7 @@ from equichi import (
     regularize,
 )
 from equichi.jsonio import gcomplex_from_json, group_from_json
+from equichi.lefschetz import lefschetz_number, lefschetz_number_fixed, lefschetz_number_trace
 from test_fuzz import bench_inputs
 
 OCT_TRIS = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
@@ -94,37 +95,36 @@ def test_build_accepts_dict_images():
     G = group_from_permutations([[1, 0]])
     K = SimplicialComplex.from_maximal([[0, 1]])
     X = build_gcomplex(K, G, [{0: 1, 1: 0}])
-    assert X.apply(1, (0, 1)) == (0, 1)
+    assert tuple(X.vertex_perm[1]) == (1, 0)
+    assert X.perm[1][K.index[(0, 1)]] == K.index[(0, 1)]
 
 
 def test_apply_orbit_isotropy():
+    """The image, the orbit and the isotropy of a simplex, read by position
+    off the simplex rows, the orbit table and the fixer masks."""
     G = group_from_permutations([[1, 0]])
     X = build_gcomplex(octahedron(), G, [PI_ROT])
-    assert X.apply(1, (0, 1, 2)) == (2, 3, 4)
-    assert X.orbit((0,)) == frozenset({(0,), (3,)})
-    assert X.orbit((2,)) == frozenset({(2,)})
-    assert X.isotropy((2,)).elements == (0, 1)
-    assert X.isotropy((0,)).elements == (0,)
+    order, index = X.complex.order, X.complex.index
+    assert order[X.perm[1][index[(0, 1, 2)]]] == (2, 3, 4)
+    assert [order[i] for i, label in enumerate(X.orbit_of) if label == index[(0,)]] == [(0,), (3,)]
+    assert X.orbit_of.count(index[(2,)]) == 1
+    assert X._subgroup_of_mask(X.masks[index[(2,)]]).elements == (0, 1)
+    assert X._subgroup_of_mask(X.masks[index[(0,)]]).elements == (0,)
     assert X.vertex_orbits() == ((0, 3), (1, 4), (2,), (5,))
 
 
-# each call on s2-pi-rotation (C2) with an invalid argument, and its text
-INVALID_ACTION_CALLS = {
-    "negative-element": (lambda X: X.apply(-1, (0,)), "element -1 is not an element id in [0, 1]"),
-    "element-past-the-group": (lambda X: X.apply(5, (0,)), "element 5 is not an element id in [0, 1]"),
-    "isotropy-of-a-missing-vertex": (lambda X: X.isotropy((999,)), "vertex 999 is not a vertex of the complex"),
-    "image-of-a-missing-vertex": (lambda X: X.apply(1, (999,)), "vertex 999 is not a vertex of the complex"),
-    "orbit-of-a-missing-vertex": (lambda X: X.orbit((999,)), "vertex 999 is not a vertex of the complex"),
-    "isotropy-of-the-empty-tuple": (lambda X: X.isotropy(()), "simplex () has no vertices"),
-}
+# element ids outside s2-pi-rotation's group C2
+INVALID_ELEMENTS = {"negative-element": -1, "element-past-the-group": 5, "first-id-past-the-group": 2}
 
 
-@pytest.mark.parametrize("name", list(INVALID_ACTION_CALLS))
-def test_action_calls_reject_invalid_arguments(cases, name):
-    call, text = INVALID_ACTION_CALLS[name]
-    with pytest.raises(ValidationError) as err:
-        call(cases["s2-pi-rotation"].gcomplex)
-    assert str(err.value) == text
+@pytest.mark.parametrize("name", list(INVALID_ELEMENTS))
+def test_action_calls_reject_invalid_arguments(regular_cases, name):
+    """Each Lefschetz route rejects an element id outside the group."""
+    g = INVALID_ELEMENTS[name]
+    for call in (lefschetz_number, lefschetz_number_trace, lefschetz_number_fixed):
+        with pytest.raises(ValidationError) as err:
+            call(regular_cases["s2-pi-rotation"], g)
+        assert str(err.value) == f"element {g} is not an element id in [0, 1]", call.__name__
 
 
 def test_subdivision_counts_frozen(regular_cases):
@@ -142,9 +142,9 @@ def test_regularize_establishes_both_conditions(cases, regular_cases):
         # a setwise invariant simplex must be pointwise fixed
         V = X.complex.vertices
         maps = [dict(zip(V, map(V.__getitem__, row))) for row in X.vertex_perm]
-        for s in X.complex.simplices:
+        for i, s in enumerate(X.complex.order):
             for g in range(X.group.order):
-                if X.apply(g, s) == s:
+                if X.perm[g][i] == i:
                     assert all(maps[g][v] == v for v in s)
 
 
@@ -204,7 +204,7 @@ def test_principal_stratum_has_trivial_isotropy_on_corpus(regular_cases):
         else:
             assert pr.isotropy.elements == (X.group.identity,)
         assert pr.is_principal
-        assert sum(len(s.simplices) for s in st.strata) == len(X.complex.simplices)
+        assert sum(len(s.members) for s in st.strata) == len(X.complex)
 
 
 def test_strata_partition_is_disjoint(regular_cases):
@@ -212,9 +212,9 @@ def test_strata_partition_is_disjoint(regular_cases):
     st = orbit_type_stratification(X)
     seen = set()
     for s in st.strata:
-        assert not (seen & set(s.simplices))
-        seen |= set(s.simplices)
-    assert seen == set(X.complex.simplices)
+        assert not (seen & set(s.members))
+        seen |= set(s.members)
+    assert seen == set(range(len(X.complex)))
 
 
 def test_stratification_scans_each_isotropy_class_once(monkeypatch):
@@ -249,7 +249,7 @@ def test_stratum_component_closure_and_lower(regular_cases):
     comp = st.strata[1].components[0]
     # an isolated fixed vertex is its own closure with empty lower part
     assert comp.dim == 0
-    assert comp.closure == comp.simplices
+    assert comp.closure == frozenset(X.complex.order[i] for i in comp.swept)
     assert comp.lower == frozenset()
     assert st.strata[1].codimension == 2
 
@@ -269,11 +269,12 @@ def test_quotient_of_identity_action_is_isomorphic(regular_cases):
 def test_quotient_projection_is_simplicial_and_surjective(regular_cases):
     for X in regular_cases.values():
         Q = orbit_space(X)
-        image = {Q.project_simplex(s) for s in X.complex.simplices}
+        order = X.complex.order
+        image = {Q.project_simplex(s) for s in order}
         assert image == set(Q.complex.simplices)
-        for s in X.complex.simplices:
-            for g in range(X.group.order):
-                assert Q.project_simplex(X.apply(g, s)) == Q.project_simplex(s)
+        for i, s in enumerate(order):
+            for row in X.perm:
+                assert Q.project_simplex(order[row[i]]) == Q.project_simplex(s)
 
 
 def test_orientation_characters_of_rotation_fixed_points_are_trivial(regular_cases):
@@ -306,8 +307,8 @@ def test_orientation_character_basepoint_independent(regular_cases):
     s = st.strata[1]
     for comp in s.components:
         base = orientation_character(X, s, comp)
-        for piece in comp.simplices:
-            again = orientation_character(X, s, comp, basepoint=piece)
+        for i in comp.swept:
+            again = orientation_character(X, s, comp, basepoint=X.complex.order[i])
             assert again.signs == base.signs
 
 

@@ -4,7 +4,9 @@ The actions here have isotropy groups that act on the normal slice of
 their fixed sets by orientation-reversing maps, or fixed sets that reach the
 boundary; the signed permutation groups also act by rotations alone.  The
 stratified sum carries no orientation twist, so both routes must give the
-answer known in closed form.
+answer known in closed form.  So must joins of circle actions and the
+rotations of the 4-cross-polytope, whose complexes reach 40,256 simplices
+once regular.
 """
 
 import json
@@ -96,13 +98,19 @@ def signed_det(perm):
     return det
 
 
-def closed_form(G):
-    """chi^rho = deg rho * <Lambda, rho>, Lambda(g) = 1 + (-1)^(n-1) det g
-    on S^(n-1), since g acts on H^(n-1) by det g."""
-    n = len(G.perms[0]) // 2
-    values = tuple(Cyc.rational(1 + (-1) ** (n - 1) * signed_det(G.perms[g])) for g in G.class_representatives())
+def paired(G, lefschetz):
+    """chi^rho = deg rho * <Lambda, rho> for every rho, where Lambda(g) is
+    `lefschetz` of the permutation g acts by."""
+    values = tuple(Cyc.rational(lefschetz(G.perms[g])) for g in G.class_representatives())
     lam = ClassFunction(G, values)
     return tuple(rho.degree * inner_product(lam, rho).as_integer() for rho in character_table(G))
+
+
+def closed_form(G):
+    """Lambda(g) = 1 + (-1)^(n-1) det g on S^(n-1), since g acts on H^(n-1)
+    by det g."""
+    n = len(G.perms[0]) // 2
+    return paired(G, lambda perm: 1 + (-1) ** (n - 1) * signed_det(perm))
 
 
 def relabeled(gens, rng):
@@ -189,3 +197,68 @@ def test_octahedron_signed_permutation_subgroups_match_closed_form():
             assert report.skipped is None and report.all_match
             assert tuple(r.oracle for r in report.rows) == expected
     assert skipped == 19
+
+
+# the 4-cycle A on vertices 0-3 joined with the 4-cycle B on vertices 4-7:
+# S^1 * S^1 = S^3, in 16 tetrahedra
+JOIN = [[i, (i + 1) % 4, 4 + j, 4 + (j + 1) % 4] for i in range(4) for j in range(4)]
+REFLECT_B = [4, 7, 6, 5]  # j -> -j on B
+
+# (the vertex map of the generator, subdivisions to regularity, chi^rho)
+JOIN_ACTIONS = {
+    # A by a half turn: 1,696 simplices once regular
+    "c2-half-turn": ([2, 3, 0, 1] + REFLECT_B, 1, (-1, 1)),
+    # A by a quarter turn: 40,256 simplices once regular
+    "c4-quarter-turn": ([1, 2, 3, 0] + REFLECT_B, 2, (-1, 0, 0, 1)),
+    # A reflected too: Lambda_A = Lambda_B = 2 at the reflection, so only
+    # the product term makes Lambda_{A*B} = 0 there
+    "c2-both-reflected": ([0, 3, 2, 1] + REFLECT_B, 1, (0, 0)),
+}
+
+
+def circle_lefschetz(h):
+    """Lambda of a dihedral map of a polygon, given as the images of its
+    vertices 0, 1, ...: 1 - deg h, where the degree is +1 for a rotation and
+    -1 for a reflection."""
+    return 0 if (h[1] - h[0]) % len(h) == 1 else 2
+
+
+def join_lefschetz(perm):
+    """Lambda_{A*B} = Lambda_A + Lambda_B - Lambda_A Lambda_B: the reduced
+    Euler characteristics 1 - Lambda of a join multiply."""
+    a, b = circle_lefschetz(perm[:4]), circle_lefschetz([v - 4 for v in perm[4:]])
+    return a + b - a * b
+
+
+@pytest.mark.parametrize("name", list(JOIN_ACTIONS))
+def test_joins_of_circle_actions_match_closed_form(name):
+    """A and B acted on at once: both routes must give
+    deg rho * <Lambda_{A*B}, rho>."""
+    gen, subdivisions, expected = JOIN_ACTIONS[name]
+    G = group_from_permutations([gen])
+    assert paired(G, join_lefschetz) == expected
+    report = verify_strata_vs_oracle(build_gcomplex(SimplicialComplex.from_maximal(JOIN), G, [gen]))
+    assert report.skipped is None and report.all_match and report.subdivisions == subdivisions
+    assert tuple(r.oracle for r in report.rows) == expected
+    assert tuple(r.formula for r in report.rows) == expected
+
+
+# generators of B_4^+, the signed permutations of four coordinates with
+# det 1: e_i -> e_(i+1) for i < 4 with e_4 -> -e_1, and e_1 -> -e_2 with e_2 -> e_1
+B4_PLUS = [[2, 3, 4, 5, 6, 7, 1, 0], [3, 2, 0, 1, 4, 5, 6, 7]]
+
+
+def test_rotations_of_the_cross_polytope_cancel_over_the_strata():
+    """B_4^+ (order 192) rotates S^3, so Lambda(g) = 1 - det g = 0 at every
+    element and every chi^rho is 0.  This checks that the strata's terms
+    cancel in every rho, nothing more: a closed form that is 0 throughout
+    cannot tell one nonzero term from another."""
+    G = group_from_permutations(B4_PLUS)
+    assert G.order == 192 and all(signed_det(p) == 1 for p in G.perms)
+    expected = closed_form(G)
+    assert expected == (0,) * len(expected)
+    X = build_gcomplex(SimplicialComplex.from_maximal(CROSS_POLYTOPE), G, B4_PLUS)
+    report = verify_strata_vs_oracle(X)
+    assert report.skipped is None and report.all_match and report.subdivisions == 2
+    assert tuple(r.oracle for r in report.rows) == expected
+    assert tuple(r.formula for r in report.rows) == expected
