@@ -11,9 +11,10 @@ Reports go to stdout (or --out) as canonical JSON: keys sorted, trailing
 newline, no timestamps or machine-dependent content, so the same input
 bytes always produce the same output bytes.  Wall time goes to stderr.
 
-Exit codes: 0 success (and, for verify, all routes agree); 1 invalid input;
-2 route mismatch or internal defect; 3 a codimension guard skipped the
-stratified route.  In aggregate mode a mismatch outranks a skip, which
+Exit codes: 0 success (and, for verify, all routes agree); 1 invalid input,
+or a report holding an integer too long for Python to write; 2 route
+mismatch or internal defect; 3 a codimension guard skipped the stratified
+route.  In aggregate mode a mismatch outranks a skip, which
 outranks success.
 """
 
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         payload, code = COMMANDS[args.command](args)
+        # audit flag: every computational path is integer/rational/cyclotomic
+        payload["exact_arithmetic"] = True
+        text = canonical_json(payload) if args.format == "json" else _render_table(payload)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -359,12 +363,16 @@ def main(argv=None) -> int:
     except DefectError as exc:
         print(f"defect: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except ValueError as exc:
+        # the report holds an integer that Python will not turn into a string
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: the report holds an integer of more than {limit} digits", file=sys.stderr)
+        return EXIT_INVALID
     finally:
         elapsed = time.perf_counter() - start
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    # audit flag: every computational path is integer/rational/cyclotomic
-    payload["exact_arithmetic"] = True
-    text = canonical_json(payload) if args.format == "json" else _render_table(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

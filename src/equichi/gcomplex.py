@@ -12,23 +12,25 @@ vertex orbits.  It implies that a simplex mapped to itself is fixed
 pointwise (see `GComplex.faithful`), so traces on chain groups are
 fixed-simplex counts.  Two barycentric subdivisions always suffice.
 
-Simplices are numbered by their positions in the complex's canonical
-order, and every action question is asked and answered by position.  The
-action is one row of vertex positions per element (`vertex_perm`); group
-loops read one row of simplex positions per element (`perm`), composed from
-the generators', which are joined up from the vertex rows one layer at a
-time (`_simplex_perm`).  The stratification holds positions and runs only its
-checks when made; strata build their pieces, piece action and
-components when first read.  Vertex fixity, one bitmask of fixing elements
-per vertex read off the vertex rows and carried up the facet table, never
-reads the simplex rows, so the two Lefschetz routes stay independent.  One
-orbit table per complex (`GComplex.orbit_of`), one pass over the simplex
-rows, labels each position with the least position of its orbit; the vertex
-orbits, the verdict on regularity (read through `is_regular`, the only
-regularity state), the stratum components and the orbit space read it.
-Regularity makes orbits and quotient simplices correspond, so Euler numbers
-of the orbit space are signed counts of the positions that label their
-orbit.  Only `orbit_space` builds the quotient as a complex.
+Simplices are numbered by their positions in the complex's canonical order,
+and every action question is asked and answered by position.  The action is
+one row of vertex positions per element (`vertex_perm`); group loops read
+one row of simplex positions per element (`perm`), composed from the
+generators', whose simplices are looked up by the key of their vertex
+images (`_simplex_perm`).  One key of a vertex set (`_set_keys`) serves
+those lookups and the regularity probe.  The stratification holds positions
+and runs only its checks when made; strata build their pieces, piece action
+and components when first read.  Vertex fixity, one bitmask of fixing
+elements per vertex read off the vertex rows and carried up the facet
+table, never reads the simplex rows, so the two Lefschetz routes stay
+independent.  One orbit table per complex (`GComplex.orbit_of`), one pass
+over the simplex rows, labels each position with the least position of its
+orbit; the vertex orbits, the verdict on regularity (read through
+`is_regular`, the only regularity state), the stratum components and the
+orbit space read it.  Regularity makes orbits and quotient simplices
+correspond, so Euler numbers of the orbit space are signed counts of the
+positions that label their orbit.  Only `orbit_space` builds the quotient
+as a complex.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import add, and_, eq, mul
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -100,10 +102,8 @@ class GComplex:
         distinct vertex labels, and no two of a layer to one image.  If two
         vertices of a simplex share a label, so do those of the edge they
         span and of the least edge of its orbit, so distinct labels are
-        checked on the edges alone.  The image of a d-simplex is keyed by the
-        product of T + label over its vertices, whose base-T digits are the
-        elementary symmetric functions of its labels, so the key is the label
-        set once T exceeds them all.  If g maps s to itself and moves a vertex
+        checked on the edges alone.  The image of a d-simplex is its label
+        set, keyed by `_set_keys`.  If g maps s to itself and moves a vertex
         v, then v and g.v share a label in s."""
         K, orbit_of = self.complex, self.orbit_of
         start, label = K.layer_start, orbit_of.__getitem__
@@ -114,10 +114,7 @@ class GComplex:
             labels = [list(map(label, compress(column, first))) for column in K.columns[d]]
             if d == 1 and any(map(eq, *labels)):
                 return False
-            T = 1 << (bits + 1) * (d + 1)
-            factors = [map(add, column, repeat(T)) for column in labels]
-            images = reduce(lambda keys, f: map(mul, keys, f), factors[1:], factors[0])
-            if len(set(images)) != len(labels[0]):
+            if len(set(_set_keys(labels, bits))) != len(labels[0]):
                 return False
         return True
 
@@ -185,31 +182,28 @@ def _simplex_perm(
     """Build every element's permutation of simplex positions, checking that
     the action is simplicial.
 
-    Only generator rows are built here, one layer at a time by a join: a
-    d-simplex is the simplex spanned by a facet and the vertex opposite, so
-    its image is looked up from the images of its facet without vertex 0
-    and of its vertex 0, both already in the row, in a table that holds
-    every d-simplex once per such pair.  The table, keyed by one int per
-    pair, serves every generator and is dropped before the next layer.
-    Every other element's permutation is composed along the group's
-    generator walk, which is exact because the vertex rows form a
-    homomorphism.  A pair that is no key, an image outside the complex or a
-    collapsed one, sends every element to be rescanned in canonical order so
-    that the reported witness is the first one.
+    Only generator rows are built here, one layer at a time from the vertex
+    rows alone: a d-simplex goes to the simplex whose `_set_keys` key is
+    that of its d + 1 vertex images, looked up in a table that holds every
+    d-simplex once, serves every generator and is dropped before the next
+    layer.  Every other row is composed along the group's generator walk,
+    exact because the vertex rows form a homomorphism.  A key that is no
+    simplex's, an image outside the complex or a collapsed one (which
+    repeats a vertex), sends every element to be rescanned in canonical
+    order, so that the reported witness is the first one.
     """
     K = complex
-    n = len(K.vertices)
+    bits = len(K.vertices).bit_length()  # every vertex position lies below 2**bits
     rows = {g: list(vertex_perm[g]) for g in group.generators}
     try:
         for d in range(1, K.dim + 1) if rows else ():  # no generator, no row
             layer = K.positions[K.layer_start[d] : K.layer_start[d + 1]]
-            pairs = map(_pair_keys, K.facet_table[d], K.columns[d], repeat(n))
-            table = dict(zip(chain.from_iterable(pairs), chain.from_iterable(repeat(layer, d + 1))))
-            without_0, vertex_0 = K.facet_table[d][0], K.columns[d][0]
-            for row in rows.values():
-                images = _pair_keys(map(row.__getitem__, without_0), map(row.__getitem__, vertex_0), n)
-                row.extend(map(table.__getitem__, images))
-            del table
+            table = dict(zip(_set_keys(K.columns[d], bits), layer))
+            getters = list(map(gather, K.columns[d]))
+            for g, row in rows.items():
+                keys = _set_keys([f(vertex_perm[g]) for f in getters], bits)
+                row.extend(map(table.__getitem__, keys))
+            del table, getters
     except KeyError:
         _raise_non_simplicial(complex, vertex_perm)
         raise DefectError("a generator is not simplicial, yet no element fails") from None
@@ -218,9 +212,14 @@ def _simplex_perm(
     return compose_rows(group.generator_walk, K.positions, rows)
 
 
-def _pair_keys(facets: Iterable[int], vertices: Iterable[int], n: int) -> Iterable[int]:
-    """One int per (facet position, vertex position) pair, n vertices."""
-    return map(add, map(mul, facets, repeat(n)), vertices)
+def _set_keys(columns: Sequence[Iterable[int]], bits: int) -> Iterable[int]:
+    """One int per row of the columns, entries below 2**bits, lazily: the
+    product of T + entry over the row, T = 2**((bits + 1) * len(columns)).
+    Its base-T digits are the elementary symmetric functions of the row,
+    each below T, so rows share a key exactly when they hold one multiset."""
+    T = 1 << (bits + 1) * len(columns)
+    factors = [map(add, column, repeat(T)) for column in columns]
+    return reduce(lambda keys, f: map(mul, keys, f), factors[1:], factors[0])
 
 
 def _raise_non_simplicial(complex: SimplicialComplex, vertex_perm: Sequence[Sequence[int]]) -> None:

@@ -15,12 +15,14 @@ Input formats (all plain JSON objects):
   bundle:   {"H": {"generators": [...] | "elements": [...]},
              "components": [{"id": ..., "multiplicities": {"idx": m}}],
              "component_action": {"elem": {"id": "id"}}}
-            omitted normalizer elements act as the identity permutation.
+            omitted normalizer elements act as the identity permutation;
+            ids and action targets are JSON strings or integers.
 
   index:    {"mode": ..., "dim": ..., "principal_integral": r,
              "strata": [{"id": ..., "entries": [{"n_b": ..., "rank": ...,
              "eta": r, "h": ..., "integral": r}]}]}
-            where r is an integer or an [numerator, denominator] pair.
+            where r is an integer or an [numerator, denominator] pair and
+            a stratum id is a JSON string or integer.
 
 Reports are dumped with sorted keys and a trailing newline so a given input
 always produces byte-identical output; nothing time- or path-dependent goes
@@ -99,6 +101,13 @@ def _count(value: Any, what: str) -> int:
     if type(value) is not int:
         raise ValidationError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def _name(value: Any, what: str) -> str:
+    """A name read from JSON, a string or an integer (never a bool), as text."""
+    if type(value) not in (str, int):
+        raise ValidationError(f"{what} must be a JSON string or integer, got {value!r}")
+    return str(value)
 
 
 def _block(value: Any, kind: type, what: str) -> Any:
@@ -231,7 +240,7 @@ def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
     ids = []
     mults = []
     for comp in raw_components:
-        ids.append(str(_require(comp, "id", "bundle component")))
+        ids.append(_name(_require(comp, "id", "bundle component"), "bundle component id"))
         raw = _require(comp, "multiplicities", "bundle component")
         try:
             counts = [_count(m, "a component multiplicity") for m in raw.values()]
@@ -248,12 +257,13 @@ def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
         moves = _block(raw_action.get(str(n), {}), dict, f"component_action of element {n}")
         perm = list(range(len(ids)))
         for src, dst in moves.items():
-            if src not in id_pos or str(dst) not in id_pos:
+            target = _name(dst, f"component_action target of element {n}")
+            if src not in id_pos or target not in id_pos:
                 raise ValidationError(
                     f"component_action of element {n} names unknown component "
                     f"{src!r} or {dst!r}"
                 )
-            perm[id_pos[src]] = id_pos[str(dst)]
+            perm[id_pos[src]] = id_pos[target]
         action[n] = tuple(perm)
     extra = set(raw_action) - {str(n) for n in N.elements}
     if extra:
@@ -287,7 +297,10 @@ def index_data_from_json(data: dict) -> IndexData:
                 )
             )
         strata.append(
-            StratumRecord(id=str(_require(rec, "id", "stratum record")), entries=tuple(entries))
+            StratumRecord(
+                id=_name(_require(rec, "id", "stratum record"), "stratum record id"),
+                entries=tuple(entries),
+            )
         )
     return IndexData(
         mode=mode, dim=dim, principal_integral=principal, strata=tuple(strata)

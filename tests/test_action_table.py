@@ -8,7 +8,8 @@ import json
 import random
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ from equichi import (
 )
 from equichi import strataformula
 from equichi.cli import main
-from equichi.gcomplex import GComplex, _subdivide
+from equichi.gcomplex import GComplex, _set_keys, _subdivide
 from equichi.jsonio import group_from_json
 from equichi.groups import all_subgroups
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
@@ -530,12 +531,30 @@ def test_components_read_one_orbit_table_per_complex(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# simplex rows from the per-layer join against the sort-and-lookup they replace
+# simplex rows looked up by vertex-set key against a sort-and-lookup
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_set_keys_are_equal_exactly_on_equal_multisets(bits, width):
+    """Every row of `width` entries below 2**bits, repeats included: rows
+    share a key exactly when their sorted entries agree, and the key's
+    base-T digits are the elementary symmetric functions of the row."""
+    rows = list(product(range(1 << bits), repeat=width))
+    keys = list(_set_keys([list(column) for column in zip(*rows)], bits))
+    T = 1 << (bits + 1) * width
+    multisets_of: dict[int, set] = {}
+    for key, row in zip(keys, rows):
+        digits = [key // T ** (width - k) % T for k in range(width + 1)]
+        assert digits == [sum(map(prod, combinations(row, k))) for k in range(width + 1)]
+        multisets_of.setdefault(key, set()).add(tuple(sorted(row)))
+    assert all(len(m) == 1 for m in multisets_of.values())
+    assert len(multisets_of) == len({tuple(sorted(row)) for row in rows})
 
 
 def sort_and_lookup_rows(X):
-    """Every element's simplex row as it was built before the join: the
-    sorted image of each simplex under the vertex map, looked up in `index`."""
+    """Every element's simplex row by the plain route: the sorted image of
+    each simplex under the vertex map, looked up in `index`."""
     index, order = X.complex.index, X.complex.order
     return tuple(tuple(index[tuple(sorted(m[v] for v in s))] for s in order) for m in vertex_maps(X))
 
@@ -638,7 +657,7 @@ def test_only_the_listed_functions_read_vertex_tuples():
 
 
 # ---------------------------------------------------------------------------
-# a join that misses falls through to the rescan, which names the witness
+# a key lookup that misses falls through to the rescan, which names the witness
 
 
 def cli_error(tmp_path, capsys, gens, maximal, images):
@@ -654,7 +673,7 @@ def cli_error(tmp_path, capsys, gens, maximal, images):
 
 def test_triangle_sent_onto_a_hollow_one_is_named(tmp_path, capsys):
     """Every edge goes to an edge, but the filled triangle goes to the hollow
-    one: the join finds the edges and misses the triangle."""
+    one: the lookup finds the edges and misses the triangle."""
     text = (
         "non-simplicial map: element 1 sends simplex (1, 2, 3) to (4, 5, 6), "
         "which is not a simplex of the complex"

@@ -432,6 +432,20 @@ def beta_with(**changes):
     return dict(dict(BETA_DATA, strata=[{"id": "s1", "entries": [entry]}]), **changes)
 
 
+def run_on_data(tmp_path, capsys, command, data, *flags):
+    """Run fine-decomp (over the group of bundle-c3-in-s3) or assemble on
+    `data`, written to a file."""
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    if command == "fine-decomp":
+        gpath = tmp_path / "group.json"
+        gpath.write_text(json.dumps(C3_IN_S3["group"]))
+        argv = ["fine-decomp", "--group", str(gpath), "--bundle", str(path)]
+    else:
+        argv = ["assemble", "--data", str(path)]
+    return run_cli([*argv, *flags], capsys)
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
@@ -464,15 +478,7 @@ def beta_with(**changes):
          "multiplicity-key-minus-zero", "per-rho-key-leading-zero", "per-rho-key-minus-zero"],
 )
 def test_malformed_bundle_and_index_input_is_invalid(tmp_path, capsys, command, data):
-    path = tmp_path / "data.json"
-    path.write_text(json.dumps(data))
-    if command == "fine-decomp":
-        gpath = tmp_path / "group.json"
-        gpath.write_text(json.dumps(C3_IN_S3["group"]))
-        argv = ["fine-decomp", "--group", str(gpath), "--bundle", str(path)]
-    else:
-        argv = ["assemble", "--data", str(path)]
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_on_data(tmp_path, capsys, command, data)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
@@ -494,6 +500,67 @@ def test_bundle_subgroup_ids_outside_the_group_are_invalid(tmp_path, capsys, H, 
     code, out, err = run_cli(["fine-decomp", "--group", str(gpath), "--bundle", str(bpath)], capsys)
     assert (code, out) == (1, "")
     assert err.splitlines()[0] == f"error: {message}"
+
+
+NOT_NAMES = [None, True, 1.5, [], {}]
+
+
+def named(field, name, target):
+    """The command and the index data with the stratum record id `name`, or
+    the bundle data with the component id `name`, which element 1 moves to
+    `target`."""
+    if field == "stratum record id":
+        return "assemble", dict(BETA_DATA, strata=[dict(BETA_DATA["strata"][0], id=name)])
+    component = {"id": name, "multiplicities": {"0": 1, "1": 1}}
+    return "fine-decomp", bundle_with(components=[component], component_action={"1": {str(name): target}})
+
+
+@pytest.mark.parametrize("field", ["bundle component id", "component_action target of element 1", "stratum record id"])
+@pytest.mark.parametrize("bad", NOT_NAMES, ids=["null", "true", "float", "list", "object"])
+def test_ids_that_are_neither_strings_nor_integers_are_invalid(tmp_path, capsys, field, bad):
+    """null, true, 1.5, [] and {} used to become the ids "None", "True",
+    "1.5", "[]" and "{}".  A target is checked against a component whose id
+    is that text, so only its type is wrong."""
+    command, data = named(field, str(bad) if field.startswith("component_action") else bad, bad)
+    code, out, err = run_on_data(tmp_path, capsys, command, data)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == f"error: {field} must be a JSON string or integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("field", ["bundle component id", "stratum record id"])
+def test_integer_ids_report_as_their_strings(tmp_path, capsys, field):
+    """The id 7 and the id "7" give one report, apart from the input digest."""
+    reports = []
+    for name in (7, "7"):
+        code, out, _ = run_on_data(tmp_path, capsys, *named(field, name, name))
+        assert code == 0 and '"7"' in out
+        reports.append({k: v for k, v in json.loads(out).items() if k != "inputs"})
+    assert reports[0] == reports[1]
+
+
+DIGITS = int("9" * 4300)  # at the int-to-str limit, so twice it is past it
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("fine-decomp", multiplicity(DIGITS)),
+        ("assemble", beta_with(principal_integral=DIGITS, entry={"integral": DIGITS})),
+        ("assemble", beta_with(principal_integral=DIGITS, entry={"integral": DIGITS, "eta": -1})),
+    ],
+    ids=["fine-decomp-rank", "assemble-fractional-total", "assemble-integer-total"],
+)
+def test_an_integer_past_the_digit_limit_is_one_error_line(tmp_path, capsys, command, data, fmt):
+    """A report holding an integer that Python will not write as a string
+    exits 1 with one `error:` line, nothing on stdout and no --out file."""
+    target = tmp_path / "report.txt"
+    for out_flags in ([], ["--out", str(target)]):
+        code, out, err = run_on_data(tmp_path, capsys, command, data, "--format", fmt, *out_flags)
+        assert (code, out) == (1, "")
+        (line,) = [line for line in err.splitlines() if not line.startswith("elapsed:")]
+        assert line == f"error: the report holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        assert not target.exists()
 
 
 def test_fine_decomp_report(tmp_path, capsys):
