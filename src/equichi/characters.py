@@ -107,11 +107,10 @@ class ClassFunction:
 
 @dataclass(frozen=True)
 class Character(ClassFunction):
-    """A character row: a class function with degree, irreducibility flag and,
-    for table rows, the enumeration index."""
+    """A character row: a class function with degree and, for table rows,
+    the enumeration index."""
 
     degree: int = 0
-    irreducible: bool = False
     index: int | None = None
 
 
@@ -167,14 +166,14 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyc:
 
 def trivial_character(G: FiniteGroup) -> Character:
     k = len(G.conjugacy_classes())
-    return Character(G, tuple(Cyc.one() for _ in range(k)), degree=1, irreducible=True)
+    return Character(G, tuple(Cyc.one() for _ in range(k)), degree=1)
 
 
 def regular_character(G: FiniteGroup) -> Character:
     values = [Cyc.zero() for _ in G.conjugacy_classes()]
     identity_class = G.class_of(G.identity)
     values[identity_class] = Cyc.rational(G.order)
-    return Character(G, tuple(values), degree=G.order, irreducible=G.order == 1)
+    return Character(G, tuple(values), degree=G.order)
 
 
 def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
@@ -736,7 +735,7 @@ def _sort_rows(G: FiniteGroup, raw: list[tuple[int, tuple[Cyc, ...]]]) -> list[C
     n = G.exponent
     raw.sort(key=lambda item: (item[0], tuple(v.key(n) for v in item[1])))
     return [
-        Character(G, values, degree=d, irreducible=True, index=i)
+        Character(G, values, degree=d, index=i)
         for i, (d, values) in enumerate(raw)
     ]
 

@@ -142,6 +142,9 @@ def _verify_code(report) -> int:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.corpus:
+        given = [flag for flag, path in (("--group", args.group), ("--complex", args.complex)) if path]
+        if given:
+            raise ValidationError(f"verify --corpus takes no {' or '.join(given)}")
         entries = []
         code = EXIT_OK
         counts = {"ok": 0, "mismatch": 0, "skipped": 0}
@@ -172,6 +175,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
         return payload, code
     if not args.group or not args.complex:
         raise ValidationError("verify needs either --corpus or both --group and --complex")
+    if args.case is not None:
+        raise ValidationError("verify --case restricts --corpus, which is not given")
     X, inputs = _load_action(args)
     report = verify_strata_vs_oracle(X)
     payload = {

@@ -23,23 +23,24 @@ and runs only its checks when made; strata build their pieces, piece action
 and components when first read.  Vertex fixity, one bitmask of fixing
 elements per vertex read off the vertex rows and carried up the facet
 table, never reads the simplex rows, so the two Lefschetz routes stay
-independent.  One orbit table per complex (`GComplex.orbit_of`), one pass
-over the simplex rows, labels each position with the least position of its
-orbit; the vertex orbits, the verdict on regularity (read through
-`is_regular`, the only regularity state), the stratum components and the
-orbit space read it.  Regularity makes orbits and quotient simplices
-correspond, so Euler numbers of the orbit space are signed counts of the
-positions that label their orbit.  Only `orbit_space` builds the quotient
-as a complex.
+independent.  One table per complex (`GComplex.by_mask`) groups the
+positions by fixer mask; the fixed-set Lefschetz route, fixed subcomplexes
+and the stratification read it.  One orbit table per complex
+(`GComplex.orbit_of`), one pass over the simplex rows, labels each position
+with the least position of its orbit; the vertex orbits, the verdict on
+regularity (read through `is_regular`, the only regularity state), the
+stratum components and the orbit space read it.  Regularity makes orbits
+and quotient simplices correspond, so Euler numbers of the orbit space are
+signed counts of the positions that label their orbit.  Only `orbit_space`
+builds the quotient as a complex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, and_, eq, mul
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -59,7 +60,7 @@ class GComplex:
     `complex.vertices[i]` under g.  `perm[g][i]` is that of the simplex at
     position i, so its vertex layer is `vertex_perm[g]`; `masks[i]` its
     isotropy, the bitmask (bit g for g) of the elements fixing it pointwise;
-    `mask_tally` the alternating simplex count per mask, `orbit_of[i]` the
+    `by_mask` the ascending positions of each mask, `orbit_of[i]` the
     least position of the orbit of position i, and `faithful` the verdict on
     regularity that `is_regular` reads; each is built on first use and cached.
     """
@@ -142,16 +143,13 @@ class GComplex:
         return masks
 
     @cached_property
-    def mask_tally(self) -> dict[int, int]:
-        """Per pointwise fixer mask, the alternating count of the simplices
-        that have exactly that mask."""
-        start, masks = self.complex.layer_start, self.masks
-        tally: dict[int, int] = {}
-        for d in range(self.complex.dim + 1):
-            sign = -1 if d % 2 else 1
-            for m, n in Counter(masks[start[d] : start[d + 1]]).items():
-                tally[m] = tally.get(m, 0) + sign * n
-        return tally
+    def by_mask(self) -> dict[int, list[int]]:
+        """Per pointwise fixer mask, the ascending positions that have exactly
+        that mask, grouped in one pass over `masks`."""
+        by_mask: dict[int, list[int]] = {}
+        for i, m in enumerate(self.masks):
+            by_mask.setdefault(m, []).append(i)
+        return by_mask
 
     def _subgroup_of_mask(self, mask: int) -> Subgroup:
         """The subgroup whose elements are the set bits of `mask`, one cached
@@ -364,15 +362,16 @@ class FixedSubcomplex:
 
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
-    """Simplices all of whose vertices are fixed by every element of H, read
-    off the fixer masks, which come from the rows of vertex positions alone.
+    """Simplices all of whose vertices are fixed by every element of H: the
+    positions of the fixer masks that contain H's mask, joined from
+    `X.by_mask`.  The masks come from the rows of vertex positions alone.
 
     For a regularized complex this is the honest fixed-point set.
     Components are listed canonically (by least simplex).
     """
     hmask = sum(1 << h for h in H.elements)
-    fixed = [i for i, m in enumerate(X.masks) if m & hmask == hmask]
-    return FixedSubcomplex(X.complex, tuple(fixed))
+    fixed = chain.from_iterable(ps for m, ps in X.by_mask.items() if m & hmask == hmask)
+    return FixedSubcomplex(X.complex, tuple(sorted(fixed)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,8 @@ class Stratum:
 
     `members` holds their ascending positions and `exact` those whose
     isotropy is the class representative itself, the open simplices of the
-    H-fixed part.  `piece_positions` (the components of the exact part, as
+    H-fixed part (a list of `GComplex.by_mask`, shared, so only read).
+    `piece_positions` (the components of the exact part, as
     ascending positions), `piece_action` (normalizer element -> piece
     permutation), `components` and `open_euler` are built on first read.
     """
@@ -535,18 +535,15 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     """
     _require_regular(X)
     K = X.complex
-    masks = X.masks
-    at_mask: dict[int, list[int]] = {}
-    for i, m in enumerate(masks):
-        at_mask.setdefault(m, []).append(i)
+    masks, by_mask = X.masks, X.by_mask
     class_of: dict[int, tuple[int, ...]] = {}  # every conjugate mask -> class representative
-    for m in at_mask:
+    for m in by_mask:
         if m not in class_of:
             conjugates = X._subgroup_of_mask(m).conjugates
             rep = min(conjugates)
             class_of.update((sum(1 << g for g in c), rep) for c in conjugates)
     by_class: dict[tuple[int, ...], list[int]] = {}
-    for m, positions in at_mask.items():
+    for m, positions in by_mask.items():
         by_class.setdefault(class_of[m], []).extend(positions)
     ordered = sorted(by_class, key=lambda rep: (len(rep), rep))
     strata: list[Stratum] = []
@@ -560,7 +557,7 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 index=j,
                 isotropy=X._subgroup_of_mask(rep_mask),
                 members=members,
-                exact=at_mask.get(rep_mask, []),
+                exact=by_mask.get(rep_mask, []),
                 codimension=K.dim - stratum_dim,
                 is_principal=(j == 0),
             )
@@ -588,7 +585,6 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
 class OrbitSpace:
     complex: SimplicialComplex
     vertex_orbit: dict[int, int]  # vertex -> quotient vertex id
-    orbit_labels: tuple[tuple[int, ...], ...]  # quotient vertex id -> orbit
 
     def project_simplex(self, s: Simplex) -> Simplex:
         return tuple(sorted(self.vertex_orbit[v] for v in s))
@@ -612,7 +608,7 @@ def orbit_space(X: GComplex) -> OrbitSpace:
     quotient = SimplicialComplex(images)
     if len(quotient) != len(images):
         raise DefectError("quotient image set was not closed under faces")
-    return OrbitSpace(quotient, vertex_orbit, orbits)
+    return OrbitSpace(quotient, vertex_orbit)
 
 
 # ---------------------------------------------------------------------------

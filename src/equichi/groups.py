@@ -255,10 +255,9 @@ def compose_rows(
     return tuple(rows)
 
 
-def group_from_permutations(
-    generators: Sequence[Sequence[int]], size_cap: int = DEFAULT_SIZE_CAP
-) -> FiniteGroup:
-    """Close permutation generators into a group with canonical element order.
+def group_from_permutations(generators: Sequence[Sequence[int]]) -> FiniteGroup:
+    """Close permutation generators into a group with canonical element order,
+    of at most `DEFAULT_SIZE_CAP` elements.
 
     Breadth-first from the identity, each layer sorted lexicographically, so
     the ordering depends only on the generated set of permutations.  The
@@ -272,10 +271,10 @@ def group_from_permutations(
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValidationError(f"not a permutation of 0..{degree - 1}: {list(g)}")
     identity = tuple(range(degree))
-    walk = _walk(identity, gens, _perm_mul, size_cap)
-    if len(walk) >= size_cap:
+    walk = _walk(identity, gens, _perm_mul, DEFAULT_SIZE_CAP)
+    if len(walk) >= DEFAULT_SIZE_CAP:
         raise ValidationError(
-            f"generator closure exceeds the size cap ({size_cap}); "
+            f"generator closure exceeds the size cap ({DEFAULT_SIZE_CAP}); "
             "raise the cap explicitly if this is intended"
         )
     depth = {identity: 0}
@@ -328,8 +327,7 @@ class Subgroup:
             raise ValidationError(
                 f"subgroup generators must be element ids in [0, {parent.order - 1}]"
             )
-        walk = _walk(parent.identity, gens, parent.mul)
-        return Subgroup(parent, (parent.identity, *(y for y, _, _ in walk)))
+        return Subgroup(parent, _closure(parent, gens))
 
     @property
     def order(self) -> int:
@@ -374,6 +372,11 @@ class Subgroup:
         return result
 
 
+def _closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
+    """The ascending ids of what `gens` generate, read off their walk."""
+    return tuple(sorted((G.identity, *(y for y, _, _ in _walk(G.identity, gens, G.mul)))))
+
+
 def normalizer(H: Subgroup) -> Subgroup:
     """N_G(H) = { g : g H g^-1 = H }, the ids that conjugate H to itself."""
     return Subgroup(H.parent, tuple(H.conjugates[H.elements]))
@@ -388,21 +391,23 @@ def subconjugate(H: Subgroup, K: Subgroup) -> bool:
 
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, found by closing cyclic subgroups under joins.
-    Sorted by (order, element tuple).  Exhaustive, for small G; README API."""
-    found: set[tuple[int, ...]] = {(G.identity,)}
-    cyclics = set()
-    for a in range(G.order):
-        cyclics.add(Subgroup.generated(G, [a]).elements)
-    found |= cyclics
-    frontier = set(found)
+    Sorted by (order, element tuple).  Exhaustive, for small G; README API.
+    A subgroup keeps the generators it was found by, its join with <a> (a
+    outside it) is their walk with a, and each distinct one is validated once."""
+    cyclic = {_closure(G, (a,)): a for a in range(G.order)}  # <a> -> a generator
+    found = {(G.identity,): ()}  # element set -> the generators it was found by
+    frontier = list(found)
     while frontier:
-        new: set[tuple[int, ...]] = set()
+        new = []
         for h in frontier:
-            for c in cyclics:
-                join = Subgroup.generated(G, set(h) | set(c)).elements
-                if join not in found:
-                    new.add(join)
-        found |= new
+            inside = set(h)
+            for a in cyclic.values():
+                if a not in inside:
+                    gens = (*found[h], a)
+                    join = _closure(G, gens)
+                    if join not in found:
+                        found[join] = gens
+                        new.append(join)
         frontier = new
     subs = [Subgroup(G, elems) for elems in found]
     subs.sort(key=lambda s: (s.order, s.elements))

@@ -9,7 +9,9 @@ ways and the two are required to agree exactly:
     on its chain group);
   * fixed-point route: the Euler characteristic of the fixed subcomplex of
     the cyclic group generated by the element, read off vertex fixity
-    alone (the per-simplex fixer masks, tallied once per complex).
+    alone (the positions grouped by fixer mask once per complex).
+
+Both take the signed count of their positions with `SimplicialComplex.euler`.
 
 Averaging against irreducible characters then yields the multiplicity of
 each irreducible in the alternating sum of (co)homology; exact integrality
@@ -19,6 +21,7 @@ is asserted, never rounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from operator import eq
 
 from .characters import ClassFunction, character_table, inner_product
@@ -37,22 +40,16 @@ def lefschetz_number_trace(X: GComplex, g: int) -> int:
     _require_element(X, g)
     if not is_regular(X):
         raise ValidationError("Lefschetz traces require a regularized complex")
-    p = X.perm[g]
-    total = start = 0
-    for d, count in enumerate(X.complex.f_vector()):
-        positions = range(start, start + count)
-        fixed = sum(map(eq, p[start : start + count], positions))
-        total += -fixed if d % 2 else fixed
-        start += count
-    return total
+    positions = X.complex.positions
+    return X.complex.euler(compress(positions, map(eq, X.perm[g], positions)))
 
 
 def lefschetz_number_fixed(X: GComplex, g: int) -> int:
-    """chi of the subcomplex fixed pointwise by g: the simplices whose fixer
-    mask has bit g, counted once per mask in `X.mask_tally`.  A fixer mask is
-    a subgroup, so it holds <g> exactly when it holds g."""
+    """chi of the subcomplex fixed pointwise by g: the positions of the fixer
+    masks in `X.by_mask` that have bit g.  A fixer mask is a subgroup, so it
+    holds <g> exactly when it holds g."""
     _require_element(X, g)
-    return sum(n for m, n in X.mask_tally.items() if m >> g & 1)
+    return X.complex.euler(chain.from_iterable(ps for m, ps in X.by_mask.items() if m >> g & 1))
 
 
 def lefschetz_number(X: GComplex, g: int) -> int:
@@ -134,12 +131,8 @@ def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
 
 def distributional_pairing(report: MultiplicityReport, phi: ClassFunction) -> Cyc:
     """Pairing of the index distribution with a class function:
-    sum_rho ind(rho) <phi, chi_rho>."""
-    G = report.gcomplex.group
-    if phi.group is not G:
+    sum_rho ind(rho) <phi, chi_rho> = <phi, L>, as `equivariant_multiplicities`
+    checks L = sum_rho ind(rho) chi_rho at every class."""
+    if phi.group is not report.gcomplex.group:
         raise ValidationError("class function lives on a different group")
-    table = character_table(G)
-    total = Cyc.zero(1)
-    for chi, m in zip(table, report.multiplicities):
-        total = total + m * inner_product(phi, chi)
-    return total
+    return inner_product(phi, report.lefschetz_class_function())

@@ -72,7 +72,7 @@ def group_matrix(max_order=12):
     for gens in GENERATOR_POOLS:
         for r in range(1, len(gens) + 1):
             for sub in combinations(range(len(gens)), r):
-                G = group_from_permutations([gens[i] for i in sub], size_cap=64)
+                G = group_from_permutations([gens[i] for i in sub])
                 if G.order <= max_order:
                     tables.setdefault(tuple(map(tuple, G.table)), G)
     return list(tables.values())

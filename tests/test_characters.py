@@ -366,9 +366,9 @@ def test_certifies_orthonormal_rows_with_fractional_coefficients():
     for i, v in enumerate((x, -x)):
         values = [v, v]
         values[identity_class] = Cyc.one()
-        rows.append(Character(G, tuple(values), degree=1, irreducible=True, index=i))
+        rows.append(Character(G, tuple(values), degree=1, index=i))
     _verify_table(G, rows)
-    rows[1] = Character(G, (Cyc.one(), Cyc.one()), degree=1, irreducible=True, index=1)
+    rows[1] = Character(G, (Cyc.one(), Cyc.one()), degree=1, index=1)
     with pytest.raises(DefectError, match=r"rows 0,1 are not orthonormal \(got "):
         _verify_table(G, rows)
 
@@ -398,7 +398,7 @@ def test_certifies_table_lifted_to_twice_the_exponent():
         n = 2 * G.exponent
         rows = [
             Character(G, tuple(v.lift(n) for v in chi.values), degree=chi.degree,
-                      irreducible=True, index=chi.index)
+                      index=chi.index)
             for chi in character_table(G)
         ]
         _verify_table(G, rows)
@@ -574,7 +574,7 @@ def as_rows(G, value_rows):
         q = values[identity_class].as_rational()
         if q is None or q.denominator != 1 or q < 1:
             return None
-        rows.append(Character(G, tuple(values), degree=q.numerator, irreducible=True, index=i))
+        rows.append(Character(G, tuple(values), degree=q.numerator, index=i))
     return rows
 
 

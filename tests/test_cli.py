@@ -102,6 +102,23 @@ def test_verify_without_inputs_is_invalid(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "inputs, flags, message",
+    [
+        (("--group", "--complex"), ["--case", "s2-pi-rotation"], "verify --case restricts --corpus, which is not given"),
+        (("--group", "--complex"), ["--corpus"], "verify --corpus takes no --group or --complex"),
+        (("--group",), ["--corpus", "--case", "s2-pi-rotation"], "verify --corpus takes no --group"),
+        (("--complex",), ["--corpus"], "verify --corpus takes no --complex"),
+    ],
+)
+def test_verify_flags_that_would_be_ignored_are_invalid(tmp_path, capsys, inputs, flags, message):
+    paths = dict(zip(("--group", "--complex"), write_case_files(tmp_path, "s2-pi-rotation")))
+    argv = ["verify", *(arg for flag in inputs for arg in (flag, paths[flag])), *flags]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if not line.startswith("elapsed:")] == [f"error: {message}"]
+
+
 def test_strata_report_structure(tmp_path, capsys):
     gpath, cpath = write_case_files(tmp_path, "s2-pi-rotation")
     code, out, _ = run_cli(["strata", "--group", gpath, "--complex", cpath], capsys)

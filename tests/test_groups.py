@@ -114,8 +114,12 @@ def test_non_associative_table_rejected():
 
 
 def test_size_cap_enforced():
-    with pytest.raises(ValidationError):
-        group_from_permutations(S3_GENS, size_cap=5)
+    # S6 has 720 > 256 elements
+    with pytest.raises(ValidationError) as err:
+        group_from_permutations([[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]])
+    assert str(err.value) == (
+        "generator closure exceeds the size cap (256); raise the cap explicitly if this is intended"
+    )
 
 
 def cycle(n):
@@ -355,6 +359,15 @@ def test_all_subgroups_of_symmetric_group():
     # 1, three C2, one C3, S3 itself
     assert orders == [1, 2, 2, 2, 3, 6]
     assert len({H.elements for H in subs}) == len(subs)
+
+
+def test_all_subgroups_of_s5_fall_into_19_classes():
+    """S5 has 156 subgroups (OEIS A005432) in 19 conjugacy classes
+    (OEIS A000638)."""
+    G = group_from_permutations([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
+    subs = all_subgroups(G)
+    assert len(subs) == len({H.elements for H in subs}) == 156
+    assert len({H.canonical_class_representative().elements for H in subs}) == 19
 
 
 def test_all_subgroups_of_klein_four():
