@@ -18,25 +18,34 @@ the elements in id order (`_abelian_characters`).  The finished table is
 certified exactly, by the same checks on either route.  Any failure of the
 splitting or of the certification is a defect, never a data error.
 
-Certification rests on the Gram identity over Z[zeta_n], n the lcm of the
-conductors of the values: X diag(|C|) conj(X)^T = |G| I, next to the row
-count and sum deg^2 = |G|.  Each row is lifted to conductor n once, as sparse
-(exponent, integer coefficient) pairs with one common denominator D_i (1
-unless a coefficient is fractional).  Gram entry (i, j) is accumulated as a
-cyclic convolution in Z[x]/(x^n - 1), conjugation sending exponent e to -e,
-reduced mod Phi_n once and compared with |G| D_i D_j delta_ij.  Reduction
-mod Phi_n is a ring map and conjugation a Galois automorphism, so the check
-is exact.  `inner_product` runs the same kernel on two class functions.
-Orthonormal rows need not be characters (scale a column by a unit complex
-number, or swap two columns of equal class size), so certification also
-requires every value to be an algebraic integer, one row to be the trivial
-character, and every row to satisfy the class algebra identity
-|C_i| chi(g_i) chi(g_j) = chi(1) sum_{x in C_i} chi(x g_j) for enough
-classes i to tell the rows apart.  That makes each row a positive multiple
-of a distinct irreducible, so the off-diagonal Gram entries are 0, and a
-table is certified by its k diagonal entries, not all k^2.  The ordered
-scan over all entries runs only to name the first failure of a table that
-is rejected.
+A table of |G| rows of degree 1 is first certified on exponents mod N
+(`_linear_table_holds`): every value must be exactly zeta_N^e, the
+exponents must add along the group table at a generating set (so the
+identity gets 0), and the rows must be distinct with one of them trivial.
+That proves the rows are |G| distinct linear characters, all the
+irreducibles of an abelian group, with no pairing.  If it fails, the
+certification below runs unchanged, so the verdict and the message are the
+same either way.
+
+Otherwise certification rests on the Gram identity over Z[zeta_n], n the lcm
+of the conductors of the values: X diag(|C|) conj(X)^T = |G| I, next to the
+row count and sum deg^2 = |G|.  Each row is lifted to conductor n once, as
+sparse (exponent, integer coefficient) pairs with one common denominator D_i
+(1 unless a coefficient is fractional).  Gram entry (i, j) is accumulated as
+a cyclic convolution in Z[x]/(x^n - 1), conjugation sending exponent e to
+-e, reduced mod Phi_n once and compared with |G| D_i D_j delta_ij.
+Reduction mod Phi_n is a ring map and conjugation a Galois automorphism, so
+the check is exact.  `inner_product` runs the same kernel on two class
+functions.  Orthonormal rows need not be characters (scale a column by a
+unit complex number, or swap two columns of equal class size), so
+certification also requires every value to be an algebraic integer, one row
+to be the trivial character, and every row to satisfy the class algebra
+identity |C_i| chi(g_i) chi(g_j) = chi(1) sum_{x in C_i} chi(x g_j) for
+enough classes i to tell the rows apart.  That makes each row a positive
+multiple of a distinct irreducible, so the off-diagonal Gram entries are 0,
+and a table is certified by its k diagonal entries, not all k^2.  The
+ordered scan over all entries runs only to name the first failure of a table
+that is rejected.
 
 Enumeration order of the irreducibles: ascending degree, then lexicographic
 order of the value rows, each value keyed by its canonical coefficient tuple
@@ -47,9 +56,10 @@ deterministic and recorded in serialized tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import iconcat, mul
 from typing import Sequence
 
 from .cyclotomic import Cyc, reduce_mod_phi
@@ -702,9 +712,54 @@ def _check_characters(G: FiniteGroup, rows: Sequence[Character], lifted: list[_L
     return _check_class_algebra(G, rows, lifted)
 
 
+def _linear_table_holds(G: FiniteGroup, rows: Sequence[Character]) -> bool:
+    """Whether the rows are |G| distinct homomorphisms G -> mu_N, N the
+    exponent, checked on exponents mod N.
+
+    Every row must have degree 1 and there must be |G| rows, one per class.
+    Each value must be zeta_N^e exactly (its canonical (num, den) at
+    conductor N is looked up among the N powers), which gives each row an
+    exponent e(x) per element.  Then e(x g) = e(x) + e(g) mod N for every x
+    and every g of a magma generating set makes e a homomorphism to Z/N:
+    x = 1 gives e(1) = 0, and every element is a product of the set.  The
+    rows must also be pairwise distinct, one of them trivial.  Distinct
+    linear characters are orthonormal, so there are at most k of them, and
+    |G| of them are all the irreducibles of an abelian G.  Reads the values
+    and the group table only."""
+    N, order = G.exponent, G.order
+    linear = all(chi.degree == 1 for chi in rows)
+    if not (linear and len(rows) == order == len(G.conjugacy_classes())):
+        return False
+    roots = {(Cyc.zeta(N, e).num, 1): e for e in range(N)}
+    t = G.table
+    wrap = tuple(range(N)) * 2  # wrap[s:s + N][e] = e + s mod N
+    gens = [(g, gather(t[g])) for g in G._magma_generators()]  # x -> g x = x g, G abelian
+    per_element = gather([G.class_of(x) for x in range(order)])
+    seen = set()
+    for chi in rows:
+        exps = []
+        for v in chi.values:
+            if v.n != N:
+                if N % v.n:
+                    return False
+                v = v.lift(N)
+            e = roots.get((v.num, v.den))
+            if e is None:
+                return False
+            exps.append(e)
+        e_of = per_element(exps)
+        shifted = gather(e_of)
+        if any(times_g(e_of) != shifted(wrap[e_of[g]:e_of[g] + N]) for g, times_g in gens):
+            return False
+        seen.add(e_of)
+    return len(seen) == order and (0,) * order in seen
+
+
 def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
     """Certify that the rows are the irreducible characters of G.
 
+    A table of |G| linear rows is accepted by `_linear_table_holds`, on
+    exponents mod N, without a pairing.  Otherwise, or if that fails:
     `_lift_table`, the k diagonal Gram entries, then `_check_characters`,
     which must report that its classes tell the rows apart.  That suffices:
     each row is then (d / psi(1)) psi for a distinct irreducible psi, so a
@@ -719,8 +774,12 @@ def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
     not a later diagonal one.  A repeated row passes every check but the
     separation, and the ordered scan names it.  The ordered sequence
     accepts no table that the first pass rejects: orthonormal rows are not
-    proportional, so all classes together tell them apart.
+    proportional, so all classes together tell them apart.  What
+    `_linear_table_holds` accepts is the table of irreducibles, which both
+    sequences accept too, so it changes no verdict and no message.
     """
+    if _linear_table_holds(G, rows):
+        return
     n, sizes, lifted = _lift_table(G, rows)
     try:
         diagonal = not any(_gram_fails(G.order, sizes, n, a, a, True) for a in lifted)
@@ -806,17 +865,40 @@ def cyc_from_json(data: Sequence[Sequence[int]], conductor: int) -> Cyc:
         ) from None
 
 
+def _json_value_key(data) -> tuple | None:
+    """A serialized class value as a hashable key, its integers in order,
+    when it is a list of two-integer lists; None otherwise.  The types are
+    checked, since true and 1.0 hash and compare equal to 1 but only 1 is
+    read as an integer."""
+    if type(data) is list and set(map(type, data)) == {list} and set(map(len, data)) == {2}:
+        flat = reduce(iconcat, data, [])  # one list.extend per pair
+        if set(map(type, flat)) == {int}:
+            return tuple(flat)
+    return None
+
+
 def table_to_json(G: FiniteGroup) -> dict:
-    """Canonical serialized table; byte-stable across runs."""
+    """Canonical serialized table; byte-stable across runs.  Equal values
+    share one list, so a large abelian table, |G|^2 values of which only
+    |G| differ, is serialized |G| times, not |G|^2; pass the document
+    through JSON text before editing it in place."""
     rows = character_table(G)
     n = G.exponent
+    serialized: dict[tuple, list[list[int]]] = {}  # (num, den) -> the value's list
+
+    def value(v: Cyc) -> list[list[int]]:
+        key = (v.num, v.den)
+        if key not in serialized:
+            serialized[key] = cyc_to_json(v, n)
+        return serialized[key]
+
     return {
         "conductor": n,
         "class_sizes": [len(c) for c in G.conjugacy_classes()],
         "class_representatives": list(G.class_representatives()),
         "enumeration": "degree ascending, then lexicographic class values",
         "degrees": [chi.degree for chi in rows],
-        "rows": [[cyc_to_json(v, n) for v in chi.values] for chi in rows],
+        "rows": [list(map(value, chi.values)) for chi in rows],
     }
 
 
@@ -837,18 +919,35 @@ def attach_character_table(G: FiniteGroup, data: dict) -> None:
     if not isinstance(data["rows"], list):
         raise ValidationError("character table rows must be a list")
     k = len(G.conjugacy_classes())
+    lower = conductor != G.exponent and conductor % G.exponent == 0
+    read: dict[tuple, Cyc | None] = {}
+
+    def value(item) -> Cyc | None:
+        """The class value, descended to the exponent's field when the
+        conductor is a proper multiple of the exponent (None if it does not
+        lie there), parsed once per distinct `_json_value_key`."""
+        key = _json_value_key(item)
+        try:
+            return read[key]
+        except KeyError:
+            pass
+        v = cyc_from_json(item, conductor)
+        if lower:
+            v = v.descend(G.exponent)
+        if key is not None:
+            read[key] = v
+        return v
+
     raw = []
     for row in data["rows"]:
         if not isinstance(row, list) or len(row) != k:
             raise ValidationError(f"each character table row must list {k} class values")
-        values = tuple(cyc_from_json(v, conductor) for v in row)
-        if conductor != G.exponent and conductor % G.exponent == 0:
-            values = tuple(v.descend(G.exponent) for v in values)
-            if any(v is None for v in values):
-                raise ValidationError(
-                    f"character values must lie in Q(zeta_{G.exponent}), "
-                    f"the field of the group exponent"
-                )
+        values = tuple(map(value, row))
+        if lower and any(v is None for v in values):
+            raise ValidationError(
+                f"character values must lie in Q(zeta_{G.exponent}), "
+                f"the field of the group exponent"
+            )
         identity_value = values[G.class_of(G.identity)]
         q = identity_value.as_rational()
         if q is None or q.denominator != 1 or q < 1:

@@ -274,8 +274,7 @@ def group_from_permutations(generators: Sequence[Sequence[int]]) -> FiniteGroup:
     walk = _walk(identity, gens, _perm_mul, DEFAULT_SIZE_CAP)
     if len(walk) >= DEFAULT_SIZE_CAP:
         raise ValidationError(
-            f"generator closure exceeds the size cap ({DEFAULT_SIZE_CAP}); "
-            "raise the cap explicitly if this is intended"
+            f"generator closure exceeds the size cap (DEFAULT_SIZE_CAP = {DEFAULT_SIZE_CAP})"
         )
     depth = {identity: 0}
     for y, x, _ in walk:

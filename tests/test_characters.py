@@ -260,6 +260,56 @@ def test_attach_rejects_corrupted_table():
         attach_character_table(fresh, doc)
 
 
+def test_attach_reads_each_distinct_value_once(monkeypatch):
+    # C20's table holds 400 values, 20 of them distinct; written at twice
+    # the exponent, each distinct value is also descended once
+    G = group_from_permutations([cycle(20)])
+    doc = json.loads(json.dumps(table_to_json(G)))
+    for conductor in (20, 40):
+        rows = [[cyc_to_json(v, conductor) for v in chi.values] for chi in character_table(G)]
+        parsed = counting(monkeypatch, "cyc_from_json")
+        descended = []
+        descend = Cyc.descend
+        monkeypatch.setattr(Cyc, "descend", lambda v, d: descended.append(v) or descend(v, d))
+        fresh = group_from_permutations([cycle(20)])
+        attach_character_table(fresh, dict(doc, conductor=conductor, rows=rows))
+        assert table_to_json(fresh) == doc
+        assert len(parsed) == 20
+        assert len(descended) == (20 if conductor == 40 else 0)
+        monkeypatch.undo()
+
+
+VALUE_MESSAGE = (
+    "a class value must be a list of [numerator, denominator] integer pairs "
+    "with nonzero denominators"
+)
+
+
+@pytest.mark.parametrize("junk", [True, 1.0], ids=["true", "1.0"])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "second", "third"])
+def test_repeated_value_written_with_true_or_a_float_is_rejected(tmp_path, capsys, junk, where):
+    # C2's table holds the value 1 = [[1, 1], [0, 1]] three times; true and
+    # 1.0 hash and compare equal to 1, yet one occurrence written with either
+    # is rejected, whether or not the value has been read before
+    doc = json.loads(json.dumps(table_to_json(group_from_permutations(C2_GENS))))
+    ones = [value for row in doc["rows"] for value in row if value == [[1, 1], [0, 1]]]
+    assert len(ones) == 3
+    ones[where][0][0] = junk
+    with pytest.raises(ValidationError) as info:
+        attach_character_table(group_from_permutations(C2_GENS), doc)
+    assert str(info.value) == VALUE_MESSAGE
+
+    from equichi.cli import main
+
+    gpath, cpath = tmp_path / "group.json", tmp_path / "complex.json"
+    gpath.write_text(json.dumps({"permutation_generators": C2_GENS, "character_table": doc}))
+    cpath.write_text(json.dumps({"maximal_simplices": [[0, 1]], "action": {"generator_images": [[1, 0]]}}))
+    assert main(["verify", "--group", str(gpath), "--complex", str(cpath)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == f"error: {VALUE_MESSAGE}"
+
+
 def test_decompose_round_trips_sums_of_irreducibles():
     G = group_from_permutations(S3_GENS)
     tab = character_table(G)
@@ -289,6 +339,17 @@ def reference_inner_product(a, b):
 
 def cycle(n):
     return [(i + 1) % n for i in range(n)]
+
+
+def cycles(*lengths):
+    """Generators of C_{n_1} x C_{n_2} x ..., one cycle per factor, each on
+    its own block of points."""
+    total = sum(lengths)
+    gens, start = [], 0
+    for n in lengths:
+        gens.append([start + (j - start + 1) % n if start <= j < start + n else j for j in range(total)])
+        start += n
+    return gens
 
 
 def as_relabelled_table(gens):
@@ -541,6 +602,8 @@ MUTANT_GROUPS = {
     "D12": D12_GENS,
     "A5": [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
     "V4": V4_GENS,
+    "C12": [cycle(12)],
+    "C2xC6": cycles(2, 6),
 }
 
 
@@ -581,12 +644,13 @@ def as_rows(G, value_rows):
 def table_mutant(rng, G):
     """The table of G with one seeded edit: a coefficient changed, a row
     repeated, two columns swapped, a value negated, two values of one column
-    swapped, or a row conjugated."""
+    swapped, a row conjugated, or a value replaced by a different root of
+    unity."""
     values = [list(chi.values) for chi in character_table(G)]
     k = len(values)
     r, c = rng.randrange(k), rng.randrange(k)
     s, d = rng.sample(range(k), 2)
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         n = G.exponent
         coeffs = list(values[r][c].lift(n).coeffs)
@@ -601,8 +665,12 @@ def table_mutant(rng, G):
         values[r][c] = -values[r][c]
     elif kind == 4:
         values[s][c], values[d][c] = values[d][c], values[s][c]
-    else:
+    elif kind == 5:
         values[r] = [v.conj() for v in values[r]]
+    else:
+        n = G.exponent
+        roots = [Cyc.zeta(n, e) for e in range(n)]
+        values[r][c] = rng.choice([z for z in roots if z != values[r][c]])
     return as_rows(G, values)
 
 
@@ -646,37 +714,49 @@ def test_repeated_trivial_row_is_named_by_the_ordered_scan(gens):
     assert outcome(ordered_reference, G, rows) == message
 
 
-def test_accepted_table_makes_one_pairing_per_row(monkeypatch):
+def counting(monkeypatch, name):
+    """The calls of characters.<name> from now on, one argument tuple each."""
     calls = []
+    wrapped = getattr(characters, name)
 
     def counted(*args):
         calls.append(args)
-        return pairing(*args)
+        return wrapped(*args)
 
-    pairing = characters._pairing
-    monkeypatch.setattr(characters, "_pairing", counted)
-    G = group_from_permutations([cycle(20)])
-    assert len(character_table(G)) == 20
-    assert len(calls) == 20
+    monkeypatch.setattr(characters, name, counted)
+    return calls
+
+
+D30_GENS = [cycle(15), [(-i) % 15 for i in range(15)]]
+
+
+def test_accepted_table_makes_one_pairing_per_row(monkeypatch):
+    calls = counting(monkeypatch, "_pairing")
+    G = group_from_permutations(D30_GENS)
+    assert len(character_table(G)) == 9
+    assert len(calls) == 9
     calls.clear()
-    attach_character_table(group_from_permutations([cycle(20)]), table_to_json(G))
-    assert len(calls) == 20
-    # a repeated row passes the diagonal and falls back to the ordered scan
+    attach_character_table(group_from_permutations(D30_GENS), table_to_json(G))
+    assert len(calls) == 9
+    # a repeated row fails the linear pass, passes the diagonal and falls
+    # back to the ordered scan
+    C20 = group_from_permutations([cycle(20)])
+    character_table(C20)
     calls.clear()
     with pytest.raises(DefectError, match=r"^character rows 0,1 are not orthonormal \(got 1\)$"):
-        _certify_table(G, trivial_row_repeated(G))
+        _certify_table(C20, trivial_row_repeated(C20))
     assert len(calls) > 20
 
 
-def cycles(*lengths):
-    """Generators of C_{n_1} x C_{n_2} x ..., one cycle per factor, each on
-    its own block of points."""
-    total = sum(lengths)
-    gens, start = [], 0
-    for n in lengths:
-        gens.append([start + (j - start + 1) % n if start <= j < start + n else j for j in range(total)])
-        start += n
-    return gens
+@pytest.mark.parametrize("name", ["C20", "C2_4"])
+def test_accepted_linear_table_makes_no_pairing(monkeypatch, name):
+    build, arg = kernel_groups()[name]
+    pairings = counting(monkeypatch, "_pairing")
+    class_algebra = counting(monkeypatch, "_check_class_algebra")
+    G = build(arg)
+    assert len(character_table(G)) == G.order
+    attach_character_table(build(arg), table_to_json(G))
+    assert pairings == class_algebra == []
 
 
 def abelian_groups():

@@ -195,7 +195,9 @@ def table_inputs():
     out = []
     for gens, action in made:
         group = {"permutation_generators": gens}
-        group["character_table"] = table_to_json(group_from_json(group))
+        # through JSON text: equal values share one list in the document,
+        # and a mutant edits one place
+        group["character_table"] = json.loads(json.dumps(table_to_json(group_from_json(group))))
         out.append({"--group": group, "--complex": action.to_json()})
     return out
 

@@ -117,9 +117,7 @@ def test_size_cap_enforced():
     # S6 has 720 > 256 elements
     with pytest.raises(ValidationError) as err:
         group_from_permutations([[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]])
-    assert str(err.value) == (
-        "generator closure exceeds the size cap (256); raise the cap explicitly if this is intended"
-    )
+    assert str(err.value) == "generator closure exceeds the size cap (DEFAULT_SIZE_CAP = 256)"
 
 
 def cycle(n):

@@ -1,5 +1,6 @@
 """Character tables against fixed answers: golden digests of the serialized
-tables, the closed form of abelian tables, and the Galois action on values."""
+tables, the closed form of abelian tables, the Galois action on values, and
+abelian tables near the order cap."""
 
 import hashlib
 import json
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from equichi import Cyc, character_table, group_from_permutations, group_from_table
-from equichi.characters import table_to_json
+from equichi.characters import CHARACTER_TABLE_ORDER_CAP, attach_character_table, table_to_json
+from equichi.groups import DEFAULT_SIZE_CAP
 from equichi.jsonio import canonical_json
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "table_digests.json"
@@ -136,3 +138,31 @@ def test_values_on_powers_are_galois_conjugates(name):
             c = G.class_of(power)
             for chi in table:
                 assert chi.values[c] == chi.values[j].galois(b)
+
+
+# name -> (build, order, exponent), near the order cap of 256
+CAP_GROUPS = {
+    "C210": (lambda: group_from_permutations([cycle(210)]), 210, 210),
+    "C256": (lambda: group_from_permutations([cycle(256)]), 256, 256),
+    "C2^8": (lambda: group_from_permutations(product_of_cyclics(*[2] * 8)), 256, 2),
+    "C2^7-table": (lambda: relabelled_table(product_of_cyclics(*[2] * 7)), 128, 2),
+}
+
+
+def test_the_caps_stay_at_256():
+    assert CHARACTER_TABLE_ORDER_CAP == DEFAULT_SIZE_CAP == 256
+
+
+@pytest.mark.parametrize("name", list(CAP_GROUPS))
+def test_abelian_table_near_the_cap_round_trips(name):
+    build, order, exponent = CAP_GROUPS[name]
+    G = build()
+    assert (G.order, G.exponent) == (order, exponent)
+    table = character_table(G)
+    assert len(table) == order
+    assert all(chi.degree == 1 for chi in table)
+    assert len({tuple(v.key(exponent) for v in chi.values) for chi in table}) == order
+    doc = table_to_json(G)
+    fresh = build()
+    attach_character_table(fresh, doc)
+    assert table_to_json(fresh) == doc
