@@ -733,7 +733,7 @@ def _linear_table_holds(G: FiniteGroup, rows: Sequence[Character]) -> bool:
     roots = {(Cyc.zeta(N, e).num, 1): e for e in range(N)}
     t = G.table
     wrap = tuple(range(N)) * 2  # wrap[s:s + N][e] = e + s mod N
-    gens = [(g, gather(t[g])) for g in G._magma_generators()]  # x -> g x = x g, G abelian
+    gens = [(g, gather(t[g])) for g in G._magma_generators]  # x -> g x = x g, G abelian
     per_element = gather([G.class_of(x) for x in range(order)])
     seen = set()
     for chi in rows:

@@ -35,7 +35,7 @@ from .characters import character_table
 from .errors import CodimensionError, DefectError, ValidationError
 from .finedecomp import canonical_isotropy_bundle, fine_decomposition, is_adapted
 from .complexes import euler_of_complex
-from .gcomplex import orbit_type_stratification, regularize
+from .gcomplex import _ladder, _stratify
 from .jsonio import (
     bundle_from_json,
     canonical_json,
@@ -101,7 +101,7 @@ def _stratification_summary(X, strat) -> dict:
 
 def _cmd_strata(args) -> tuple[dict, int]:
     X, inputs = _load_action(args)
-    X = regularize(X)
+    X, subdivisions = _ladder(X)
     table = character_table(X.group)
     if args.rho is not None:
         if not 0 <= args.rho < len(table):
@@ -113,7 +113,7 @@ def _cmd_strata(args) -> tuple[dict, int]:
         rows = list(table)
     code = EXIT_OK
     skipped = None
-    strat = orbit_type_stratification(X)
+    strat = _stratify(X)
     try:
         geometry = StrataGeometry(X.group, strat)
         breakdowns = [geometry.breakdown(rho).to_json_dict() for rho in rows]
@@ -124,7 +124,7 @@ def _cmd_strata(args) -> tuple[dict, int]:
     payload = {
         "command": "strata",
         "inputs": inputs,
-        "subdivisions": X.subdivisions,
+        "subdivisions": subdivisions,
         "stratification": _stratification_summary(X, strat),
         "breakdowns": breakdowns,
         "skipped": skipped,

@@ -5,12 +5,22 @@ regularization by barycentric subdivision, fixed subcomplexes, orbit-type
 stratification with components relative to the group, orbit spaces, and,
 as a diagnostic, orientation characters of normal data along strata.
 
-Regularity here means that the quotient map is faithful: no simplex has
-two vertices in one orbit, and distinct simplex orbits have distinct
-vertex-orbit images, so the orbit space is again a simplicial complex on
-vertex orbits.  It implies that a simplex mapped to itself is fixed
-pointwise (see `GComplex.faithful`), so traces on chain groups are
-fixed-simplex counts.  Two barycentric subdivisions always suffice.
+The stratified sum and both Lefschetz routes need one fact of an action:
+every element that maps a simplex to itself fixes it pointwise.  Then the
+chains split into permutation modules C[G/G_s], the orbit space is a G-CW
+complex with one cell per simplex orbit, and traces on chain groups are
+fixed-simplex counts (tom Dieck, *Transformation Groups*, 1987, II.1).
+Bredon's condition (A) gives it: no edge joins two vertices of one orbit
+(`GComplex.condition_a`).  Regularity asks for more: the quotient map is
+faithful, so distinct simplex orbits also have distinct vertex-orbit images
+and the orbit space is again a simplicial complex on vertex orbits
+(`GComplex.faithful`).  Bredon (*Introduction to Compact Transformation
+Groups*, 1972, III.1) shows that sd K satisfies (A) for any K, and that
+sd K is regular whenever K satisfies (A).  So `_ladder` finds the first
+complex L of the ladder X, sd X that satisfies (A), one subdivision at
+most, and counts the subdivisions to regularity without building them:
+L's own if L is regular, else one more.  `verify` and `strata` compute on
+L; `regularize` subdivides L once more when it is not regular.
 
 Simplices are numbered by their positions in the complex's canonical order,
 and every action question is asked and answered by position.  The action is
@@ -27,12 +37,13 @@ independent.  One table per complex (`GComplex.by_mask`) groups the
 positions by fixer mask; the fixed-set Lefschetz route, fixed subcomplexes
 and the stratification read it.  One orbit table per complex
 (`GComplex.orbit_of`), one pass over the simplex rows, labels each position
-with the least position of its orbit; the vertex orbits, the verdict on
-regularity (read through `is_regular`, the only regularity state), the
-stratum components and the orbit space read it.  Regularity makes orbits
-and quotient simplices correspond, so Euler numbers of the orbit space are
-signed counts of the positions that label their orbit.  Only `orbit_space`
-builds the quotient as a complex.
+with the least position of its orbit; the vertex orbits, the verdicts on
+condition (A) and on regularity (read through `is_regular`, the only
+regularity state), the stratum components and the orbit space read it.
+Under condition (A) simplex orbits and cells of the orbit space
+correspond, so Euler numbers of the orbit space are signed counts of the
+positions that label their orbit.  Only `orbit_space` builds the quotient
+as a complex, which needs regularity.
 """
 
 from __future__ import annotations
@@ -61,8 +72,10 @@ class GComplex:
     position i, so its vertex layer is `vertex_perm[g]`; `masks[i]` its
     isotropy, the bitmask (bit g for g) of the elements fixing it pointwise;
     `by_mask` the ascending positions of each mask, `orbit_of[i]` the
-    least position of the orbit of position i, and `faithful` the verdict on
-    regularity that `is_regular` reads; each is built on first use and cached.
+    least position of the orbit of position i, `condition_a` the verdict on
+    Bredon's condition (A) that `_ladder` reads, and `faithful` the verdict
+    on regularity that `is_regular` reads; each is built on first use and
+    cached.
     """
 
     def __init__(
@@ -96,32 +109,49 @@ class GComplex:
                     orbit_of[p[i]] = i
         return orbit_of
 
+    def _orbit_labels(self, d: int) -> list[list[int]]:
+        """The vertex-label columns of the d-simplices at the least position
+        of their orbit: g.s carries the labels of s, so these stand for all."""
+        K, orbit_of = self.complex, self.orbit_of
+        lo, hi = K.layer_start[d], K.layer_start[d + 1]
+        first = list(map(eq, orbit_of[lo:hi], range(lo, hi)))
+        return [list(map(orbit_of.__getitem__, compress(column, first))) for column in K.columns[d]]
+
+    @cached_property
+    def _edge_labels(self) -> list[list[int]]:
+        """`_orbit_labels(1)`, read by both verdicts."""
+        return self._orbit_labels(1)
+
+    @cached_property
+    def condition_a(self) -> bool:
+        """Bredon's condition (A): no edge joins two vertices of one orbit,
+        read off the vertex labels of the orbit table.  It makes every
+        simplex that an element maps to itself fixed pointwise: if g maps s
+        to itself and moves a vertex v, then v and g.v lie in s and share a
+        label.  If two vertices of a simplex share a label, so do those of
+        the edge they span, so it is checked on the edges alone."""
+        return self.complex.dim < 1 or not any(map(eq, *self._edge_labels))
+
     @cached_property
     def faithful(self) -> bool:
-        """The verdict on regularity, probed one layer at a time on the least
-        position of each simplex orbit: every such simplex must project to
-        distinct vertex labels, and no two of a layer to one image.  If two
-        vertices of a simplex share a label, so do those of the edge they
-        span and of the least edge of its orbit, so distinct labels are
-        checked on the edges alone.  The image of a d-simplex is its label
-        set, keyed by `_set_keys`.  If g maps s to itself and moves a vertex
-        v, then v and g.v share a label in s."""
-        K, orbit_of = self.complex, self.orbit_of
-        start, label = K.layer_start, orbit_of.__getitem__
+        """The verdict on regularity: condition (A), so that every simplex
+        projects to distinct vertex labels, and then, one layer at a time,
+        no two simplex orbits of a layer with one image.  The image of a
+        d-simplex is its label set, keyed by `_set_keys`."""
+        if not self.condition_a:
+            return False
+        K = self.complex
         bits = len(K.vertices).bit_length()  # every label lies below 2**bits
         for d in range(1, K.dim + 1):
-            lo, hi = start[d], start[d + 1]
-            first = list(map(eq, orbit_of[lo:hi], range(lo, hi)))
-            labels = [list(map(label, compress(column, first))) for column in K.columns[d]]
-            if d == 1 and any(map(eq, *labels)):
-                return False
+            labels = self._edge_labels if d == 1 else self._orbit_labels(d)
             if len(set(_set_keys(labels, bits))) != len(labels[0]):
                 return False
         return True
 
     def _quotient_euler(self, positions: Collection[int]) -> int:
         """chi of the image in the orbit space of a G-invariant set of positions
-        (the action regular): the signed count of those that label their orbit."""
+        (the action satisfying condition (A)): the signed count of those that
+        label their orbit, one per cell of the image."""
         labels = map(self.orbit_of.__getitem__, positions)
         return self.complex.euler(compress(positions, map(eq, labels, positions)))
 
@@ -317,16 +347,33 @@ def _subdivide(X: GComplex) -> GComplex:
     return GComplex(subdivision(X.complex), X.group, X.perm, subdivisions=X.subdivisions + 1)
 
 
+def _ladder(X: GComplex) -> tuple[GComplex, int]:
+    """The first complex L of the ladder X, sd X that satisfies condition
+    (A), and the subdivision count of the first regular complex of the
+    ladder: L's if L is regular, else one more, as sd L is regular whenever
+    L satisfies (A) (Bredon 1972, III.1).  sd X satisfies (A) for any X, so
+    its failing there is a defect."""
+    L = X if X.condition_a else _subdivide(X)
+    if not L.condition_a:
+        raise DefectError(
+            "condition (A) fails on the barycentric subdivision: an edge joins "
+            "two vertices of one orbit"
+        )
+    return L, L.subdivisions if is_regular(L) else L.subdivisions + 1
+
+
 def regularize(X: GComplex) -> GComplex:
     """The first regular complex of the ladder X, sd X, sd^2 X: X itself when
-    its action is regular.  Two subdivisions always suffice; needing a third
-    is a defect."""
-    current = X
-    while not is_regular(current):
-        if current.subdivisions == X.subdivisions + 2:
-            raise DefectError("two barycentric subdivisions did not regularize the action")
-        current = _subdivide(current)
-    return current
+    its action is regular.  It is `_ladder`'s complex, subdivided once more
+    when that is not regular; Bredon's proposition makes the result regular,
+    so a result that is not is a defect."""
+    L, subdivisions = _ladder(X)
+    if subdivisions == L.subdivisions:
+        return L
+    R = _subdivide(L)
+    if not is_regular(R):
+        raise DefectError("the subdivision of a complex satisfying condition (A) is not regular")
+    return R
 
 
 def _require_regular(X: GComplex) -> None:
@@ -516,14 +563,23 @@ def _simplices(order: Sequence[Simplex], positions: Iterable[int]) -> frozenset[
 
 
 def orbit_type_stratification(X: GComplex) -> Stratification:
+    """Group simplices by isotropy conjugacy class (see `_stratify`); the
+    action must be regular (`is_regular`)."""
+    _require_regular(X)
+    return _stratify(X)
+
+
+def _stratify(X: GComplex) -> Stratification:
     """Group simplices by isotropy conjugacy class, in an order extending the
     subconjugacy partial order (ascending isotropy order, canonical class
     representative as tie-break; the principal class comes first).
 
-    The action must be regular (`is_regular`); then only these
-    checks run here, in this order: the first class must be the unique
-    minimal one, and the principal stratum must be dense.  Each stratum
-    builds its simplex sets, pieces and components when they are first read.
+    The action must satisfy condition (A), so that every simplex lies in the
+    stratum of the isotropy of its interior points; `verify` and `strata`
+    call this on `_ladder`'s complex.  Only these checks run here, in this
+    order: the first class must be the unique minimal one, and the principal
+    stratum must be dense.  Each stratum builds its simplex sets, pieces and
+    components when they are first read.
 
     Density asks that every simplex be a face of a principal simplex.  That
     holds exactly when every maximal simplex is principal: a maximal simplex
@@ -533,7 +589,6 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
     regularity: a simplex with isotropy gHg^-1 is g times one with
     isotropy H, so it lies in the sweep of some piece.
     """
-    _require_regular(X)
     K = X.complex
     masks, by_mask = X.masks, X.by_mask
     class_of: dict[int, tuple[int, ...]] = {}  # every conjugate mask -> class representative

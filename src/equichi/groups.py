@@ -73,10 +73,12 @@ class FiniteGroup:
         self.identity = self._find_identity()
         self._check_associativity()
 
+    @cached_property
     def _magma_generators(self) -> list[int]:
         """A generating set of the table as a magma, found greedily: each
         element that the walk over the set so far does not reach is added, so
-        every element is a product of the set."""
+        every element is a product of the set.  Walked once per group: the
+        associativity check and the linear-table certification read it."""
         reached = {self.identity}
         gens: list[int] = []
         for g in range(self.order):
@@ -93,7 +95,7 @@ class FiniteGroup:
         t = self.table
         if n == 1:
             return
-        for g in self._magma_generators():
+        for g in self._magma_generators:
             times_g = itemgetter(*t[g])  # row_x -> (x*(g*y) for y)
             for x in range(n):
                 if t[t[x][g]] != times_g(t[x]):

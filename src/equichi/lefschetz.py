@@ -1,17 +1,26 @@
 """Brute-force equivariant multiplicities via Lefschetz numbers.
 
-For a regularized action every Lefschetz number is computed two independent
-ways and the two are required to agree exactly:
+Every Lefschetz number is computed two independent ways and the two are
+required to agree exactly:
 
   * trace route: alternating count of simplices mapped to themselves, read
-    off the element's permutation of simplex positions (regularity makes
-    every such simplex pointwise fixed, so each contributes +1 to the trace
-    on its chain group);
+    off the element's permutation of simplex positions (each such simplex
+    is fixed pointwise, so it contributes +1 to the trace on its chain
+    group);
   * fixed-point route: the Euler characteristic of the fixed subcomplex of
     the cyclic group generated by the element, read off vertex fixity
     alone (the positions grouped by fixer mask once per complex).
 
 Both take the signed count of their positions with `SimplicialComplex.euler`.
+
+The trace route needs every simplex that an element maps to itself to be
+fixed pointwise, so that the chains split into permutation modules (tom
+Dieck, *Transformation Groups*, 1987, II.1).  Bredon's condition (A), no
+edge joining two vertices of one orbit, gives that, and sd K satisfies it
+for any K (Bredon, *Introduction to Compact Transformation Groups*, 1972,
+III.1).  The public functions ask for a regular action, as they always
+have; `verify` and `strata` call `_multiplicities` on the first complex of
+the subdivision ladder that satisfies (A).
 
 Averaging against irreducible characters then yields the multiplicity of
 each irreducible in the alternating sum of (co)homology; exact integrality
@@ -36,10 +45,19 @@ def _require_element(X: GComplex, g: int) -> None:
         raise ValidationError(f"element {g} is not an element id in [0, {X.group.order - 1}]")
 
 
-def lefschetz_number_trace(X: GComplex, g: int) -> int:
-    _require_element(X, g)
+def _require_traces(X: GComplex) -> None:
     if not is_regular(X):
         raise ValidationError("Lefschetz traces require a regularized complex")
+
+
+def lefschetz_number_trace(X: GComplex, g: int) -> int:
+    _require_element(X, g)
+    _require_traces(X)
+    return _trace(X, g)
+
+
+def _trace(X: GComplex, g: int) -> int:
+    """The alternating count of the positions that g's row keeps."""
     positions = X.complex.positions
     return X.complex.euler(compress(positions, map(eq, X.perm[g], positions)))
 
@@ -54,7 +72,13 @@ def lefschetz_number_fixed(X: GComplex, g: int) -> int:
 
 def lefschetz_number(X: GComplex, g: int) -> int:
     """L(g), computed both ways; disagreement is an internal defect."""
-    via_trace = lefschetz_number_trace(X, g)
+    _require_element(X, g)
+    _require_traces(X)
+    return _lefschetz_number(X, g)
+
+
+def _lefschetz_number(X: GComplex, g: int) -> int:
+    via_trace = _trace(X, g)
     via_fixed = lefschetz_number_fixed(X, g)
     if via_trace != via_fixed:
         raise DefectError(
@@ -101,9 +125,17 @@ class MultiplicityReport:
 
 
 def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
-    """ind(rho) = (1/|G|) sum_g L(g) conj(chi_rho(g)), exactly, for every rho."""
+    """ind(rho) = (1/|G|) sum_g L(g) conj(chi_rho(g)), exactly, for every rho
+    (see `_multiplicities`); the action must be regular."""
+    _require_traces(X)
+    return _multiplicities(X)
+
+
+def _multiplicities(X: GComplex) -> MultiplicityReport:
+    """ind(rho) = (1/|G|) sum_g L(g) conj(chi_rho(g)), exactly, for every rho;
+    the action must satisfy condition (A)."""
     G = X.group
-    numbers = tuple(lefschetz_number(X, g) for g in range(G.order))
+    numbers = tuple(_lefschetz_number(X, g) for g in range(G.order))
     table = character_table(G)
     lefschetz = _lefschetz_class_function(G, numbers)
     multiplicities = []

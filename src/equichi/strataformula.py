@@ -1,11 +1,17 @@
 """Isotypical Euler characteristics through the orbit-type stratification.
 
-Under a regular action the isotropy group of a simplex fixes it pointwise,
-so the chain complex is a sum, over simplex orbits, of permutation modules
-C[G/G_s], and no orientation is flipped.  Frobenius reciprocity then gives
-the rho-isotypical Euler characteristic as a sum over the strata, the
-equivariant Euler characteristic in the Burnside ring (tom Dieck,
-*Transformation Groups*, 1987):
+The sum needs one fact of the action: the isotropy group of a simplex
+fixes it pointwise.  Then the chain complex is a sum, over simplex orbits,
+of permutation modules C[G/G_s], no orientation is flipped, and the orbit
+space is a G-CW complex with one cell per simplex orbit (tom Dieck,
+*Transformation Groups*, 1987, II.1).  Bredon's condition (A), no edge
+joining two vertices of one orbit, gives that fact, and sd K satisfies (A)
+for any K (Bredon, *Introduction to Compact Transformation Groups*, 1972,
+III.1); so `verify_strata_vs_oracle` computes on the first complex of the
+ladder X, sd X that satisfies (A), and reports the subdivision count of the
+first regular one, which it does not build.  Frobenius reciprocity then
+gives the rho-isotypical Euler characteristic as a sum over the strata, the
+equivariant Euler characteristic in the Burnside ring (tom Dieck, 1987):
 
     chi_rho(M) = chi_rho(G/H_pr) * chi(Q, Q_sing)
                + sum over components  chi_rho(G/H_j) * chi(Q_cl, Q_low)
@@ -28,9 +34,9 @@ from .characters import Character, character_table
 from .complexes import euler_of_complex
 from .cyclotomic import cyc_sum
 from .errors import CodimensionError, DefectError, ValidationError
-from .gcomplex import GComplex, Stratification, orbit_type_stratification, regularize
+from .gcomplex import GComplex, Stratification, _ladder, _stratify, orbit_type_stratification
 from .groups import FiniteGroup, Subgroup
-from .lefschetz import equivariant_multiplicities
+from .lefschetz import _multiplicities
 
 
 def chi_rho_homogeneous(G: FiniteGroup, H: Subgroup, rho: Character) -> int:
@@ -236,15 +242,17 @@ class VerifyReport:
 def verify_strata_vs_oracle(X: GComplex) -> VerifyReport:
     """Run both routes to chi_rho for every irreducible and compare.
 
-    A codimension guard fires as an explicit skip, never as a wrong number.
+    Both run on `_ladder`'s complex, the first of the ladder that satisfies
+    condition (A).  A codimension guard fires as an explicit skip, never as
+    a wrong number.
     """
-    X = regularize(X)
+    X, subdivisions = _ladder(X)
     chi_m = euler_of_complex(X.complex)
-    report = equivariant_multiplicities(X)
+    report = _multiplicities(X)
     table = character_table(X.group)
     rows: list[VerifyRow] = []
     try:
-        geometry = strata_geometry(X)
+        geometry = StrataGeometry(X.group, _stratify(X))
         for rho in table:
             breakdown = geometry.breakdown(rho)
             rows.append(
@@ -259,12 +267,12 @@ def verify_strata_vs_oracle(X: GComplex) -> VerifyReport:
         return VerifyReport(
             rows=(),
             skipped=str(exc),
-            subdivisions=X.subdivisions,
+            subdivisions=subdivisions,
             euler_characteristic=chi_m,
         )
     return VerifyReport(
         rows=tuple(rows),
         skipped=None,
-        subdivisions=X.subdivisions,
+        subdivisions=subdivisions,
         euler_characteristic=chi_m,
     )

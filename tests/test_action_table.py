@@ -37,7 +37,7 @@ from equichi import (
 )
 from equichi import strataformula
 from equichi.cli import main
-from equichi.gcomplex import GComplex, _set_keys, _subdivide
+from equichi.gcomplex import GComplex, _ladder, _set_keys, _stratify, _subdivide
 from equichi.jsonio import group_from_json
 from equichi.groups import all_subgroups
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
@@ -314,6 +314,24 @@ def test_table_matches_vertex_map_reference(G, maximal, maps):
 # regularity and the orbit space against a brute-force reference
 
 
+def reference_condition_a(maximal, maps):
+    """Bredon's condition (A) from the plain data: no edge of the maximal
+    simplices joins two vertices of one orbit, the orbits closed under the
+    generators' vertex maps."""
+    orbit = {}
+    for v in sorted({v for s in maximal for v in s}):
+        if v in orbit:
+            continue
+        orbit[v], todo = v, [v]
+        while todo:
+            w = todo.pop()
+            for m in maps:
+                if m[w] not in orbit:
+                    orbit[m[w]] = v
+                    todo.append(m[w])
+    return all(orbit[a] != orbit[b] for s in maximal for a, b in combinations(s, 2))
+
+
 def reference_regularity(X):
     """(a) on every simplex x element and (b) on every simplex-orbit image,
     from the vertex maps alone: the verdict, the vertex -> quotient vertex
@@ -391,12 +409,14 @@ def test_orbit_walk_matches_reference_on_non_regular_actions(name):
 
 
 class ReportsRegular(GComplex):
-    """A test double whose verdict reports the action regular, whatever the
-    orbit table's probe finds.  The trace and fixed-set Lefschetz routes read
-    `perm` and the fixer masks, never the verdict, so the dual-route check
-    still sees the action as it is."""
+    """A test double whose verdicts report the action regular and satisfying
+    condition (A), whatever the orbit table's probe finds: `regularize` and
+    the public routes read the first, `verify` and `strata` the second.  The
+    trace and fixed-set Lefschetz routes read `perm` and the fixer masks,
+    never a verdict, so the dual-route check still sees the action as it is."""
 
     faithful = True
+    condition_a = True
 
 
 # what `verify_strata_vs_oracle` raises on each action above whose two
@@ -428,8 +448,9 @@ UNREGULARIZED_VERIFY = {
 @pytest.mark.parametrize("name", list(NON_REGULAR_ACTIONS))
 def test_stratified_route_rejects_non_regular_actions_flagged_regular(name):
     """Unregularized, the stratification and the orbit space reject the
-    action and `verify` regularizes it first; flagged regular, an action
-    whose Lefschetz routes disagree fails the dual-route check."""
+    action, and `verify` first walks the ladder to condition (A); flagged
+    regular and satisfying (A), an action whose Lefschetz routes disagree
+    fails the dual-route check."""
     gens, maximal, images = NON_REGULAR_ACTIONS[name]
     G = group_from_permutations(gens)
     X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
@@ -453,6 +474,7 @@ def test_stratified_route_rejects_non_regular_actions_flagged_regular(name):
             assert report.all_match and tuple(r.oracle for r in report.rows) == chi_rho
     flagged = ReportsRegular(X.complex, X.group, X.vertex_perm)
     assert is_regular(flagged) and regularize(flagged) is flagged
+    assert _ladder(flagged) == (flagged, 0)
     if name in LEFSCHETZ_DISAGREEMENTS:
         with pytest.raises(DefectError) as err:
             verify_strata_vs_oracle(flagged)
@@ -483,6 +505,7 @@ def test_orbit_table_matches_brute_force_reference(G, maximal, maps):
     orbits = {tuple(sorted({m[v] for m in by_element})) for v in X.complex.vertices}
     assert X.vertex_orbits() == tuple(sorted(orbits))
     assert is_regular(X) == reference_regularity(X)[0]
+    assert X.condition_a == reference_condition_a(maximal, maps)
 
 
 def count_orbit_tables(monkeypatch):
@@ -593,15 +616,19 @@ def record_complexes(monkeypatch):
 
 def test_verify_and_strata_build_no_simplex_tuple(tmp_path, monkeypatch):
     """Both routes, and every stratification count that `strata` reports,
-    run on positions: no complex on the way builds `order` or `index`."""
+    run on positions: no complex on the way builds `order` or `index`.
+    `verify` builds the input and, where the input fails condition (A), its
+    subdivision, and no further rung."""
     built = record_complexes(monkeypatch)
     for cid in corpus.case_ids():
         G, maximal, maps = corpus_action(cid)
         for level in range(4):
             built.clear()
+            rung = 0 if reference_condition_a(maximal, maps) else 1
             report = verify_strata_vs_oracle(build(G, maximal, maps))
-            assert len(built) == 1 + report.subdivisions
+            assert len(built) == 1 + rung
             assert [vars(K).keys() & {"order", "index"} for K in built] == [set()] * len(built), f"{cid}:sd{level}"
+            assert report.subdivisions == regularize(build(G, maximal, maps)).subdivisions
             maximal, maps = subdivide(maximal, maps)
     built.clear()
     digests = report_digests(tmp_path)
@@ -923,10 +950,10 @@ def test_verify_never_builds_the_principal_components(monkeypatch, G, maximal, m
     built = []
 
     def recorded(X):
-        built.append(orbit_type_stratification(X))
+        built.append(_stratify(X))
         return built[-1]
 
-    monkeypatch.setattr(strataformula, "orbit_type_stratification", recorded)
+    monkeypatch.setattr(strataformula, "_stratify", recorded)
     report = verify_strata_vs_oracle(build(G, maximal, maps))
     assert report.skipped is not None or report.all_match
     (strat,) = built

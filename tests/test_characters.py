@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -826,3 +827,26 @@ def test_abelian_tables_skip_the_class_sum_split(monkeypatch):
         build, arg = kernel_groups()[name]
         character_table(build(arg))
         assert (len(calls) == 0) if abelian else (len(calls) >= 1), name
+
+
+def test_magma_generators_are_walked_once_per_group(monkeypatch):
+    """A table-form C2^7 walks its magma generators once, in the
+    associativity check; certifying its linear table, twice over, reads the
+    same set."""
+    walks = []
+    plain = FiniteGroup.__dict__["_magma_generators"]
+
+    def counted(self):
+        walks.append(self)
+        return plain.func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(FiniteGroup, "_magma_generators")
+    monkeypatch.setattr(FiniteGroup, "_magma_generators", prop)
+    flips = [[i ^ (1 << k) for i in range(128)] for k in range(7)]
+    G = group_from_table(group_from_permutations(flips).table)
+    assert walks == [G] and len(G._magma_generators) == 7
+    rows = character_table(G)
+    _certify_table(G, rows)
+    assert characters._linear_table_holds(G, rows)
+    assert walks == [G]

@@ -171,10 +171,10 @@ def test_strata_stratifies_once_when_the_guard_fires(tmp_path, capsys, monkeypat
 
     def counted(X):
         calls.append(X)
-        return gcomplex.orbit_type_stratification(X)
+        return gcomplex._stratify(X)
 
     for module in (strataformula, cli):
-        monkeypatch.setattr(module, "orbit_type_stratification", counted)
+        monkeypatch.setattr(module, "_stratify", counted)
     gpath, cpath = write_case_files(tmp_path, "s2-reflection")
     code, _, _ = run_cli(["strata", "--group", gpath, "--complex", cpath], capsys)
     assert code == 3
@@ -193,11 +193,7 @@ def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
         return wrapper
 
     for module in (strataformula, cli):
-        monkeypatch.setattr(
-            module,
-            "orbit_type_stratification",
-            counted("stratify", gcomplex.orbit_type_stratification),
-        )
+        monkeypatch.setattr(module, "_stratify", counted("stratify", gcomplex._stratify))
     construct = complexes.SimplicialComplex.__init__
 
     def recorded(self, simplices):
@@ -205,16 +201,16 @@ def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(complexes.SimplicialComplex, "__init__", recorded)
-    # the orbit space is counted, never built: only the input and each
-    # subdivision are complexes
+    # the orbit space is counted, never built: the input satisfies condition
+    # (A), so it is the only complex, though regularity is one subdivision on
     report = strataformula.verify_strata_vs_oracle(
         corpus.load_case("s2-klein-four").gcomplex
     )
     assert len(report.rows) == 4
     assert report.all_match
     assert calls == {"stratify": 1}
-    assert report.subdivisions > 0
-    assert len(built) == 1 + report.subdivisions
+    assert report.subdivisions == 1
+    assert len(built) == 1
 
     calls.update(stratify=0)
     built.clear()
@@ -224,7 +220,8 @@ def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
     payload = json.loads(out)
     assert len(payload["breakdowns"]) == 4
     assert calls == {"stratify": 1}
-    assert len(built) == 1 + payload["subdivisions"]
+    assert payload["subdivisions"] == 1
+    assert len(built) == 1
 
 
 C2_GROUP = {"permutation_generators": [[1, 0]]}

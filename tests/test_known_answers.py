@@ -4,9 +4,10 @@ The actions here have isotropy groups that act on the normal slice of
 their fixed sets by orientation-reversing maps, or fixed sets that reach the
 boundary; the signed permutation groups also act by rotations alone.  The
 stratified sum carries no orientation twist, so both routes must give the
-answer known in closed form.  So must joins of circle actions and the
+answer known in closed form.  So must joins of circle actions, the
 rotations of the 4-cross-polytope, whose complexes reach 40,256 simplices
-once regular.
+once regular, and two actions on the 5-cross-polytope, regular only at
+sd^2 (460,800 top simplices), which both routes reach at sd^1.
 """
 
 import json
@@ -259,6 +260,44 @@ def test_rotations_of_the_cross_polytope_cancel_over_the_strata():
     assert expected == (0,) * len(expected)
     X = build_gcomplex(SimplicialComplex.from_maximal(CROSS_POLYTOPE), G, B4_PLUS)
     report = verify_strata_vs_oracle(X)
+    assert report.skipped is None and report.all_match and report.subdivisions == 2
+    assert tuple(r.oracle for r in report.rows) == expected
+    assert tuple(r.formula for r in report.rows) == expected
+
+
+# the boundary of the 5-cross-polytope, S^4, numbered as the 4-cross-polytope
+CROSS_POLYTOPE_5 = [[2 * i + b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=5)]
+CYCLE_12345 = [2, 3, 4, 5, 6, 7, 8, 9, 0, 1]  # e_i -> e_(i+1)
+NEGATE_ALL = [1, 0, 3, 2, 5, 4, 7, 6, 9, 8]  # -I
+NEGATE_12 = [1, 0, 3, 2, 4, 5, 6, 7, 8, 9]  # diag(-1, -1, 1, 1, 1)
+
+
+# (generators, order, chi^rho from rho and the element id of P), where P
+# is the coordinate 5-cycle; both actions are regular only at sd^2
+D4_ACTIONS = {
+    # C10 = <P, -I>: Lambda(g) = 1 + det g is 2 on <P> and 0 off it, so
+    # chi^rho is 1 exactly where rho is trivial on P, the trivial character
+    # and the one with rho(-I) = -1
+    "c10": ([CYCLE_12345, NEGATE_ALL], 10, lambda rho, P: int(rho(P) == Cyc.one())),
+    # the even sign changes, permuted by P: det g = 1 throughout, so
+    # Lambda = 2 and chi^rho is 2 on the trivial character alone
+    "order-80": (
+        [CYCLE_12345, NEGATE_12],
+        80,
+        lambda rho, P: 2 * all(v == Cyc.one() for v in rho.values),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(D4_ACTIONS))
+def test_actions_on_the_5_cross_polytope_match_closed_form(name):
+    gens, order, chi = D4_ACTIONS[name]
+    G = group_from_permutations(gens)
+    assert G.order == order
+    expected = closed_form(G)
+    P = G.perms.index(tuple(CYCLE_12345))
+    assert expected == tuple(chi(rho, P) for rho in character_table(G))
+    report = verify_strata_vs_oracle(build_gcomplex(SimplicialComplex.from_maximal(CROSS_POLYTOPE_5), G, gens))
     assert report.skipped is None and report.all_match and report.subdivisions == 2
     assert tuple(r.oracle for r in report.rows) == expected
     assert tuple(r.formula for r in report.rows) == expected
