@@ -47,6 +47,16 @@ and a table is certified by its k diagonal entries, not all k^2.  The
 ordered scan over all entries runs only to name the first failure of a table
 that is rejected.
 
+One lifted table per group.  The installed table keeps, beside
+`_char_table`, its rows lifted to the table conductor (the lcm of the
+conductors of its values) as the same sparse pairs; a lift is rebuilt when
+the table is replaced.  The lift of a table that the Gram identity
+certified is the one the certification built; otherwise each row is lifted
+on its first read (`_lifted_row`), so reading one row lifts one row.  The
+class-function sums of `verify` and `strata` run on these integer vectors:
+pairings by `_pairing`, and weighted sums sum_j w_j value_j by
+`_weighted_sum`, each reduced mod Phi_n once.
+
 Enumeration order of the irreducibles: ascending degree, then lexicographic
 order of the value rows, each value keyed by its canonical coefficient tuple
 at the group-exponent conductor, classes in canonical order.  The order is
@@ -159,6 +169,18 @@ def _pairing(a: _Lifted, b: _Lifted, sizes: Sequence[int], n: int) -> list[int]:
     return reduce_mod_phi(n, acc)
 
 
+def _weighted_sum(weights: Sequence[int], values: Sequence[tuple[tuple[int, int], ...]], n: int) -> list[int]:
+    """sum_j w_j v_j over values lifted to conductor n (sparse (exponent,
+    integer coefficient) pairs, as `_lift_values` gives them), as the
+    canonical integer vector at n, reduced mod Phi_n once."""
+    acc = [0] * n
+    for w, pairs in zip(weights, values):
+        if w:
+            for e, x in pairs:
+                acc[e] += w * x
+    return reduce_mod_phi(n, acc)
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyc:
     """<a, b> = (1/|G|) sum_g a(g) conj(b(g)), exact, at the lcm of the
     conductors of all the values."""
@@ -168,6 +190,30 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyc:
     la, lb = _lift_values(a.values, n), _lift_values(b.values, n)
     sizes = [len(c) for c in G.conjugacy_classes()]
     return Cyc.from_ints(n, _pairing(la, lb, sizes, n), G.order * la[0] * lb[0])
+
+
+def _lifted_row(chi: Character) -> tuple[int, _Lifted]:
+    """chi's values as `_lift_values` gives them, with their conductor n.
+
+    A row of its group's installed table is read from the table's lift, at
+    the table conductor (the lcm of the conductors of all its values): each
+    row is lifted on its first read, unless `_certify_table` lifted it
+    already.  The lift is kept beside `_char_table` and rebuilt when that is
+    replaced.  Any other class function is lifted here, at its own
+    conductor."""
+    G = chi.group
+    rows = G._char_table
+    i = chi.index
+    if rows is None or i is None or not 0 <= i < len(rows) or rows[i] is not chi:
+        n = _conductor(chi.values)
+        return n, _lift_values(chi.values, n)
+    lift = G._char_lift
+    if lift is None or lift[0] is not rows:
+        lift = G._char_lift = (rows, _conductor(*(r.values for r in rows)), [None] * len(rows))
+    _, n, lifted = lift
+    if lifted[i] is None:
+        lifted[i] = _lift_values(chi.values, n)
+    return n, lifted[i]
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +801,9 @@ def _linear_table_holds(G: FiniteGroup, rows: Sequence[Character]) -> bool:
     return len(seen) == order and (0,) * order in seen
 
 
-def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
-    """Certify that the rows are the irreducible characters of G.
+def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> tuple[int, list[_Lifted]] | None:
+    """Certify that the rows are the irreducible characters of G; returns
+    the conductor and the lifted rows when the check lifted them.
 
     A table of |G| linear rows is accepted by `_linear_table_holds`, on
     exponents mod N, without a pairing.  Otherwise, or if that fails:
@@ -779,15 +826,25 @@ def _certify_table(G: FiniteGroup, rows: Sequence[Character]) -> None:
     sequences accept too, so it changes no verdict and no message.
     """
     if _linear_table_holds(G, rows):
-        return
+        return None
     n, sizes, lifted = _lift_table(G, rows)
     try:
         diagonal = not any(_gram_fails(G.order, sizes, n, a, a, True) for a in lifted)
         if diagonal and _check_characters(G, rows, lifted):
-            return
+            return n, lifted
     except DefectError:
         pass
     _check_characters(G, rows, _verify_table(G, rows))
+    return n, lifted
+
+
+def _install_table(G: FiniteGroup, rows: Sequence[Character]) -> tuple[Character, ...]:
+    """Certify the rows and install them as G's table, with the lift that
+    the certification built, if any (see `_lifted_row`)."""
+    certified = _certify_table(G, rows)
+    G._char_table = rows = tuple(rows)
+    G._char_lift = (rows, *certified) if certified else None
+    return rows
 
 
 def _sort_rows(G: FiniteGroup, raw: list[tuple[int, tuple[Cyc, ...]]]) -> list[Character]:
@@ -822,10 +879,7 @@ def character_table(G: FiniteGroup) -> tuple[Character, ...]:
     else:
         p = _dixon_prime(G.order, G.exponent)
         raw = _lift_characters(G, _split_central_characters(G, p), p)
-    rows = _sort_rows(G, raw)
-    _certify_table(G, rows)
-    G._char_table = tuple(rows)
-    return G._char_table
+    return _install_table(G, _sort_rows(G, raw))
 
 
 def trivial_index(G: FiniteGroup) -> int:
@@ -953,9 +1007,7 @@ def attach_character_table(G: FiniteGroup, data: dict) -> None:
         if q is None or q.denominator != 1 or q < 1:
             raise ValidationError("character degree must be a positive integer")
         raw.append((q.numerator, values))
-    rows = _sort_rows(G, raw)
     try:
-        _certify_table(G, rows)
+        _install_table(G, _sort_rows(G, raw))
     except DefectError as exc:
         raise ValidationError(f"supplied character table is invalid: {exc}") from exc
-    G._char_table = tuple(rows)

@@ -53,6 +53,7 @@ class FiniteGroup:
                 f"generators must be element ids in [0, {self.order - 1}]"
             )
         self._char_table = None
+        self._char_lift = None  # see characters._lifted_row
         self._subgroup_groups: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
 
     # -- construction-time validation ----------------------------------

@@ -24,16 +24,27 @@ the subdivision ladder that satisfies (A).
 
 Averaging against irreducible characters then yields the multiplicity of
 each irreducible in the alternating sum of (co)homology; exact integrality
-is asserted, never rounded.
+is asserted, never rounded.  The averages and the check that the
+multiplicities reassemble every Lefschetz number run on integer vectors
+over the group's lifted character table (see `characters`): L is lifted
+once, and each class gets one weighted sum of the table's values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
+from math import lcm
 from operator import eq
 
-from .characters import ClassFunction, character_table, inner_product
+from .characters import (
+    ClassFunction,
+    _lifted_row,
+    _pairing,
+    _weighted_sum,
+    character_table,
+    inner_product,
+)
 from .cyclotomic import Cyc
 from .errors import DefectError, ValidationError
 from .gcomplex import GComplex, is_regular
@@ -133,30 +144,42 @@ def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
 
 def _multiplicities(X: GComplex) -> MultiplicityReport:
     """ind(rho) = (1/|G|) sum_g L(g) conj(chi_rho(g)), exactly, for every rho;
-    the action must satisfy condition (A)."""
+    the action must satisfy condition (A).
+
+    L is lifted once, as the pair (0, L(c)) per class, and paired with each
+    row of the table's lift by `_pairing`; the result must be rational and
+    divisible by |G| D, D the row's denominator.  The Cyc values of
+    `inner_product` are built only to name a failure."""
     G = X.group
     numbers = tuple(_lefschetz_number(X, g) for g in range(G.order))
     table = character_table(G)
-    lefschetz = _lefschetz_class_function(G, numbers)
+    classes = G.conjugacy_classes()
+    sizes = [len(c) for c in classes]
+    lefschetz = (1, tuple(((0, numbers[c[0]]),) if numbers[c[0]] else () for c in classes))
+    lifted = []
     multiplicities = []
     for chi in table:
-        value = inner_product(lefschetz, chi)
-        q = value.as_rational()
-        if q is None or q.denominator != 1:
+        n, row = _lifted_row(chi)  # the rows of one table share n
+        lifted.append(row)
+        value = _pairing(lefschetz, row, sizes, n)
+        q, r = divmod(value[0], G.order * row[0])
+        if r or any(value[1:]):
+            value = inner_product(_lefschetz_class_function(G, numbers), chi)
             raise DefectError(
                 f"multiplicity of irreducible {chi.index} is not an integer: {value!r}"
             )
-        multiplicities.append(q.numerator)
+        multiplicities.append(q)
     chi_rho = tuple(m * chi.degree for m, chi in zip(multiplicities, table))
     report = MultiplicityReport(X, numbers, tuple(multiplicities), chi_rho)
     # the multiplicities must reassemble every Lefschetz number exactly: one
-    # sum per class, which every element of the class must equal
-    for c, members in enumerate(G.conjugacy_classes()):
-        total = Cyc.zero(1)
-        for chi, m in zip(table, multiplicities):
-            total = total + m * chi.values[c]
+    # weighted sum per class, sum_chi m_chi D chi(c) / D_chi with D the lcm
+    # of the row denominators, which every element of the class must equal
+    D = lcm(*(row[0] for row in lifted))
+    weights = [m * (D // row[0]) for m, row in zip(multiplicities, lifted)]
+    for c, members in enumerate(classes):
+        total = _weighted_sum(weights, [row[1][c] for row in lifted], n)
         values = {numbers[g] for g in members}
-        if len(values) != 1 or not (total == Cyc.rational(values.pop())):
+        if len(values) != 1 or total[0] != D * values.pop() or any(total[1:]):
             raise DefectError("multiplicities do not reassemble the Lefschetz numbers")
     return report
 

@@ -19,7 +19,10 @@ equivariant Euler characteristic in the Burnside ring (tom Dieck, 1987):
 where Q is the orbit space, Q_sing the image of the non-principal part, and
 Q_cl / Q_low the images of a component's closure and of its boundary part.
 Every homogeneous factor chi_rho(G/H) = deg(rho) * <Res_H chi_rho, 1>_H is
-an exact integer.
+an exact integer.  It is deg(rho) * sum_c n_c chi_rho(c) / |H|, for the
+number n_c of elements of H in the class c: `StrataGeometry` counts them
+once per stratum, since they do not depend on rho, and each factor is one
+weighted sum over rho's lifted values (see `characters`).
 
 Components of codimension below two are rejected with a typed error; the
 verification driver converts that into an explicit skip.
@@ -28,11 +31,12 @@ verification driver converts that into an explicit skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
-from .characters import Character, character_table
+from .characters import Character, _lifted_row, _weighted_sum, character_table
 from .complexes import euler_of_complex
-from .cyclotomic import cyc_sum
+from .cyclotomic import Cyc
 from .errors import CodimensionError, DefectError, ValidationError
 from .gcomplex import GComplex, Stratification, _ladder, _stratify, orbit_type_stratification
 from .groups import FiniteGroup, Subgroup
@@ -41,12 +45,39 @@ from .lefschetz import _multiplicities
 
 def chi_rho_homogeneous(G: FiniteGroup, H: Subgroup, rho: Character) -> int:
     """chi_rho of the homogeneous space G/H: deg(rho) * <Res_H chi_rho, 1>_H,
-    an exact integer; the pairing is the average of rho over H."""
+    an exact integer; the pairing is the average of rho over H, taken over
+    the class counts of H.  A rho that does not average to an integer is
+    not a character: a ValidationError."""
     if rho.group is not G:
         raise ValidationError("character lives on a different group")
     if H.parent is not G:
         raise ValidationError("subgroup lives in a different group")
-    m = (cyc_sum(map(rho, H.elements)) / H.order).as_integer()
+    return _homogeneous(rho, _class_counts(H))
+
+
+def _class_counts(H: Subgroup) -> list[int]:
+    """How many elements of H fall in each conjugacy class of its parent."""
+    G = H.parent
+    counts = [0] * len(G.conjugacy_classes())
+    for h in H.elements:
+        counts[G.class_of(h)] += 1
+    return counts
+
+
+def _homogeneous(rho: Character, counts: list[int]) -> int:
+    """deg(rho) * (sum_c counts[c] rho(c)) / |H|, for the class counts of a
+    subgroup H (they add up to |H|), by one `_weighted_sum` over rho's
+    lifted values.  The average must be a nonnegative rational integer."""
+    order = sum(counts)
+    n, (D, values) = _lifted_row(rho)
+    total = _weighted_sum(counts, values, n)
+    m, r = divmod(total[0], order * D)
+    if r or any(total[1:]):
+        value = Cyc.from_ints(n, total, order * D)
+        raise ValidationError(
+            f"character {rho.index} does not average to an integer over a "
+            f"subgroup of order {order}: {value!r}"
+        )
     if m < 0:
         raise DefectError("negative multiplicity in a restriction")
     return rho.degree * m
@@ -123,6 +154,12 @@ class StrataGeometry:
     group: FiniteGroup
     stratification: Stratification
 
+    @cached_property
+    def class_counts(self) -> tuple[list[int], ...]:
+        """Per stratum, in stratum order, how many elements of its isotropy
+        group fall in each conjugacy class."""
+        return tuple(_class_counts(s.isotropy) for s in self.stratification.strata)
+
     def __post_init__(self) -> None:
         for stratum in self.stratification.singular:
             for component in stratum.components:
@@ -143,12 +180,14 @@ class StrataGeometry:
 
     def breakdown(self, rho: Character) -> StrataEulerBreakdown:
         """Evaluate the stratified sum for one irreducible of the group."""
-        G = self.group
-        H_pr = self.stratification.principal.isotropy
-        principal_homogeneous = chi_rho_homogeneous(G, H_pr, rho)
+        if rho.group is not self.group:
+            raise ValidationError("character lives on a different group")
+        principal, *singular = self.stratification.strata
+        principal_homogeneous, *homogeneous_factors = (
+            _homogeneous(rho, counts) for counts in self.class_counts
+        )
         terms: list[StrataTerm] = []
-        for stratum in self.stratification.singular:
-            homogeneous = chi_rho_homogeneous(G, stratum.isotropy, rho)
+        for stratum, homogeneous in zip(singular, homogeneous_factors):
             terms.extend(
                 StrataTerm(
                     stratum_index=stratum.index,
@@ -162,7 +201,7 @@ class StrataGeometry:
             )
         return StrataEulerBreakdown(
             rho_index=rho.index,
-            principal_isotropy=H_pr.elements,
+            principal_isotropy=principal.isotropy.elements,
             principal_homogeneous=principal_homogeneous,
             principal_relative=self.principal_relative,
             terms=tuple(terms),

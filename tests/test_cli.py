@@ -757,9 +757,11 @@ print(json.dumps([code, foreign]))
 
 
 def test_verify_corpus_loads_only_the_standard_library():
-    # a fresh interpreter without site hooks, so only what equichi imports loads
+    # a fresh interpreter without site hooks, so only what equichi imports
+    # loads; -E drops PYTHONDONTWRITEBYTECODE, so -B keeps it from writing
+    # bytecode next to the sources
     package_root = str(Path(equichi.__file__).resolve().parent.parent)
-    cmd = [sys.executable, "-E", "-S", "-c", STDLIB_ONLY, package_root]
+    cmd = [sys.executable, "-B", "-E", "-S", "-c", STDLIB_ONLY, package_root]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     code, foreign = json.loads(done.stdout)

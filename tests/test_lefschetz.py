@@ -1,5 +1,7 @@
 """Lefschetz numbers two ways and isotypical multiplicities from traces."""
 
+from fractions import Fraction
+
 import pytest
 
 from equichi import (
@@ -12,6 +14,7 @@ from equichi import (
     lefschetz_number,
     trivial_character,
 )
+from equichi import Character, DefectError, corpus, regularize
 from equichi.characters import regular_character
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
 
@@ -145,3 +148,40 @@ def test_report_json_shape(oracle_reports):
     assert doc["lefschetz"] == {"0": 2, "1": 2}
     assert doc["multiplicities"] == {"0": 0, "1": 2}
     assert doc["chi_rho"] == {"0": 0, "1": 2}
+
+
+def doctored_case(cid, rows):
+    """A fresh regular copy of a corpus case whose group's table is replaced
+    by `rows`, one tuple of integer class values per row; the degree is the
+    value at the identity class."""
+    X = regularize(corpus.load_case(cid).gcomplex)
+    G = X.group
+    one = G.class_of(G.identity)
+    G._char_table = tuple(
+        Character(G, tuple(map(Cyc.rational, row)), degree=row[one], index=i)
+        for i, row in enumerate(rows)
+    )
+    return X
+
+
+@pytest.mark.parametrize("row", [(1, 0), (Fraction(1, 2), Fraction(1, 2))])
+def test_a_fractional_multiplicity_is_a_defect_naming_its_value(row):
+    # square-trivial has L = (1, 1): both rows pair to 1/2
+    X = doctored_case("square-trivial", [row, (1, 1)])
+    with pytest.raises(DefectError) as err:
+        equivariant_multiplicities(X)
+    assert str(err.value) == "multiplicity of irreducible 0 is not an integer: 1/2"
+
+
+def test_rows_with_fractional_values_reassemble_exactly():
+    # (1/2, -1/2) pairs to 0 with L = (1, 1), and the trivial row to 1
+    X = doctored_case("square-trivial", [(Fraction(1, 2), Fraction(-1, 2)), (1, 1)])
+    assert equivariant_multiplicities(X).multiplicities == (0, 1)
+
+
+def test_multiplicities_that_miss_a_lefschetz_number_are_a_defect():
+    # two trivial rows: each pairs to 1, and together they give 2 != L(1) = 1
+    X = doctored_case("square-trivial", [(1, 1), (1, 1)])
+    with pytest.raises(DefectError) as err:
+        equivariant_multiplicities(X)
+    assert str(err.value) == "multiplicities do not reassemble the Lefschetz numbers"

@@ -3,14 +3,19 @@
 import pytest
 
 from equichi import (
+    Character,
     CodimensionError,
+    Cyc,
+    DefectError,
     Subgroup,
     ValidationError,
     character_table,
     chi_rho_homogeneous,
+    corpus,
     equivariant_euler_via_strata,
     euler_of_complex,
     group_from_permutations,
+    regularize,
     trivial_index,
     verify_strata_vs_oracle,
 )
@@ -174,3 +179,43 @@ def test_breakdown_json_shape(regular_cases):
     assert doc["principal"]["product"] == 0
     assert len(doc["singular_terms"]) == 2
     assert doc["singular_terms"][0]["codimension"] == 2
+
+
+def test_a_negative_restriction_multiplicity_is_a_defect():
+    # s2-pi-rotation has trivial principal isotropy, so a row that is -1 at
+    # the identity restricts to it with multiplicity -1; the breakdown reads
+    # the replaced table, not the one it read before
+    X = regularize(corpus.load_case("s2-pi-rotation").gcomplex)
+    G = X.group
+    assert [equivariant_euler_via_strata(X, rho).total for rho in character_table(G)] == [0, 2]
+    G._char_table = tuple(
+        Character(G, tuple(map(Cyc.rational, row)), degree=1, index=i)
+        for i, row in enumerate([(-1, 1), (1, 1)])
+    )
+    with pytest.raises(DefectError) as err:
+        equivariant_euler_via_strata(X, G._char_table[0])
+    assert str(err.value) == "negative multiplicity in a restriction"
+
+
+@pytest.mark.parametrize("at_identity, elsewhere, average", [
+    (Cyc.one(), Cyc.zero(), "1/3"),
+    (Cyc.rational(3), Cyc.zeta(3) * 3, "1 + z3"),
+])
+def test_a_class_function_that_averages_to_a_non_integer_is_a_validation_error(
+    at_identity, elsewhere, average
+):
+    # C3 and a class function that is not a character: (1, 0, 0) averages
+    # to 1/3, and (3, 3 z3, 0) to 1 + z3
+    G = group_from_permutations([[1, 2, 0]])
+    one = G.class_of(G.identity)
+    first = next(c for c in range(3) if c != one)
+    values = tuple(
+        at_identity if c == one else elsewhere if c == first else Cyc.zero() for c in range(3)
+    )
+    rho = Character(G, values, degree=at_identity.as_integer(), index=0)
+    whole = Subgroup.generated(G, list(G.generators))
+    with pytest.raises(ValidationError) as err:
+        chi_rho_homogeneous(G, whole, rho)
+    assert str(err.value) == (
+        f"character 0 does not average to an integer over a subgroup of order 3: {average}"
+    )
