@@ -3,17 +3,20 @@
 Tables are computed by the class-sum matrix method (Dixon, Numer. Math. 10,
 1967): the structure constants of the class sums give commuting integer
 matrices whose common eigenvectors are the central characters.  The
-splitting is performed modulo a deterministic prime p = 1 (mod exponent),
-p > 2*sqrt(|G|).  Each class matrix, restricted to an eigenspace found so
-far, splits it only at the roots of its characteristic polynomial, taken on
-its Hessenberg form.  Character values are then reconstructed exactly as
-root-of-unity multiplicity vectors (the multiplicities are integers below
-p, so the modular computation determines them), as integer vectors, once
-per Galois orbit of classes: chi(g^a) = sigma_a(chi(g)) for a prime to the
-order of g (Isaacs, Character Theory of Finite Groups) gives the rest of
-the orbit.  An abelian group, one element per class, skips the split: its
-irreducibles are the homomorphisms to the N-th roots of unity, N the
-exponent, built by extending the characters of a growing subgroup along
+structure constants are counted at class representatives (Schneider, J.
+Symbolic Comput. 9, 1990): a_ijm = |C_j| #{x in C_i : x g_j in C_m} / |C_m|
+for the representative g_j of C_j, |G| k table reads over all k classes, not
+|G|^2.  The splitting is performed modulo a deterministic prime p = 1 (mod
+exponent), p > 2*sqrt(|G|).  Each class matrix, restricted to an eigenspace
+found so far, splits it only at the roots of its characteristic polynomial,
+taken on its Hessenberg form.  Character values are then reconstructed
+exactly as root-of-unity multiplicity vectors (the multiplicities are
+integers below p, so the modular computation determines them), as integer
+vectors, once per Galois orbit of classes: chi(g^a) = sigma_a(chi(g)) for a
+prime to the order of g (Isaacs, Character Theory of Finite Groups) gives
+the rest of the orbit.  An abelian group, one element per class, skips the
+split: its irreducibles are the homomorphisms to the N-th roots of unity, N
+the exponent, built by extending the characters of a growing subgroup along
 the elements in id order (`_abelian_characters`).  The finished table is
 certified exactly, by the same checks on either route.  Any failure of the
 splitting or of the certification is a defect, never a data error.
@@ -65,9 +68,10 @@ deterministic and recorded in serialized tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, cycle
 from math import gcd, isqrt, lcm
 from operator import iconcat, mul
 from typing import Sequence
@@ -444,21 +448,24 @@ def _root_of_unity_mod_p(exponent: int, p: int) -> int:
 def _class_matrices(G: FiniteGroup) -> list[list[list[tuple[int, int]]]]:
     """Per class i, the class matrix as sparse rows: row j lists the pairs
     (m, a_ijm), a_ijm != 0, with C_i C_j = sum_m a_ijm C_m in the class
-    algebra.  The number of pairs (x, y) in C_i x C_j with xy = z must be
-    the same for every z in C_m, and it is checked to be.  Only nonzero
-    counts are kept, so the cost is O(|G|^2), not O(k^3)."""
+    algebra.  Counted at class representatives (Schneider, J. Symbolic
+    Comput. 9, 1990): conjugation permutes C_i, so every y in C_j has as
+    many x in C_i with xy in C_m as the representative g_j has, b_ijm =
+    #{x in C_i : x g_j in C_m}.  The pairs (x, y) in C_i x C_j with xy in
+    C_m then number |C_j| b_ijm = |C_m| a_ijm, and that division is checked
+    to be exact.  Only nonzero counts are kept; class i costs |C_i| k table
+    reads, |G| k over all k classes, not |G|^2."""
     classes = G.conjugacy_classes()
-    class_of = [G.class_of(x) for x in range(G.order)]
+    sizes = list(map(len, classes))
+    class_of = G._classes[1]
+    at_reps = gather(G.class_representatives())
     matrices = []
     for cls in classes:
-        counts: dict[tuple[int, int], int] = {}
-        for x in cls:
-            for y, xy in enumerate(G.table[x]):
-                key = (class_of[y], class_of[xy])
-                counts[key] = counts.get(key, 0) + 1
+        products = chain.from_iterable(map(at_reps, map(G.table.__getitem__, cls)))
+        counts = Counter(zip(cycle(range(len(classes))), map(class_of.__getitem__, products)))
         rows: list[list[tuple[int, int]]] = [[] for _ in classes]
-        for (j, m), total in counts.items():
-            a, rest = divmod(total, len(classes[m]))
+        for (j, m), b in counts.items():  # b = #{x in C_i : x g_j in C_m}
+            a, rest = divmod(sizes[j] * b, sizes[m])
             if rest:
                 raise DefectError("class algebra structure constants not integral")
             rows[j].append((m, a))

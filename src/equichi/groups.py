@@ -59,6 +59,15 @@ class FiniteGroup:
     # -- construction-time validation ----------------------------------
 
     def _validate(self) -> None:
+        """The table is a group's: its rows are permutations of the ids (which
+        bounds every entry to [0, n)), it has a two-sided identity, and it is
+        associative (Light's test).  The columns then need no scan: each row
+        holds the identity, so every element has a right inverse, and an
+        associative table with a two-sided identity and right inverses is a
+        group, whose columns are permutations too.  The column scan runs only
+        when the identity or the associativity check fails, before that
+        failure is raised, so a rejected table names its first failure in the
+        order rows, columns, identity, associativity."""
         n = self.order
         if n == 0:
             raise ValidationError("empty composition table")
@@ -68,11 +77,16 @@ class FiniteGroup:
                 raise ValidationError(f"table row {a} has length {len(row)}, expected {n}")
             if set(row) != full:
                 raise ValidationError(f"table row {a} is not a permutation of element ids")
-        for b in range(n):
-            if {self.table[a][b] for a in range(n)} != full:
-                raise ValidationError(f"table column {b} is not a permutation of element ids")
-        self.identity = self._find_identity()
-        self._check_associativity()
+        try:
+            self.identity = self._find_identity()
+            self._check_associativity()
+        except ValidationError:
+            for b, column in enumerate(zip(*self.table)):
+                if set(column) != full:
+                    raise ValidationError(
+                        f"table column {b} is not a permutation of element ids"
+                    ) from None
+            raise
 
     @cached_property
     def _magma_generators(self) -> list[int]:

@@ -292,6 +292,46 @@ def test_malformed_action_input_is_invalid(tmp_path, capsys, group, complex_data
     assert err.startswith("error: ")
 
 
+def switched_z6():
+    """Z/6 with one intercalate switched: a Latin square with the identity 0
+    that is not associative."""
+    table = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    for a in (1, 4):
+        for b in (1, 4):
+            table[a][b] = (table[a][b] + 3) % 6
+    return table
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "table row 1 is not a permutation of element ids"),
+        ([[0, 1, 2], [1, 2, 3], [2, 0, 1]], "table row 1 is not a permutation of element ids"),
+        ([[0, 1, 2], [1, 2, -1], [2, 0, 1]], "table row 1 is not a permutation of element ids"),
+        # permutation rows and the identity 0, so only associativity fails
+        # before the columns are scanned
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 1]], "table column 1 is not a permutation of element ids"),
+        # equal permutation rows: no identity either, the columns named first
+        ([[0, 1, 2], [0, 1, 2], [0, 1, 2]], "table column 0 is not a permutation of element ids"),
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "table has no identity element"),
+        (switched_z6(), "non-associative table: (1*1)*2 != 1*(1*2)"),
+    ],
+    ids=["row-repeats-an-id", "row-holds-n", "row-holds-minus-one", "column-not-a-permutation",
+         "columns-and-identity-fail", "no-identity", "not-associative"],
+)
+def test_invalid_group_table_names_its_first_failure(tmp_path, capsys, table, message):
+    # rows, columns, identity, associativity: the columns are scanned only
+    # when the identity or associativity check fails, and still named first
+    gpath = tmp_path / "group.json"
+    cpath = tmp_path / "complex.json"
+    gpath.write_text(json.dumps({"table": table}))
+    cpath.write_text(json.dumps(C2_EDGE))
+    code, out, err = run_cli(["verify", "--group", str(gpath), "--complex", str(cpath)], capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("elapsed:")] == [f"error: {message}"]
+
+
 def test_table_with_columns_swapped_is_invalid(tmp_path, capsys):
     # C4's table with the columns of g and g^2 swapped is orthonormal and
     # integral and has the trivial row, but it is not C4's table

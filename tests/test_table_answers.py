@@ -15,6 +15,7 @@ from equichi import Cyc, character_table, group_from_permutations, group_from_ta
 from equichi.characters import CHARACTER_TABLE_ORDER_CAP, attach_character_table, table_to_json
 from equichi.groups import DEFAULT_SIZE_CAP
 from equichi.jsonio import canonical_json
+from test_known_answers import B3, B4_PLUS
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "table_digests.json"
 
@@ -65,6 +66,13 @@ GOLDEN_GROUPS = {
     "A5": lambda: relabelled_table([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]),
     "S5": lambda: relabelled_table([cycle(5), [1, 0, 2, 3, 4]]),
     "C2^4": lambda: relabelled_table(product_of_cyclics(2, 2, 2, 2)),
+    # B_3 (order 48) and B_4^+ (order 192, 13 classes): signed permutations
+    "B3": lambda: group_from_permutations(B3),
+    "B4+": lambda: relabelled_table(B4_PLUS),
+    # S4 x C8 (order 192, 40 classes) on 4 + 8 points
+    "S4xC8": lambda: group_from_permutations(
+        [cycle(4, 0, 12), [1, 0, *range(2, 12)], cycle(8, 4, 12)]
+    ),
 }
 
 
