@@ -31,9 +31,9 @@ from .characters import (
 )
 from .complexes import (
     SimplicialComplex,
-    barycentric_subdivision,
     euler_characteristic,
     euler_of_complex,
+    subdivision,
 )
 from .cyclotomic import Cyc
 from .errors import CodimensionError, DefectError, EquichiError, ValidationError
@@ -45,7 +45,6 @@ from .finedecomp import (
     canonical_isotropy_bundle,
     fine_decomposition,
     is_adapted,
-    stratum_component_system,
     twist_index_map,
     twist_irrep,
 )
@@ -54,7 +53,6 @@ from .gcomplex import (
     OrientationCharacter,
     Stratification,
     build_gcomplex,
-    fixed_subcomplex,
     orbit_space,
     orbit_type_stratification,
     orientation_character,
@@ -66,7 +64,6 @@ from .groups import (
     Subgroup,
     all_subgroups,
     group_from_permutations,
-    group_from_table,
     normalizer,
     subconjugate,
 )
@@ -114,7 +111,6 @@ __all__ = [
     "VerifyReport",
     "all_subgroups",
     "assemble_index",
-    "barycentric_subdivision",
     "beta_term",
     "build_gcomplex",
     "canonical_isotropy_bundle",
@@ -127,9 +123,7 @@ __all__ = [
     "euler_characteristic",
     "euler_of_complex",
     "fine_decomposition",
-    "fixed_subcomplex",
     "group_from_permutations",
-    "group_from_table",
     "index_data_from_breakdown",
     "induce",
     "inner_product",
@@ -143,8 +137,8 @@ __all__ = [
     "regularize",
     "restrict",
     "strata_geometry",
-    "stratum_component_system",
     "subconjugate",
+    "subdivision",
     "trivial_character",
     "trivial_index",
     "twist_index_map",

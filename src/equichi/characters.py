@@ -103,27 +103,6 @@ class ClassFunction:
     def __call__(self, element: int) -> Cyc:
         return self.values[self.group.class_of(element)]
 
-    def conj(self) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(v.conj() for v in self.values))
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(
-            self.group, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(
-            self.group, tuple(a - b for a, b in zip(self.values, other.values))
-        )
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(
-            self.group, tuple(a * b for a, b in zip(self.values, other.values))
-        )
-
     def _same_group(self, other: "ClassFunction") -> None:
         if self.group is not other.group:
             raise ValidationError("class functions on different groups")

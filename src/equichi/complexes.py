@@ -210,18 +210,6 @@ def euler_of_complex(K: SimplicialComplex) -> int:
     return sum(n if d % 2 == 0 else -n for d, n in enumerate(K.f_vector()))
 
 
-def barycentric_subdivision(
-    K: SimplicialComplex,
-) -> tuple[SimplicialComplex, dict[Simplex, int]]:
-    """The barycentric subdivision and the map simplex -> new vertex id.
-
-    New vertex ids are positions in the canonical simplex order (the map is
-    `K.index`), so the subdivision of a fixed complex is itself canonical.
-    The README documents this view; `subdivision` builds it on positions.
-    """
-    return subdivision(K), K.index
-
-
 def subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """The barycentric subdivision, on the positions of K as vertex ids.
 

@@ -350,10 +350,3 @@ def _canonical(n: int, num: list[int], den: int) -> tuple[tuple[int, ...], int]:
         if g != 1:
             return tuple(c // g for c in num), den // g
     return tuple(num), den
-
-
-def cyc_sum(values: Iterable[Cyc], n: int = 1) -> Cyc:
-    total = Cyc.zero(n)
-    for v in values:
-        total = total + v
-    return total

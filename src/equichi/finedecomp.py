@@ -313,15 +313,6 @@ class CanonicalIsotropyBundle:
         return BundleData.over(system, mults)
 
 
-def stratum_component_system(X, stratum) -> ComponentSystem:
-    """Component system of a geometric stratum: the pieces of the H-fixed
-    part with the normalizer permutation already computed on them."""
-    ids = tuple(f"p{i}" for i in range(len(stratum.piece_positions)))
-    return ComponentSystem(
-        X.group, stratum.isotropy, ids, dict(stratum.piece_action)
-    )
-
-
 def canonical_isotropy_bundle(
     system: ComponentSystem, component_id: str, sigma: Character
 ) -> CanonicalIsotropyBundle:

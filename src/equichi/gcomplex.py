@@ -1,9 +1,9 @@
 """Finite group actions on simplicial complexes.
 
 Covers: building and validating an action from generator images,
-regularization by barycentric subdivision, fixed subcomplexes, orbit-type
-stratification with components relative to the group, orbit spaces, and,
-as a diagnostic, orientation characters of normal data along strata.
+regularization by barycentric subdivision, orbit-type stratification with
+components relative to the group, orbit spaces, and, as a diagnostic,
+orientation characters of normal data along strata.
 
 The stratified sum and both Lefschetz routes need one fact of an action:
 every element that maps a simplex to itself fixes it pointwise.  Then the
@@ -29,13 +29,13 @@ one row of simplex positions per element (`perm`), composed from the
 generators', whose simplices are looked up by the key of their vertex
 images (`_simplex_perm`).  One key of a vertex set (`_set_keys`) serves
 those lookups and the regularity probe.  The stratification holds positions
-and runs only its checks when made; strata build their pieces, piece action
-and components when first read.  Vertex fixity, one bitmask of fixing
+and runs only its checks when made; strata build their pieces and
+components when first read.  Vertex fixity, one bitmask of fixing
 elements per vertex read off the vertex rows and carried up the facet
 table, never reads the simplex rows, so the two Lefschetz routes stay
 independent.  One table per complex (`GComplex.by_mask`) groups the
-positions by fixer mask; the fixed-set Lefschetz route, fixed subcomplexes
-and the stratification read it.  One orbit table per complex
+positions by fixer mask; the fixed-set Lefschetz route and the
+stratification read it.  One orbit table per complex
 (`GComplex.orbit_of`), one pass over the simplex rows, labels each position
 with the least position of its orbit; the vertex orbits, the verdicts on
 condition (A) and on regularity (read through `is_regular`, the only
@@ -51,7 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import add, and_, eq, mul
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -62,7 +62,7 @@ from .complexes import (
     subdivision,
 )
 from .errors import DefectError, ValidationError
-from .groups import FiniteGroup, Subgroup, compose_rows, gather, normalizer, subconjugate
+from .groups import FiniteGroup, Subgroup, compose_rows, gather, subconjugate
 
 class GComplex:
     """A simplicial complex with a validated action of a finite group.
@@ -382,46 +382,6 @@ def _require_regular(X: GComplex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fixed subcomplexes
-
-
-@dataclass(frozen=True)
-class FixedSubcomplex:
-    """The full subcomplex of H-fixed vertices in `complex`, given by its
-    ascending simplex positions; its simplices and components, the README's
-    view, are found on first use."""
-
-    complex: SimplicialComplex = field(repr=False)
-    positions: tuple[int, ...]
-
-    @cached_property
-    def simplices(self) -> frozenset[Simplex]:
-        return _simplices(self.complex.order, self.positions)
-
-    @cached_property
-    def components(self) -> tuple[frozenset[Simplex], ...]:
-        order = self.complex.order
-        components = connected_components(self.complex, self.positions)
-        return tuple(_simplices(order, c) for c in components)
-
-    def euler_characteristic(self) -> int:
-        return self.complex.euler(self.positions)
-
-
-def fixed_subcomplex(X: GComplex, H: Subgroup) -> FixedSubcomplex:
-    """Simplices all of whose vertices are fixed by every element of H: the
-    positions of the fixer masks that contain H's mask, joined from
-    `X.by_mask`.  The masks come from the rows of vertex positions alone.
-
-    For a regularized complex this is the honest fixed-point set.
-    Components are listed canonically (by least simplex).
-    """
-    hmask = sum(1 << h for h in H.elements)
-    fixed = chain.from_iterable(ps for m, ps in X.by_mask.items() if m & hmask == hmask)
-    return FixedSubcomplex(X.complex, tuple(sorted(fixed)))
-
-
-# ---------------------------------------------------------------------------
 # orbit-type stratification
 
 
@@ -462,9 +422,8 @@ class Stratum:
     `members` holds their ascending positions and `exact` those whose
     isotropy is the class representative itself, the open simplices of the
     H-fixed part (a list of `GComplex.by_mask`, shared, so only read).
-    `piece_positions` (the components of the exact part, as
-    ascending positions), `piece_action` (normalizer element -> piece
-    permutation), `components` and `open_euler` are built on first read.
+    `piece_positions` (the components of the exact part, as ascending
+    positions), `components` and `open_euler` are built on first read.
     """
 
     gcomplex: GComplex = field(repr=False, compare=False)
@@ -487,16 +446,6 @@ class Stratum:
     @cached_property
     def piece_positions(self) -> list[list[int]]:
         return connected_components(self.gcomplex.complex, self.exact)
-
-    @cached_property
-    def piece_action(self) -> dict[int, tuple[int, ...]]:
-        pieces, perm = self.piece_positions, self.gcomplex.perm
-        piece_index = {i: pid for pid, piece in enumerate(pieces) for i in piece}
-        # each piece is probed at its least position
-        return {
-            n: tuple(piece_index[perm[n][piece[0]]] for piece in pieces)
-            for n in normalizer(self.isotropy).elements
-        }
 
     def piece_vertices(self, pid: int) -> list[int]:
         """Ascending positions of the vertices of piece `pid`: a prefix, as the
@@ -792,16 +741,6 @@ class OrientationCharacter:
     subgroup: Subgroup
     basepoint: Simplex
     signs: dict[int, int] = field(compare=False)  # parent element id -> +-1
-
-    def value(self, g: int) -> int:
-        if g not in self.signs:
-            raise ValidationError(
-                f"element {g} does not stabilize the component basepoint"
-            )
-        return self.signs[g]
-
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.signs.values())
 
 
 def orientation_character(

@@ -305,10 +305,6 @@ def group_from_permutations(generators: Sequence[Sequence[int]]) -> FiniteGroup:
     return FiniteGroup(table, generators=gen_ids, perms=elements, _trusted=True)
 
 
-def group_from_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
-    return FiniteGroup(table)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of `parent`, stored as an ascending tuple of element ids."""
@@ -348,9 +344,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
 
     @cached_property
     def conjugates(self) -> dict[tuple[int, ...], list[int]]:

@@ -122,17 +122,6 @@ class MultiplicityReport:
     def lefschetz_class_function(self) -> ClassFunction:
         return _lefschetz_class_function(self.gcomplex.group, self.lefschetz)
 
-    def total_euler_characteristic(self) -> int:
-        return self.lefschetz[self.gcomplex.group.identity]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lefschetz": {str(g): l for g, l in enumerate(self.lefschetz)},
-            "multiplicities": {
-                str(j): m for j, m in enumerate(self.multiplicities)
-            },
-            "chi_rho": {str(j): c for j, c in enumerate(self.chi_rho)},
-        }
 
 
 def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:

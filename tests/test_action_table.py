@@ -18,7 +18,6 @@ from equichi import (
     CodimensionError,
     DefectError,
     SimplicialComplex,
-    Subgroup,
     ValidationError,
     build_gcomplex,
     character_table,
@@ -26,7 +25,6 @@ from equichi import (
     equivariant_multiplicities,
     euler_characteristic,
     euler_of_complex,
-    fixed_subcomplex,
     group_from_permutations,
     is_regular,
     orbit_space,
@@ -39,7 +37,7 @@ from equichi import strataformula
 from equichi.cli import main
 from equichi.gcomplex import GComplex, _ladder, _set_keys, _stratify, _subdivide
 from equichi.jsonio import group_from_json
-from equichi.groups import all_subgroups
+from equichi.groups import all_subgroups, normalizer
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
 from equichi.strataformula import strata_geometry
 from test_known_answers import B3, OCTAHEDRON_FACETS, generators
@@ -228,6 +226,21 @@ def face_components(simplices):
     return tuple(sorted(comps, key=lambda c: min((len(s), s) for s in c)))
 
 
+def piece_action(X, stratum, normal):
+    """Normalizer element -> permutation of the stratum's pieces, read off
+    the simplex rows at every position of every piece: each piece must map
+    onto exactly one piece."""
+    pieces = stratum.piece_positions
+    piece_of = {i: pid for pid, piece in enumerate(pieces) for i in piece}
+    action = {}
+    for n in normal:
+        images = [{piece_of[X.perm[n][i]] for i in piece} for piece in pieces]
+        assert all(len(image) == 1 for image in images), (stratum.index, n)
+        action[n] = tuple(image.pop() for image in images)
+        assert sorted(action[n]) == list(range(len(pieces)))
+    return action
+
+
 def check_stratification(R, ref):
     G = R.group
     by_iso = {}
@@ -260,7 +273,7 @@ def check_stratification(R, ref):
             assert comp.dim == max(len(s) for s in swept) - 1
             covered |= simplices_at(R.complex, comp.swept)
         assert covered == simplices
-        for n, perm in stratum.piece_action.items():
+        for n, perm in piece_action(R, stratum, normalizer(stratum.isotropy).elements).items():
             for i, piece in enumerate(pieces):
                 target = pieces[perm[i]]
                 assert all(ref.images[s][n] in target for s in piece)
@@ -293,9 +306,6 @@ def check_orbit_space(R, ref):
         assert geometry.principal_relative == (
             euler_of_complex(Q.complex) - euler_characteristic(Q.project(singular))
         )
-    for H in all_subgroups(R.group):
-        fixed = fixed_subcomplex(R, H)
-        assert fixed.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in fixed.simplices)
 
 
 @pytest.mark.parametrize("G, maximal, maps", list(parity_actions()))
@@ -533,8 +543,9 @@ def b3_slice():
 
 
 def test_components_read_one_orbit_table_per_complex(monkeypatch):
-    """The components group pieces on the orbit table, without the piece
-    action, and every orbit question on a complex reads one table."""
+    """The components group pieces on the orbit table, and each component's
+    pieces are one orbit of the piece action built from the simplex rows;
+    every orbit question on a complex reads one table."""
     gens, faces = ROTATION_ACTIONS["a5-icosahedron"]
     actions = [(group_from_permutations(gens), faces, gens), *b3_slice()]
     assert len(actions) == 34
@@ -544,9 +555,9 @@ def test_components_read_one_orbit_table_per_complex(monkeypatch):
         st = orbit_type_stratification(R)
         for stratum in st.strata:
             assert stratum.open_euler == sum(c.closure_euler - c.lower_euler for c in stratum.components)
-            assert "piece_action" not in vars(stratum)
+            action = piece_action(R, stratum, normalizer(stratum.isotropy).elements)
             for c in stratum.components:
-                orbit = {stratum.piece_action[n][c.piece_indices[0]] for n in stratum.piece_action}
+                orbit = {perm[c.piece_indices[0]] for perm in action.values()}
                 assert orbit == set(c.piece_indices)
         assert is_regular(R) and orbit_space(R).vertex_orbit
         assert R.vertex_orbits() and R in built
@@ -642,8 +653,6 @@ GCOMPLEX_SOURCE = Path(__file__).resolve().parent.parent / "src" / "equichi" / "
 # tuples (`order`, `index` or `simplices`), and why it may
 TUPLE_READERS = {
     "_raise_non_simplicial": "the witness rescan names the first failing simplex in canonical order",
-    "FixedSubcomplex.simplices": "the README documents fixed_subcomplex",
-    "FixedSubcomplex.components": "the README documents fixed_subcomplex",
     "StratumComponent.closure": "the benchmark projects it into the orbit space",
     "StratumComponent.lower": "the benchmark projects it into the orbit space",
     "orbit_space": "the README documents the quotient, built on vertex tuples",
@@ -869,7 +878,7 @@ def test_subdivision_ladder_keeps_chi_rho():
 # field built on first read matches a brute-force reference, and `verify`
 # counts the principal stratum without building its components
 
-STRATUM_FIELDS = {"open_euler", "piece_positions", "piece_action", "components"}
+STRATUM_FIELDS = {"open_euler", "piece_positions", "components"}
 
 
 def check_lazy_strata(R, ref):
@@ -897,14 +906,15 @@ def check_lazy_strata(R, ref):
             assert piece == sorted(index[s] for s in pieces[pid])
             assert stratum.piece_vertices(pid) == sorted(index[s] for s in pieces[pid] if len(s) == 1)
         normal = [g for g in range(G.order) if sorted(G.conjugate(g, a) for a in H) == list(H)]
-        assert sorted(stratum.piece_action) == normal
-        for n, perm in stratum.piece_action.items():
+        assert list(normalizer(stratum.isotropy).elements) == normal
+        action = piece_action(R, stratum, normal)
+        for n, perm in action.items():
             for pid, piece in enumerate(pieces):
                 assert {ref.images[s][n] for s in piece} == pieces[perm[pid]]
         total = 0
         listed = []
         for comp in stratum.components:
-            assert {stratum.piece_action[n][comp.piece_indices[0]] for n in normal} == set(comp.piece_indices)
+            assert {action[n][comp.piece_indices[0]] for n in normal} == set(comp.piece_indices)
             listed.extend(comp.piece_indices)
             swept = {image for pid in comp.piece_indices for s in pieces[pid] for image in ref.images[s]}
             closure = faces(swept)
@@ -932,9 +942,7 @@ def check_mask_table(R, ref):
     assert R.by_mask == {m: sorted(ps) for m, ps in table.items()}
     for g in range(R.group.order):
         fixed = [s for s, iso in ref.isotropy.items() if g in iso]
-        cyclic = Subgroup.generated(R.group, [g])
         assert lefschetz_number_fixed(R, g) == euler_characteristic(fixed)
-        assert lefschetz_number_fixed(R, g) == fixed_subcomplex(R, cyclic).euler_characteristic()
 
 
 @pytest.mark.parametrize("G, maximal, maps", list(parity_actions()))

@@ -19,7 +19,6 @@ from equichi import (
     character_table,
     decompose,
     group_from_permutations,
-    group_from_table,
     induce,
     inner_product,
     restrict,
@@ -362,7 +361,7 @@ def as_relabelled_table(gens):
     for a in range(n):
         for b in range(n):
             table[n - 1 - a][n - 1 - b] = n - 1 - G.mul(a, b)
-    return group_from_table(table)
+    return FiniteGroup(table)
 
 
 def corpus_group(cid):
@@ -778,7 +777,7 @@ def abelian_groups():
         "C2^4-relabelled": (as_relabelled_table, cycles(2, 2, 2, 2)),
         "C4xC6-relabelled": (as_relabelled_table, cycles(4, 6)),
         "C2xC4-default-generators": (
-            group_from_table, group_from_permutations(cycles(2, 4)).table
+            FiniteGroup, group_from_permutations(cycles(2, 4)).table
         ),
         "V4-generators-[1]": (
             lambda table: FiniteGroup(table, generators=[1]),
@@ -844,7 +843,7 @@ def test_magma_generators_are_walked_once_per_group(monkeypatch):
     prop.__set_name__(FiniteGroup, "_magma_generators")
     monkeypatch.setattr(FiniteGroup, "_magma_generators", prop)
     flips = [[i ^ (1 << k) for i in range(128)] for k in range(7)]
-    G = group_from_table(group_from_permutations(flips).table)
+    G = FiniteGroup(group_from_permutations(flips).table)
     assert walks == [G] and len(G._magma_generators) == 7
     rows = character_table(G)
     _certify_table(G, rows)

@@ -2,7 +2,7 @@
 
 The multiplicities of `_multiplicities` must equal `inner_product` of the
 Lefschetz class function with each irreducible, and every factor
-chi_rho(G/H) must equal deg(rho) * cyc_sum(rho over H) / |H|, for every
+chi_rho(G/H) must equal deg(rho) * sum(rho over H) / |H|, for every
 irreducible and one subgroup per conjugacy class, through
 `chi_rho_homogeneous`, and through the breakdowns where the codimension
 guard lets them run.  The actions are the
@@ -23,7 +23,6 @@ from equichi import (
     inner_product,
 )
 from equichi.characters import attach_character_table, cyc_to_json, table_to_json
-from equichi.cyclotomic import cyc_sum
 from equichi.gcomplex import _ladder, _stratify
 from equichi.groups import all_subgroups
 from equichi.lefschetz import _multiplicities
@@ -87,7 +86,7 @@ ACTIONS.update({
 
 
 def reference_homogeneous(G, H, rho):
-    return rho.degree * (cyc_sum(map(rho, H.elements)) / H.order).as_integer()
+    return rho.degree * (sum(map(rho, H.elements)) / H.order).as_integer()
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))

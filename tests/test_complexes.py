@@ -5,7 +5,7 @@ from itertools import accumulate, chain, combinations
 
 import pytest
 
-from equichi import SimplicialComplex, ValidationError, barycentric_subdivision, corpus
+from equichi import SimplicialComplex, ValidationError, corpus, subdivision
 from equichi.complexes import connected_components, euler_characteristic, euler_of_complex
 
 OCT_TRIS = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
@@ -91,14 +91,14 @@ def test_euler_characteristic_of_standard_shapes():
 def test_barycentric_subdivision_preserves_euler():
     for maximal in [OCT_TRIS, [[0, 1]], [[0, 1, 2]], [[0, 1], [1, 2], [0, 2]]]:
         K = SimplicialComplex.from_maximal(maximal)
-        Sd, _ = barycentric_subdivision(K)
+        Sd = subdivision(K)
         assert euler_of_complex(Sd) == euler_of_complex(K)
         assert Sd.dim == K.dim
 
 
 def test_barycentric_subdivision_counts():
     K = octahedron()
-    Sd, vmap = barycentric_subdivision(K)
+    Sd, vmap = subdivision(K), K.index
     # one new vertex per original simplex
     assert Sd.f_vector()[0] == sum(K.f_vector())
     assert Sd.f_vector() == (26, 72, 48)
@@ -109,7 +109,7 @@ def test_barycentric_subdivision_counts():
 def test_barycentric_subdivision_of_a_non_pure_complex_is_its_chains():
     # a triangle, a dangling edge and an isolated vertex
     K = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3], [4]])
-    Sd, vmap = barycentric_subdivision(K)
+    Sd, vmap = subdivision(K), K.index
     order = K.order
     assert vmap == K.index == {s: i for i, s in enumerate(order)}
     chains = {
@@ -272,7 +272,7 @@ def corpus_complexes():
         for level in range(4):
             yield f"{cid}:sd{level}", K
             if level < 3:
-                K = barycentric_subdivision(K)[0]
+                K = subdivision(K)
 
 
 def brute_components(order, members):
@@ -322,7 +322,7 @@ def subdivision_cases():
 
 def test_subdivision_equals_the_chain_reference():
     for name, K in subdivision_cases():
-        Sd, vmap = barycentric_subdivision(K)
+        Sd, vmap = subdivision(K), K.index
         order, index = chain_subdivision(K)
         assert Sd.order == order, name
         assert vmap == index, name

@@ -13,9 +13,7 @@ from equichi import (
     group_from_permutations,
     is_adapted,
     normalizer,
-    orbit_type_stratification,
     restrict,
-    stratum_component_system,
     trivial_index,
     twist_index_map,
     twist_irrep,
@@ -267,33 +265,3 @@ def test_canonical_selection_picks_lowest_ambient_index():
     cib = canonical_isotropy_bundle(sys, "a0", sigma)
     assert cib.ambient_index == 0
 
-
-def test_stratum_component_system_from_rotation_action(regular_cases):
-    X = regular_cases["s2-pi-rotation"]
-    st = orbit_type_stratification(X)
-    sys = stratum_component_system(X, st.strata[1])
-    assert len(sys.component_ids) == 2
-    assert sys.H.elements == (0, 1)
-    # both fixed poles are preserved by the whole group
-    for n in sys.normalizer_elements:
-        assert sys.action[n] == (0, 1)
-
-
-def test_stratum_component_system_from_klein_action(regular_cases):
-    # each singular stratum is one orbit of two antipodal fixed vertices:
-    # the isotropy fixes both pieces, the other two elements swap them
-    X = regular_cases["s2-klein-four"]
-    st = orbit_type_stratification(X)
-    for s in st.strata:
-        if s.is_principal:
-            continue
-        sys = stratum_component_system(X, s)
-        assert sys.component_ids == ("p0", "p1")
-        assert len(sys.normalizer_elements) == 4
-        assert set(sys.stabilizer(0).elements) == set(s.isotropy.elements)
-        swaps = [n for n, perm in sys.action.items() if perm == (1, 0)]
-        assert sorted(swaps) == [g for g in range(4) if g not in s.isotropy.elements]
-        HG, _ = sys.H.as_group()
-        table = character_table(HG)
-        cib = canonical_isotropy_bundle(sys, "p0", table[trivial_index(HG)])
-        assert is_adapted(cib.bundle, cib.piece)

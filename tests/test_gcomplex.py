@@ -5,11 +5,9 @@ import pytest
 from equichi import (
     FiniteGroup,
     SimplicialComplex,
-    Subgroup,
     ValidationError,
     build_gcomplex,
     euler_of_complex,
-    fixed_subcomplex,
     group_from_permutations,
     is_regular,
     orbit_space,
@@ -163,27 +161,6 @@ def test_regularize_preserves_euler(cases, regular_cases):
         assert before == after, cid
 
 
-def test_fixed_subcomplex_of_trivial_subgroup_is_everything(regular_cases):
-    X = regular_cases["s2-pi-rotation"]
-    fs = fixed_subcomplex(X, Subgroup.generated(X.group, []))
-    assert set(fs.simplices) == set(X.complex.simplices)
-    assert len(fs.components) == 1
-
-
-def test_fixed_subcomplex_of_half_rotation_is_two_poles(regular_cases):
-    X = regular_cases["s2-pi-rotation"]
-    fs = fixed_subcomplex(X, Subgroup.generated(X.group, [0, 1]))
-    assert sorted(fs.simplices) == [(2,), (5,)]
-    assert len(fs.components) == 2
-
-
-def test_fixed_subcomplex_of_free_action_is_empty(regular_cases):
-    X = regular_cases["s2-antipodal"]
-    fs = fixed_subcomplex(X, Subgroup.generated(X.group, [0, 1]))
-    assert fs.simplices == frozenset()
-    assert fs.components == ()
-
-
 def test_stratification_shapes_frozen(regular_cases):
     for cid, expected in STRATA_SHAPES.items():
         st = orbit_type_stratification(regular_cases[cid])
@@ -285,8 +262,7 @@ def test_orientation_characters_of_rotation_fixed_points_are_trivial(regular_cas
                 continue
             for comp in s.components:
                 oc = orientation_character(regular_cases[cid], s, comp)
-                assert oc.is_trivial(), (cid, s.index, comp.index)
-                assert all(v == 1 for v in oc.signs.values())
+                assert set(oc.signs.values()) == {1}, (cid, s.index, comp.index)
 
 
 def test_orientation_character_is_multiplicative(regular_cases):

@@ -11,7 +11,6 @@ from equichi import (
     ValidationError,
     all_subgroups,
     group_from_permutations,
-    group_from_table,
     groups,
     normalizer,
     subconjugate,
@@ -82,16 +81,16 @@ def test_group_axioms_hold_on_the_table():
 
 def test_relabelled_identity_is_found():
     # Z/3 addition written so the identity sits at index 2
-    G = group_from_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    G = FiniteGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
     assert G.identity == 2
     assert G.order == 3
 
 
 def test_degenerate_tables_rejected():
     with pytest.raises(ValidationError):
-        group_from_table([[1, 0], [1, 0]])  # repeated rows, no inverse
+        FiniteGroup([[1, 0], [1, 0]])  # repeated rows, no inverse
     with pytest.raises(ValidationError):
-        group_from_table([[0, 1], [0, 1]])
+        FiniteGroup([[0, 1], [0, 1]])
 
 
 @pytest.mark.parametrize(
@@ -104,13 +103,13 @@ def test_degenerate_tables_rejected():
 )
 def test_latin_square_without_two_sided_identity_rejected(table):
     with pytest.raises(ValidationError, match="^table has no identity element$"):
-        group_from_table(table)
+        FiniteGroup(table)
 
 
 def test_non_associative_table_rejected():
     bad = [[0, 1], [1, 1]]
     with pytest.raises(ValidationError):
-        group_from_table(bad)
+        FiniteGroup(bad)
 
 
 def test_size_cap_enforced():
@@ -394,5 +393,5 @@ def test_non_associative_loop_above_order_64_rejected(r, c):
             table[a][b] = (table[a][b] + h) % n
     assert all(table[0][x] == x == table[x][0] for x in range(n))
     with pytest.raises(ValidationError, match="non-associative table"):
-        group_from_table(table)
+        FiniteGroup(table)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from equichi import Cyc, character_table, group_from_permutations, group_from_table
+from equichi import Cyc, FiniteGroup, character_table, group_from_permutations
 from equichi.characters import CHARACTER_TABLE_ORDER_CAP, attach_character_table, table_to_json
 from equichi.groups import DEFAULT_SIZE_CAP
 from equichi.jsonio import canonical_json
@@ -49,7 +49,7 @@ def relabelled_table(gens):
     for a in range(n):
         for b in range(n):
             table[n - 1 - a][n - 1 - b] = n - 1 - G.mul(a, b)
-    return group_from_table(table)
+    return FiniteGroup(table)
 
 
 GOLDEN_GROUPS = {
