@@ -76,7 +76,6 @@ from .lefschetz import (
 from .strataformula import (
     StrataEulerBreakdown,
     VerifyReport,
-    chi_rho_homogeneous,
     equivariant_euler_via_strata,
     strata_geometry,
     verify_strata_vs_oracle,
@@ -115,7 +114,6 @@ __all__ = [
     "build_gcomplex",
     "canonical_isotropy_bundle",
     "character_table",
-    "chi_rho_homogeneous",
     "decompose",
     "distributional_pairing",
     "equivariant_euler_via_strata",

@@ -250,11 +250,16 @@ def decompose(cf: ClassFunction) -> tuple[tuple[Character, int], ...]:
     nonnegative integers; raises otherwise)."""
     result = []
     for chi in character_table(cf.group):
-        m = inner_product(cf, chi).as_integer()
+        value = inner_product(cf, chi)
+        m = value.as_rational()
+        if m is None or m.denominator != 1:
+            raise ValidationError(
+                f"not a genuine character: multiplicity of irreducible {chi.index} is {value!r}"
+            )
         if m < 0:
             raise ValidationError("not a genuine character: negative multiplicity")
         if m:
-            result.append((chi, m))
+            result.append((chi, int(m)))
     return tuple(result)
 
 

@@ -35,7 +35,7 @@ from .characters import character_table
 from .errors import CodimensionError, DefectError, ValidationError
 from .finedecomp import canonical_isotropy_bundle, fine_decomposition, is_adapted
 from .complexes import euler_of_complex
-from .gcomplex import _ladder, _stratify
+from .gcomplex import _ladder, orbit_type_stratification
 from .jsonio import (
     bundle_from_json,
     canonical_json,
@@ -113,7 +113,7 @@ def _cmd_strata(args) -> tuple[dict, int]:
         rows = list(table)
     code = EXIT_OK
     skipped = None
-    strat = _stratify(X)
+    strat = orbit_type_stratification(X)
     try:
         geometry = StrataGeometry(X.group, strat)
         breakdowns = [geometry.breakdown(rho).to_json_dict() for rho in rows]

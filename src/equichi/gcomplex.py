@@ -20,7 +20,10 @@ sd K is regular whenever K satisfies (A).  So `_ladder` finds the first
 complex L of the ladder X, sd X that satisfies (A), one subdivision at
 most, and counts the subdivisions to regularity without building them:
 L's own if L is regular, else one more.  `verify` and `strata` compute on
-L; `regularize` subdivides L once more when it is not regular.
+L; `regularize` subdivides L once more when it is not regular.  The
+stratification and both Lefschetz routes check (A) and nothing more
+(`_require_condition_a`); only `orbit_space`, which builds the quotient as
+a complex, and `orientation_character` ask for regularity.
 
 Simplices are numbered by their positions in the complex's canonical order,
 and every action question is asked and answered by position.  The action is
@@ -42,8 +45,7 @@ condition (A) and on regularity (read through `is_regular`, the only
 regularity state), the stratum components and the orbit space read it.
 Under condition (A) simplex orbits and cells of the orbit space
 correspond, so Euler numbers of the orbit space are signed counts of the
-positions that label their orbit.  Only `orbit_space` builds the quotient
-as a complex, which needs regularity.
+positions that label their orbit.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ class GComplex:
     isotropy, the bitmask (bit g for g) of the elements fixing it pointwise;
     `by_mask` the ascending positions of each mask, `orbit_of[i]` the
     least position of the orbit of position i, `condition_a` the verdict on
-    Bredon's condition (A) that `_ladder` reads, and `faithful` the verdict
-    on regularity that `is_regular` reads; each is built on first use and
-    cached.
+    Bredon's condition (A) that `_ladder` and `_require_condition_a` read,
+    and `faithful` the verdict on regularity that `is_regular` reads; each
+    is built on first use and cached.
     """
 
     def __init__(
@@ -381,6 +383,11 @@ def _require_regular(X: GComplex) -> None:
         raise ValidationError("operation requires a regularized complex")
 
 
+def _require_condition_a(X: GComplex) -> None:
+    if not X.condition_a:
+        raise ValidationError("operation requires an action satisfying condition (A)")
+
+
 # ---------------------------------------------------------------------------
 # orbit-type stratification
 
@@ -512,23 +519,15 @@ def _simplices(order: Sequence[Simplex], positions: Iterable[int]) -> frozenset[
 
 
 def orbit_type_stratification(X: GComplex) -> Stratification:
-    """Group simplices by isotropy conjugacy class (see `_stratify`); the
-    action must be regular (`is_regular`)."""
-    _require_regular(X)
-    return _stratify(X)
-
-
-def _stratify(X: GComplex) -> Stratification:
     """Group simplices by isotropy conjugacy class, in an order extending the
     subconjugacy partial order (ascending isotropy order, canonical class
     representative as tie-break; the principal class comes first).
 
-    The action must satisfy condition (A), so that every simplex lies in the
-    stratum of the isotropy of its interior points; `verify` and `strata`
-    call this on `_ladder`'s complex.  Only these checks run here, in this
-    order: the first class must be the unique minimal one, and the principal
-    stratum must be dense.  Each stratum builds its simplex sets, pieces and
-    components when they are first read.
+    Only these checks run here, in this order: the action must satisfy
+    condition (A), so that every simplex lies in the stratum of the isotropy
+    of its interior points; the first class must be the unique minimal one;
+    and the principal stratum must be dense.  Each stratum builds its
+    simplex sets, pieces and components when they are first read.
 
     Density asks that every simplex be a face of a principal simplex.  That
     holds exactly when every maximal simplex is principal: a maximal simplex
@@ -538,6 +537,7 @@ def _stratify(X: GComplex) -> Stratification:
     regularity: a simplex with isotropy gHg^-1 is g times one with
     isotropy H, so it lies in the sweep of some piece.
     """
+    _require_condition_a(X)
     K = X.complex
     masks, by_mask = X.masks, X.by_mask
     class_of: dict[int, tuple[int, ...]] = {}  # every conjugate mask -> class representative

@@ -18,9 +18,12 @@ fixed pointwise, so that the chains split into permutation modules (tom
 Dieck, *Transformation Groups*, 1987, II.1).  Bredon's condition (A), no
 edge joining two vertices of one orbit, gives that, and sd K satisfies it
 for any K (Bredon, *Introduction to Compact Transformation Groups*, 1972,
-III.1).  The public functions ask for a regular action, as they always
-have; `verify` and `strata` call `_multiplicities` on the first complex of
-the subdivision ladder that satisfies (A).
+III.1).  Each route checks (A) and nothing more, so `verify` and `strata`
+call `equivariant_multiplicities` on the first complex of the subdivision
+ladder that satisfies (A).  On an action that fails (A) neither count need
+be L(g): the flip of an interval fixes no simplex pointwise and maps the
+edge to itself, so the fixed-set count is 0 and the trace count -1, yet
+L = 1.
 
 Averaging against irreducible characters then yields the multiplicity of
 each irreducible in the alternating sum of (co)homology; exact integrality
@@ -47,7 +50,7 @@ from .characters import (
 )
 from .cyclotomic import Cyc
 from .errors import DefectError, ValidationError
-from .gcomplex import GComplex, is_regular
+from .gcomplex import GComplex, _require_condition_a
 from .groups import FiniteGroup
 
 
@@ -56,19 +59,10 @@ def _require_element(X: GComplex, g: int) -> None:
         raise ValidationError(f"element {g} is not an element id in [0, {X.group.order - 1}]")
 
 
-def _require_traces(X: GComplex) -> None:
-    if not is_regular(X):
-        raise ValidationError("Lefschetz traces require a regularized complex")
-
-
 def lefschetz_number_trace(X: GComplex, g: int) -> int:
-    _require_element(X, g)
-    _require_traces(X)
-    return _trace(X, g)
-
-
-def _trace(X: GComplex, g: int) -> int:
     """The alternating count of the positions that g's row keeps."""
+    _require_element(X, g)
+    _require_condition_a(X)
     positions = X.complex.positions
     return X.complex.euler(compress(positions, map(eq, X.perm[g], positions)))
 
@@ -76,20 +70,16 @@ def _trace(X: GComplex, g: int) -> int:
 def lefschetz_number_fixed(X: GComplex, g: int) -> int:
     """chi of the subcomplex fixed pointwise by g: the positions of the fixer
     masks in `X.by_mask` that have bit g.  A fixer mask is a subgroup, so it
-    holds <g> exactly when it holds g."""
+    holds <g> exactly when it holds g.  That chi is L(g) under condition
+    (A); without it, g can fix the barycentre of a simplex it flips."""
     _require_element(X, g)
+    _require_condition_a(X)
     return X.complex.euler(chain.from_iterable(ps for m, ps in X.by_mask.items() if m >> g & 1))
 
 
 def lefschetz_number(X: GComplex, g: int) -> int:
     """L(g), computed both ways; disagreement is an internal defect."""
-    _require_element(X, g)
-    _require_traces(X)
-    return _lefschetz_number(X, g)
-
-
-def _lefschetz_number(X: GComplex, g: int) -> int:
-    via_trace = _trace(X, g)
+    via_trace = lefschetz_number_trace(X, g)
     via_fixed = lefschetz_number_fixed(X, g)
     if via_trace != via_fixed:
         raise DefectError(
@@ -123,15 +113,7 @@ class MultiplicityReport:
         return _lefschetz_class_function(self.gcomplex.group, self.lefschetz)
 
 
-
 def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
-    """ind(rho) = (1/|G|) sum_g L(g) conj(chi_rho(g)), exactly, for every rho
-    (see `_multiplicities`); the action must be regular."""
-    _require_traces(X)
-    return _multiplicities(X)
-
-
-def _multiplicities(X: GComplex) -> MultiplicityReport:
     """ind(rho) = (1/|G|) sum_g L(g) conj(chi_rho(g)), exactly, for every rho;
     the action must satisfy condition (A).
 
@@ -140,7 +122,7 @@ def _multiplicities(X: GComplex) -> MultiplicityReport:
     divisible by |G| D, D the row's denominator.  The Cyc values of
     `inner_product` are built only to name a failure."""
     G = X.group
-    numbers = tuple(_lefschetz_number(X, g) for g in range(G.order))
+    numbers = tuple(lefschetz_number(X, g) for g in range(G.order))
     table = character_table(G)
     classes = G.conjugacy_classes()
     sizes = [len(c) for c in classes]

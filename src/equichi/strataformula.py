@@ -7,9 +7,10 @@ space is a G-CW complex with one cell per simplex orbit (tom Dieck,
 *Transformation Groups*, 1987, II.1).  Bredon's condition (A), no edge
 joining two vertices of one orbit, gives that fact, and sd K satisfies (A)
 for any K (Bredon, *Introduction to Compact Transformation Groups*, 1972,
-III.1); so `verify_strata_vs_oracle` computes on the first complex of the
-ladder X, sd X that satisfies (A), and reports the subdivision count of the
-first regular one, which it does not build.  Frobenius reciprocity then
+III.1).  So the stratification asks for (A) and nothing more, and
+`verify_strata_vs_oracle` computes on the first complex of the ladder
+X, sd X that satisfies (A), and reports the subdivision count of the first
+regular one, which it does not build.  Frobenius reciprocity then
 gives the rho-isotypical Euler characteristic as a sum over the strata, the
 equivariant Euler characteristic in the Burnside ring (tom Dieck, 1987):
 
@@ -38,21 +39,9 @@ from .characters import Character, _lifted_row, _weighted_sum, character_table
 from .complexes import euler_of_complex
 from .cyclotomic import Cyc
 from .errors import CodimensionError, DefectError, ValidationError
-from .gcomplex import GComplex, Stratification, _ladder, _stratify, orbit_type_stratification
+from .gcomplex import GComplex, Stratification, _ladder, orbit_type_stratification
 from .groups import FiniteGroup, Subgroup
-from .lefschetz import _multiplicities
-
-
-def chi_rho_homogeneous(G: FiniteGroup, H: Subgroup, rho: Character) -> int:
-    """chi_rho of the homogeneous space G/H: deg(rho) * <Res_H chi_rho, 1>_H,
-    an exact integer; the pairing is the average of rho over H, taken over
-    the class counts of H.  A rho that does not average to an integer is
-    not a character: a ValidationError."""
-    if rho.group is not G:
-        raise ValidationError("character lives on a different group")
-    if H.parent is not G:
-        raise ValidationError("subgroup lives in a different group")
-    return _homogeneous(rho, _class_counts(H))
+from .lefschetz import equivariant_multiplicities
 
 
 def _class_counts(H: Subgroup) -> list[int]:
@@ -210,7 +199,8 @@ class StrataGeometry:
 
 def strata_geometry(X: GComplex) -> StrataGeometry:
     """Build the rho-independent part of the stratified sum, with every
-    geometric input derived from the complex itself."""
+    geometric input derived from the complex itself; the action must
+    satisfy condition (A)."""
     return StrataGeometry(X.group, orbit_type_stratification(X))
 
 
@@ -287,31 +277,14 @@ def verify_strata_vs_oracle(X: GComplex) -> VerifyReport:
     """
     X, subdivisions = _ladder(X)
     chi_m = euler_of_complex(X.complex)
-    report = _multiplicities(X)
-    table = character_table(X.group)
-    rows: list[VerifyRow] = []
+    report = equivariant_multiplicities(X)
     try:
-        geometry = StrataGeometry(X.group, _stratify(X))
-        for rho in table:
-            breakdown = geometry.breakdown(rho)
-            rows.append(
-                VerifyRow(
-                    rho_index=rho.index,
-                    degree=rho.degree,
-                    oracle=report.chi_rho[rho.index],
-                    formula=breakdown.total,
-                )
-            )
-    except CodimensionError as exc:
-        return VerifyReport(
-            rows=(),
-            skipped=str(exc),
-            subdivisions=subdivisions,
-            euler_characteristic=chi_m,
+        geometry = strata_geometry(X)
+        rows = tuple(
+            VerifyRow(rho.index, rho.degree, report.chi_rho[rho.index], geometry.breakdown(rho).total)
+            for rho in character_table(X.group)
         )
-    return VerifyReport(
-        rows=tuple(rows),
-        skipped=None,
-        subdivisions=subdivisions,
-        euler_characteristic=chi_m,
-    )
+        skipped = None
+    except CodimensionError as exc:
+        rows, skipped = (), str(exc)
+    return VerifyReport(rows, skipped, subdivisions, chi_m)

@@ -35,7 +35,7 @@ from equichi import (
 )
 from equichi import strataformula
 from equichi.cli import main
-from equichi.gcomplex import GComplex, _ladder, _set_keys, _stratify, _subdivide
+from equichi.gcomplex import GComplex, _ladder, _set_keys, _subdivide
 from equichi.jsonio import group_from_json
 from equichi.groups import all_subgroups, normalizer
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
@@ -420,8 +420,8 @@ def test_orbit_walk_matches_reference_on_non_regular_actions(name):
 
 class ReportsRegular(GComplex):
     """A test double whose verdicts report the action regular and satisfying
-    condition (A), whatever the orbit table's probe finds: `regularize` and
-    the public routes read the first, `verify` and `strata` the second.  The
+    condition (A), whatever the orbit table's probe finds: `regularize` reads
+    the first, the stratification and the Lefschetz routes the second.  The
     trace and fixed-set Lefschetz routes read `perm` and the fixer masks,
     never a verdict, so the dual-route check still sees the action as it is."""
 
@@ -457,17 +457,27 @@ UNREGULARIZED_VERIFY = {
 
 @pytest.mark.parametrize("name", list(NON_REGULAR_ACTIONS))
 def test_stratified_route_rejects_non_regular_actions_flagged_regular(name):
-    """Unregularized, the stratification and the orbit space reject the
-    action, and `verify` first walks the ladder to condition (A); flagged
+    """Unregularized, the orbit space rejects every action and the
+    stratified route each one that fails condition (A); half-turn-square
+    satisfies (A), so the route computes on it what it computes on the
+    regular complex.  `verify` first walks the ladder to (A); flagged
     regular and satisfying (A), an action whose Lefschetz routes disagree
     fails the dual-route check."""
     gens, maximal, images = NON_REGULAR_ACTIONS[name]
     G = group_from_permutations(gens)
     X = build_gcomplex(SimplicialComplex.from_maximal(maximal), G, images)
-    for run in (strata_geometry, orbit_space):
+    with pytest.raises(ValidationError) as err:
+        orbit_space(X)
+    assert str(err.value) == "operation requires a regularized complex"
+    assert X.condition_a == (name == "half-turn-square")
+    if X.condition_a:
+        geometry, reference = strata_geometry(X), strata_geometry(regularize(X))
+        for rho in character_table(G):
+            assert geometry.breakdown(rho) == reference.breakdown(rho)
+    else:
         with pytest.raises(ValidationError) as err:
-            run(X)
-        assert str(err.value) == "operation requires a regularized complex"
+            strata_geometry(X)
+        assert str(err.value) == "operation requires an action satisfying condition (A)"
     expected = UNREGULARIZED_VERIFY[name]
     if isinstance(expected, str):
         with pytest.raises(ValidationError) as err:
@@ -958,10 +968,10 @@ def test_verify_never_builds_the_principal_components(monkeypatch, G, maximal, m
     built = []
 
     def recorded(X):
-        built.append(_stratify(X))
+        built.append(orbit_type_stratification(X))
         return built[-1]
 
-    monkeypatch.setattr(strataformula, "_stratify", recorded)
+    monkeypatch.setattr(strataformula, "orbit_type_stratification", recorded)
     report = verify_strata_vs_oracle(build(G, maximal, maps))
     assert report.skipped is not None or report.all_match
     (strat,) = built

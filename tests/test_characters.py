@@ -324,6 +324,21 @@ def test_decompose_round_trips_sums_of_irreducibles():
     assert sorted((c.index, m) for c, m in decompose(cf)) == [(0, 2), (2, 3)]
 
 
+@pytest.mark.parametrize("at_identity, elsewhere, text", [
+    # 1 at the identity of C3 pairs to 1/3 with every irreducible
+    (1, 0, "not a genuine character: multiplicity of irreducible 0 is 1/3"),
+    # minus the trivial character
+    (-1, -1, "not a genuine character: negative multiplicity"),
+])
+def test_decompose_rejects_a_class_function_that_is_no_character(at_identity, elsewhere, text):
+    G = group_from_permutations([[1, 2, 0]])
+    one = G.class_of(G.identity)
+    values = tuple(Cyc.rational(at_identity if c == one else elsewhere) for c in range(3))
+    with pytest.raises(ValidationError) as err:
+        decompose(ClassFunction(G, values))
+    assert str(err.value) == text
+
+
 # ---------------------------------------------------------------------------
 # the integer pairing kernel against a plain Cyc loop
 

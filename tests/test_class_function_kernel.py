@@ -1,11 +1,11 @@
 """The integer class-function kernel against the Cyc references.
 
-The multiplicities of `_multiplicities` must equal `inner_product` of the
-Lefschetz class function with each irreducible, and every factor
-chi_rho(G/H) must equal deg(rho) * sum(rho over H) / |H|, for every
-irreducible and one subgroup per conjugacy class, through
-`chi_rho_homogeneous`, and through the breakdowns where the codimension
-guard lets them run.  The actions are the
+The multiplicities of `equivariant_multiplicities` must equal
+`inner_product` of the Lefschetz class function with each irreducible, and
+every factor chi_rho(G/H) must equal deg(rho) * sum(rho over H) / |H|, for
+every irreducible and one subgroup per conjugacy class, through
+`_homogeneous` on the class counts of H, and through the breakdowns where
+the codimension guard lets them run.  The actions are the
 corpus, the rotation groups, S5, D30 and C2^4, and tables attached at a
 conductor other than the exponent N (2N, and 1 for a rational table)."""
 
@@ -17,16 +17,16 @@ from equichi import (
     CodimensionError,
     Cyc,
     character_table,
-    chi_rho_homogeneous,
     corpus,
+    equivariant_multiplicities,
     group_from_permutations,
     inner_product,
+    orbit_type_stratification,
 )
 from equichi.characters import attach_character_table, cyc_to_json, table_to_json
-from equichi.gcomplex import _ladder, _stratify
+from equichi.gcomplex import _ladder
 from equichi.groups import all_subgroups
-from equichi.lefschetz import _multiplicities
-from equichi.strataformula import StrataGeometry
+from equichi.strataformula import StrataGeometry, _class_counts, _homogeneous
 from test_action_table import ROTATION_ACTIONS, build, corpus_action, suspended_polygon
 
 
@@ -94,15 +94,15 @@ def test_integer_kernel_matches_the_cyc_references(name):
     G, maximal, maps = ACTIONS[name]()
     table = character_table(G)
     X, _ = _ladder(build(G, maximal, maps))
-    report = _multiplicities(X)
+    report = equivariant_multiplicities(X)
     lefschetz = report.lefschetz_class_function()
     for chi in table:
         assert inner_product(lefschetz, chi) == Cyc.rational(report.multiplicities[chi.index])
     classes = {H.canonical_class_representative().elements: H for H in all_subgroups(G)}
     for H in classes.values():
         for rho in table:
-            assert chi_rho_homogeneous(G, H, rho) == reference_homogeneous(G, H, rho), (H, rho.index)
-    strata = _stratify(X)
+            assert _homogeneous(rho, _class_counts(H)) == reference_homogeneous(G, H, rho), (H, rho.index)
+    strata = orbit_type_stratification(X)
     try:
         geometry = StrataGeometry(G, strata)
     except CodimensionError:  # a reflection fixes a hyperplane

@@ -171,10 +171,10 @@ def test_strata_stratifies_once_when_the_guard_fires(tmp_path, capsys, monkeypat
 
     def counted(X):
         calls.append(X)
-        return gcomplex._stratify(X)
+        return gcomplex.orbit_type_stratification(X)
 
     for module in (strataformula, cli):
-        monkeypatch.setattr(module, "_stratify", counted)
+        monkeypatch.setattr(module, "orbit_type_stratification", counted)
     gpath, cpath = write_case_files(tmp_path, "s2-reflection")
     code, _, _ = run_cli(["strata", "--group", gpath, "--complex", cpath], capsys)
     assert code == 3
@@ -193,7 +193,11 @@ def test_geometry_is_built_once_per_complex(tmp_path, capsys, monkeypatch):
         return wrapper
 
     for module in (strataformula, cli):
-        monkeypatch.setattr(module, "_stratify", counted("stratify", gcomplex._stratify))
+        monkeypatch.setattr(
+            module,
+            "orbit_type_stratification",
+            counted("stratify", gcomplex.orbit_type_stratification),
+        )
     construct = complexes.SimplicialComplex.__init__
 
     def recorded(self, simplices):

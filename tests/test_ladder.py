@@ -6,9 +6,11 @@ Every corpus case, every rotation action and every known-answer input runs
 at sd^0, sd^1 and sd^2, relabelled at each rung, while the input stays
 below `INPUT_CAP` simplices.  Both commands must report what the public
 functions report on `regularize(X)`, and the stratification checks must
-fail with their texts.  The actions on the 5-cross-polytope are left out:
-they are regular only at sd^2 of the input, 460,800 top simplices, which
-no reference here can build; `test_known_answers` checks their counts.
+fail with their texts.  The public functions must compute the same on
+every rung that satisfies (A), and refuse every rung that fails it.  The
+actions on the 5-cross-polytope are left out: they are regular only at
+sd^2 of the input, 460,800 top simplices, which no reference here can
+build; `test_known_answers` checks their counts.
 """
 
 import json
@@ -36,7 +38,7 @@ from equichi import (
 from equichi import gcomplex
 from equichi.cli import _stratification_summary, main
 from equichi.gcomplex import GComplex, _ladder, _subdivide
-from equichi.lefschetz import lefschetz_number, lefschetz_number_trace
+from equichi.lefschetz import lefschetz_number, lefschetz_number_fixed, lefschetz_number_trace
 from equichi.strataformula import VerifyReport, VerifyRow
 from test_action_table import (
     NON_REGULAR_ACTIONS,
@@ -201,24 +203,63 @@ def test_the_rungs_reach_every_input_and_both_check_failures():
 
 
 # ---------------------------------------------------------------------------
-# the public functions keep asking for a regular action
+# the public functions ask for condition (A) and nothing more
+
+CONDITION_A_TEXT = "operation requires an action satisfying condition (A)"
 
 
 def test_public_functions_reject_the_condition_a_rung():
-    """s2-klein-four satisfies condition (A) but is not regular: `verify`
-    computes on it, and the public functions refuse it with their texts."""
-    X = corpus.load_case("s2-klein-four").gcomplex
-    assert X.condition_a and not is_regular(X)
-    assert _ladder(X) == (X, 1)
-    for route in (lefschetz_number_trace, lefschetz_number):
-        with pytest.raises(ValidationError, match="^Lefschetz traces require a regularized complex$"):
-            route(X, 1)
-    with pytest.raises(ValidationError, match="^Lefschetz traces require a regularized complex$"):
-        equivariant_multiplicities(X)
-    for route in (orbit_type_stratification, orbit_space, strata_geometry):
-        with pytest.raises(ValidationError, match="^operation requires a regularized complex$"):
-            route(X)
-    assert verify_strata_vs_oracle(X).subdivisions == 1
+    """On every rung that satisfies condition (A), the multiplicities, the
+    stratification and the breakdowns are those of `regularize(X)`, and only
+    the orbit space asks for more when the rung is not regular.  On every
+    rung that fails (A), all six entry points refuse it with one text."""
+    seen = set()
+    for param in RUNGS:
+        _, G, maximal, maps = param.values
+        X = build(G, maximal, maps)
+        seen.add((X.condition_a, is_regular(X)))
+        if not is_regular(X):
+            with pytest.raises(ValidationError) as err:
+                orbit_space(X)
+            assert str(err.value) == "operation requires a regularized complex", param.id
+        g = G.order - 1
+        if not X.condition_a:
+            for route in (
+                lambda: lefschetz_number_trace(X, g),
+                lambda: lefschetz_number_fixed(X, g),
+                lambda: lefschetz_number(X, g),
+                lambda: equivariant_multiplicities(X),
+                lambda: orbit_type_stratification(X),
+                lambda: strata_geometry(X),
+            ):
+                with pytest.raises(ValidationError) as err:
+                    route()
+                assert str(err.value) == CONDITION_A_TEXT, param.id
+            continue
+        R = regularize(X)
+        report, expected = equivariant_multiplicities(X), equivariant_multiplicities(R)
+        assert report.lefschetz == expected.lefschetz, param.id
+        assert report.multiplicities == expected.multiplicities, param.id
+        assert report.chi_rho == expected.chi_rho, param.id
+        try:
+            summary = _stratification_summary(R, orbit_type_stratification(R))
+        except ValidationError as exc:  # a stratification check fails
+            with pytest.raises(ValidationError) as err:
+                orbit_type_stratification(X)
+            assert str(err.value) == str(exc), param.id
+            continue
+        assert _stratification_summary(X, orbit_type_stratification(X)) == summary, param.id
+        try:
+            reference = strata_geometry(R)
+        except CodimensionError as exc:
+            with pytest.raises(CodimensionError) as err:
+                strata_geometry(X)
+            assert str(err.value) == str(exc), param.id
+            continue
+        geometry = strata_geometry(X)
+        for rho in character_table(G):
+            assert geometry.breakdown(rho) == reference.breakdown(rho), (param.id, rho.index)
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_condition_a_failing_on_the_subdivision_is_a_defect(monkeypatch):

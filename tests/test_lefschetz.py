@@ -6,11 +6,14 @@ import pytest
 
 from equichi import (
     Cyc,
+    SimplicialComplex,
     ValidationError,
+    build_gcomplex,
     character_table,
     distributional_pairing,
     equivariant_multiplicities,
     euler_of_complex,
+    group_from_permutations,
     lefschetz_number,
     trivial_character,
 )
@@ -43,9 +46,29 @@ MULTIPLICITIES = {
 
 
 def test_trace_route_requires_regularized_input(cases):
-    X = cases["s2-pi-rotation"].gcomplex
-    with pytest.raises(ValidationError, match="regular"):
+    # s2-order4-rotation fails condition (A) until it is subdivided
+    X = cases["s2-order4-rotation"].gcomplex
+    with pytest.raises(ValidationError) as err:
         lefschetz_number_trace(X, 1)
+    assert str(err.value) == "operation requires an action satisfying condition (A)"
+
+
+def test_fixed_set_route_requires_condition_a(cases):
+    """C2 flipping the interval [0, 1] fixes no simplex pointwise, so the
+    fixed-set count of the flip is 0, yet L = 1: the route refuses that
+    action, and s2-order4-rotation, which fails condition (A) as well, after
+    the element check."""
+    G = group_from_permutations([[1, 0]])
+    flip = build_gcomplex(SimplicialComplex.from_maximal([[0, 1]]), G, [[1, 0]])
+    assert equivariant_multiplicities(regularize(flip)).lefschetz == (1, 1)
+    for X in (flip, cases["s2-order4-rotation"].gcomplex):
+        assert not X.condition_a
+        with pytest.raises(ValidationError) as err:
+            lefschetz_number_fixed(X, 1)
+        assert str(err.value) == "operation requires an action satisfying condition (A)"
+        with pytest.raises(ValidationError) as err:
+            lefschetz_number_fixed(X, -1)
+        assert str(err.value).startswith("element -1 is not an element id")
 
 
 def test_trace_and_fixed_point_routes_agree_everywhere(regular_cases):
@@ -134,8 +157,6 @@ def test_pairing_with_regular_character_gives_euler_characteristic(oracle_report
 
 
 def test_pairing_rejects_foreign_class_function(oracle_reports):
-    from equichi import group_from_permutations
-
     other = group_from_permutations([[1, 0]])
     rep = oracle_reports["s2-pi-rotation"]
     with pytest.raises(ValidationError):

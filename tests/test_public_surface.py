@@ -56,8 +56,6 @@ PUBLIC_READERS = {
     "build_gcomplex": "src/equichi/jsonio.py",
     "canonical_isotropy_bundle": "src/equichi/cli.py",
     "character_table": "src/equichi/cli.py",
-    "chi_rho_homogeneous": "kept: the factor chi_rho(G/H) of the stratified sum, public so that "
-    "it can be checked against the average of rho over H",
     "decompose": "kept: the character algebra, with induce, restrict and inner_product",
     "distributional_pairing": "tests/test_acceptance.py",
     "equivariant_euler_via_strata": "bench/workloads.py",
@@ -71,13 +69,12 @@ PUBLIC_READERS = {
     "inner_product": "tests/test_acceptance.py",
     "is_adapted": "src/equichi/cli.py",
     "is_regular": "regularize",
-    "lefschetz_number": "kept: L(g) by both routes at once, the public form of the agreement "
-    "that every `verify` checks",
+    "lefschetz_number": "equivariant_multiplicities",
     "normalizer": "src/equichi/jsonio.py",
     "orbit_space": "bench/workloads.py",
     "orbit_type_stratification": "bench/workloads.py",
     "orientation_character": "bench/workloads.py",
-    "regularize": "README.md",
+    "regularize": "bench/workloads.py",
     "restrict": "tests/test_acceptance.py",
     "strata_geometry": "README.md",
     "subconjugate": "src/equichi/gcomplex.py",

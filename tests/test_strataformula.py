@@ -10,7 +10,6 @@ from equichi import (
     Subgroup,
     ValidationError,
     character_table,
-    chi_rho_homogeneous,
     corpus,
     equivariant_euler_via_strata,
     euler_of_complex,
@@ -19,6 +18,7 @@ from equichi import (
     trivial_index,
     verify_strata_vs_oracle,
 )
+from equichi.strataformula import _class_counts, _homogeneous
 
 S3_GENS = [[1, 2, 0], [1, 0, 2]]
 
@@ -30,7 +30,7 @@ def test_homogeneous_chi_whole_group_trivial_twist():
     tab = character_table(G)
     k = trivial_index(G)
     for rho in tab:
-        assert chi_rho_homogeneous(G, whole, rho) == (1 if rho.index == k else 0)
+        assert _homogeneous(rho, _class_counts(whole)) == (1 if rho.index == k else 0)
 
 
 def test_homogeneous_chi_free_orbit_gives_degree_squared():
@@ -38,7 +38,7 @@ def test_homogeneous_chi_free_orbit_gives_degree_squared():
     G = group_from_permutations(S3_GENS)
     triv = Subgroup.generated(G, [])
     for rho in character_table(G):
-        assert chi_rho_homogeneous(G, triv, rho) == rho.degree**2
+        assert _homogeneous(rho, _class_counts(triv)) == rho.degree**2
 
 
 def test_breakdown_internals_half_rotation(regular_cases):
@@ -136,10 +136,12 @@ def test_codimension_one_stratum_is_rejected_with_location(regular_cases):
 
 
 def test_breakdown_requires_regular_complex(cases):
-    X = cases["s2-pi-rotation"].gcomplex
+    # s2-order4-rotation fails condition (A) until it is subdivided
+    X = cases["s2-order4-rotation"].gcomplex
     rho = character_table(X.group)[0]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         equivariant_euler_via_strata(X, rho)
+    assert str(err.value) == "operation requires an action satisfying condition (A)"
 
 
 def test_verify_reports_match_on_all_unskipped_cases(cases):
@@ -215,7 +217,7 @@ def test_a_class_function_that_averages_to_a_non_integer_is_a_validation_error(
     rho = Character(G, values, degree=at_identity.as_integer(), index=0)
     whole = Subgroup.generated(G, list(G.generators))
     with pytest.raises(ValidationError) as err:
-        chi_rho_homogeneous(G, whole, rho)
+        _homogeneous(rho, _class_counts(whole))
     assert str(err.value) == (
         f"character 0 does not average to an integer over a subgroup of order 3: {average}"
     )
