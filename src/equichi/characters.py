@@ -2,11 +2,12 @@
 
 Tables are computed by the class-sum matrix method (Dixon, Numer. Math. 10,
 1967): the structure constants of the class sums give commuting integer
-matrices whose common eigenvectors are the central characters.  The
-structure constants are counted at class representatives (Schneider, J.
-Symbolic Comput. 9, 1990): a_ijm = |C_j| #{x in C_i : x g_j in C_m} / |C_m|
-for the representative g_j of C_j, |G| k table reads over all k classes, not
-|G|^2.  The splitting is performed modulo a deterministic prime p = 1 (mod
+matrices whose common eigenvectors are the central characters.  One
+routine, `_class_matrix`, counts them for the split and the certification,
+one class at a time at class representatives (Schneider, J. Symbolic
+Comput. 9, 1990): a_ijm = |C_j| #{x in C_i : x g_j in C_m} / |C_m| for the
+representative g_j of C_j, |G| k table reads over all k classes, not |G|^2.
+The splitting is performed modulo a deterministic prime p = 1 (mod
 exponent), p > 2*sqrt(|G|).  Each class matrix, restricted to an eigenspace
 found so far, splits it only at the roots of its characteristic polynomial,
 taken on its Hessenberg form.  Character values are then reconstructed
@@ -57,8 +58,8 @@ the table is replaced.  The lift of a table that the Gram identity
 certified is the one the certification built; otherwise each row is lifted
 on its first read (`_lifted_row`), so reading one row lifts one row.  The
 class-function sums of `verify` and `strata` run on these integer vectors:
-pairings by `_pairing`, and weighted sums sum_j w_j value_j by
-`_weighted_sum`, each reduced mod Phi_n once.
+weighted sums sum_j w_j value_j by `_weighted_sum`, reduced mod Phi_n once,
+and the exact class averages of `_class_average` built on them.
 
 Enumeration order of the irreducibles: ascending degree, then lexicographic
 order of the value rows, each value keyed by its canonical coefficient tuple
@@ -71,7 +72,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, cycle
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import iconcat, mul
 from typing import Sequence
@@ -199,6 +200,14 @@ def _lifted_row(chi: Character) -> tuple[int, _Lifted]:
     return n, lifted[i]
 
 
+def _class_average(chi: Character, weights: Sequence[int], order: int) -> int | Cyc:
+    """sum_c w_c chi(c) / order over chi's lifted row: the int if it is a rational integer, else the Cyc."""
+    n, (D, values) = _lifted_row(chi)
+    total = _weighted_sum(weights, values, n)
+    q, r = divmod(total[0], order * D)
+    return Cyc.from_ints(n, total, order * D) if r or any(total[1:]) else q
+
+
 # ---------------------------------------------------------------------------
 # standard characters, restriction, induction, decomposition
 
@@ -228,21 +237,17 @@ def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
 
 
 def induce(sigma: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Induction to the parent: Ind(sigma)(g) = (1/|H|) sum_{x in G, x^-1 g x in H} sigma(x^-1 g x)."""
+    """Induction to the parent: Ind(sigma)(g_c) = |G| / (|H| |C_c|) sum over
+    h in H and C_c of sigma(h), in one pass over the elements of H."""
     G = H.parent
     Hgroup, to_parent = H.as_group()
     if sigma.group is not Hgroup:
         raise ValidationError("class function does not live on the given subgroup")
-    to_sub = {p: i for i, p in enumerate(to_parent)}
-    values = []
-    for rep in G.class_representatives():
-        total = Cyc.zero(1)
-        for x in range(G.order):
-            y = G.mul(G.mul(G.inv(x), rep), x)
-            if y in to_sub:
-                total = total + sigma.values[Hgroup.class_of(to_sub[y])]
-        values.append(total / H.order)
-    return ClassFunction(G, tuple(values))
+    classes = G.conjugacy_classes()
+    totals = [Cyc.zero(1) for _ in classes]
+    for (c, b), count in Counter(zip(map(G.class_of, to_parent), Hgroup._classes[1])).items():
+        totals[c] = totals[c] + count * sigma.values[b]
+    return ClassFunction(G, tuple(t * G.order / (H.order * len(cls)) for t, cls in zip(totals, classes)))
 
 
 def decompose(cf: ClassFunction) -> tuple[tuple[Character, int], ...]:
@@ -429,8 +434,8 @@ def _root_of_unity_mod_p(exponent: int, p: int) -> int:
 # character table
 
 
-def _class_matrices(G: FiniteGroup) -> list[list[list[tuple[int, int]]]]:
-    """Per class i, the class matrix as sparse rows: row j lists the pairs
+def _class_matrix(G: FiniteGroup, i: int) -> list[list[tuple[int, int]]]:
+    """The class matrix of class i as sparse rows: row j lists the pairs
     (m, a_ijm), a_ijm != 0, with C_i C_j = sum_m a_ijm C_m in the class
     algebra.  Counted at class representatives (Schneider, J. Symbolic
     Comput. 9, 1990): conjugation permutes C_i, so every y in C_j has as
@@ -440,21 +445,19 @@ def _class_matrices(G: FiniteGroup) -> list[list[list[tuple[int, int]]]]:
     to be exact.  Only nonzero counts are kept; class i costs |C_i| k table
     reads, |G| k over all k classes, not |G|^2."""
     classes = G.conjugacy_classes()
-    sizes = list(map(len, classes))
-    class_of = G._classes[1]
-    at_reps = gather(G.class_representatives())
-    matrices = []
-    for cls in classes:
-        products = chain.from_iterable(map(at_reps, map(G.table.__getitem__, cls)))
-        counts = Counter(zip(cycle(range(len(classes))), map(class_of.__getitem__, products)))
-        rows: list[list[tuple[int, int]]] = [[] for _ in classes]
-        for (j, m), b in counts.items():  # b = #{x in C_i : x g_j in C_m}
-            a, rest = divmod(sizes[j] * b, sizes[m])
+    class_of, t = G._classes[1], G.table
+    rows: list[list[tuple[int, int]]] = [[] for _ in classes]
+    for j, g in enumerate(G.class_representatives()):
+        counts: dict[int, int] = {}  # m -> b = #{x in C_i : x g_j in C_m}
+        for x in classes[i]:
+            m = class_of[t[x][g]]
+            counts[m] = counts.get(m, 0) + 1
+        for m, b in counts.items():
+            a, rest = divmod(len(classes[j]) * b, len(classes[m]))
             if rest:
                 raise DefectError("class algebra structure constants not integral")
             rows[j].append((m, a))
-        matrices.append(rows)
-    return matrices
+    return rows
 
 
 def _split_central_characters(G: FiniteGroup, p: int) -> list[list[int]]:
@@ -470,12 +473,11 @@ def _split_central_characters(G: FiniteGroup, p: int) -> list[list[int]]:
     form H = Q^-1 R Q, where each costs O(dim^2), and mapped back by Q.
     """
     k = len(G.conjugacy_classes())
-    matrices = _class_matrices(G)
     subspaces = [(list(range(k)), [[int(r == c) for r in range(k)] for c in range(k)])]
     for i in range(1, k):
         if all(len(basis) == 1 for _, basis in subspaces):
             break
-        mat = matrices[i]  # eigen relation: mat . omega = omega_i . omega
+        mat = _class_matrix(G, i)  # eigen relation: mat . omega = omega_i . omega
         refined: list[tuple[list[int], list[list[int]]]] = []
         for pivots, basis in subspaces:
             dim = len(basis)
@@ -690,10 +692,10 @@ def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list
     chi = (d / psi(1)) psi.
     """
     n = _conductor(*(chi.values for chi in rows))
-    classes = G.conjugacy_classes()
+    sizes = list(map(len, G.conjugacy_classes()))
     blocks = [list(range(len(rows)))]
     chosen = []
-    for i in range(len(classes)):
+    for i in range(len(sizes)):
         if len(blocks) == len(rows):
             break
         parts: dict[tuple, list[int]] = {}
@@ -704,17 +706,11 @@ def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list
         if len(parts) > len(blocks):
             chosen.append(i)
             blocks = list(parts.values())
-    class_of = [G.class_of(x) for x in range(G.order)]
-    t = G.table
     for i in chosen:
-        h = len(classes[i])
-        counts = []  # per class j: (class m, #{x in C_i : x g_j in C_m}) pairs
-        for g in G.class_representatives():
-            cnt: dict[int, int] = {}
-            for x in classes[i]:
-                m = class_of[t[x][g]]
-                cnt[m] = cnt.get(m, 0) + 1
-            counts.append(tuple(cnt.items()))
+        h = sizes[i]
+        # per class j, the (class m, b_ijm = #{x in C_i : x g_j in C_m}) pairs
+        matrix = _class_matrix(G, i)
+        counts = [[(m, a * sizes[m] // sizes[j]) for m, a in row] for j, row in enumerate(matrix)]
         for r, (chi, (_, vals)) in enumerate(zip(rows, lifted)):
             d = chi.degree
             for j, cnt in enumerate(counts):

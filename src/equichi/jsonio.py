@@ -280,7 +280,9 @@ def bundle_from_json(data: dict, group: FiniteGroup) -> BundleData:
 
 def index_data_from_json(data: dict) -> IndexData:
     _block(data, dict, "index data")
-    mode = str(_require(data, "mode", "index data"))
+    mode = _require(data, "mode", "index data")
+    if type(mode) is not str:
+        raise ValidationError(f"mode must be a JSON string, got {mode!r}")
     dim = _count(_require(data, "dim", "index data"), "dim")
     principal = rational_from_json(_require(data, "principal_integral", "index data"))
     strata = []

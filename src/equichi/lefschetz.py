@@ -27,10 +27,10 @@ L = 1.
 
 Averaging against irreducible characters then yields the multiplicity of
 each irreducible in the alternating sum of (co)homology; exact integrality
-is asserted, never rounded.  The averages and the check that the
-multiplicities reassemble every Lefschetz number run on integer vectors
-over the group's lifted character table (see `characters`): L is lifted
-once, and each class gets one weighted sum of the table's values.
+is asserted, never rounded.  The averages (`_class_average`) and the check
+that the multiplicities reassemble every Lefschetz number run on integer
+vectors over the group's lifted character table (see `characters`): one
+weighted sum per row, and one per class.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from operator import eq
 
 from .characters import (
     ClassFunction,
+    _class_average,
     _lifted_row,
-    _pairing,
     _weighted_sum,
     character_table,
     inner_product,
@@ -117,34 +117,30 @@ def equivariant_multiplicities(X: GComplex) -> MultiplicityReport:
     """ind(rho) = (1/|G|) sum_g L(g) conj(chi_rho(g)), exactly, for every rho;
     the action must satisfy condition (A).
 
-    L is lifted once, as the pair (0, L(c)) per class, and paired with each
-    row of the table's lift by `_pairing`; the result must be rational and
-    divisible by |G| D, D the row's denominator.  The Cyc values of
-    `inner_product` are built only to name a failure."""
+    Each is `_class_average` with weights |C_c| L(c), the conjugate of
+    <L, chi> as L is rational, so an integer exactly when <L, chi> is, and
+    then equal to it; `inner_product` runs only to name a failure."""
     G = X.group
     numbers = tuple(lefschetz_number(X, g) for g in range(G.order))
     table = character_table(G)
     classes = G.conjugacy_classes()
-    sizes = [len(c) for c in classes]
-    lefschetz = (1, tuple(((0, numbers[c[0]]),) if numbers[c[0]] else () for c in classes))
-    lifted = []
+    sized = [len(c) * numbers[c[0]] for c in classes]  # |C_c| L(c)
     multiplicities = []
     for chi in table:
-        n, row = _lifted_row(chi)  # the rows of one table share n
-        lifted.append(row)
-        value = _pairing(lefschetz, row, sizes, n)
-        q, r = divmod(value[0], G.order * row[0])
-        if r or any(value[1:]):
+        m = _class_average(chi, sized, G.order)
+        if type(m) is not int:
             value = inner_product(_lefschetz_class_function(G, numbers), chi)
             raise DefectError(
                 f"multiplicity of irreducible {chi.index} is not an integer: {value!r}"
             )
-        multiplicities.append(q)
+        multiplicities.append(m)
     chi_rho = tuple(m * chi.degree for m, chi in zip(multiplicities, table))
     report = MultiplicityReport(X, numbers, tuple(multiplicities), chi_rho)
     # the multiplicities must reassemble every Lefschetz number exactly: one
     # weighted sum per class, sum_chi m_chi D chi(c) / D_chi with D the lcm
     # of the row denominators, which every element of the class must equal
+    n = _lifted_row(table[0])[0]  # the rows of one table share n
+    lifted = [_lifted_row(chi)[1] for chi in table]
     D = lcm(*(row[0] for row in lifted))
     weights = [m * (D // row[0]) for m, row in zip(multiplicities, lifted)]
     for c, members in enumerate(classes):

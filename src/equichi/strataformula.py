@@ -23,7 +23,7 @@ Every homogeneous factor chi_rho(G/H) = deg(rho) * <Res_H chi_rho, 1>_H is
 an exact integer.  It is deg(rho) * sum_c n_c chi_rho(c) / |H|, for the
 number n_c of elements of H in the class c: `StrataGeometry` counts them
 once per stratum, since they do not depend on rho, and each factor is one
-weighted sum over rho's lifted values (see `characters`).
+`_class_average` of rho, the rule the multiplicities use (see `characters`).
 
 Components of codimension below two are rejected with a typed error; the
 verification driver converts that into an explicit skip.
@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
-from .characters import Character, _lifted_row, _weighted_sum, character_table
+from .characters import Character, _class_average, character_table
 from .complexes import euler_of_complex
-from .cyclotomic import Cyc
 from .errors import CodimensionError, DefectError, ValidationError
 from .gcomplex import GComplex, Stratification, _ladder, orbit_type_stratification
 from .groups import FiniteGroup, Subgroup
@@ -55,17 +54,14 @@ def _class_counts(H: Subgroup) -> list[int]:
 
 def _homogeneous(rho: Character, counts: list[int]) -> int:
     """deg(rho) * (sum_c counts[c] rho(c)) / |H|, for the class counts of a
-    subgroup H (they add up to |H|), by one `_weighted_sum` over rho's
+    subgroup H (they add up to |H|), by one `_class_average` over rho's
     lifted values.  The average must be a nonnegative rational integer."""
     order = sum(counts)
-    n, (D, values) = _lifted_row(rho)
-    total = _weighted_sum(counts, values, n)
-    m, r = divmod(total[0], order * D)
-    if r or any(total[1:]):
-        value = Cyc.from_ints(n, total, order * D)
+    m = _class_average(rho, counts, order)
+    if type(m) is not int:
         raise ValidationError(
             f"character {rho.index} does not average to an integer over a "
-            f"subgroup of order {order}: {value!r}"
+            f"subgroup of order {order}: {m!r}"
         )
     if m < 0:
         raise DefectError("negative multiplicity in a restriction")

@@ -16,6 +16,7 @@ from equichi import (
     FiniteGroup,
     Subgroup,
     ValidationError,
+    all_subgroups,
     character_table,
     decompose,
     group_from_permutations,
@@ -558,6 +559,61 @@ def classes_of_order(G, order, size):
 
 
 D12_GENS = [cycle(6), [(-i) % 6 for i in range(6)]]
+
+
+def reference_induce(sigma, H):
+    """Ind(sigma)(g) = (1/|H|) sum over x in G with x^-1 g x in H of
+    sigma(x^-1 g x), conjugating each class representative by every x."""
+    G = H.parent
+    Hgroup, to_parent = H.as_group()
+    to_sub = {p: i for i, p in enumerate(to_parent)}
+    values = []
+    for rep in G.class_representatives():
+        total = Cyc.zero(1)
+        for x in range(G.order):
+            y = G.mul(G.mul(G.inv(x), rep), x)
+            if y in to_sub:
+                total = total + sigma.values[Hgroup.class_of(to_sub[y])]
+        values.append(total / H.order)
+    return values
+
+
+def exact(values):
+    return [(v.n, v.num, v.den) for v in values]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[cycle(4), [1, 0, 2, 3]], D12_GENS, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]],
+    ids=["S4", "D12", "A5"],
+)
+def test_induce_matches_the_conjugation_loop_exactly(gens):
+    """Every value of every induced irreducible of every subgroup, conductor
+    and denominator included, which Frobenius reciprocity alone would not
+    pin."""
+    G = group_from_permutations(gens)
+    for H in all_subgroups(G):
+        HG, _ = H.as_group()
+        for sigma in character_table(HG):
+            assert exact(induce(sigma, H).values) == exact(reference_induce(sigma, H)), (H.elements, sigma.index)
+
+
+def test_induce_keeps_the_conductor_of_the_values():
+    """The cyclic subgroup of order 4 in S4, once with a table attached at
+    conductor 8, twice its exponent, and once with its rows lifted to 8 as
+    plain class functions: the induced values have the conductors the
+    conjugation loop gives them."""
+    G = group_from_permutations([cycle(4), [1, 0, 2, 3]])
+    H = Subgroup.generated(G, [G.perms.index(tuple(cycle(4)))])
+    HG, _ = H.as_group()
+    assert HG.exponent == 4
+    attach_character_table(HG, dict(table_to_json(HG), conductor=8, rows=[
+        [cyc_to_json(v, 8) for v in chi.values] for chi in character_table(HG)
+    ]))
+    lifted = [ClassFunction(HG, tuple(v.lift(8) for v in chi.values)) for chi in character_table(HG)]
+    for sigma in (*character_table(HG), *lifted):
+        assert exact(induce(sigma, H).values) == exact(reference_induce(sigma, H))
+    assert {v.n for sigma in lifted for v in induce(sigma, H).values} == {1, 8}
 
 
 @pytest.mark.parametrize(

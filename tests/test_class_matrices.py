@@ -1,10 +1,10 @@
-"""The class matrices of the character-table split, counted at class
-representatives, against the all-pairs count over C_i x G."""
+"""The class matrices of the character-table split and certification,
+counted at class representatives, against the all-pairs count over C_i x G."""
 
 import pytest
 
 from equichi import group_from_permutations
-from equichi.characters import _class_matrices
+from equichi.characters import _class_matrix
 from equichi.errors import DefectError
 from equichi.groups import all_subgroups
 from test_table_answers import GOLDEN_GROUPS, cycle
@@ -31,6 +31,11 @@ def all_pairs_class_matrices(G):
     return matrices
 
 
+def class_matrices(G):
+    """`_class_matrix` of every class, in class order."""
+    return [_class_matrix(G, i) for i in range(len(G.conjugacy_classes()))]
+
+
 def as_sets(matrices):
     return [[set(row) for row in rows] for rows in matrices]
 
@@ -38,7 +43,7 @@ def as_sets(matrices):
 @pytest.mark.parametrize("name", ["A4", "S4", "A5", "S5", "D12", "D30", "B3", "B4+", "S4xC8"])
 def test_class_matrices_match_the_all_pairs_count(name):
     G = GOLDEN_GROUPS[name]()
-    got = _class_matrices(G)
+    got = class_matrices(G)
     k = len(G.conjugacy_classes())
     assert len(got) == k and all(len(rows) == k for rows in got)
     assert as_sets(got) == all_pairs_class_matrices(G)
@@ -51,7 +56,7 @@ def test_class_matrices_of_s5_subgroups_match_the_all_pairs_count():
     assert len(representatives) == 19
     for H in representatives.values():
         K, _ = H.as_group()
-        assert as_sets(_class_matrices(K)) == all_pairs_class_matrices(K)
+        assert as_sets(class_matrices(K)) == all_pairs_class_matrices(K)
 
 
 def test_partition_that_is_not_conjugation_closed_is_a_defect():
@@ -61,4 +66,4 @@ def test_partition_that_is_not_conjugation_closed_is_a_defect():
     assert G.conjugacy_classes() == ((0,), (2, 4), (1, 3, 5))
     G._classes = (((0,), (2,), (1, 3, 4, 5)), (0, 2, 1, 2, 2, 2))
     with pytest.raises(DefectError, match="^class algebra structure constants not integral$"):
-        _class_matrices(G)
+        class_matrices(G)

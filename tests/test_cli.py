@@ -543,6 +543,18 @@ def test_malformed_bundle_and_index_input_is_invalid(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize(
+    "mode, shown",
+    [(5, "5"), (None, "None"), (True, "True"), (["equivariant"], "['equivariant']")],
+    ids=["integer", "null", "true", "list"],
+)
+def test_mode_that_is_not_a_string_is_invalid(tmp_path, capsys, mode, shown):
+    """5 and null used to be read as the modes "5" and "None"."""
+    code, out, err = run_on_data(tmp_path, capsys, "assemble", beta_with(mode=mode))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == f"error: mode must be a JSON string, got {shown}"
+
+
+@pytest.mark.parametrize(
     "H, message",
     [
         ({"elements": [0, 2, 4, 6]}, "subgroup elements must be element ids in [0, 5]"),

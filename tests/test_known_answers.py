@@ -7,12 +7,15 @@ stratified sum carries no orientation twist, so both routes must give the
 answer known in closed form.  So must joins of circle actions, the
 rotations of the 4-cross-polytope, whose complexes reach 40,256 simplices
 once regular, and two actions on the 5-cross-polytope, regular only at
-sd^2 (460,800 top simplices), which both routes reach at sd^1.
+sd^2 (460,800 top simplices), which both routes reach at sd^1.  The
+symmetric groups on simplex boundaries and the dihedral groups on polygons
+hold reflections, so `verify` skips their stratified sum, and the oracle
+alone must give the closed form.
 """
 
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -31,6 +34,7 @@ from equichi import (
     verify_strata_vs_oracle,
 )
 from equichi.cli import main
+from equichi.gcomplex import _ladder
 from equichi.jsonio import gcomplex_from_json, group_from_json
 
 # the boundary of the 4-cross-polytope, S^3: vertex 2i is +e_i and vertex
@@ -301,3 +305,71 @@ def test_actions_on_the_5_cross_polytope_match_closed_form(name):
     assert report.skipped is None and report.all_match and report.subdivisions == 2
     assert tuple(r.oracle for r in report.rows) == expected
     assert tuple(r.formula for r in report.rows) == expected
+
+
+def permutation_sign(perm):
+    """The sign of a permutation, from the parity of its even-length cycles."""
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v = perm[v]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def linear_closed_form(G, linear, s):
+    """chi^rho when Lambda = 1 + s * lam, for the linear character lam given
+    by `linear` on the permutations and a sign s: 1 on the trivial
+    character, s on lam and 0 on every other, each found in the table by
+    its values at the class representatives."""
+    reps = [G.perms[g] for g in G.class_representatives()]
+    lam = tuple(Cyc.rational(linear(p)) for p in reps)
+    trivial = tuple(Cyc.one() for _ in reps)
+    table = character_table(G)
+    assert sum(rho.values == lam for rho in table) == 1
+    return tuple(int(rho.values == trivial) + s * int(rho.values == lam) for rho in table)
+
+
+def assert_skipped_with_oracle(tmp_path, capsys, gens, maximal, expected):
+    """`verify` skips the stratified sum at a component of codimension 1
+    (exit 3), and the oracle on `_ladder`'s complex gives `expected`."""
+    code, gpath, cpath = verify(tmp_path, gens, maximal)
+    out, _ = capsys.readouterr()
+    report = json.loads(out)["report"]
+    assert code == 3 and report["rows"] == []
+    assert report["skipped"] == "stratified sum rejected: component 0 of stratum 1 has codimension 1 < 2"
+    G = group_from_json(json.loads(gpath.read_text()))
+    X, _ = _ladder(gcomplex_from_json(json.loads(cpath.read_text()), G))
+    assert equivariant_multiplicities(X).chi_rho == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_symmetric_group_on_the_simplex_boundary_matches_closed_form(tmp_path, capsys, n):
+    """S_n permutes the vertices of the boundary of the (n-1)-simplex, the
+    sphere S^(n-2) in the hyperplane of coordinate sum 0, where g acts with
+    det sgn g.  So Lambda(g) = 1 + (-1)^n sgn g, and chi^rho is 1 on the
+    trivial character, (-1)^n on the sign character and 0 on every other.
+    A transposition fixes a hyperplane: the stratified sum is skipped."""
+    gens = [[*range(1, n), 0], [1, 0, *range(2, n)]]
+    G = group_from_permutations(gens)
+    expected = linear_closed_form(G, permutation_sign, (-1) ** n)
+    assert paired(G, lambda perm: 1 + (-1) ** n * permutation_sign(perm)) == expected
+    assert_skipped_with_oracle(tmp_path, capsys, gens, list(map(list, combinations(range(n), n - 1))), expected)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_dihedral_group_on_the_polygon_matches_closed_form(tmp_path, capsys, n):
+    """D_n, of order 2n, acts on the n-gon.  Lambda is 0 on the rotations and
+    2 on the reflections, so Lambda = 1 - det and chi^rho is 1 on the
+    trivial character, -1 on det and 0 on every other.  A reflection fixes
+    two points of the circle: the stratified sum is skipped."""
+    gens = [[*range(1, n), 0], [(-i) % n for i in range(n)]]
+    G = group_from_permutations(gens)
+    assert G.order == 2 * n
+    expected = linear_closed_form(G, lambda perm: 1 - circle_lefschetz(perm), -1)
+    assert paired(G, circle_lefschetz) == expected
+    assert_skipped_with_oracle(tmp_path, capsys, gens, [[i, (i + 1) % n] for i in range(n)], expected)
