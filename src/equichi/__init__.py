@@ -46,7 +46,6 @@ from .finedecomp import (
     fine_decomposition,
     is_adapted,
     twist_index_map,
-    twist_irrep,
 )
 from .gcomplex import (
     GComplex,
@@ -140,6 +139,5 @@ __all__ = [
     "trivial_character",
     "trivial_index",
     "twist_index_map",
-    "twist_irrep",
     "verify_strata_vs_oracle",
 ]

@@ -8,6 +8,10 @@ the multiplicity data to be constant along twist orbits, and the fine
 pieces of the bundle correspond to those orbits under the stabilizer
 N_alpha of the component.
 
+The twist action of N(H) on Irr(H) is one value per `ComponentSystem`
+(`twists`, built once); the equivariance check, the fine decomposition and
+the canonical bundles read their twists and orbits from it.
+
 The canonical isotropy bundle for (alpha, sigma) is cut out of the trivial
 bundle with fiber the lowest-enumerated irreducible G-representation whose
 restriction to H contains sigma; it is adapted to any bundle whose class
@@ -17,6 +21,7 @@ set over alpha is the twist orbit of sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .characters import Character, character_table, inner_product, restrict
@@ -24,37 +29,30 @@ from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, normalizer
 
 
-def twist_irrep(H: Subgroup, sigma: Character, n: int) -> Character:
-    """The twist sigma^n, sigma^n(h) = sigma(n^-1 h n), for n in N(H).
-
-    Returns the matching row of H's character table (twisting permutes the
-    irreducibles of H).
-    """
+def twist_index_map(H: Subgroup, n: int) -> tuple[int, ...]:
+    """The twist sigma -> sigma^n, sigma^n(h) = sigma(n^-1 h n), of one
+    normalizer element n, as an index map on Irr(H): one conjugation per
+    class of H permutes the classes, and each permuted row is looked up
+    among H's rows by its exact values, keyed at H's exponent."""
     G = H.parent
-    Hgroup, to_parent = H.as_group()
-    if sigma.group is not Hgroup:
-        raise ValidationError("character does not live on the given subgroup")
     if not 0 <= n < G.order:
         raise ValidationError(f"element {n} is not a group element id")
     if n not in H.conjugates[H.elements]:
         raise ValidationError(f"element {n} does not normalize the subgroup")
-    n_inv = G.inv(n)
+    Hgroup, to_parent = H.as_group()
     to_sub = {p: i for i, p in enumerate(to_parent)}
-    values = []
-    for rep in Hgroup.class_representatives():
-        conj = G.conjugate(n_inv, to_parent[rep])
-        values.append(sigma.values[Hgroup.class_of(to_sub[conj])])
-    for row in character_table(Hgroup):
-        if all(a == b for a, b in zip(row.values, values)):
-            return row
-    raise DefectError("twisted irreducible missing from the subgroup table")
-
-
-def twist_index_map(H: Subgroup, n: int) -> tuple[int, ...]:
-    """index -> index action of one normalizer element on Irr(H)."""
-    Hgroup, _ = H.as_group()
+    n_inv = G.inv(n)
+    moved = [
+        Hgroup.class_of(to_sub[G.conjugate(n_inv, to_parent[rep])])
+        for rep in Hgroup.class_representatives()
+    ]
+    e = Hgroup.exponent
     table = character_table(Hgroup)
-    return tuple(twist_irrep(H, sigma, n).index for sigma in table)
+    rows = {tuple(v.key(e) for v in row.values): row.index for row in table}
+    try:
+        return tuple(rows[tuple(row.values[c].key(e) for c in moved)] for row in table)
+    except KeyError:
+        raise DefectError("twisted irreducible missing from the subgroup table") from None
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,8 @@ class ComponentSystem:
     """Named components of an H-fixed set with the normalizer action on them.
 
     `action[n]` is the permutation of component positions induced by the
-    normalizer element n; every element of N(H) must appear.
+    normalizer element n; every element of N(H) must appear.  `twists`
+    holds the twist action of N(H) on Irr(H), built once per system.
     """
 
     group: FiniteGroup
@@ -101,6 +100,20 @@ class ComponentSystem:
     @property
     def normalizer_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.action))
+
+    @cached_property
+    def twists(self) -> dict[int, tuple[int, ...]]:
+        """Each normalizer element n, in `normalizer_elements` order, mapped
+        to its twist index map on Irr(H) (`twist_index_map`)."""
+        return {n: twist_index_map(self.H, n) for n in self.normalizer_elements}
+
+    def twist_orbit(self, position: int, index: int) -> tuple[int, ...]:
+        """The ascending orbit of irreducible `index` under the twists of the
+        elements that fix component `position`; twisting is an action, so
+        one application of each map reaches the whole orbit."""
+        return tuple(sorted({
+            tw[index] for n, tw in self.twists.items() if self.action[n][position] == position
+        }))
 
     def stabilizer(self, position: int) -> Subgroup:
         members = [n for n, perm in self.action.items() if perm[position] == position]
@@ -142,8 +155,7 @@ class BundleData:
                     raise ValidationError(f"unknown irreducible index {idx}")
                 if m < 0:
                     raise ValidationError("multiplicities must be nonnegative")
-        for n in self.system.normalizer_elements:
-            tw = twist_index_map(self.system.H, n)
+        for n, tw in self.system.twists.items():
             perm = self.system.action[n]
             for pos in range(len(mults)):
                 here = dict(mults[pos])
@@ -208,13 +220,6 @@ class FineComponent:
         return self.system.component_ids[self.component_position]
 
 
-def _twist_orbit(start: int, maps: Sequence[tuple[int, ...]]) -> set[int]:
-    """The orbit of one irreducible index under the twist maps of every
-    element of a subgroup of the normalizer; twisting is an action, so one
-    application of each map reaches the whole orbit."""
-    return {tw[start] for tw in maps}
-
-
 def fine_decomposition(bundle: BundleData, component_id: str) -> tuple[FineComponent, ...]:
     """Split the bundle data over one component into fine pieces: twist
     orbits under the component's stabilizer inside the normalizer.
@@ -225,35 +230,29 @@ def fine_decomposition(bundle: BundleData, component_id: str) -> tuple[FineCompo
     """
     system = bundle.system
     pos = system.position(component_id)
-    stab = system.stabilizer(pos)
     Hgroup, _ = system.H.as_group()
     table = character_table(Hgroup)
-    maps = [twist_index_map(system.H, n) for n in stab.elements]
-    support = list(bundle.support(pos))
     seen: set[int] = set()
     pieces: list[FineComponent] = []
-    for idx in support:
+    for idx in bundle.support(pos):
         if idx in seen:
             continue
-        orbit = _twist_orbit(idx, maps)
-        seen |= orbit
-        orbit_t = tuple(sorted(orbit))
-        mults = {bundle.multiplicity(pos, i) for i in orbit_t}
-        degrees = {table[i].degree for i in orbit_t}
+        orbit = system.twist_orbit(pos, idx)
+        seen.update(orbit)
+        mults = {bundle.multiplicity(pos, i) for i in orbit}
+        degrees = {table[i].degree for i in orbit}
         if len(mults) != 1:
             raise DefectError(
-                f"multiplicity not constant on twist orbit {orbit_t}: {sorted(mults)}"
+                f"multiplicity not constant on twist orbit {orbit}: {sorted(mults)}"
             )
         if len(degrees) != 1:
             raise DefectError(
-                f"degree not constant on twist orbit {orbit_t}: {sorted(degrees)}"
+                f"degree not constant on twist orbit {orbit}: {sorted(degrees)}"
             )
         m = mults.pop()
         if m == 0:
             raise DefectError("twist orbit left the support of the bundle data")
-        pieces.append(
-            FineComponent(system, pos, orbit_t, m, degrees.pop())
-        )
+        pieces.append(FineComponent(system, pos, orbit, m, degrees.pop()))
     pieces.sort(key=lambda c: c.orbit[0])
     total = sum(p.rank for p in pieces)
     if total != bundle.rank_over(pos):
@@ -304,9 +303,8 @@ class CanonicalIsotropyBundle:
             # transport along any normalizer element moving the component;
             # components outside the orbit carry no data
             moved: Mapping[int, int] = {}
-            for n in system.normalizer_elements:
+            for n, tw in system.twists.items():
                 if system.action[n][self.piece.component_position] == pos:
-                    tw = twist_index_map(system.H, n)
                     moved = {tw[i]: m for i, m in mult.items()}
                     break
             mults.append(moved)
@@ -324,25 +322,20 @@ def canonical_isotropy_bundle(
     Hgroup, _ = H.as_group()
     if sigma.group is not Hgroup:
         raise ValidationError("sigma does not live on the subgroup of the system")
-    selected = None
     for rho in character_table(G):
-        m = inner_product(restrict(rho, H), sigma).as_integer()
+        res = restrict(rho, H)
+        m = inner_product(res, sigma).as_integer()
         if m >= 1:
-            selected = (rho, m)
             break
-    if selected is None:
+    else:
         raise DefectError("no ambient irreducible restricts onto sigma")
-    rho, m = selected
-    res = restrict(rho, H)
     pos = system.position(component_id)
-    stab = system.stabilizer(pos)
-    orbit = _twist_orbit(sigma.index, [twist_index_map(H, n) for n in stab.elements])
+    orbit = system.twist_orbit(pos, sigma.index)
     table = character_table(Hgroup)
     for idx in orbit:
-        mi = inner_product(res, table[idx]).as_integer()
-        if mi != m:
+        if inner_product(res, table[idx]).as_integer() != m:
             raise DefectError(
                 "restriction multiplicity not constant on the twist orbit"
             )
-    piece = FineComponent(system, pos, tuple(sorted(orbit)), m, sigma.degree)
+    piece = FineComponent(system, pos, orbit, m, sigma.degree)
     return CanonicalIsotropyBundle(piece, rho.index, rho)

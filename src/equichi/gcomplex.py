@@ -293,13 +293,13 @@ def build_gcomplex(
     given: list[tuple[int, tuple[int, ...]]] = []
     for gid, img in zip(gens, generator_images):
         if isinstance(img, Mapping):
-            m = dict(zip(map(int, img.keys()), map(int, img.values())))
+            m = dict(img)
         else:
             if len(img) != len(vertices):
                 raise ValidationError(
                     f"generator image length {len(img)} differs from vertex count {len(vertices)}"
                 )
-            m = dict(zip(vertices, map(int, img)))
+            m = dict(zip(vertices, img))
         if m.keys() != position.keys() or set(m.values()) != position.keys():
             raise ValidationError("generator image is not a vertex bijection")
         given.append((gid, tuple(map(position.__getitem__, map(m.__getitem__, vertices)))))

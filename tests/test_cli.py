@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import equichi
-from equichi import cli, complexes, corpus, gcomplex, strataformula
+from equichi import cli, complexes, corpus, finedecomp, gcomplex, strataformula
 from equichi.cli import main
 
 BETA_DATA = {
@@ -670,6 +670,71 @@ def test_fine_decomp_rejects_non_equivariant_bundle(tmp_path, capsys):
     )
     assert code == 1
     assert "not equivariant" in err
+
+
+SWAPPED = bundle_with(
+    components=[
+        {"id": "a", "multiplicities": {"0": 1, "2": 2}},
+        {"id": "b", "multiplicities": {"1": 1, "2": 2}},
+    ],
+    component_action={n: {"a": "b", "b": "a"} for n in ("1", "3", "5")},
+)
+
+
+def test_fine_decomp_over_components_the_reflections_swap(tmp_path, capsys):
+    """Each component is fixed by the rotations alone, so its pieces are
+    single irreducibles, and no canonical bundle, which also lives over the
+    other component, is adapted to the input."""
+    code, out, _ = run_on_data(tmp_path, capsys, "fine-decomp", SWAPPED)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["normalizer"] == [0, 1, 2, 3, 4, 5]
+
+    def piece(orbit, multiplicity, ambient_index, ambient_degree):
+        return {
+            "canonical": {
+                "adapted_to_input": False,
+                "ambient_degree": ambient_degree,
+                "ambient_index": ambient_index,
+            },
+            "degree": 1,
+            "multiplicity": multiplicity,
+            "orbit": orbit,
+            "rank": multiplicity,
+            "type_count": 1,
+        }
+
+    assert payload["components"] == [
+        {"id": cid, "pieces": [piece([i], 1, 2, 2), piece([2], 2, 0, 1)], "stabilizer": [0, 2, 4]}
+        for cid, i in (("a", 0), ("b", 1))
+    ]
+
+
+def test_fine_decomp_names_the_element_that_moves_a_component_inequivariantly(tmp_path, capsys):
+    data = dict(SWAPPED, components=[
+        {"id": "a", "multiplicities": {"0": 1, "2": 2}},
+        {"id": "b", "multiplicities": {"0": 1, "2": 2}},
+    ])
+    code, out, err = run_on_data(tmp_path, capsys, "fine-decomp", data)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == (
+        "error: bundle data is not equivariant: element 1 sends component a "
+        "irreducible 0 (multiplicity 1) to component b irreducible 1 (multiplicity 0)"
+    )
+
+
+def test_fine_decomp_builds_one_twist_map_per_normalizer_element(tmp_path, capsys, monkeypatch):
+    built = []
+    twist_index_map = finedecomp.twist_index_map
+
+    def counted(H, n):
+        built.append(n)
+        return twist_index_map(H, n)
+
+    monkeypatch.setattr(finedecomp, "twist_index_map", counted)
+    code, _, _ = run_on_data(tmp_path, capsys, "fine-decomp", C3_IN_S3["bundle"])
+    assert code == 0
+    assert built == [0, 1, 2, 3, 4, 5]
 
 
 def test_assemble_single_block(tmp_path, capsys):

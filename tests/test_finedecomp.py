@@ -7,6 +7,7 @@ from equichi import (
     ComponentSystem,
     Subgroup,
     ValidationError,
+    all_subgroups,
     canonical_isotropy_bundle,
     character_table,
     fine_decomposition,
@@ -16,7 +17,6 @@ from equichi import (
     restrict,
     trivial_index,
     twist_index_map,
-    twist_irrep,
 )
 from equichi.corpus import load_bundle_case
 
@@ -33,9 +33,9 @@ def s3_with_rotations():
 def test_twist_by_subgroup_element_is_inner():
     G, H = s3_with_rotations()
     HG, _ = H.as_group()
-    for sigma in character_table(HG):
-        for h in H.elements:
-            assert twist_irrep(H, sigma, h).index == sigma.index
+    identity = tuple(range(len(character_table(HG))))
+    for h in H.elements:
+        assert twist_index_map(H, h) == identity
 
 
 def test_twist_by_reflection_swaps_nontrivial_cyclic_characters():
@@ -70,23 +70,84 @@ def test_twist_composition_is_contravariant():
 def test_twist_rejects_non_normalizing_element():
     G = group_from_permutations(S3_GENS)
     R = Subgroup.generated(G, [1])
-    HG, _ = R.as_group()
-    sigma = character_table(HG)[0]
     rot = next(g for g in range(6) if G.element_order(g) == 3)
-    with pytest.raises(ValidationError, match="normalize"):
-        twist_irrep(R, sigma, rot)
+    with pytest.raises(ValidationError, match=f"^element {rot} does not normalize the subgroup$"):
+        twist_index_map(R, rot)
 
 
 def test_twist_rejects_foreign_ids():
     G, H = s3_with_rotations()
-    HG, _ = H.as_group()
-    sigma = character_table(HG)[0]
-    with pytest.raises(ValidationError):
-        twist_irrep(H, sigma, 99)
-    other = group_from_permutations([[1, 0]])
-    foreign = character_table(other)[0]
-    with pytest.raises(ValidationError):
-        twist_irrep(H, foreign, 0)
+    for n in (99, -1):
+        with pytest.raises(ValidationError, match=f"^element {n} is not a group element id$"):
+            twist_index_map(H, n)
+
+
+def reference_twist(H, n):
+    """The per-irreducible scan: for each sigma, the values of sigma^n at
+    H's class representatives, compared with every row of H's table."""
+    G = H.parent
+    Hgroup, to_parent = H.as_group()
+    to_sub = {p: i for i, p in enumerate(to_parent)}
+    table = character_table(Hgroup)
+    result = []
+    for sigma in table:
+        values = [
+            sigma.values[Hgroup.class_of(to_sub[G.conjugate(G.inv(n), to_parent[rep])])]
+            for rep in Hgroup.class_representatives()
+        ]
+        (match,) = [row.index for row in table if all(a == b for a, b in zip(row.values, values))]
+        result.append(match)
+    return tuple(result)
+
+
+def cycle(n):
+    return [(i + 1) % n for i in range(n)]
+
+
+S4_GENS = [cycle(4), [1, 0, 2, 3]]
+D12_GENS = [cycle(6), [(-i) % 6 for i in range(6)]]
+A5_GENS = [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]
+
+
+@pytest.mark.parametrize("gens", [S4_GENS, D12_GENS, A5_GENS], ids=["S4", "D12", "A5"])
+def test_twist_map_matches_the_per_irreducible_scan(gens):
+    """Every subgroup and every element of its normalizer; the system's
+    `twists` is the same maps in ascending element order."""
+    G = group_from_permutations(gens)
+    for H in all_subgroups(G):
+        system = ComponentSystem.single(G, H)
+        expected = {n: reference_twist(H, n) for n in normalizer(H).elements}
+        assert {n: twist_index_map(H, n) for n in expected} == expected, H.elements
+        assert list(system.twists.items()) == sorted(expected.items()), H.elements
+
+
+def orbit_degrees(G, H):
+    """The twist orbits of Irr(H) under all of N(H), as sorted degree lists."""
+    system = ComponentSystem.single(G, H)
+    table = character_table(H.as_group()[0])
+    orbits = {system.twist_orbit(0, sigma.index) for sigma in table}
+    return sorted(tuple(table[i].degree for i in orbit) for orbit in orbits)
+
+
+@pytest.mark.parametrize(
+    "gens, order, cyclic, normal, expected",
+    [
+        (S4_GENS, 4, False, True, [(1,), (1, 1, 1)]),  # V4 in S4
+        (S4_GENS, 12, False, True, [(1,), (1, 1), (3,)]),  # A4 in S4
+        (S4_GENS, 4, True, False, [(1,), (1,), (1, 1)]),  # C4 in S4
+        (A5_GENS, 5, True, False, [(1,), (1, 1), (1, 1)]),  # C5 in A5
+    ],
+    ids=["V4-in-S4", "A4-in-S4", "C4-in-S4", "C5-in-A5"],
+)
+def test_twist_orbit_degree_patterns(gens, order, cyclic, normal, expected):
+    G = group_from_permutations(gens)
+    (H, *_) = [
+        H for H in all_subgroups(G)
+        if H.order == order
+        and (max(G.element_order(h) for h in H.elements) == order) == cyclic
+        and (normalizer(H).order == G.order) == normal
+    ]
+    assert orbit_degrees(G, H) == expected
 
 
 def test_single_component_system():
@@ -265,3 +326,44 @@ def test_canonical_selection_picks_lowest_ambient_index():
     cib = canonical_isotropy_bundle(sys, "a0", sigma)
     assert cib.ambient_index == 0
 
+
+
+def swapped_system():
+    """S3 over its rotations C3 with two components, a and b, which the
+    three reflections swap."""
+    G, H = s3_with_rotations()
+    action = {n: (0, 1) if n in H.elements else (1, 0) for n in range(G.order)}
+    return H, ComponentSystem(G, H, ("a", "b"), action)
+
+
+def test_fine_decomposition_over_swapped_components():
+    """The stabilizer of each component is H, so no reflection twist fuses
+    the two nontrivial characters; the reflections carry a's data to b's."""
+    H, system = swapped_system()
+    HG, _ = H.as_group()
+    table = character_table(HG)
+    assert trivial_index(HG) == 2
+    B = BundleData.over(system, [{0: 1, 2: 2}, {1: 1, 2: 2}])
+    for cid, orbits in (("a", [(0,), (2,)]), ("b", [(1,), (2,)])):
+        pos = system.position(cid)
+        assert system.stabilizer(pos).elements == H.elements
+        pieces = fine_decomposition(B, cid)
+        assert [(p.orbit, p.multiplicity, p.rank) for p in pieces] == [(orbits[0], 1, 1), (orbits[1], 2, 2)]
+        for piece in pieces:
+            canonical = canonical_isotropy_bundle(system, cid, table[piece.orbit[0]])
+            assert canonical.piece.orbit == piece.orbit
+            assert not is_adapted(B, canonical.piece)
+    canonical = canonical_isotropy_bundle(system, "a", table[0])
+    # sigma_0 is carried to b as its twist sigma_1 by the first reflection
+    assert canonical.bundle.multiplicities == (((0, 1),), ((1, 1),))
+    assert is_adapted(canonical.bundle, canonical.piece)
+
+
+def test_swapped_components_equivariance_witness():
+    _, system = swapped_system()
+    with pytest.raises(ValidationError) as err:
+        BundleData.over(system, [{0: 1, 2: 2}, {0: 1, 2: 2}])
+    assert str(err.value) == (
+        "bundle data is not equivariant: element 1 sends component a irreducible 0 "
+        "(multiplicity 1) to component b irreducible 1 (multiplicity 0)"
+    )

@@ -97,6 +97,20 @@ def test_build_accepts_dict_images():
     assert X.perm[1][K.index[(0, 1)]] == K.index[(0, 1)]
 
 
+@pytest.mark.parametrize(
+    "image",
+    [[1.7, 0.2], {0: 1.9, 1: 0.5}, ["1", "0"], {"0": 1, "1": 0}],
+    ids=["floats", "float-values", "strings", "string-keys"],
+)
+def test_build_compares_vertex_ids_as_given(image):
+    """Ids that only int() turns into vertices name no vertex: they used to
+    be accepted as the flip of the edge."""
+    G = group_from_permutations([[1, 0]])
+    K = SimplicialComplex.from_maximal([[0, 1]])
+    with pytest.raises(ValidationError, match="^generator image is not a vertex bijection$"):
+        build_gcomplex(K, G, [image])
+
+
 def test_apply_orbit_isotropy():
     """The image, the orbit and the isotropy of a simplex, read by position
     off the simplex rows, the orbit table and the fixer masks."""

@@ -81,8 +81,7 @@ PUBLIC_READERS = {
     "subdivision": "src/equichi/gcomplex.py",
     "trivial_character": "kept: the character algebra, the unit of the pairing",
     "trivial_index": "bench/workloads.py",
-    "twist_index_map": "fine_decomposition",
-    "twist_irrep": "twist_index_map",
+    "twist_index_map": "ComponentSystem",
     "verify_strata_vs_oracle": "src/equichi/cli.py",
 }
 
