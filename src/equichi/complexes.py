@@ -12,14 +12,19 @@ canonical (vertex tuple) order, so each dimension is sorted once as ints,
 and a facet's key is its simplex's key with one b-bit field cut out by
 shifts and masks.  Every computation reads positions; vertex tuples are
 built only when `order` or `index` is first read.
+
+Each dimension's given simplices are transposed into vertex columns once,
+and one sweep from the top dimension down closes them under faces: each
+layer's facet keys are cut once, and they fill in, number the facets of and
+tell the maximal simplices of the layer below.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
-from itertools import accumulate, chain, filterfalse, groupby, repeat
-from operator import and_, itemgetter, lshift, lt, or_, rshift
+from itertools import accumulate, chain, groupby, repeat
+from operator import add, and_, lshift, lt, or_, rshift
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -67,23 +72,22 @@ class SimplicialComplex:
     vertex k.  Both hold the int objects of `positions`, none of their own.
     `order` (the simplices as vertex tuples) and `index` (tuple -> position)
     are built from `columns` when first read; no computation on positions
-    needs them.
+    needs them.  Given simplices are strictly ascending lists or tuples.
     """
 
     def __init__(self, simplices: Iterable[Simplex] | RankColumns):
         if isinstance(simplices, RankColumns):
             self._build(dict(simplices.given), simplices.vertices)
             return
-        listed = list(map(tuple, simplices))
-        # the given simplices by dimension, the empty one dropped
-        given = {n - 1: list(g) for n, g in groupby(sorted(listed, key=len), len) if n}
-        for d, group in given.items():
+        listed = list(simplices)
+        # the given simplices by dimension, the empty one dropped, each
+        # dimension's columns of k-th vertices taken by one transpose
+        given = {n - 1: list(zip(*g)) for n, g in groupby(sorted(listed, key=len), len) if n}
+        for columns in given.values():
             # strictly ascending: each column of k-th vertices lies below the next
-            columns = [list(map(itemgetter(k), group)) for k in range(d + 1)]
             if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
-                bad = next(t for t in listed if not all(map(lt, t, t[1:])))
+                bad = next(t for t in map(tuple, listed) if not all(map(lt, t, t[1:])))
                 raise ValidationError(f"simplex must be strictly ascending: {bad}")
-            given[d] = columns
         if not given:
             raise ValidationError("complex must be nonempty")
         vertices = sorted(set().union(*chain.from_iterable(given.values())))
@@ -96,35 +100,45 @@ class SimplicialComplex:
         self.vertices = vertices
         bits = max(len(vertices) - 1, 1).bit_length()
         self.dim = dim = max(given)
-        # One sweep from the top dimension down: a layer is complete once the
-        # layer above has added its facets, and is sorted then.
-        layers: list[list[int]] = [[] for _ in range(dim + 1)]
-        current = set(_pack(given.pop(dim), bits))
+        # One sweep from the top dimension down: the top layer is given and
+        # maximal; a lower one is complete, and sorted, once the layer above
+        # has cut out its facet keys, and its given simplices outside them are
+        # maximal.  Every rank is a vertex of a given simplex and its own key.
+        sizes, maximal = [0] * (dim + 1), [[] for _ in range(dim + 1)]  # maximal: within the layer
+        facets: list[list[list[int]]] = [[] for _ in range(dim + 1)]  # within the layer below
+        cuts: list[list[int]] = []  # the facet keys of the layer above, per vertex cut out
         for d in range(dim, -1, -1):
-            layer = layers[d] = sorted(current)
-            if d:
-                current = set(_pack(given.pop(d - 1), bits)) if d - 1 in given else set()
-                for k in range(d + 1):
-                    current.update(_drop_field(layer, d, k, bits))
-        del current
-        self._f_vector = tuple(map(len, layers))
-        start = self.layer_start = (0, *accumulate(self._f_vector))
+            # sorted before they are deduplicated, which is linear on keys given in order
+            keys = dict.fromkeys(sorted(_pack(given.pop(d), bits))) if d in given else {}
+            if not cuts:
+                layer = list(keys)
+                maximal[d] = range(len(layer))
+            elif d:
+                cut = set().union(*cuts)
+                top = keys.keys() - cut
+                cut.update(keys)
+                layer = sorted(cut)
+                del cut, keys
+                local = dict(zip(layer, range(len(layer)))).__getitem__
+                maximal[d], facets[d + 1] = sorted(map(local, top)), [list(map(local, c)) for c in cuts]
+            else:
+                layer = range(len(vertices))
+                maximal[0], facets[1] = sorted(set(keys).difference(*cuts)) if keys else [], cuts
+            sizes[d] = len(layer)
+            cuts = [list(_drop_field(layer, d, k, bits)) for k in range(d + 1)] if d else []
+        self._f_vector = tuple(sizes)
+        start = self.layer_start = (0, *accumulate(sizes))
         ids = self.positions = tuple(range(start[-1]))
+        self._maximal = list(chain.from_iterable(map(add, ms, repeat(lo)) for lo, ms in zip(start, maximal)))
         columns = [(ids[: start[1]],)]
         facet_table: list[tuple[tuple[int, ...], ...]] = [()]
         for d in range(1, dim + 1):
-            # the facets as positions within the layer below
-            facets = [_drop_field(layers[d], d, k, bits) for k in range(d + 1)]
-            if d > 1:  # a vertex's key is its rank, which is that position
-                local = dict(zip(layers[d - 1], range(len(layers[d - 1]))))
-                facets = [map(local.__getitem__, f) for f in facets]
-            facets = [gather(list(f)) for f in facets]
-            layers[d - 1] = []  # each layer's keys are read for the last time here
+            local_facets, facets[d] = list(map(gather, facets[d])), []
             below = ids[start[d - 1] : start[d]]
-            facet_table.append(tuple(f(below) for f in facets))
+            facet_table.append(tuple(f(below) for f in local_facets))
             # vertex k < d is vertex k of the facet without vertex d, and
             # vertex d is vertex d - 1 of the facet without vertex 0
-            columns.append((*map(facets[d], columns[d - 1]), facets[0](columns[d - 1][-1])))
+            columns.append((*map(local_facets[d], columns[d - 1]), local_facets[0](columns[d - 1][-1])))
         self.columns: tuple[tuple[tuple[int, ...], ...], ...] = tuple(columns)
         self.facet_table: tuple[tuple[tuple[int, ...], ...], ...] = tuple(facet_table)
 
@@ -189,13 +203,12 @@ class SimplicialComplex:
         return self._f_vector
 
     def maximal_positions(self) -> list[int]:
-        """Ascending positions of the simplices that are no facet of another;
-        in a closed complex a proper face is a facet of some simplex."""
-        facets: set[int] = set()
-        for columns in self.facet_table:
-            for column in columns:
-                facets.update(column)
-        return list(filterfalse(facets.__contains__, self.positions))
+        """Ascending positions of the simplices that are a face of no other,
+        recorded by the constructor's sweep: the top layer, and each given
+        lower simplex that is no facet of the layer above, as every proper
+        face is a facet of a simplex one dimension up.  A simplex that is
+        not given is a face of one that is."""
+        return self._maximal
 
 
 def euler_characteristic(simplices: Iterable[Simplex]) -> int:
@@ -216,11 +229,12 @@ def subdivision(K: SimplicialComplex) -> SimplicialComplex:
     Its simplices are the chains of strictly nested simplices of K, and each
     chain is a face of a full flag of a maximal simplex.  The flags are
     built top-down on positions through the facet table: each chain opens
-    at a maximal position, and every facet of its lowest simplex is
-    prepended, layer by layer, down to the vertices.  The flags of the
-    maximal d-simplices are columns of vertex ranks (every position of K is
-    a vertex of the subdivision, so its rank is itself), and the
-    subdivision is built on them without a vertex tuple.
+    at a maximal position, which K recorded while it was built, and every
+    facet of its lowest simplex is prepended, layer by layer, down to the
+    vertices.  The flags of the maximal d-simplices are columns of vertex
+    ranks (every position of K is a vertex of the subdivision, lying on a
+    flag, so its rank is itself), and the subdivision is built on them
+    without a vertex tuple.
     """
     start = K.layer_start
     flags: dict[int, list[list[int]]] = {}

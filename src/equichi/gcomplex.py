@@ -183,6 +183,11 @@ class GComplex:
             by_mask.setdefault(m, []).append(i)
         return by_mask
 
+    @cached_property
+    def mask_euler(self) -> dict[int, int]:
+        """Per fixer mask, the signed count of its (ascending) positions."""
+        return {m: self.complex.euler(ps) for m, ps in self.by_mask.items()}
+
     def _subgroup_of_mask(self, mask: int) -> Subgroup:
         """The subgroup whose elements are the set bits of `mask`, one cached
         instance per mask."""
@@ -300,7 +305,8 @@ def build_gcomplex(
                     f"generator image length {len(img)} differs from vertex count {len(vertices)}"
                 )
             m = dict(zip(vertices, img))
-        if m.keys() != position.keys() or set(m.values()) != position.keys():
+        ids = [*m, *m.values()]  # 1.0 and True equal the vertex 1, so each id must be an int
+        if m.keys() != position.keys() or set(m.values()) != position.keys() or set(map(type, ids)) != {int}:
             raise ValidationError("generator image is not a vertex bijection")
         given.append((gid, tuple(map(position.__getitem__, map(m.__getitem__, vertices)))))
     # vertex maps as rows of vertex positions

@@ -10,7 +10,8 @@ Input formats (all plain JSON objects):
 
   complex:  {"maximal_simplices": [[...], ...],
              "action": {"generator_images": [{...} | [...], ...]}}
-            generator images align with the group's generator list.
+            generator images align with the group's generator list; a
+            maximal simplex lists at least one vertex id, none twice.
 
   bundle:   {"H": {"generators": [...] | "elements": [...]},
              "components": [{"id": ..., "multiplicities": {"idx": m}}],
@@ -189,14 +190,19 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
         ) from None
     if not simplices:
         raise ValidationError("complex data lists no simplices")
-    # checked in C; the first empty or repeating simplex is found only on failure
-    if not all(simplices) or list(map(len, map(set, simplices))) != list(map(len, simplices)):
+    # a sorted simplex repeats a vertex exactly when the complex finds it not
+    # strictly ascending; the first bad one in input order is named on failure
+    try:
+        if not all(simplices):
+            raise ValidationError("a maximal simplex has no vertices")
+        complex = SimplicialComplex(simplices)
+    except ValidationError:
         for raw, s in zip(maximal, simplices):
             if not s:
-                raise ValidationError(f"maximal simplex {raw} has no vertices")
+                raise ValidationError(f"maximal simplex {raw} has no vertices") from None
             if len(set(s)) != len(s):
-                raise ValidationError(f"maximal simplex {raw} repeats a vertex")
-    complex = SimplicialComplex(simplices)
+                raise ValidationError(f"maximal simplex {raw} repeats a vertex") from None
+        raise
     action = _require(data, "action", "complex data")
     raw_images = _require(action, "generator_images", "complex action")
     try:

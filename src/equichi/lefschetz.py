@@ -9,9 +9,10 @@ required to agree exactly:
     group);
   * fixed-point route: the Euler characteristic of the fixed subcomplex of
     the cyclic group generated by the element, read off vertex fixity
-    alone (the positions grouped by fixer mask once per complex).
+    alone: the sum of the signed counts of the fixer masks that hold the
+    element, each taken once per complex (`GComplex.mask_euler`).
 
-Both take the signed count of their positions with `SimplicialComplex.euler`.
+Both take signed counts of positions with `SimplicialComplex.euler`.
 
 The trace route needs every simplex that an element maps to itself to be
 fixed pointwise, so that the chains split into permutation modules (tom
@@ -36,7 +37,7 @@ weighted sum per row, and one per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from math import lcm
 from operator import eq
 
@@ -68,13 +69,13 @@ def lefschetz_number_trace(X: GComplex, g: int) -> int:
 
 
 def lefschetz_number_fixed(X: GComplex, g: int) -> int:
-    """chi of the subcomplex fixed pointwise by g: the positions of the fixer
-    masks in `X.by_mask` that have bit g.  A fixer mask is a subgroup, so it
+    """chi of the subcomplex fixed pointwise by g: the sum of `X.mask_euler`
+    over the fixer masks that have bit g.  A fixer mask is a subgroup, so it
     holds <g> exactly when it holds g.  That chi is L(g) under condition
     (A); without it, g can fix the barycentre of a simplex it flips."""
     _require_element(X, g)
     _require_condition_a(X)
-    return X.complex.euler(chain.from_iterable(ps for m, ps in X.by_mask.items() if m >> g & 1))
+    return sum(e for m, e in X.mask_euler.items() if m >> g & 1)
 
 
 def lefschetz_number(X: GComplex, g: int) -> int:

@@ -444,8 +444,18 @@ def test_one_vertex_complex_under_c2(tmp_path, capsys):
         ([[0, 1], [1, 0, 1]], "maximal simplex [1, 0, 1] repeats a vertex"),
         ([[0, 1], []], "maximal simplex [] has no vertices"),
         ([[]], "maximal simplex [] has no vertices"),
+        # both faults: the first in input order is named
+        ([[0, 1], [2, 2], []], "maximal simplex [2, 2] repeats a vertex"),
+        ([[0, 1], [], [2, 2]], "maximal simplex [] has no vertices"),
     ],
-    ids=["repeated-vertex", "repeated-vertex-beside-an-edge", "empty-beside-an-edge", "only-empty"],
+    ids=[
+        "repeated-vertex",
+        "repeated-vertex-beside-an-edge",
+        "empty-beside-an-edge",
+        "only-empty",
+        "repeat-before-empty",
+        "empty-before-repeat",
+    ],
 )
 def test_degenerate_maximal_simplex_is_named(tmp_path, capsys, maximal, text):
     # such a simplex used to be read as a smaller one, or dropped
@@ -459,6 +469,25 @@ def test_degenerate_maximal_simplex_is_named(tmp_path, capsys, maximal, text):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {text}\n")
+
+
+def test_a_wrong_per_mask_euler_number_is_a_defect(tmp_path, capsys, monkeypatch):
+    """The fixed-set Lefschetz route sums the Euler numbers cached per fixer
+    mask.  One wrong number makes it disagree with the trace route: every
+    mask holds the identity, so element 0 is named first, and `verify`
+    exits 2 with no report."""
+    build_euler = gcomplex.GComplex.mask_euler.func
+
+    def one_wrong(X):
+        euler = build_euler(X)
+        euler[max(euler)] += 1
+        return euler
+
+    monkeypatch.setattr(gcomplex.GComplex, "mask_euler", property(one_wrong))
+    gpath, cpath = write_case_files(tmp_path, "s2-pi-rotation")
+    code, out, err = run_cli(["verify", "--group", gpath, "--complex", cpath], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("defect: Lefschetz number disagreement at element 0: trace 2 vs fixed-set 3\n")
 
 
 def test_parser_is_built_once_per_process(capsys):

@@ -200,6 +200,10 @@ def test_constructor_names_the_first_bad_simplex():
     with pytest.raises(ValidationError) as err:
         SimplicialComplex([(0, 1, 2), (3, 5, 4), (1, 0)])
     assert str(err.value) == "simplex must be strictly ascending: (3, 5, 4)"
+    # rows given as lists are named as tuples
+    with pytest.raises(ValidationError) as err:
+        SimplicialComplex([[0, 1], [0, 1, 1]])
+    assert str(err.value) == "simplex must be strictly ascending: (0, 1, 1)"
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +341,45 @@ def test_closure_and_components_match_brute_force_on_the_corpus():
         for positions in (everything, some, K.closure(some)):
             got = [[K.order[i] for i in c] for c in connected_components(K, positions)]
             assert got == brute_components(K.order, [K.order[i] for i in positions]), name
+
+
+# ---------------------------------------------------------------------------
+# the maximal positions the sweep records, against "a facet of no simplex"
+
+MIXED_COMPLEXES = {
+    "triangle": [(0, 1, 2)],
+    "octahedron": [tuple(t) for t in OCT_TRIS],
+    "isolated-vertex": [(0, 1, 2), (7,)],
+    "dangling-edge": [(0, 1, 2), (2, 5)],
+    "redundant-faces": [(0, 1, 2, 3), (1, 2), (0, 3), (2,), (4, 5), (5,)],
+    "duplicates": [(0, 1), (0, 1), (1, 2), (3,), (3,), (1, 2, 4), (1, 2, 4), (2, 4)],
+    "everything": [(0, 1, 2, 3), (3, 4, 5), (5, 6), (6,), (9,), (0, 1), (4, 5), (3, 4, 5), (10, 11)],
+}
+
+
+def brute_maximal(K):
+    """Positions of the simplices that are a facet of no simplex, by tuples."""
+    proper = {s[:k] + s[k + 1 :] for s in K.order for k in range(len(s))}
+    return [i for i, s in enumerate(K.order) if s not in proper]
+
+
+@pytest.mark.parametrize("name", list(MIXED_COMPLEXES))
+def test_maximal_positions_match_brute_force(name):
+    K = SimplicialComplex(MIXED_COMPLEXES[name])
+    Sd = subdivision(K)
+    for L in (K, Sd, subdivision(Sd)):
+        assert L.maximal_positions() == brute_maximal(L), name
+    # the maximal simplices of K are the given ones that are a face of no other given one
+    given = set(MIXED_COMPLEXES[name])
+    assert maximal_simplices(K) == tuple(
+        sorted((s for s in given if not any(set(s) < set(t) for t in given)), key=lambda s: (len(s), s))
+    )
+
+
+@pytest.mark.parametrize("name", [n for n in MIXED_COMPLEXES if n not in ("triangle", "octahedron")])
+def test_subdivision_of_a_mixed_complex_matches_the_sorted_closure(name):
+    K = SimplicialComplex(MIXED_COMPLEXES[name])
+    chains, _ = chain_subdivision(K)
+    ref = sorted_closure_tables(chains)
+    Sd = subdivision(K)
+    assert {field: getattr(Sd, field) for field in ref} == ref, name

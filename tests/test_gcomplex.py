@@ -111,6 +111,21 @@ def test_build_compares_vertex_ids_as_given(image):
         build_gcomplex(K, G, [image])
 
 
+@pytest.mark.parametrize(
+    "image",
+    [[1.0, 0.0], [True, False], {1.0: 0, 0: True}],
+    ids=["integral-floats", "bools", "float-key-and-bool-value"],
+)
+def test_build_rejects_ids_that_only_equal_a_vertex(image):
+    """1.0 and True equal and hash like the vertex 1, so these images pass the
+    bijection check on values alone: they used to build the flip of the
+    edge.  Every id must be an int."""
+    G = group_from_permutations([[1, 0]])
+    K = SimplicialComplex.from_maximal([[0, 1]])
+    with pytest.raises(ValidationError, match="^generator image is not a vertex bijection$"):
+        build_gcomplex(K, G, [image])
+
+
 def test_apply_orbit_isotropy():
     """The image, the orbit and the isotropy of a simplex, read by position
     off the simplex rows, the orbit table and the fixer masks."""

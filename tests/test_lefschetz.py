@@ -1,5 +1,6 @@
 """Lefschetz numbers two ways and isotypical multiplicities from traces."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,10 @@ from equichi import (
 )
 from equichi import Character, DefectError, corpus, regularize
 from equichi.characters import regular_character
+from equichi.complexes import euler_characteristic
+from equichi.gcomplex import _ladder
 from equichi.lefschetz import lefschetz_number_fixed, lefschetz_number_trace
+from test_action_table import ROTATION_ACTIONS, build, corpus_action, relabel, subdivide
 
 LEFSCHETZ = {
     "s2-identity": (2,),
@@ -205,3 +209,43 @@ def test_multiplicities_that_miss_a_lefschetz_number_are_a_defect():
     with pytest.raises(DefectError) as err:
         equivariant_multiplicities(X)
     assert str(err.value) == "multiplicities do not reassemble the Lefschetz numbers"
+
+
+# ---------------------------------------------------------------------------
+# the fixed-set route, one Euler number per fixer mask, against the fixed
+# subcomplex found by vertex tuples
+
+
+def fixed_subcomplex_euler(X, g):
+    """chi of the simplices whose every vertex g fixes, read off the vertex
+    map of g and `order` alone."""
+    K = X.complex
+    image = dict(zip(K.vertices, map(K.vertices.__getitem__, X.vertex_perm[g])))
+    return euler_characteristic(s for s in K.order if all(image[v] == v for v in s))
+
+
+def per_mask_cases():
+    """Every corpus action at sd0-sd2, relabelled, and the rotation actions at
+    the first level of the ladder that satisfies condition (A)."""
+    rng = random.Random(33)
+    for cid in corpus.case_ids():
+        G, maximal, maps = corpus_action(cid)
+        for level in range(3):
+            yield pytest.param(build(G, *relabel(maximal, maps, rng)), id=f"{cid}:sd{level}")
+            maximal, maps = subdivide(maximal, maps)
+    for name, (gens, faces) in ROTATION_ACTIONS.items():
+        X = build(group_from_permutations(gens), faces, [dict(enumerate(g)) for g in gens])
+        yield pytest.param(_ladder(X)[0], id=f"{name}:ladder")
+
+
+@pytest.mark.parametrize("X", list(per_mask_cases()))
+def test_fixed_route_per_mask_matches_the_fixed_subcomplex(X):
+    """Every element: the sum of the per-mask Euler numbers over the masks
+    holding it is chi of its fixed subcomplex; an action that fails
+    condition (A) is refused instead."""
+    for g in range(X.group.order):
+        if not X.condition_a:
+            with pytest.raises(ValidationError, match="condition \\(A\\)"):
+                lefschetz_number_fixed(X, g)
+            continue
+        assert lefschetz_number_fixed(X, g) == fixed_subcomplex_euler(X, g), g
