@@ -71,10 +71,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+import marshal
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import iconcat, mul
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import Cyc, reduce_mod_phi
@@ -690,6 +690,17 @@ def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list
     distinct eigenvalue tuples make each common eigenspace one-dimensional,
     so each omega is the central character of a distinct irreducible psi and
     chi = (d / psi(1)) psi.
+
+    The separation keys chi_i / d without a Cyc division.  A block of one
+    row cannot split, so it is kept as it is.  For the other rows, v is
+    chi(g_i) lifted to n, canonical there: num reduced mod Phi_n, den > 0,
+    gcd(den, num) = 1.  Dividing by the positive integer d leaves num reduced
+    (reduction is linear) and takes den to den d, so (num, den d) divided by
+    g = gcd(den d, num) is a reduced vector over a positive denominator in
+    lowest terms.  Reduced vectors are unique, since zeta_n^k, k < phi(n),
+    is a basis, and so is the lowest-terms denominator of a rational vector.
+    So the pair is the canonical one that (chi(g_i) / d).lift(n) gives, and
+    two rows share a key exactly when their values chi_i / d are equal.
     """
     n = _conductor(*(chi.values for chi in rows))
     sizes = list(map(len, G.conjugacy_classes()))
@@ -700,9 +711,15 @@ def _check_class_algebra(G: FiniteGroup, rows: Sequence[Character], lifted: list
             break
         parts: dict[tuple, list[int]] = {}
         for block in blocks:
+            if len(block) == 1:
+                parts[block[0],] = block
+                continue
             for r in block:
-                omega = (rows[r].values[i] / rows[r].degree).lift(n)
-                parts.setdefault((block[0], omega.num, omega.den), []).append(r)
+                v = rows[r].values[i].lift(n)
+                den = v.den * rows[r].degree
+                g = gcd(den, *v.num)
+                num = v.num if g == 1 else tuple(c // g for c in v.num)
+                parts.setdefault((block[0], num, den // g), []).append(r)
         if len(parts) > len(blocks):
             chosen.append(i)
             blocks = list(parts.values())
@@ -906,16 +923,23 @@ def cyc_from_json(data: Sequence[Sequence[int]], conductor: int) -> Cyc:
         ) from None
 
 
-def _json_value_key(data) -> tuple | None:
-    """A serialized class value as a hashable key, its integers in order,
-    when it is a list of two-integer lists; None otherwise.  The types are
-    checked, since true and 1.0 hash and compare equal to 1 but only 1 is
-    read as an integer."""
-    if type(data) is list and set(map(type, data)) == {list} and set(map(len, data)) == {2}:
-        flat = reduce(iconcat, data, [])  # one list.extend per pair
-        if set(map(type, flat)) == {int}:
-            return tuple(flat)
-    return None
+def _json_value_key(data) -> bytes | None:
+    """A class value as a hashable key: its marshal bytes, or None when
+    marshal rejects it (an object that is no JSON value, which only a
+    library caller can pass).
+
+    The bytes record every type, so true and 1.0, which hash and compare
+    equal to 1, never share a key with it.  Version 2 writes no
+    back-references, so the bytes depend only on the value, and
+    `marshal.loads` inverts them, so two values with equal bytes are equal
+    with equal types, element by element.  Marshal writes the elements of a
+    set sorted, so two equal sets that iterate in different orders share
+    bytes; `attach_character_table` stores a parse only for a list of
+    lists, and every value that shares its bytes is one too."""
+    try:
+        return marshal.dumps(data, 2)
+    except ValueError:
+        return None
 
 
 def table_to_json(G: FiniteGroup) -> dict:
@@ -944,7 +968,15 @@ def table_to_json(G: FiniteGroup) -> dict:
 
 
 def attach_character_table(G: FiniteGroup, data: dict) -> None:
-    """Install an externally supplied table after full exact validation."""
+    """Install an externally supplied table after full exact validation.
+
+    Each distinct value is parsed once: a value is looked up by
+    `_json_value_key`, its marshal bytes, and only a miss is parsed (and
+    descended).  A parse is stored only for a list of lists, so a value that
+    hits it has the same bytes and is a list of lists of the same ints, and
+    parses to the same Cyc.  A value with no key, or of another shape, is
+    parsed where it appears, which raises the same error it always has.
+    Nothing is kept once the table is installed."""
     if not isinstance(data, dict):
         raise ValidationError("character table must be a JSON object")
     for key in ("conductor", "rows"):
@@ -961,7 +993,7 @@ def attach_character_table(G: FiniteGroup, data: dict) -> None:
         raise ValidationError("character table rows must be a list")
     k = len(G.conjugacy_classes())
     lower = conductor != G.exponent and conductor % G.exponent == 0
-    read: dict[tuple, Cyc | None] = {}
+    read: dict[bytes, Cyc | None] = {}
 
     def value(item) -> Cyc | None:
         """The class value, descended to the exponent's field when the
@@ -975,7 +1007,7 @@ def attach_character_table(G: FiniteGroup, data: dict) -> None:
         v = cyc_from_json(item, conductor)
         if lower:
             v = v.descend(G.exponent)
-        if key is not None:
+        if key is not None and type(item) is list and set(map(type, item)) == {list}:
             read[key] = v
         return v
 

@@ -91,9 +91,12 @@ class SimplicialComplex:
         if not given:
             raise ValidationError("complex must be nonempty")
         vertices = sorted(set().union(*chain.from_iterable(given.values())))
-        rank = dict(zip(vertices, range(len(vertices)))).__getitem__
-        for columns in given.values():
-            columns[:] = [list(map(rank, c)) for c in columns]
+        # V distinct sorted ints from 0 to V - 1 are 0 .. V - 1, each its own
+        # rank; any other ids (floats and bools among them) are ranked
+        if vertices[0] != 0 or vertices[-1] != len(vertices) - 1 or set(map(type, vertices)) != {int}:
+            rank = dict(zip(vertices, range(len(vertices)))).__getitem__
+            for columns in given.values():
+                columns[:] = [list(map(rank, c)) for c in columns]
         self._build(given, tuple(vertices))
 
     def _build(self, given: dict[int, list[list[int]]], vertices: tuple[int, ...]) -> None:

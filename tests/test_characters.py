@@ -262,20 +262,24 @@ def test_attach_rejects_corrupted_table():
 
 
 def test_attach_reads_each_distinct_value_once(monkeypatch):
-    # C20's table holds 400 values, 20 of them distinct; written at twice
-    # the exponent, each distinct value is also descended once
+    # C20's table holds 400 values, 20 of them distinct; through JSON text
+    # each value is a list of its own.  Written at twice the exponent, each
+    # distinct value is also descended once
     G = group_from_permutations([cycle(20)])
     doc = json.loads(json.dumps(table_to_json(G)))
     for conductor in (20, 40):
         rows = [[cyc_to_json(v, conductor) for v in chi.values] for chi in character_table(G)]
+        supplied = json.loads(json.dumps(dict(doc, conductor=conductor, rows=rows)))
+        assert len({id(value) for row in supplied["rows"] for value in row}) == 400
         parsed = counting(monkeypatch, "cyc_from_json")
         descended = []
         descend = Cyc.descend
         monkeypatch.setattr(Cyc, "descend", lambda v, d: descended.append(v) or descend(v, d))
         fresh = group_from_permutations([cycle(20)])
-        attach_character_table(fresh, dict(doc, conductor=conductor, rows=rows))
+        attach_character_table(fresh, supplied)
         assert table_to_json(fresh) == doc
         assert len(parsed) == 20
+        assert len({canonical_json(value) for value, _ in parsed}) == 20
         assert len(descended) == (20 if conductor == 40 else 0)
         monkeypatch.undo()
 
@@ -286,16 +290,25 @@ VALUE_MESSAGE = (
 )
 
 
-@pytest.mark.parametrize("junk", [True, 1.0], ids=["true", "1.0"])
-@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "second", "third"])
-def test_repeated_value_written_with_true_or_a_float_is_rejected(tmp_path, capsys, junk, where):
+# (where, junk, slot): the numerator cases first, then the denominator ones
+JUNK_SLOTS = [
+    pytest.param(where, junk, slot, id="-".join([w, j] + ["denominator"] * slot))
+    for slot in (0, 1)
+    for where, w in enumerate(["first", "second", "third"])
+    for junk, j in [(True, "true"), (1.0, "1.0")]
+]
+
+
+@pytest.mark.parametrize("where, junk, slot", JUNK_SLOTS)
+def test_repeated_value_written_with_true_or_a_float_is_rejected(tmp_path, capsys, where, junk, slot):
     # C2's table holds the value 1 = [[1, 1], [0, 1]] three times; true and
-    # 1.0 hash and compare equal to 1, yet one occurrence written with either
-    # is rejected, whether or not the value has been read before
+    # 1.0 hash and compare equal to 1, yet one occurrence written with either,
+    # as the numerator or the denominator of its first pair, is rejected,
+    # whether or not the value has been read before
     doc = json.loads(json.dumps(table_to_json(group_from_permutations(C2_GENS))))
     ones = [value for row in doc["rows"] for value in row if value == [[1, 1], [0, 1]]]
     assert len(ones) == 3
-    ones[where][0][0] = junk
+    ones[where][0][slot] = junk
     with pytest.raises(ValidationError) as info:
         attach_character_table(group_from_permutations(C2_GENS), doc)
     assert str(info.value) == VALUE_MESSAGE
@@ -309,6 +322,38 @@ def test_repeated_value_written_with_true_or_a_float_is_rejected(tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[0] == f"error: {VALUE_MESSAGE}"
+
+
+@pytest.mark.parametrize("junk", ["object", "fraction-numerator", "fraction-denominator"])
+def test_a_value_that_is_no_json_value_is_rejected(junk):
+    # a library caller's object that marshal cannot write gets no key and
+    # is named by the parse, with the usual text
+    doc = json.loads(json.dumps(table_to_json(group_from_permutations(C2_GENS))))
+    row = doc["rows"][1]
+    if junk == "object":
+        row[1] = object()
+    else:
+        row[1] = [list(pair) for pair in row[1]]
+        row[1][0][junk == "fraction-denominator"] = Fraction(1)
+    with pytest.raises(ValidationError) as info:
+        attach_character_table(group_from_permutations(C2_GENS), doc)
+    assert str(info.value) == VALUE_MESSAGE
+
+
+def test_equal_sets_that_iterate_in_different_orders_are_each_parsed(monkeypatch):
+    # {1, 9} built from 1 and from 9 iterates as (1, 9) and as (9, 1), so
+    # the pair reads 1/9 or 9 by the order; marshal may write both alike,
+    # and neither parse is stored, so each is read for itself
+    first, second = {1}, {9}
+    first.add(9)
+    second.add(1)
+    assert first == second and list(first) != list(second)
+    doc = json.loads(json.dumps(table_to_json(group_from_permutations(C2_GENS))))
+    doc["rows"][0] = [[second, [0, 1]], [first, [0, 1]]]
+    parsed = counting(monkeypatch, "cyc_from_json")
+    with pytest.raises(ValidationError, match="squared degrees do not sum to the group order$"):
+        attach_character_table(group_from_permutations(C2_GENS), doc)
+    assert [value[0] for value, _ in parsed if type(value[0]) is set] == [second, first]
 
 
 def test_decompose_round_trips_sums_of_irreducibles():
@@ -783,6 +828,62 @@ def test_repeated_trivial_row_is_named_by_the_ordered_scan(gens):
     message = "character rows 0,1 are not orthonormal (got 1)"
     assert outcome(_certify_table, G, rows) == message
     assert outcome(ordered_reference, G, rows) == message
+
+
+def separation_reference(G, rows):
+    """The greedy separation of `_check_class_algebra` with each value
+    divided by its row's degree in Cyc, then lifted to the table conductor:
+    the classes chosen, and whether they tell the rows apart."""
+    n = characters._conductor(*(chi.values for chi in rows))
+    blocks, chosen = [list(range(len(rows)))], []
+    for i in range(len(G.conjugacy_classes())):
+        if len(blocks) == len(rows):
+            break
+        parts = {}
+        for block in blocks:
+            for r in block:
+                omega = (rows[r].values[i] / rows[r].degree).lift(n)
+                parts.setdefault((block[0], omega.num, omega.den), []).append(r)
+        if len(parts) > len(blocks):
+            chosen.append(i)
+            blocks = list(parts.values())
+    return chosen, len(blocks) == len(rows)
+
+
+def separation_tables():
+    """name -> (G, rows): every golden table, the eight char-tables
+    benchmark groups, the five rotation groups, and D30 and S4 with a row
+    repeated in place of the next one."""
+    from test_action_table import ROTATION_ACTIONS
+    from test_table_answers import GOLDEN_GROUPS
+
+    def table(G):
+        return G, character_table(G)
+
+    def repeated(G, degree):
+        values = [chi.values for chi in character_table(G)]
+        first = next(i for i, chi in enumerate(character_table(G)) if chi.degree == degree)
+        values[first + 1] = values[first]
+        return G, as_rows(G, values)
+
+    tables = {f"golden:{name}": lambda b=build: table(b()) for name, build in GOLDEN_GROUPS.items()}
+    for name in ("C12", "C20", "S4", "D30", "C2_4", "D12", "A5", "S5"):
+        tables[f"bench:{name}"] = lambda b=kernel_groups()[name]: table(b[0](b[1]))
+    for name, (gens, _) in ROTATION_ACTIONS.items():
+        tables[f"rotation:{name}"] = lambda g=gens: table(group_from_permutations(g))
+    tables["repeated:D30"] = lambda: repeated(group_from_permutations([cycle(15), [(-i) % 15 for i in range(15)]]), 2)
+    tables["repeated:S4"] = lambda: repeated(group_from_permutations([cycle(4), [1, 0, 2, 3]]), 3)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(separation_tables()))
+def test_separation_matches_the_cyc_division_reference(monkeypatch, name):
+    G, rows = separation_tables()[name]()
+    want = separation_reference(G, rows)
+    assert want[1] is not name.startswith("repeated:")
+    chosen = counting(monkeypatch, "_class_matrix")
+    verdict = _check_class_algebra(G, rows, _lift_table(G, rows)[2])
+    assert ([i for _, i in chosen], verdict) == want
 
 
 def counting(monkeypatch, name):

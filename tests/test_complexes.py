@@ -383,3 +383,35 @@ def test_subdivision_of_a_mixed_complex_matches_the_sorted_closure(name):
     ref = sorted_closure_tables(chains)
     Sd = subdivision(K)
     assert {field: getattr(Sd, field) for field in ref} == ref, name
+
+
+# ---------------------------------------------------------------------------
+# ids that already are their ranks skip the rank map and build the same tables
+
+
+def on_ranks(simplices, offset=0):
+    """The simplices with each vertex id replaced by offset + its rank."""
+    rank = {v: offset + r for r, v in enumerate(sorted(set(chain.from_iterable(simplices))))}
+    return [tuple(rank[v] for v in s) for s in simplices]
+
+
+@pytest.mark.parametrize("name", list(MIXED_COMPLEXES))
+def test_ids_that_are_their_ranks_give_the_tables_of_shifted_ids(name):
+    ranked = on_ranks(MIXED_COMPLEXES[name])
+    V = len(set(chain.from_iterable(ranked)))
+    K, shifted = SimplicialComplex(ranked), SimplicialComplex(on_ranks(ranked, V))
+    assert (K.vertices, shifted.vertices) == (tuple(range(V)), tuple(range(V, 2 * V)))
+    assert K.columns == shifted.columns, name
+    assert K.facet_table == shifted.facet_table, name
+    assert K.maximal_positions() == shifted.maximal_positions() == brute_maximal(K), name
+
+
+@pytest.mark.parametrize("ids", [(0, 0.5, 2), (False, True, 2), (0, 1.0, 2)], ids=["0.5", "bools", "1.0"])
+def test_ids_that_equal_their_ranks_only_by_value_are_ranked(ids):
+    # V sorted ids from 0 to V - 1 that are not all ints still go through
+    # the rank map, so the tables are those of the triangle on 0, 1, 2
+    K, triangle = SimplicialComplex([ids]), SimplicialComplex([(0, 1, 2)])
+    assert K.vertices == ids
+    assert (K.columns, K.facet_table, K.maximal_positions()) == (
+        triangle.columns, triangle.facet_table, triangle.maximal_positions()
+    )
