@@ -39,11 +39,10 @@ from .gcomplex import _ladder, orbit_type_stratification
 from .jsonio import (
     bundle_from_json,
     canonical_json,
-    file_digest,
     gcomplex_from_json,
     group_from_json,
     index_file_from_json,
-    load_json_file,
+    read_json_file,
 )
 from .strataformula import StrataGeometry, verify_strata_vs_oracle
 
@@ -54,13 +53,13 @@ EXIT_SKIPPED = 3
 
 
 def _load_action(args) -> tuple[Any, dict]:
-    group_data = load_json_file(args.group)
-    complex_data = load_json_file(args.complex)
+    group_data, group_digest = read_json_file(args.group)
+    complex_data, complex_digest = read_json_file(args.complex)
     group = group_from_json(group_data)
     X = gcomplex_from_json(complex_data, group)
     inputs = {
-        "group": {"sha256": file_digest(args.group)},
-        "complex": {"sha256": file_digest(args.complex)},
+        "group": {"sha256": group_digest},
+        "complex": {"sha256": complex_digest},
     }
     return X, inputs
 
@@ -188,8 +187,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_fine_decomp(args) -> tuple[dict, int]:
-    group_data = load_json_file(args.group)
-    bundle_data = load_json_file(args.bundle)
+    group_data, group_digest = read_json_file(args.group)
+    bundle_data, bundle_digest = read_json_file(args.bundle)
     group = group_from_json(group_data)
     bundle = bundle_from_json(bundle_data, group)
     system = bundle.system
@@ -225,8 +224,8 @@ def _cmd_fine_decomp(args) -> tuple[dict, int]:
     payload = {
         "command": "fine-decomp",
         "inputs": {
-            "group": {"sha256": file_digest(args.group)},
-            "bundle": {"sha256": file_digest(args.bundle)},
+            "group": {"sha256": group_digest},
+            "bundle": {"sha256": bundle_digest},
         },
         "subgroup": list(system.H.elements),
         "normalizer": list(sorted(system.action)),
@@ -236,7 +235,8 @@ def _cmd_fine_decomp(args) -> tuple[dict, int]:
 
 
 def _cmd_assemble(args) -> tuple[dict, int]:
-    blocks = index_file_from_json(load_json_file(args.data))
+    data, digest = read_json_file(args.data)
+    blocks = index_file_from_json(data)
     if args.rho is not None:
         if args.rho not in blocks:
             raise ValidationError(
@@ -251,7 +251,7 @@ def _cmd_assemble(args) -> tuple[dict, int]:
         results.append(entry)
     payload = {
         "command": "assemble",
-        "inputs": {"data": {"sha256": file_digest(args.data)}},
+        "inputs": {"data": {"sha256": digest}},
         "results": results,
     }
     return payload, EXIT_OK

@@ -14,16 +14,17 @@ shifts and masks.  Every computation reads positions; vertex tuples are
 built only when `order` or `index` is first read.
 
 Each dimension's given simplices are transposed into vertex columns once,
-and one sweep from the top dimension down closes them under faces: each
-layer's facet keys are cut once, and they fill in, number the facets of and
-tell the maximal simplices of the layer below.
+with no copy or sort of a row, and one sweep from the top dimension down
+closes them under faces: each layer's facet keys are cut once, and they
+fill in, number the facets of and tell the maximal simplices of the layer
+below.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, lshift, lt, or_, rshift
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,6 +53,13 @@ def _drop_field(keys: Iterable[int], d: int, k: int, bits: int) -> Iterable[int]
     return map(or_, above, below)
 
 
+def ids_are_ranks(vertices: Sequence) -> bool:
+    """Whether sorted distinct vertex ids are their own ranks: V distinct
+    sorted ints from 0 to V - 1 are 0 .. V - 1.  Any other ids, floats and
+    bools that equal such ints among them, are not."""
+    return vertices[0] == 0 and vertices[-1] == len(vertices) - 1 and set(map(type, vertices)) == {int}
+
+
 class RankColumns(NamedTuple):
     """Simplices given without vertex tuples: per dimension d, d + 1 columns
     of vertex ranks, strictly ascending along each row, over `vertices`."""
@@ -72,7 +80,11 @@ class SimplicialComplex:
     vertex k.  Both hold the int objects of `positions`, none of their own.
     `order` (the simplices as vertex tuples) and `index` (tuple -> position)
     are built from `columns` when first read; no computation on positions
-    needs them.  Given simplices are strictly ascending lists or tuples.
+    needs them.  Given simplices are strictly ascending sequences (lists or
+    tuples), read as given: each dimension's rows are transposed into
+    columns once, all rows at once when they share one length, and a row
+    that is not strictly ascending is named as a tuple, the first in the
+    given order.  A caller holding rows out of order sorts them first.
     """
 
     def __init__(self, simplices: Iterable[Simplex] | RankColumns):
@@ -80,9 +92,16 @@ class SimplicialComplex:
             self._build(dict(simplices.given), simplices.vertices)
             return
         listed = list(simplices)
+        lengths = list(map(len, listed))
+        sizes = set(lengths)
         # the given simplices by dimension, the empty one dropped, each
-        # dimension's columns of k-th vertices taken by one transpose
-        given = {n - 1: list(zip(*g)) for n, g in groupby(sorted(listed, key=len), len) if n}
+        # dimension's columns of k-th vertices taken by one transpose of its
+        # rows, all of them at once when every row has one length
+        given = {
+            n - 1: list(zip(*(listed if len(sizes) == 1 else compress(listed, map(n.__eq__, lengths)))))
+            for n in sizes
+            if n
+        }
         for columns in given.values():
             # strictly ascending: each column of k-th vertices lies below the next
             if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
@@ -91,9 +110,7 @@ class SimplicialComplex:
         if not given:
             raise ValidationError("complex must be nonempty")
         vertices = sorted(set().union(*chain.from_iterable(given.values())))
-        # V distinct sorted ints from 0 to V - 1 are 0 .. V - 1, each its own
-        # rank; any other ids (floats and bools among them) are ranked
-        if vertices[0] != 0 or vertices[-1] != len(vertices) - 1 or set(map(type, vertices)) != {int}:
+        if not ids_are_ranks(vertices):
             rank = dict(zip(vertices, range(len(vertices)))).__getitem__
             for columns in given.values():
                 columns[:] = [list(map(rank, c)) for c in columns]

@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import add, and_, eq, mul
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -61,6 +61,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     connected_components,
+    ids_are_ranks,
     subdivision,
 )
 from .errors import DefectError, ValidationError
@@ -177,11 +178,10 @@ class GComplex:
     @cached_property
     def by_mask(self) -> dict[int, list[int]]:
         """Per pointwise fixer mask, the ascending positions that have exactly
-        that mask, grouped in one pass over `masks`."""
-        by_mask: dict[int, list[int]] = {}
-        for i, m in enumerate(self.masks):
-            by_mask.setdefault(m, []).append(i)
-        return by_mask
+        that mask: one stable sort of the positions by mask, cut into runs.
+        No reader depends on the order of the masks."""
+        mask = self.masks.__getitem__
+        return {m: list(ps) for m, ps in groupby(sorted(range(len(self.masks)), key=mask), mask)}
 
     @cached_property
     def mask_euler(self) -> dict[int, int]:
@@ -282,6 +282,9 @@ def build_gcomplex(
 
     `generator_images[i]` gives the vertex map of `group.generators[i]`,
     either as a dict or as a list aligned with the complex's vertex order.
+    A list is already a row of vertex positions when the vertex ids are their
+    own ranks (`ids_are_ranks`), and is used as it stands; otherwise each id
+    is looked up once.  A dict is read through the vertex order.
     The extension is by composition along the group's generator walk.  It is
     a homomorphism that realizes every given image exactly when
     phi(x*g) = phi(x) o m_g for every element x and every given image m_g,
@@ -295,20 +298,27 @@ def build_gcomplex(
         )
     vertices = complex.vertices
     position = dict(zip(vertices, range(len(vertices))))
-    given: list[tuple[int, tuple[int, ...]]] = []
+    ranks = ids_are_ranks(vertices)
+    given: list[tuple[int, Sequence[int]]] = []
     for gid, img in zip(gens, generator_images):
+        # 1.0 and True equal the vertex 1, so each id must be an int
         if isinstance(img, Mapping):
             m = dict(img)
+            ids = [*m, *m.values()]
+            if m.keys() != position.keys() or set(m.values()) != m.keys() or set(map(type, ids)) != {int}:
+                raise ValidationError("generator image is not a vertex bijection")
+            row = tuple(map(position.__getitem__, map(m.__getitem__, vertices)))
         else:
             if len(img) != len(vertices):
                 raise ValidationError(
                     f"generator image length {len(img)} differs from vertex count {len(vertices)}"
                 )
-            m = dict(zip(vertices, img))
-        ids = [*m, *m.values()]  # 1.0 and True equal the vertex 1, so each id must be an int
-        if m.keys() != position.keys() or set(m.values()) != position.keys() or set(map(type, ids)) != {int}:
-            raise ValidationError("generator image is not a vertex bijection")
-        given.append((gid, tuple(map(position.__getitem__, map(m.__getitem__, vertices)))))
+            if set(img) != position.keys() or set(map(type, chain(vertices, img))) != {int}:
+                raise ValidationError("generator image is not a vertex bijection")
+            # aligned with the vertex order, so a row of positions as it
+            # stands when the ids are their own positions
+            row = img if ranks else tuple(map(position.__getitem__, img))
+        given.append((gid, row))
     # vertex maps as rows of vertex positions
     phi = compose_rows(group.generator_walk, tuple(range(len(vertices))), dict(given))
     given_getters = [(gid, gather(mg)) for gid, mg in given]

@@ -10,8 +10,10 @@ Input formats (all plain JSON objects):
 
   complex:  {"maximal_simplices": [[...], ...],
              "action": {"generator_images": [{...} | [...], ...]}}
-            generator images align with the group's generator list; a
-            maximal simplex lists at least one vertex id, none twice.
+            generator images align with the group's generator list, a list
+            image with the ascending vertex ids; a maximal simplex lists at
+            least one vertex id, none twice, in any order.  Ascending rows
+            reach the complex as parsed; rows are sorted only if one is not.
 
   bundle:   {"H": {"generators": [...] | "elements": [...]},
              "components": [{"id": ..., "multiplicities": {"idx": m}}],
@@ -25,14 +27,16 @@ Input formats (all plain JSON objects):
             where r is an integer or an [numerator, denominator] pair and
             a stratum id is a JSON string or integer.
 
-Reports are dumped with sorted keys and a trailing newline so a given input
-always produces byte-identical output; nothing time- or path-dependent goes
-into them.
+Each input file is read once: its bytes are hashed for the report and
+parsed, so a pipe is digested as read.  Reports are dumped with sorted keys
+and a trailing newline so a given input always produces byte-identical
+output; nothing time- or path-dependent goes into them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
 from fractions import Fraction
@@ -62,19 +66,43 @@ def canonical_json(obj: Any) -> str:
 
 
 def file_digest(path: str) -> str:
+    """The sha256 of a file's bytes, read apart from its parse; the
+    benchmark times the two stages one by one."""
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def load_json_file(path: str) -> Any:
+def _read(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _parse(path: str, raw: bytes) -> Any:
+    """The JSON value of a file's bytes, decoded as text mode reads a file,
+    UTF-8 with universal newlines, so an error names the same line, column
+    and character."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         # bad syntax or bytes, an integer past Python's digit limit, deep nesting
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def read_json_file(path: str) -> tuple[Any, str]:
+    """A file's JSON value and the sha256 of the bytes it was parsed from,
+    read once, so a pipe or a file replaced meanwhile gives the digest of
+    what was parsed."""
+    raw = _read(path)
+    return _parse(path, raw), hashlib.sha256(raw).hexdigest()
+
+
+def load_json_file(path: str) -> Any:
+    """A file's JSON value, read as `read_json_file` reads it but not
+    hashed; the benchmark times the parse on its own."""
+    return _parse(path, _read(path))
 
 
 def _require(data: dict, key: str, where: str) -> Any:
@@ -180,29 +208,30 @@ def gcomplex_from_json(data: dict, group: FiniteGroup) -> GComplex:
     _block(data, dict, "complex data")
     maximal = _require(data, "maximal_simplices", "complex data")
     try:
-        # one typed pass over every id, then the rows as given
+        # one typed pass over every id
         if not set(map(type, chain.from_iterable(maximal))) <= {int}:
             raise ValueError("ids must be JSON integers")
-        simplices = list(map(sorted, maximal))
     except (TypeError, ValueError):
         raise ValidationError(
             "maximal_simplices must be a list of lists of integer vertex ids"
         ) from None
-    if not simplices:
+    if not maximal:
         raise ValidationError("complex data lists no simplices")
-    # a sorted simplex repeats a vertex exactly when the complex finds it not
-    # strictly ascending; the first bad one in input order is named on failure
+    # The rows go to the complex as given.  Only if one is empty or not
+    # strictly ascending are they read one by one: the first empty or
+    # repeating row in input order is named, and otherwise each row is
+    # sorted, as a row given out of order is a simplex all the same.
     try:
-        if not all(simplices):
+        if not all(maximal):
             raise ValidationError("a maximal simplex has no vertices")
-        complex = SimplicialComplex(simplices)
+        complex = SimplicialComplex(maximal)
     except ValidationError:
-        for raw, s in zip(maximal, simplices):
-            if not s:
+        for raw in maximal:
+            if not raw:
                 raise ValidationError(f"maximal simplex {raw} has no vertices") from None
-            if len(set(s)) != len(s):
+            if len(set(raw)) != len(raw):
                 raise ValidationError(f"maximal simplex {raw} repeats a vertex") from None
-        raise
+        complex = SimplicialComplex(list(map(sorted, maximal)))
     action = _require(data, "action", "complex data")
     raw_images = _require(action, "generator_images", "complex action")
     try:

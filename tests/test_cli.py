@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, deterministic reports, diagnostics."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -447,6 +449,8 @@ def test_one_vertex_complex_under_c2(tmp_path, capsys):
         # both faults: the first in input order is named
         ([[0, 1], [2, 2], []], "maximal simplex [2, 2] repeats a vertex"),
         ([[0, 1], [], [2, 2]], "maximal simplex [] has no vertices"),
+        # rows out of order are sorted, but only once none repeats a vertex
+        ([[2, 0, 1], [2, 1, 2]], "maximal simplex [2, 1, 2] repeats a vertex"),
     ],
     ids=[
         "repeated-vertex",
@@ -455,6 +459,7 @@ def test_one_vertex_complex_under_c2(tmp_path, capsys):
         "only-empty",
         "repeat-before-empty",
         "empty-before-repeat",
+        "out-of-order-then-repeat-out-of-order",
     ],
 )
 def test_degenerate_maximal_simplex_is_named(tmp_path, capsys, maximal, text):
@@ -833,6 +838,103 @@ def test_unreadable_files_exit_invalid_naming_the_path(tmp_path, capsys):
         assert out == ""
         (line,) = [line for line in err.splitlines() if not line.startswith("elapsed:")]
         assert line.startswith("error: ") and str(path) in line, line
+
+
+CRLF_SYNTAX = b'{\r\n  "a": [1,\r\n  2,,\r\n 3]\r\n}\r\n'
+
+
+def text_mode_error(path):
+    """The `error:` line for a file that text-mode reading (UTF-8, universal
+    newlines) and `json.load` refuse, as the commands word it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    except OSError as exc:
+        return f"error: cannot read {path}: {exc.strerror}"
+    except (ValueError, RecursionError) as exc:
+        return f"error: {path} is not valid JSON: {exc}"
+    raise AssertionError(f"{path} reads as JSON")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        CRLF_SYNTAX,
+        b'\xef\xbb\xbf{"a": 1}',
+        b'{"a": "\xff"}',
+        b'[' + b'0, ' * 4000 + b'"\xc3\x28"]',
+        b"9" * 5000,
+        b"[" * 200_000,
+        None,  # a directory
+        "missing",
+    ],
+    ids=["crlf-syntax", "bom", "invalid-utf8", "invalid-utf8-past-8k", "digit-limit", "deep", "directory", "missing"],
+)
+def test_a_file_read_once_keeps_the_text_mode_errors(tmp_path, capsys, raw):
+    """Each input is read once as bytes, hashed, and decoded as text mode
+    decodes it, so every error names the same line, column, char, byte
+    position or reason."""
+    path = tmp_path / "input.json"
+    if raw is None:
+        path.mkdir()
+    elif raw != "missing":
+        path.write_bytes(raw)
+    want = text_mode_error(path)
+    if raw == CRLF_SYNTAX:
+        # lines and chars of the text with each CRLF read as one newline
+        assert want.endswith("Expecting value: line 3 column 5 (char 17)")
+    gpath, cpath = write_case_files(tmp_path, "s2-pi-rotation")
+    for argv in (
+        ["verify", "--group", str(path), "--complex", cpath],
+        ["strata", "--group", gpath, "--complex", str(path)],
+        ["fine-decomp", "--group", str(path), "--bundle", cpath],
+        ["assemble", "--data", str(path)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.splitlines()[0] == want, argv
+
+
+@pytest.fixture
+def pipe():
+    """A path to the read end of a pipe holding the given bytes, as a shell's
+    process substitution gives it; the bytes can be read once."""
+    fds = []
+
+    def make(raw):
+        r, w = os.pipe()
+        os.write(w, raw)
+        os.close(w)
+        fds.append(r)
+        return f"/dev/fd/{r}"
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("command", ["verify", "strata", "fine-decomp", "assemble"])
+def test_inputs_from_pipes_report_the_digest_of_the_bytes_parsed(tmp_path, capsys, pipe, command):
+    """Reading a pipe drains it, so a digest taken by reading the path again
+    would be that of no bytes; the report holds the digest of what was
+    parsed and is the report of the same bytes given as files."""
+    if command in ("verify", "strata"):
+        doc = json.loads(corpus.read_corpus_bytes("s2-pi-rotation").decode("utf-8"))
+        inputs = {"group": doc["group"], "complex": doc["complex"]}
+    elif command == "fine-decomp":
+        inputs = {"group": C3_IN_S3["group"], "bundle": C3_IN_S3["bundle"]}
+    else:
+        inputs = {"data": BETA_DATA}
+    raw = {name: json.dumps(value).encode("utf-8") for name, value in inputs.items()}
+    for name, data in raw.items():
+        (tmp_path / name).write_bytes(data)
+    code, from_files, _ = run_cli([command, *(a for n in raw for a in (f"--{n}", str(tmp_path / n)))], capsys)
+    assert code == 0
+    code, from_pipes, _ = run_cli([command, *(a for n, data in raw.items() for a in (f"--{n}", pipe(data)))], capsys)
+    assert code == 0
+    assert from_pipes == from_files
+    assert json.loads(from_pipes)["inputs"] == {n: {"sha256": hashlib.sha256(data).hexdigest()} for n, data in raw.items()}
 
 
 def test_missing_out_directory_fails_before_the_run(tmp_path, capsys):

@@ -204,6 +204,13 @@ def test_constructor_names_the_first_bad_simplex():
     with pytest.raises(ValidationError) as err:
         SimplicialComplex([[0, 1], [0, 1, 1]])
     assert str(err.value) == "simplex must be strictly ascending: (0, 1, 1)"
+    # a row that is out of order and repeats a vertex, after one that is out of order
+    with pytest.raises(ValidationError) as err:
+        SimplicialComplex([[0, 1], [1, 0], [2, 1, 2]])
+    assert str(err.value) == "simplex must be strictly ascending: (1, 0)"
+    with pytest.raises(ValidationError) as err:
+        SimplicialComplex([[0, 1], [2, 1, 2], [1, 0]])
+    assert str(err.value) == "simplex must be strictly ascending: (2, 1, 2)"
 
 
 # ---------------------------------------------------------------------------
