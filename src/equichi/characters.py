@@ -10,17 +10,22 @@ representative g_j of C_j, |G| k table reads over all k classes, not |G|^2.
 The splitting is performed modulo a deterministic prime p = 1 (mod
 exponent), p > 2*sqrt(|G|).  Each class matrix, restricted to an eigenspace
 found so far, splits it only at the roots of its characteristic polynomial,
-taken on its Hessenberg form.  Character values are then reconstructed
+taken on its Hessenberg form; a restriction that is scalar mod p splits
+nothing and costs no round.  The classes are visited in descending element
+order, ties in canonical order.  Character values are then reconstructed
 exactly as root-of-unity multiplicity vectors (the multiplicities are
 integers below p, so the modular computation determines them), as integer
 vectors, once per Galois orbit of classes: chi(g^a) = sigma_a(chi(g)) for a
 prime to the order of g (Isaacs, Character Theory of Finite Groups) gives
-the rest of the orbit.  An abelian group, one element per class, skips the
-split: its irreducibles are the homomorphisms to the N-th roots of unity, N
-the exponent, built by extending the characters of a growing subgroup along
-the elements in id order (`_abelian_characters`).  The finished table is
-certified exactly, by the same checks on either route.  Any failure of the
-splitting or of the certification is a defect, never a data error.
+the rest of the orbit.  Each value is the sum of its multiplicities times
+the powers of zeta_N already reduced mod Phi_N (`reduced_roots`, one cached
+table per exponent N), so it needs no reduction of its own.  An abelian
+group, one element per class, skips the split: its irreducibles are the
+homomorphisms to the N-th roots of unity, N the exponent, built by
+extending the characters of a growing subgroup along the elements in id
+order (`_abelian_characters`).  The finished table is certified exactly,
+by the same checks on either route.  Any failure of the splitting or of the
+certification is a defect, never a data error.
 
 A table of |G| rows of degree 1 is first certified on exponents mod N
 (`_linear_table_holds`): every value must be exactly zeta_N^e, the
@@ -77,7 +82,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .cyclotomic import Cyc, reduce_mod_phi
+from .cyclotomic import Cyc, reduce_mod_phi, reduced_roots, zeta_powers
 from .errors import DefectError, ValidationError
 from .groups import FiniteGroup, Subgroup, gather
 
@@ -471,11 +476,21 @@ def _split_central_characters(G: FiniteGroup, p: int) -> list[list[int]]:
     images of the basis.  Nullspaces are taken only at the roots of the
     characteristic polynomial of R, in ascending order, on its Hessenberg
     form H = Q^-1 R Q, where each costs O(dim^2), and mapped back by Q.
+
+    A space on which R is scalar is kept as it stands.  The class matrices
+    commute and are diagonalizable over F_p (p does not divide |G|, and F_p
+    holds the exponent-th roots of unity), so each space found so far is a
+    sum of their common eigenspaces, on which R is diagonalizable: a scalar
+    R splits nothing, and the full round would return the same pivots and
+    basis.  The classes are visited in descending order of the order of
+    their elements, ties in canonical order, so that the classes that split
+    most come early; the identity class, last, splits nothing.
     """
     k = len(G.conjugacy_classes())
+    powers = G.class_powers
     subspaces = [(list(range(k)), [[int(r == c) for r in range(k)] for c in range(k)])]
-    for i in range(1, k):
-        if all(len(basis) == 1 for _, basis in subspaces):
+    for i in sorted(range(k), key=lambda c: -len(powers[c])):
+        if len(powers[i]) == 1 or all(len(basis) == 1 for _, basis in subspaces):
             break
         mat = _class_matrix(G, i)  # eigen relation: mat . omega = omega_i . omega
         refined: list[tuple[list[int], list[list[int]]]] = []
@@ -485,6 +500,10 @@ def _split_central_characters(G: FiniteGroup, p: int) -> list[list[int]]:
                 refined.append((pivots, basis))
                 continue
             R = [[sum(x * vec[m] for m, x in mat[r]) % p for vec in basis] for r in pivots]
+            lam = R[0][0]
+            if all(row == [0] * s + [lam] + [0] * (dim - 1 - s) for s, row in enumerate(R)):
+                refined.append((pivots, basis))
+                continue
             H, Q = _hessenberg_mod_p(R, p)
             columns = list(zip(*basis))
             consumed = 0
@@ -533,11 +552,14 @@ def _lift_characters(
     multiplicity of each m-th root of unity among the eigenvalues of g (each
     at most d, summing to d), and the class of g^a gets the same
     multiplicities with exponent e moved to a*e mod N, since
-    chi(g^a) = sigma_a(chi(g)).  The inverse classes, the inverted class
-    sizes, the orbits and their transform matrices are built once per table;
-    `_certify_table` checks every value.
+    chi(g^a) = sigma_a(chi(g)).  Each value is summed from the powers of
+    zeta_N reduced mod Phi_N (`reduced_roots`), so it is canonical as
+    summed.  The inverse classes, the inverted class sizes, the orbits and
+    their transform matrices are built once per table; `_certify_table`
+    checks every value.
     """
     N = G.exponent
+    roots = reduced_roots(N)
     zN = _root_of_unity_mod_p(N, p)
     size_inv = [pow(len(c), p - 2, p) for c in G.conjugacy_classes()]
     powers = G.class_powers
@@ -582,8 +604,9 @@ def _lift_characters(
             for c, a in images:
                 num = [0] * N
                 for e, mt in mults:
-                    num[(a * e) % N] = mt
-                values[c] = Cyc.from_ints(N, num)
+                    for u, x in roots[(a * e) % N]:
+                        num[u] += mt * x
+                values[c] = Cyc.from_reduced(N, num)
         raw.append((d, tuple(values)))
     return raw
 
@@ -598,9 +621,10 @@ def _abelian_characters(G: FiniteGroup) -> list[tuple[int, tuple[Cyc, ...]]]:
     m b = e (mod N) where chi(g^m) = zeta_N^e, N the exponent: the order of
     g is m times that of g^m and divides N, so m divides e and
     b = e/m + s N/m, s < m.  Values are kept as exponents mod N, listed in
-    the order the elements join H, and become `Cyc` values through one list
-    of the N roots of unity.  The generators of G are not read: a table
-    group's declared generators need not generate it.
+    the order the elements join H, and become `Cyc` values through
+    `zeta_powers(N)`, the N roots of unity built once per N.  The generators
+    of G are not read: a table group's declared generators need not
+    generate it.
     """
     N = G.exponent
     t = G.table
@@ -628,7 +652,7 @@ def _abelian_characters(G: FiniteGroup) -> list[tuple[int, tuple[Cyc, ...]]]:
             for row in exps
             for b in range(row[h] // m, N, step)
         ]
-    zetas = [Cyc.zeta(N, e) for e in range(N)]
+    zetas = zeta_powers(N)
     where = gather([pos[r] for r in G.class_representatives()])
     return [(1, tuple(map(zetas.__getitem__, where(row)))) for row in exps]
 
@@ -768,8 +792,8 @@ def _linear_table_holds(G: FiniteGroup, rows: Sequence[Character]) -> bool:
 
     Every row must have degree 1 and there must be |G| rows, one per class.
     Each value must be zeta_N^e exactly (its canonical (num, den) at
-    conductor N is looked up among the N powers), which gives each row an
-    exponent e(x) per element.  Then e(x g) = e(x) + e(g) mod N for every x
+    conductor N is looked up among the N powers of `zeta_powers`), which
+    gives each row an exponent e(x) per element.  Then e(x g) = e(x) + e(g) mod N for every x
     and every g of a magma generating set makes e a homomorphism to Z/N:
     x = 1 gives e(1) = 0, and every element is a product of the set.  The
     rows must also be pairwise distinct, one of them trivial.  Distinct
@@ -780,7 +804,7 @@ def _linear_table_holds(G: FiniteGroup, rows: Sequence[Character]) -> bool:
     linear = all(chi.degree == 1 for chi in rows)
     if not (linear and len(rows) == order == len(G.conjugacy_classes())):
         return False
-    roots = {(Cyc.zeta(N, e).num, 1): e for e in range(N)}
+    roots = {(z.num, 1): e for e, z in enumerate(zeta_powers(N))}
     t = G.table
     wrap = tuple(range(N)) * 2  # wrap[s:s + N][e] = e + s mod N
     gens = [(g, gather(t[g])) for g in G._magma_generators]  # x -> g x = x g, G abelian

@@ -80,6 +80,27 @@ def reduce_mod_phi(n: int, folded: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def reduced_roots(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_n^e reduced mod Phi_n, for e = 0 .. n-1, each as its nonzero
+    (power, coefficient) pairs.  Reduction is linear, so sum_e m_e zeta_n^e
+    is reduced as the sum of m_e times these rows, with no reduction of its
+    own."""
+    rows = []
+    for e in range(n):
+        num = [0] * n
+        num[e] = 1
+        rows.append(tuple((k, c) for k, c in enumerate(reduce_mod_phi(n, num)) if c))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def zeta_powers(n: int) -> tuple["Cyc", ...]:
+    """zeta_n^e for e = 0 .. n-1, built once per n.  No operation changes a
+    Cyc in place, so tables share these values."""
+    return tuple(Cyc.zeta(n, e) for e in range(n))
+
+
+@lru_cache(maxsize=None)
 def _subfield_basis(d: int, m: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     """The power basis zeta_d^k (k < phi(d)) of Q(zeta_d), lifted into
     Q(zeta_m) and brought to echelon form over Z without division: one
@@ -137,6 +158,15 @@ class Cyc:
         c = object.__new__(Cyc)
         c.n = n
         c.num, c.den = _canonical(n, num, den)
+        return c
+
+    @staticmethod
+    def from_reduced(n: int, num: Sequence[int]) -> "Cyc":
+        """The algebraic integer sum_k num[k] zeta_n^k, for a length-n
+        integer vector num that is already reduced mod Phi_n: kept as it
+        is, with no reduction."""
+        c = object.__new__(Cyc)
+        c.n, c.num, c.den = n, tuple(num), 1
         return c
 
     @staticmethod

@@ -179,9 +179,10 @@ class GComplex:
     def by_mask(self) -> dict[int, list[int]]:
         """Per pointwise fixer mask, the ascending positions that have exactly
         that mask: one stable sort of the positions by mask, cut into runs.
-        No reader depends on the order of the masks."""
+        The lists hold the int objects of `complex.positions`, none of their
+        own.  No reader depends on the order of the masks."""
         mask = self.masks.__getitem__
-        return {m: list(ps) for m, ps in groupby(sorted(range(len(self.masks)), key=mask), mask)}
+        return {m: list(ps) for m, ps in groupby(sorted(self.complex.positions, key=mask), mask)}
 
     @cached_property
     def mask_euler(self) -> dict[int, int]:
@@ -590,7 +591,7 @@ def orbit_type_stratification(X: GComplex) -> Stratification:
                 f"{principal.isotropy.elements} and {other.isotropy.elements} are incomparable minima"
             )
     principal_masks = {m for m, rep in class_of.items() if rep == ordered[0]}
-    if not all(masks[i] in principal_masks for i in K.maximal_positions()):
+    if not principal_masks.issuperset(map(masks.__getitem__, K.maximal_positions())):
         raise ValidationError(
             "principal stratum is not dense: some simplex is not a face of a principal simplex"
         )

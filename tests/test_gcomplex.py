@@ -363,3 +363,19 @@ def test_star_checks_keep_their_texts(name):
     with pytest.raises(ValidationError) as err:
         orientation_character(X, stratum, component, basepoint=(0,))
     assert str(err.value) == text
+
+
+def test_by_mask_lists_the_int_objects_of_positions():
+    """On torus-involution sd3 (20,736 simplices) every position that
+    `by_mask` lists is the int object of `complex.positions`, not a copy."""
+    from equichi import corpus
+    from equichi.gcomplex import _subdivide
+
+    X = corpus.load_case("torus-involution").gcomplex
+    for _ in range(3):
+        X = _subdivide(X)
+    positions = X.complex.positions
+    assert len(positions) == 20736
+    listed = [i for ps in X.by_mask.values() for i in ps]
+    assert sorted(listed) == list(positions)
+    assert all(i is positions[i] for i in listed)
