@@ -7,9 +7,11 @@ Subcommands:
   fine-decomp  split bundle data over fixed components into fine pieces
   assemble     evaluate a stratified index sum from spectral data
 
-Reports go to stdout (or --out) as canonical JSON: keys sorted, trailing
-newline, no timestamps or machine-dependent content, so the same input
-bytes always produce the same output bytes.  Wall time goes to stderr.
+Each input file is read once, through `_read_inputs`: the bytes parsed are
+the bytes whose sha256 the report's `inputs` block gives, so a pipe works as
+an input.  Reports go to stdout (or --out) as canonical JSON: keys sorted,
+trailing newline, no timestamps or machine-dependent content, so the same
+input bytes always produce the same output bytes.  Wall time goes to stderr.
 
 Exit codes: 0 success (and, for verify, all routes agree); 1 invalid input,
 or a report holding an integer too long for Python to write; 2 route
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import os
 import sys
 import time
@@ -32,7 +33,7 @@ from typing import Any
 from . import corpus
 from .assembler import assemble_index
 from .characters import character_table
-from .errors import CodimensionError, DefectError, ValidationError
+from .errors import DefectError, ValidationError
 from .finedecomp import canonical_isotropy_bundle, fine_decomposition, is_adapted
 from .complexes import euler_of_complex
 from .gcomplex import _ladder, orbit_type_stratification
@@ -51,17 +52,24 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_SKIPPED = 3
 
+# the outcomes of verify --corpus, worst first: the worst case's code wins
+CORPUS_OUTCOMES = {EXIT_MISMATCH: "mismatch", EXIT_SKIPPED: "skipped", EXIT_OK: "ok"}
+
+
+def _read_inputs(args, *flags: str) -> tuple[list[Any], dict]:
+    """The JSON value of the file each flag names, each file read once, in
+    flag order, and the report's `inputs` block of their sha256 digests."""
+    values, inputs = [], {}
+    for flag in flags:
+        value, digest = read_json_file(getattr(args, flag))
+        values.append(value)
+        inputs[flag] = {"sha256": digest}
+    return values, inputs
+
 
 def _load_action(args) -> tuple[Any, dict]:
-    group_data, group_digest = read_json_file(args.group)
-    complex_data, complex_digest = read_json_file(args.complex)
-    group = group_from_json(group_data)
-    X = gcomplex_from_json(complex_data, group)
-    inputs = {
-        "group": {"sha256": group_digest},
-        "complex": {"sha256": complex_digest},
-    }
-    return X, inputs
+    (group_data, complex_data), inputs = _read_inputs(args, "group", "complex")
+    return gcomplex_from_json(complex_data, group_from_json(group_data)), inputs
 
 
 def _stratification_summary(X, strat) -> dict:
@@ -110,25 +118,17 @@ def _cmd_strata(args) -> tuple[dict, int]:
         rows = [table[args.rho]]
     else:
         rows = list(table)
-    code = EXIT_OK
-    skipped = None
-    strat = orbit_type_stratification(X)
-    try:
-        geometry = StrataGeometry(X.group, strat)
-        breakdowns = [geometry.breakdown(rho).to_json_dict() for rho in rows]
-    except CodimensionError as exc:
-        skipped = str(exc)
-        code = EXIT_SKIPPED
-        breakdowns = []
+    geometry = StrataGeometry(X.group, orbit_type_stratification(X))
+    refusal = geometry.refusal
     payload = {
         "command": "strata",
         "inputs": inputs,
         "subdivisions": subdivisions,
-        "stratification": _stratification_summary(X, strat),
-        "breakdowns": breakdowns,
-        "skipped": skipped,
+        "breakdowns": [] if refusal else [geometry.breakdown(rho).to_json_dict() for rho in rows],
+        "stratification": _stratification_summary(X, geometry.stratification),
+        "skipped": str(refusal) if refusal else None,
     }
-    return payload, code
+    return payload, EXIT_SKIPPED if refusal else EXIT_OK
 
 
 def _verify_code(report) -> int:
@@ -144,34 +144,22 @@ def _cmd_verify(args) -> tuple[dict, int]:
         given = [flag for flag, path in (("--group", args.group), ("--complex", args.complex)) if path]
         if given:
             raise ValidationError(f"verify --corpus takes no {' or '.join(given)}")
-        entries = []
-        code = EXIT_OK
-        counts = {"ok": 0, "mismatch": 0, "skipped": 0}
-        case_list = corpus.case_ids() if args.case is None else (args.case,)
-        for cid in case_list:
+        entries, codes = [], []
+        for cid in corpus.case_ids() if args.case is None else (args.case,):
             case = corpus.load_case(cid)
             report = verify_strata_vs_oracle(case.gcomplex)
-            case_code = _verify_code(report)
-            if case_code == EXIT_SKIPPED:
-                counts["skipped"] += 1
-            elif case_code == EXIT_MISMATCH:
-                counts["mismatch"] += 1
-            else:
-                counts["ok"] += 1
+            codes.append(_verify_code(report))
             entries.append(
                 {
                     "case": cid,
                     "title": case.title,
-                    "sha256": hashlib.sha256(corpus.read_corpus_bytes(cid)).hexdigest(),
+                    "sha256": case.sha256,
                     "report": report.to_json_dict(),
                 }
             )
-        if counts["mismatch"]:
-            code = EXIT_MISMATCH
-        elif counts["skipped"]:
-            code = EXIT_SKIPPED
-        payload = {"command": "verify", "corpus": entries, "summary": counts}
-        return payload, code
+        summary = {name: codes.count(code) for code, name in CORPUS_OUTCOMES.items()}
+        worst = next((code for code in CORPUS_OUTCOMES if code in codes), EXIT_OK)
+        return {"command": "verify", "corpus": entries, "summary": summary}, worst
     if not args.group or not args.complex:
         raise ValidationError("verify needs either --corpus or both --group and --complex")
     if args.case is not None:
@@ -187,10 +175,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_fine_decomp(args) -> tuple[dict, int]:
-    group_data, group_digest = read_json_file(args.group)
-    bundle_data, bundle_digest = read_json_file(args.bundle)
-    group = group_from_json(group_data)
-    bundle = bundle_from_json(bundle_data, group)
+    (group_data, bundle_data), inputs = _read_inputs(args, "group", "bundle")
+    bundle = bundle_from_json(bundle_data, group_from_json(group_data))
     system = bundle.system
     Hgroup, _ = system.H.as_group()
     table = character_table(Hgroup)
@@ -223,10 +209,7 @@ def _cmd_fine_decomp(args) -> tuple[dict, int]:
         )
     payload = {
         "command": "fine-decomp",
-        "inputs": {
-            "group": {"sha256": group_digest},
-            "bundle": {"sha256": bundle_digest},
-        },
+        "inputs": inputs,
         "subgroup": list(system.H.elements),
         "normalizer": list(sorted(system.action)),
         "components": components,
@@ -235,7 +218,7 @@ def _cmd_fine_decomp(args) -> tuple[dict, int]:
 
 
 def _cmd_assemble(args) -> tuple[dict, int]:
-    data, digest = read_json_file(args.data)
+    (data,), inputs = _read_inputs(args, "data")
     blocks = index_file_from_json(data)
     if args.rho is not None:
         if args.rho not in blocks:
@@ -251,7 +234,7 @@ def _cmd_assemble(args) -> tuple[dict, int]:
         results.append(entry)
     payload = {
         "command": "assemble",
-        "inputs": {"data": {"sha256": digest}},
+        "inputs": inputs,
         "results": results,
     }
     return payload, EXIT_OK
@@ -362,9 +345,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except CodimensionError as exc:
-        print(f"skipped: {exc}", file=sys.stderr)
-        return EXIT_SKIPPED
     except DefectError as exc:
         print(f"defect: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

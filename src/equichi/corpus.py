@@ -2,13 +2,17 @@
 
 Every case ships as plain JSON in the package's corpus directory and loads
 through the same code paths as user-supplied files, so the bundled cases
-double as end-to-end fixtures for the command line and the library.
+double as end-to-end fixtures for the command line and the library.  The
+manifest is read once per process, and a case file once per `load_case`,
+which keeps the sha256 of the bytes it parsed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .assembler import IndexData
@@ -34,20 +38,22 @@ def _read(name: str) -> dict:
     return json.loads(read_corpus_bytes(name).decode("utf-8"))
 
 
-def manifest() -> dict:
-    return _read("manifest")
+@cache
+def _manifest() -> dict[str, tuple[str, ...]]:
+    """The manifest's id lists, read once per process, as tuples."""
+    return {kind: tuple(ids) for kind, ids in _read("manifest").items()}
 
 
 def case_ids() -> tuple[str, ...]:
-    return tuple(manifest()["cases"])
+    return _manifest()["cases"]
 
 
 def bundle_ids() -> tuple[str, ...]:
-    return tuple(manifest()["bundles"])
+    return _manifest()["bundles"]
 
 
 def index_data_ids() -> tuple[str, ...]:
-    return tuple(manifest()["index_data"])
+    return _manifest()["index_data"]
 
 
 @dataclass(frozen=True)
@@ -56,15 +62,17 @@ class CorpusCase:
     title: str
     group: FiniteGroup
     gcomplex: GComplex  # as loaded; not regularized
+    sha256: str  # of the case file's bytes, the ones parsed
 
 
 def load_case(case_id: str) -> CorpusCase:
     if case_id not in case_ids():
         raise ValidationError(f"no corpus case named {case_id!r}")
-    data = _read(case_id)
+    raw = read_corpus_bytes(case_id)
+    data = json.loads(raw.decode("utf-8"))
     group = group_from_json(data["group"])
     X = gcomplex_from_json(data["complex"], group)
-    return CorpusCase(id=data["id"], title=data["title"], group=group, gcomplex=X)
+    return CorpusCase(data["id"], data["title"], group, X, hashlib.sha256(raw).hexdigest())
 
 
 def load_bundle_case(bundle_id: str) -> tuple[FiniteGroup, BundleData]:

@@ -25,8 +25,10 @@ number n_c of elements of H in the class c: `StrataGeometry` counts them
 once per stratum, since they do not depend on rho, and each factor is one
 `_class_average` of rho, the rule the multiplicities use (see `characters`).
 
-Components of codimension below two are rejected with a typed error; the
-verification driver converts that into an explicit skip.
+A singular component of codimension below two makes the geometry refuse
+the sum: `StrataGeometry.refusal` is the typed error naming it, which
+`strata_geometry` raises and the verification driver reports as an
+explicit skip.
 """
 
 from __future__ import annotations
@@ -133,8 +135,9 @@ class StrataEulerBreakdown:
 @dataclass(frozen=True)
 class StrataGeometry:
     """Everything in the stratified sum that does not depend on rho: the
-    group and its stratification.  Constructing it applies the codimension
-    guard, scanning the singular components in order."""
+    group and its stratification.  Its `refusal` is the codimension
+    guard's verdict, which `strata_geometry` raises and the commands
+    report as a skip; `breakdown` evaluates the sum either way."""
 
     group: FiniteGroup
     stratification: Stratification
@@ -145,17 +148,22 @@ class StrataGeometry:
         group fall in each conjugacy class."""
         return tuple(_class_counts(s.isotropy) for s in self.stratification.strata)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def refusal(self) -> CodimensionError | None:
+        """The error naming the first singular component, in stratum and
+        component order, of codimension below 2, or None when the sum
+        applies."""
         for stratum in self.stratification.singular:
             for component in stratum.components:
                 if component.codim < 2:
-                    raise CodimensionError(
+                    return CodimensionError(
                         "stratified sum rejected: component "
                         f"{component.index} of stratum {stratum.index} has "
                         f"codimension {component.codim} < 2",
                         stratum_index=stratum.index,
                         component_index=component.index,
                     )
+        return None
 
     @property
     def principal_relative(self) -> int:
@@ -196,8 +204,12 @@ class StrataGeometry:
 def strata_geometry(X: GComplex) -> StrataGeometry:
     """Build the rho-independent part of the stratified sum, with every
     geometric input derived from the complex itself; the action must
-    satisfy condition (A)."""
-    return StrataGeometry(X.group, orbit_type_stratification(X))
+    satisfy condition (A), and the geometry's `refusal`, if any, is
+    raised."""
+    geometry = StrataGeometry(X.group, orbit_type_stratification(X))
+    if geometry.refusal is not None:
+        raise geometry.refusal
+    return geometry
 
 
 def equivariant_euler_via_strata(X: GComplex, rho: Character) -> StrataEulerBreakdown:
@@ -268,19 +280,17 @@ def verify_strata_vs_oracle(X: GComplex) -> VerifyReport:
     """Run both routes to chi_rho for every irreducible and compare.
 
     Both run on `_ladder`'s complex, the first of the ladder that satisfies
-    condition (A).  A codimension guard fires as an explicit skip, never as
-    a wrong number.
+    condition (A).  The geometry's `refusal` becomes an explicit skip,
+    never a wrong number.
     """
     X, subdivisions = _ladder(X)
     chi_m = euler_of_complex(X.complex)
     report = equivariant_multiplicities(X)
-    try:
-        geometry = strata_geometry(X)
-        rows = tuple(
-            VerifyRow(rho.index, rho.degree, report.chi_rho[rho.index], geometry.breakdown(rho).total)
-            for rho in character_table(X.group)
-        )
-        skipped = None
-    except CodimensionError as exc:
-        rows, skipped = (), str(exc)
-    return VerifyReport(rows, skipped, subdivisions, chi_m)
+    geometry = StrataGeometry(X.group, orbit_type_stratification(X))
+    if geometry.refusal is not None:
+        return VerifyReport((), str(geometry.refusal), subdivisions, chi_m)
+    rows = tuple(
+        VerifyRow(rho.index, rho.degree, report.chi_rho[rho.index], geometry.breakdown(rho).total)
+        for rho in character_table(X.group)
+    )
+    return VerifyReport(rows, None, subdivisions, chi_m)

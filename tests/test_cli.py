@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import equichi
-from equichi import cli, complexes, corpus, finedecomp, gcomplex, strataformula
+from equichi import cli, complexes, corpus, finedecomp, gcomplex, jsonio, strataformula
 from equichi.cli import main
 
 BETA_DATA = {
@@ -87,6 +87,25 @@ def test_verify_reflection_case_exits_skipped(capsys):
     assert skipped == (
         "stratified sum rejected: component 0 of stratum 1 has codimension 1 < 2"
     )
+
+
+def test_verify_corpus_reads_each_case_file_once(capsys, monkeypatch):
+    """One read per case file and one of the manifest; each entry's sha256
+    is that of the bytes its case was parsed from."""
+    reads = []
+    read = corpus.read_corpus_bytes
+
+    def counted(name):
+        reads.append(name)
+        return read(name)
+
+    corpus._manifest.cache_clear()
+    monkeypatch.setattr(corpus, "read_corpus_bytes", counted)
+    code, out, _ = run_cli(["verify", "--corpus"], capsys)
+    assert code == 3
+    assert sorted(reads) == sorted([*corpus.case_ids(), "manifest"])
+    for entry in json.loads(out)["corpus"]:
+        assert entry["sha256"] == hashlib.sha256(read(entry["case"])).hexdigest()
 
 
 def test_verify_explicit_files(tmp_path, capsys):
@@ -935,6 +954,30 @@ def test_inputs_from_pipes_report_the_digest_of_the_bytes_parsed(tmp_path, capsy
     assert code == 0
     assert from_pipes == from_files
     assert json.loads(from_pipes)["inputs"] == {n: {"sha256": hashlib.sha256(data).hexdigest()} for n, data in raw.items()}
+
+
+@pytest.mark.parametrize("command", ["verify", "strata", "fine-decomp", "assemble"])
+def test_each_command_reads_each_input_file_once(tmp_path, capsys, monkeypatch, command):
+    if command in ("verify", "strata"):
+        paths = dict(zip(("group", "complex"), write_case_files(tmp_path, "s2-reflection")))
+    elif command == "fine-decomp":
+        paths = {name: str(tmp_path / name) for name in ("group", "bundle")}
+        for name, path in paths.items():
+            Path(path).write_text(json.dumps(C3_IN_S3[name]))
+    else:
+        paths = {"data": str(tmp_path / "data")}
+        Path(paths["data"]).write_text(json.dumps(BETA_DATA))
+    reads = []
+    read = jsonio._read
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(jsonio, "_read", counted)
+    code, _, _ = run_cli([command, *(a for n, p in paths.items() for a in (f"--{n}", p))], capsys)
+    assert code == (3 if command in ("verify", "strata") else 0)
+    assert reads == list(paths.values())
 
 
 def test_missing_out_directory_fails_before_the_run(tmp_path, capsys):

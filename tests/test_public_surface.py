@@ -30,7 +30,7 @@ PUBLIC_READERS = {
     "CanonicalIsotropyBundle": "canonical_isotropy_bundle",
     "Character": "character_table",
     "ClassFunction": "Character",
-    "CodimensionError": "src/equichi/cli.py",
+    "CodimensionError": "src/equichi/strataformula.py",
     "ComponentSystem": "tests/test_acceptance.py",
     "Cyc": "tests/test_acceptance.py",
     "DefectError": "src/equichi/cli.py",

@@ -14,11 +14,13 @@ from equichi import (
     equivariant_euler_via_strata,
     euler_of_complex,
     group_from_permutations,
+    orbit_type_stratification,
     regularize,
     trivial_index,
     verify_strata_vs_oracle,
 )
-from equichi.strataformula import _class_counts, _homogeneous
+from equichi.gcomplex import _ladder
+from equichi.strataformula import StrataGeometry, _class_counts, _homogeneous, strata_geometry
 
 S3_GENS = [[1, 2, 0], [1, 0, 2]]
 
@@ -133,6 +135,31 @@ def test_codimension_one_stratum_is_rejected_with_location(regular_cases):
     assert err.value.stratum_index == 1
     assert err.value.component_index == 0
     assert "codimension 1" in str(err.value)
+
+
+def test_refusal_is_the_skip_and_the_raised_error(cases):
+    """On every corpus case the geometry's refusal is verify's skip and the
+    error that strata_geometry raises, with the same text and location."""
+    refused = {}
+    for cid, case in cases.items():
+        X, _ = _ladder(case.gcomplex)
+        refusal = StrataGeometry(X.group, orbit_type_stratification(X)).refusal
+        skipped = verify_strata_vs_oracle(case.gcomplex).skipped
+        if refusal is None:
+            assert skipped is None, cid
+            strata_geometry(X)
+            continue
+        assert skipped == str(refusal), cid
+        with pytest.raises(CodimensionError) as err:
+            strata_geometry(X)
+        assert str(err.value) == str(refusal)
+        assert (err.value.stratum_index, err.value.component_index) == (
+            refusal.stratum_index, refusal.component_index
+        )
+        refused[cid] = (str(refusal), refusal.stratum_index, refusal.component_index)
+    assert refused == {
+        "s2-reflection": ("stratified sum rejected: component 0 of stratum 1 has codimension 1 < 2", 1, 0)
+    }
 
 
 def test_breakdown_requires_regular_complex(cases):
